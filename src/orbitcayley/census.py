@@ -7,12 +7,13 @@ orbit index i is a member), so output is byte-identical across runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .core import ConsistencyError, OrbitIndexSet, is_connected
-from .explicit import EXPLICIT_HARD_MAX_N
-from .spectrum import distinct, full_spectrum
-from .srg import SrgParams, SrgVerdict, srg_check_explicit, srg_check_paircount, srg_check_spectral
+from .core import OrbitIndexSet, is_connected
+from .explicit import check_explicit_cap
+from .spectrum import distinct
+from .srg import SrgParams, SrgVerdict, certify
 
 CENSUS_DEFAULT_MAX_N = 12
 CENSUS_DEFAULT_EXPLICIT_CAP = 8
@@ -64,34 +65,25 @@ def census(
 ) -> list[CensusRecord]:
     """One record per nonempty index set, ascending by bitmask.
 
-    The two closed-form checkers always run and must agree; the dense
-    brute-force checker additionally runs (and must agree) when n is within
-    ``explicit_cap``.
+    Each set goes through ``certify``: the two closed-form checkers always run
+    and must agree; the dense brute-force checker additionally runs (and must
+    agree) when n is within ``explicit_cap``.
     """
     if not 1 <= n <= max_n:
         raise ValueError(f"n={n} outside the configured range 1..{max_n}")
-    if explicit_cap > EXPLICIT_HARD_MAX_N:
-        raise ValueError(f"explicit cap {explicit_cap} exceeds {EXPLICIT_HARD_MAX_N}")
-    run_explicit = n <= explicit_cap
+    check_explicit_cap(explicit_cap)
     records = []
     for mask in range(1, 1 << n):
         s = OrbitIndexSet.from_bitmask(n, mask)
-        verdict = srg_check_paircount(s)
-        spectral = srg_check_spectral(s)
-        if spectral != verdict:
-            raise ConsistencyError(f"pair-count and spectral checkers disagree on {s.format()}")
-        if run_explicit:
-            brute = srg_check_explicit(s, max_n=explicit_cap)
-            if brute != verdict:
-                raise ConsistencyError(f"brute-force checker disagrees on {s.format()}")
+        verdict, spectrum = certify(s, explicit_cap)
         records.append(
             CensusRecord(
                 index_set=s,
                 connected=is_connected(s),
-                distinct_eigenvalues=len(distinct(full_spectrum(s))),
+                distinct_eigenvalues=len(distinct(spectrum)),
                 verdict=verdict,
                 complement_indices=s.complement().sorted_indices,
-                explicit_verified=run_explicit,
+                explicit_verified=n <= explicit_cap,
             )
         )
     return records
@@ -99,13 +91,7 @@ def census(
 
 def distinct_count_histogram(n: int) -> dict[int, int]:
     """How many nonempty index sets achieve each distinct-eigenvalue count."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    hist: dict[int, int] = {}
-    for mask in range(1, 1 << n):
-        s = OrbitIndexSet.from_bitmask(n, mask)
-        count = len(distinct(full_spectrum(s)))
-        hist[count] = hist.get(count, 0) + 1
+    hist = Counter(rec.distinct_eigenvalues for rec in census(n, explicit_cap=0))
     return dict(sorted(hist.items()))
 
 

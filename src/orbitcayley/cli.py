@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .census import (
@@ -23,18 +22,11 @@ from .census import (
     census,
 )
 from .core import ConsistencyError, OrbitIndexSet
-from .explicit import EXPLICIT_HARD_MAX_N
+from .explicit import EXPLICIT_HARD_MAX_N, EXPLICIT_MAX_N, check_explicit_cap
 from .graph6 import export_graph6
 from .identities import verify_all
 from .spectrum import WHT_MAX_N, distinct, full_spectrum, wht_spectrum
-from .srg import (
-    FAMILIES,
-    NONTRIVIAL_FAMILY_KEYS,
-    VerdictStatus,
-    srg_check_explicit,
-    srg_check_paircount,
-    srg_check_spectral,
-)
+from .srg import certify, emit_table1
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -44,29 +36,6 @@ OUT_DIR_ENV = "ORBITCAYLEY_OUT_DIR"
 
 FAMILY_CSV_COLUMNS = ["graph", "n_vertices", "r", "lambda", "mu", "verified"]
 IDENTITY_CSV_COLUMNS = ["id", "k", "m", "lhs", "rhs", "pass"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    n_start: int = 1
-    n_end: int = 1
-    max_m: int = 10
-    explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP
-    wht_cap: int = WHT_MAX_N
-    out: Path | None = None
-    fmt: str = "jsonl"
-
-    def __post_init__(self) -> None:
-        if self.explicit_cap > EXPLICIT_HARD_MAX_N:
-            raise ValueError(f"explicit cap {self.explicit_cap} exceeds {EXPLICIT_HARD_MAX_N}")
-        if self.wht_cap > WHT_MAX_N:
-            raise ValueError(f"transform cap {self.wht_cap} exceeds {WHT_MAX_N}")
-        if not 1 <= self.n_start <= self.n_end:
-            raise ValueError(f"bad n range {self.n_start}..{self.n_end}")
-        if self.fmt not in ("jsonl", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -98,8 +67,10 @@ def _write_bytes(out: Path | None, blob: bytes) -> None:
 
 def _parse_n_range(text: str) -> tuple[int, int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = (int(part) for part in text.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"bad n range {lo}..{hi}")
+        return lo, hi
     value = int(text)
     return value, value
 
@@ -112,89 +83,41 @@ def _csv_text(columns: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def emit_table1(m_max: int, check_cap: int = 20) -> list[dict]:
-    """One row per (m, nontrivial family): closed-form parameters plus verification.
-
-    ``verified`` is "yes"/"no" from the pair-counting checker when the
-    dimension is within ``check_cap``, else "skipped".
-    """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
-    rows = []
-    for m in range(1, m_max + 1):
-        for key in NONTRIVIAL_FAMILY_KEYS:
-            spec = FAMILIES[key]
-            index_set, predicted = spec.index_set(m), spec.predicted(m)
-            if index_set.n <= check_cap:
-                verdict = srg_check_paircount(index_set)
-                ok = (
-                    verdict.status is VerdictStatus.NONTRIVIAL_SRG
-                    and verdict.params == predicted
-                )
-                verified = "yes" if ok else "no"
-            else:
-                verified = "skipped"
-            rows.append(
-                {
-                    "graph": spec.label(m),
-                    "n_vertices": predicted.vertices,
-                    "r": predicted.degree,
-                    "lambda": predicted.lam,
-                    "mu": predicted.mu,
-                    "verified": verified,
-                }
-            )
-    return rows
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    config = RunConfig(wht_cap=args.wht_cap, out=_resolve_out(args.out))
+    if args.wht_cap > WHT_MAX_N:
+        raise ValueError(f"transform cap {args.wht_cap} exceeds {WHT_MAX_N}")
     s = OrbitIndexSet.parse(args.set)
     spec = full_spectrum(s)
     if args.check_oracle:
-        if s.n > config.wht_cap:
-            raise ValueError(f"--check-oracle needs n <= {config.wht_cap}")
+        if s.n > args.wht_cap:
+            raise ValueError(f"--check-oracle needs n <= {args.wht_cap}")
         if wht_spectrum(s) != spec:
             raise ConsistencyError(f"transform oracle disagrees on {s.format()}")
-    if args.distinct:
-        _write_text(config.out, distinct(spec).to_csv())
-    else:
-        _write_text(config.out, json.dumps(spec.to_json_dict()) + "\n")
+    text = distinct(spec).to_csv() if args.distinct else json.dumps(spec.to_json_dict()) + "\n"
+    _write_text(_resolve_out(args.out), text)
     return EXIT_OK
 
 
 def _cmd_srg_check(args: argparse.Namespace) -> int:
-    config = RunConfig(explicit_cap=args.explicit_cap, out=_resolve_out(args.out))
     s = OrbitIndexSet.parse(args.set)
-    verdict = srg_check_paircount(s)
-    if srg_check_spectral(s) != verdict:
-        raise ConsistencyError(f"pair-count and spectral checkers disagree on {s.format()}")
-    if args.explicit:
-        if srg_check_explicit(s, max_n=config.explicit_cap) != verdict:
-            raise ConsistencyError(f"brute-force checker disagrees on {s.format()}")
+    check_explicit_cap(args.explicit_cap, s.n if args.explicit else None)
+    verdict, _ = certify(s, args.explicit_cap if args.explicit else 0)
     payload = {"set": s.format()}
     payload.update(verdict.to_json_dict())
-    _write_text(config.out, json.dumps(payload) + "\n")
+    _write_text(_resolve_out(args.out), json.dumps(payload) + "\n")
     return EXIT_OK
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
     n_start, n_end = _parse_n_range(args.n)
-    config = RunConfig(
-        n_start=n_start,
-        n_end=n_end,
-        explicit_cap=args.explicit_cap,
-        out=_resolve_out(args.out),
-        fmt=args.format,
-    )
     records = []
-    for n in range(config.n_start, config.n_end + 1):
-        records.extend(census(n, explicit_cap=config.explicit_cap, max_n=args.max_n))
-    if config.fmt == "jsonl":
+    for n in range(n_start, n_end + 1):
+        records.extend(census(n, explicit_cap=args.explicit_cap, max_n=args.max_n))
+    if args.format == "jsonl":
         text = "".join(json.dumps(rec.to_json_dict()) + "\n" for rec in records)
     else:
         text = _csv_text(CENSUS_CSV_COLUMNS, [rec.to_csv_row() for rec in records])
-    _write_text(config.out, text)
+    _write_text(_resolve_out(args.out), text)
     return EXIT_OK
 
 
@@ -221,9 +144,8 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    config = RunConfig(explicit_cap=args.max_n, out=_resolve_out(args.out))
     s = OrbitIndexSet.parse(args.set)
-    _write_bytes(config.out, export_graph6(s, max_n=config.explicit_cap) + b"\n")
+    _write_bytes(_resolve_out(args.out), export_graph6(s, max_n=args.max_n) + b"\n")
     return EXIT_OK
 
 
@@ -246,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("srg-check", help="strong-regularity verdict for one index set")
     p.add_argument("--set", required=True)
     p.add_argument("--explicit", action="store_true", help="also run the dense brute force")
-    p.add_argument("--explicit-cap", type=int, default=12)
+    p.add_argument("--explicit-cap", type=int, default=EXPLICIT_MAX_N)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_srg_check)
 

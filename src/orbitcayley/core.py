@@ -47,12 +47,8 @@ class Gf2Vector:
 
     @property
     def weight(self) -> int:
+        """Hamming weight: the number of 1 coordinates."""
         return self.bits.bit_count()
-
-
-def weight(v: Gf2Vector) -> int:
-    """Hamming weight: the number of 1 coordinates."""
-    return v.bits.bit_count()
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,11 @@ class OrbitIndexSet:
 
     @classmethod
     def parse(cls, text: str) -> OrbitIndexSet:
-        """Parse the text form ``n=<int>;I=<comma-separated ascending ints>``."""
+        """Parse the text form ``n=<int>;I=<comma-separated ascending ints>``.
+
+        Only the canonical spelling that ``format`` produces is accepted:
+        indices strictly ascending, no spaces inside the text.
+        """
         try:
             n_part, i_part = text.strip().split(";")
             if not n_part.startswith("n=") or not i_part.startswith("I="):
@@ -106,7 +106,10 @@ class OrbitIndexSet:
             indices = [int(tok) for tok in body.split(",")] if body else []
         except ValueError:
             raise ValueError(f"malformed index-set text {text!r}; expected 'n=4;I=1,4'") from None
-        return cls(n, frozenset(indices))
+        s = cls(n, frozenset(indices))
+        if s.format() != text.strip():
+            raise ValueError(f"index-set text {text!r} is not canonical; expected {s.format()!r}")
+        return s
 
     def format(self) -> str:
         return f"n={self.n};I={','.join(str(i) for i in self.sorted_indices)}"
@@ -120,9 +123,6 @@ class OrbitIndexSet:
         if v.n != self.n:
             raise ValueError(f"dimension mismatch: vector n={v.n}, set n={self.n}")
         return v.bits.bit_count() in self.indices
-
-    def contains_bits(self, bits: int) -> bool:
-        return bits.bit_count() in self.indices
 
     def complement(self) -> OrbitIndexSet:
         """The index set of the complement graph's connection set: {1..n} minus indices."""
@@ -162,11 +162,6 @@ def expand_family(tag: ResidueFamily | str, n: int) -> OrbitIndexSet:
     else:
         indices = frozenset(range(1, n + 1, 2))
     return OrbitIndexSet(n, indices)
-
-
-def complement_index_set(s: OrbitIndexSet) -> OrbitIndexSet:
-    """Index set whose expansion is the complement of S within the nonzero vectors."""
-    return s.complement()
 
 
 def is_connected(s: OrbitIndexSet) -> bool:

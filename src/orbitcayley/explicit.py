@@ -18,6 +18,14 @@ EXPLICIT_MAX_N = 12  # 2^12 x 2^12 adjacency; raisable to the hard cap below
 EXPLICIT_HARD_MAX_N = 14
 
 
+def check_explicit_cap(cap: int, n: int | None = None) -> None:
+    """Reject a dense-work cap above the hard limit, and a dimension n above the cap."""
+    if cap > EXPLICIT_HARD_MAX_N:
+        raise ValueError(f"cap {cap} exceeds the hard limit {EXPLICIT_HARD_MAX_N}")
+    if n is not None and n > cap:
+        raise ValueError(f"n={n} exceeds the dense-graph cap {cap}")
+
+
 def _row0(s: OrbitIndexSet) -> np.ndarray:
     """Adjacency row of vertex 0: row0[y] <=> weight(y) in I."""
     return np.isin(_weight_table(s.n), list(s.indices))
@@ -32,10 +40,7 @@ class ExplicitGraph:
 
     @classmethod
     def build(cls, s: OrbitIndexSet, max_n: int = EXPLICIT_MAX_N) -> ExplicitGraph:
-        if max_n > EXPLICIT_HARD_MAX_N:
-            raise ValueError(f"cap {max_n} exceeds the hard limit {EXPLICIT_HARD_MAX_N}")
-        if s.n > max_n:
-            raise ValueError(f"n={s.n} exceeds the explicit-graph cap {max_n}")
+        check_explicit_cap(max_n, s.n)
         row0 = _row0(s)
         size = 1 << s.n
         xs = np.arange(size)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import OrbitIndexSet
-from .explicit import EXPLICIT_HARD_MAX_N, _row0
+from .explicit import EXPLICIT_HARD_MAX_N, _row0, check_explicit_cap
 
 _SIZE_SMALL_MAX = 62
 _SIZE_MEDIUM_MAX = 258047
@@ -51,10 +51,7 @@ def _pack_bits(bits: np.ndarray) -> bytes:
 
 def export_graph6(s: OrbitIndexSet, max_n: int = EXPLICIT_HARD_MAX_N) -> bytes:
     """graph6 encoding with vertices 0..2^n-1 ordered by integer value."""
-    if max_n > EXPLICIT_HARD_MAX_N:
-        raise ValueError(f"cap {max_n} exceeds the hard limit {EXPLICIT_HARD_MAX_N}")
-    if s.n > max_n:
-        raise ValueError(f"n={s.n} exceeds the graph6 export cap {max_n}")
+    check_explicit_cap(max_n, s.n)
     row0 = _row0(s)
     size = 1 << s.n
     xs = np.arange(size)

@@ -1,9 +1,10 @@
 """Exact eigenvalues of orbit Cayley graphs: binomial character sums and a Walsh-Hadamard oracle.
 
 Eigenvalues are exact integers throughout; no floating point enters this
-module.  The double-binomial sum is the normative definition, the
-three-term recurrence is an optional fast path, and the Walsh-Hadamard
-transform of the connection-set indicator is the independent oracle.
+module.  ``full_spectrum`` evaluates the three-term recurrence.  Two oracles
+check it: the normative double-binomial sum (``orbit_character_sum``,
+``eigenvalue``) and the Walsh-Hadamard transform of the connection-set
+indicator (``wht_spectrum``).
 """
 
 from __future__ import annotations
@@ -123,18 +124,14 @@ def _check_invariants(spec: Spectrum, set_size: int) -> None:
         raise ConsistencyError("degree eigenvalue is not the maximum")
 
 
-def full_spectrum(s: OrbitIndexSet, method: str = "binomial") -> Spectrum:
+def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Closed-form spectrum of the orbit Cayley graph on 2^n vertices.
 
-    ``method`` selects the normative binomial sums or the recurrence fast path.
+    Sums the recurrence rows of the member orbits; ``eigenvalue`` is the
+    binomial-sum oracle for the same values.
     """
-    if method == "binomial":
-        values = tuple(eigenvalue(s, k) for k in range(s.n + 1))
-    elif method == "recurrence":
-        rows = [character_sum_row(s.n, i) for i in s.sorted_indices]
-        values = tuple(sum(row[k] for row in rows) for k in range(s.n + 1))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    rows = [character_sum_row(s.n, i) for i in s.sorted_indices]
+    values = tuple(sum(row[k] for row in rows) for k in range(s.n + 1))
     spec = Spectrum(s.n, values)
     _check_invariants(spec, s.size())
     return spec
@@ -173,6 +170,9 @@ def _fwht(a: np.ndarray) -> np.ndarray:
 
 
 def _wht_naive(f: np.ndarray, n: int) -> np.ndarray:
+    """Direct O(4^n) summation: the test oracle for ``_fwht``."""
+    if n > NAIVE_WHT_MAX_N:
+        raise ValueError(f"n={n} exceeds the naive-summation cap {NAIVE_WHT_MAX_N}")
     out = np.zeros_like(f)
     for y in range(1 << n):
         acc = 0
@@ -183,23 +183,15 @@ def _wht_naive(f: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def wht_spectrum(s: OrbitIndexSet, method: str = "butterfly") -> Spectrum:
+def wht_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Oracle spectrum: transform the 0/1 indicator of S over all 2^n points.
 
     Groups the transform by the weight of the character index and insists the
     value is constant within each weight class before returning.
     """
-    if method == "butterfly":
-        if s.n > WHT_MAX_N:
-            raise ValueError(f"n={s.n} exceeds the transform cap {WHT_MAX_N}")
-        fhat = _fwht(_indicator(s))
-    elif method == "naive":
-        if s.n > NAIVE_WHT_MAX_N:
-            raise ValueError(f"n={s.n} exceeds the naive-summation cap {NAIVE_WHT_MAX_N}")
-        fhat = _wht_naive(_indicator(s), s.n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    if s.n > WHT_MAX_N:
+        raise ValueError(f"n={s.n} exceeds the transform cap {WHT_MAX_N}")
+    fhat = _fwht(_indicator(s))
     w = _weight_table(s.n)
     values = []
     for k in range(s.n + 1):

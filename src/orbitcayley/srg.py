@@ -1,20 +1,22 @@
 """Strong-regularity certification for orbit Cayley graphs.
 
 Three independent routes to the same verdict: closed-form pair counting,
-the spectral three-eigenvalue criterion, and dense brute force.  The pair
-count |C(v,S)| = #{(x,y) in S x S : x XOR y = v} depends only on the
-weight of v because S is a union of weight classes.
+the spectral three-eigenvalue criterion, and dense brute force; ``certify``
+runs them and insists they agree.  The pair count
+|C(v,S)| = #{(x,y) in S x S : x XOR y = v} depends only on the weight of v
+because S is a union of weight classes.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .core import (
+    ConsistencyError,
     Gf2Vector,
     OrbitIndexSet,
     ResidueFamily,
@@ -29,7 +31,7 @@ from .explicit import (
     complement_adjacency,
     is_connected_adjacency,
 )
-from .spectrum import distinct, full_spectrum
+from .spectrum import Spectrum, distinct, full_spectrum
 
 PAIR_COUNT_ORACLE_MAX_N = 20
 
@@ -60,7 +62,7 @@ def pair_count_oracle(s: OrbitIndexSet, v: Gf2Vector) -> int:
         raise ValueError(f"n={s.n} exceeds the enumeration cap {PAIR_COUNT_ORACLE_MAX_N}")
     if v.n != s.n:
         raise ValueError(f"dimension mismatch: vector n={v.n}, set n={s.n}")
-    return sum(1 for x in s.vectors() if s.contains_bits(x ^ v.bits))
+    return sum(1 for x in s.vectors() if s.contains(v ^ Gf2Vector(s.n, x)))
 
 
 class VerdictStatus(str, Enum):
@@ -127,53 +129,6 @@ def classify_trivial(s: OrbitIndexSet) -> ResidueFamily | None:
 
 # -- named families ----------------------------------------------------------
 
-def _sign(m: int) -> int:
-    return -1 if m % 2 else 1
-
-
-def _union(n: int, *tags: ResidueFamily) -> OrbitIndexSet:
-    indices: frozenset[int] = frozenset()
-    for tag in tags:
-        indices |= expand_family(tag, n).indices
-    return OrbitIndexSet(n, indices)
-
-
-def _params_4m_s0s1(m: int) -> SrgParams:
-    g = _sign(m) * (1 << (2 * m - 1))
-    return SrgParams(1 << 4 * m, (1 << (4 * m - 1)) + g - 1,
-                     (1 << (4 * m - 2)) + g - 2, (1 << (4 * m - 2)) + g)
-
-
-def _params_4m_s2s3(m: int) -> SrgParams:
-    g = _sign(m) * (1 << (2 * m - 1))
-    return SrgParams(1 << 4 * m, (1 << (4 * m - 1)) - g,
-                     (1 << (4 * m - 2)) - g, (1 << (4 * m - 2)) - g)
-
-
-def _params_4m2_s0s1(m: int) -> SrgParams:
-    g = _sign(m) * (1 << (2 * m))
-    return SrgParams(1 << (4 * m + 2), (1 << (4 * m + 1)) + g - 1,
-                     (1 << (4 * m)) + g - 2, (1 << (4 * m)) + g)
-
-
-def _params_4m2_s2s3(m: int) -> SrgParams:
-    g = _sign(m) * (1 << (2 * m))
-    return SrgParams(1 << (4 * m + 2), (1 << (4 * m + 1)) - g,
-                     (1 << (4 * m)) - g, (1 << (4 * m)) - g)
-
-
-def _params_4m2_s1s2(m: int) -> SrgParams:
-    g = _sign(m) * (1 << (2 * m))
-    return SrgParams(1 << (4 * m + 2), (1 << (4 * m + 1)) + g,
-                     (1 << (4 * m)) + g, (1 << (4 * m)) + g)
-
-
-def _params_4m2_s0s3(m: int) -> SrgParams:
-    g = _sign(m) * (1 << (2 * m))
-    return SrgParams(1 << (4 * m + 2), (1 << (4 * m + 1)) - g - 1,
-                     (1 << (4 * m)) - g - 2, (1 << (4 * m)) - g)
-
-
 _PRETTY = {
     ResidueFamily.S0: "S0",
     ResidueFamily.S1: "S1",
@@ -186,61 +141,71 @@ _PRETTY = {
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """One named family: the union of ``residues`` at each dimension it lives in.
+
+    A nontrivial row lives at n = 4m + ``offset`` and its parameters follow
+    one formula with ``sign`` = +1 or -1.  A trivial row (offset None) is
+    parameterized by n itself.
+    """
+
     key: str
-    trivial: bool
-    dimension: Callable[[int], int]
-    index_set: Callable[[int], OrbitIndexSet]
-    predicted: Callable[[int], SrgParams]
     residues: tuple[ResidueFamily, ...]
+    offset: int | None = None
+    sign: int = 0
+
+    @property
+    def trivial(self) -> bool:
+        return self.offset is None
+
+    def dimension(self, m: int) -> int:
+        return m if self.trivial else 4 * m + self.offset
+
+    def parameter(self, n: int) -> int | None:
+        """The m whose member has dimension n, or None when no member does."""
+        if self.trivial:
+            return n if n >= 2 else None
+        m, rest = divmod(n - self.offset, 4)
+        return m if m >= 1 and not rest else None
+
+    def index_set(self, m: int) -> OrbitIndexSet:
+        n = self.dimension(m)
+        indices = frozenset().union(*(expand_family(t, n).indices for t in self.residues))
+        return OrbitIndexSet(n, indices)
+
+    def predicted(self, m: int) -> SrgParams:
+        """Closed-form (v, r, lambda, mu) of the member with parameter m.
+
+        Nontrivial rows: with g = sign (-1)^m 2^(n/2 - 1) and e = 1 iff S0
+        is a residue, r = 2^(n-1) + g - e, lambda = 2^(n-2) + g - 2e and
+        mu = 2^(n-2) + g.
+        """
+        n = self.dimension(m)
+        v = 1 << n
+        if self.trivial:
+            # complete multipartite: s_minus pairs each vector with its
+            # antipode, s_odd splits the vectors by parity
+            part = 2 if self.residues == (ResidueFamily.S_MINUS,) else v // 2
+            return SrgParams(v, v - part, v - 2 * part, v - part)
+        g = self.sign * (-1) ** m * (1 << (n // 2 - 1))
+        e = int(ResidueFamily.S0 in self.residues)
+        return SrgParams(v, v // 2 + g - e, v // 4 + g - 2 * e, v // 4 + g)
 
     def label(self, m: int) -> str:
         parts = "+".join(_PRETTY[t] for t in self.residues)
         return f"Cay(Z2^{self.dimension(m)},{parts})"
 
 
-def _nontrivial(key: str, n_of_m, residues: tuple[ResidueFamily, ResidueFamily],
-                predicted) -> FamilySpec:
-    return FamilySpec(
-        key=key,
-        trivial=False,
-        dimension=n_of_m,
-        index_set=lambda m: _union(n_of_m(m), *residues),
-        predicted=predicted,
-        residues=residues,
-    )
-
-
 FAMILIES: dict[str, FamilySpec] = {
     spec.key: spec
     for spec in (
-        _nontrivial("s0s1@4m", lambda m: 4 * m,
-                    (ResidueFamily.S0, ResidueFamily.S1), _params_4m_s0s1),
-        _nontrivial("s2s3@4m", lambda m: 4 * m,
-                    (ResidueFamily.S2, ResidueFamily.S3), _params_4m_s2s3),
-        _nontrivial("s0s1@4m+2", lambda m: 4 * m + 2,
-                    (ResidueFamily.S0, ResidueFamily.S1), _params_4m2_s0s1),
-        _nontrivial("s2s3@4m+2", lambda m: 4 * m + 2,
-                    (ResidueFamily.S2, ResidueFamily.S3), _params_4m2_s2s3),
-        _nontrivial("s1s2@4m+2", lambda m: 4 * m + 2,
-                    (ResidueFamily.S1, ResidueFamily.S2), _params_4m2_s1s2),
-        _nontrivial("s0s3@4m+2", lambda m: 4 * m + 2,
-                    (ResidueFamily.S0, ResidueFamily.S3), _params_4m2_s0s3),
-        FamilySpec(
-            key="s_minus",
-            trivial=True,
-            dimension=lambda n: n,
-            index_set=lambda n: expand_family(ResidueFamily.S_MINUS, n),
-            predicted=lambda n: SrgParams(1 << n, (1 << n) - 2, (1 << n) - 4, (1 << n) - 2),
-            residues=(ResidueFamily.S_MINUS,),
-        ),
-        FamilySpec(
-            key="s_odd",
-            trivial=True,
-            dimension=lambda n: n,
-            index_set=lambda n: expand_family(ResidueFamily.S_ODD, n),
-            predicted=lambda n: SrgParams(1 << n, 1 << (n - 1), 0, 1 << (n - 1)),
-            residues=(ResidueFamily.S_ODD,),
-        ),
+        FamilySpec("s0s1@4m", (ResidueFamily.S0, ResidueFamily.S1), offset=0, sign=1),
+        FamilySpec("s2s3@4m", (ResidueFamily.S2, ResidueFamily.S3), offset=0, sign=-1),
+        FamilySpec("s0s1@4m+2", (ResidueFamily.S0, ResidueFamily.S1), offset=2, sign=1),
+        FamilySpec("s2s3@4m+2", (ResidueFamily.S2, ResidueFamily.S3), offset=2, sign=-1),
+        FamilySpec("s1s2@4m+2", (ResidueFamily.S1, ResidueFamily.S2), offset=2, sign=1),
+        FamilySpec("s0s3@4m+2", (ResidueFamily.S0, ResidueFamily.S3), offset=2, sign=-1),
+        FamilySpec("s_minus", (ResidueFamily.S_MINUS,)),
+        FamilySpec("s_odd", (ResidueFamily.S_ODD,)),
     )
 }
 
@@ -268,21 +233,45 @@ def match_families(s: OrbitIndexSet) -> tuple[str, ...]:
     """Keys of every named family whose member at the right size equals the set."""
     tags = []
     for key, spec in FAMILIES.items():
-        if spec.trivial:
-            m = s.n
-            if m < 2:
-                continue
-        elif key.endswith("@4m"):
-            if s.n % 4 != 0 or s.n < 4:
-                continue
-            m = s.n // 4
-        else:
-            if s.n % 4 != 2 or s.n < 6:
-                continue
-            m = (s.n - 2) // 4
-        if spec.index_set(m).indices == s.indices:
+        m = spec.parameter(s.n)
+        if m is not None and spec.index_set(m).indices == s.indices:
             tags.append(key)
     return tuple(tags)
+
+
+def emit_table1(m_max: int, check_cap: int = 20) -> list[dict]:
+    """One row per (m, nontrivial family): closed-form parameters plus verification.
+
+    ``verified`` is "yes"/"no" from ``certify`` (both closed-form routes) when
+    the dimension is within ``check_cap``, else "skipped".
+    """
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    rows = []
+    for m in range(1, m_max + 1):
+        for key in NONTRIVIAL_FAMILY_KEYS:
+            spec = FAMILIES[key]
+            index_set, predicted = spec.index_set(m), spec.predicted(m)
+            if index_set.n <= check_cap:
+                verdict, _ = certify(index_set, explicit_cap=0)
+                ok = (
+                    verdict.status is VerdictStatus.NONTRIVIAL_SRG
+                    and verdict.params == predicted
+                )
+                verified = "yes" if ok else "no"
+            else:
+                verified = "skipped"
+            rows.append(
+                {
+                    "graph": spec.label(m),
+                    "n_vertices": predicted.vertices,
+                    "r": predicted.degree,
+                    "lambda": predicted.lam,
+                    "mu": predicted.mu,
+                    "verified": verified,
+                }
+            )
+    return rows
 
 
 # -- the three checkers ------------------------------------------------------
@@ -322,10 +311,14 @@ def srg_check_spectral(s: OrbitIndexSet) -> SrgVerdict:
     Parameters recovered by the standard identities
     mu = r + theta*tau and lambda = mu + theta + tau.
     """
+    return _spectral_verdict(s, full_spectrum(s))
+
+
+def _spectral_verdict(s: OrbitIndexSet, spectrum: Spectrum) -> SrgVerdict:
     gate = _gate(s)
     if gate is not None:
         return gate
-    pairs = distinct(full_spectrum(s)).pairs
+    pairs = distinct(spectrum).pairs
     if len(pairs) != 3:
         return SrgVerdict(VerdictStatus.NOT_SRG)
     (r, _), (theta, _), (tau, _) = pairs
@@ -354,6 +347,30 @@ def srg_check_explicit(s: OrbitIndexSet, max_n: int = EXPLICIT_MAX_N) -> SrgVerd
     status = VerdictStatus.TRIVIAL_SRG if trivial else VerdictStatus.NONTRIVIAL_SRG
     params = SrgParams(size, int(degrees[0]), int(lam_values[0]), int(mu_values[0]))
     return SrgVerdict(status, params, match_families(s))
+
+
+def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
+    """The SRG verdict of s, certified by every route that applies, and its spectrum.
+
+    The pair-count and spectral routes always run; the dense route also runs
+    when s.n is within ``explicit_cap``.  When any verdict differs, raises
+    ConsistencyError naming the set and every route's verdict, so the failure
+    can be replayed with ``srg-check --set``.
+    """
+    spectrum = full_spectrum(s)
+    verdicts = {
+        "pair_count": srg_check_paircount(s),
+        "spectral": _spectral_verdict(s, spectrum),
+    }
+    if s.n <= explicit_cap:
+        verdicts["explicit"] = srg_check_explicit(s, max_n=explicit_cap)
+    verdict = verdicts["pair_count"]
+    if any(other != verdict for other in verdicts.values()):
+        detail = "; ".join(
+            f"{route}: {json.dumps(v.to_json_dict())}" for route, v in verdicts.items()
+        )
+        raise ConsistencyError(f"SRG routes disagree on {s.format()}: {detail}")
+    return verdict, spectrum
 
 
 def verify_equitable_partition(graph: ExplicitGraph, v: int) -> list[list[int]] | None:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
 
-from orbitcayley.cli import EXIT_OK, EXIT_USAGE, emit_table1, main
+from orbitcayley.cli import EXIT_OK, EXIT_USAGE, main
+from orbitcayley.srg import emit_table1
 
 
 def test_spectrum_json(capsys):
@@ -44,8 +46,9 @@ def test_srg_check_disconnected_still_exits_zero(capsys):
 
 
 def test_malformed_set_is_usage_error(capsys):
-    assert main(["srg-check", "--set", "garbage"]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    for bad in ("garbage", "n=4;I=4,1", "n=4;I=1,1", "n=4;I= 1, 4 "):
+        assert main(["srg-check", "--set", bad]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_two():
@@ -142,3 +145,21 @@ def test_emit_table1_shape():
     ]
     with pytest.raises(ValueError):
         emit_table1(0)
+
+
+# sha256 of each output, recorded before the certification routes were merged
+RECORDED_OUTPUT_SHA256 = {
+    ("census", "--n", "1..8"):
+        "4136242ecb9a8205da552c876ca3f702161e947e0d9a83367670d7e029d939d6",
+    ("census", "--n", "1..8", "--format", "csv"):
+        "2c0cc480a987f94d167f3c33f8a8d29e0e7d67ff00b7b525356892cebc7e200f",
+    ("families", "--m-max", "6"):
+        "054f43ff6a141e570c28f60426bc8fa5a19977f30fbad203a744e923f65553bd",
+}
+
+
+def test_outputs_are_byte_identical_to_recorded_hashes(tmp_path):
+    for argv, expected in RECORDED_OUTPUT_SHA256.items():
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, argv

@@ -13,19 +13,17 @@ from orbitcayley.core import (
     OrbitIndexSet,
     ResidueFamily,
     binom,
-    complement_index_set,
     expand_family,
     is_connected,
     orbit_size,
-    weight,
 )
 from orbitcayley.explicit import ExplicitGraph, is_connected_adjacency
 
 
 def test_weight_examples():
-    assert weight(Gf2Vector(4, 0b0000)) == 0
-    assert weight(Gf2Vector(4, 0b1011)) == 3
-    assert weight(Gf2Vector(8, 0b11111111)) == 8
+    assert Gf2Vector(4, 0b0000).weight == 0
+    assert Gf2Vector(4, 0b1011).weight == 3
+    assert Gf2Vector(8, 0b11111111).weight == 8
 
 
 def test_gf2vector_validation():
@@ -92,9 +90,9 @@ def test_expand_family_examples():
 
 
 def test_complement_examples():
-    assert complement_index_set(OrbitIndexSet.of(4, {1, 4})).indices == {2, 3}
-    assert complement_index_set(OrbitIndexSet.of(5, set())).indices == {1, 2, 3, 4, 5}
-    assert complement_index_set(OrbitIndexSet.of(6, set(range(1, 7)))).indices == set()
+    assert OrbitIndexSet.of(4, {1, 4}).complement().indices == {2, 3}
+    assert OrbitIndexSet.of(5, set()).complement().indices == {1, 2, 3, 4, 5}
+    assert OrbitIndexSet.of(6, set(range(1, 7))).complement().indices == set()
 
 
 def test_text_form_round_trip():
@@ -106,6 +104,10 @@ def test_text_form_round_trip():
     assert OrbitIndexSet.parse(empty.format()) == empty
     for bad in ("n=4", "I=1,2", "n=x;I=1", "n=4;I=1;2", "4;1,2"):
         with pytest.raises(ValueError):
+            OrbitIndexSet.parse(bad)
+    # the list must be ascending, duplicate-free and unpadded
+    for bad in ("n=4;I=4,1", "n=4;I=1,1", "n=4;I= 1, 4 "):
+        with pytest.raises(ValueError, match="not canonical"):
             OrbitIndexSet.parse(bad)
 
 
@@ -120,7 +122,7 @@ def test_vectors_enumeration():
     s = OrbitIndexSet.of(5, {2, 5})
     members = list(s.vectors())
     assert len(members) == s.size() == comb(5, 2) + 1
-    assert all(s.contains_bits(x) for x in members)
+    assert all(s.contains(Gf2Vector(5, x)) for x in members)
     assert len(set(members)) == len(members)
 
 
@@ -151,7 +153,7 @@ def test_weight_xor_parity(n, data):
     u = data.draw(st.integers(0, (1 << n) - 1))
     v = data.draw(st.integers(0, (1 << n) - 1))
     a, b = Gf2Vector(n, u), Gf2Vector(n, v)
-    assert weight(a ^ b) % 2 == (weight(a) + weight(b)) % 2
+    assert (a ^ b).weight % 2 == (a.weight + b.weight) % 2
 
 
 @given(st.integers(1, 10), st.data())

@@ -7,11 +7,16 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.spectrum import (
     DistinctSpectrum,
     Spectrum,
+    _fwht,
+    _indicator,
+    _wht_naive,
     character_sum_row,
     distinct,
     eigenvalue,
@@ -87,12 +92,18 @@ def test_full_spectrum_examples():
 
 
 def test_full_spectrum_methods_agree():
+    # the recurrence route against the normative binomial sums, exhaustively
     for n in range(1, 9):
         for mask in range(1 << n):
             s = OrbitIndexSet.from_bitmask(n, mask)
-            assert full_spectrum(s) == full_spectrum(s, method="recurrence")
-    with pytest.raises(ValueError):
-        full_spectrum(OrbitIndexSet.of(2, {1}), method="fft")
+            assert full_spectrum(s).values == tuple(eigenvalue(s, k) for k in range(n + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 48), st.data())
+def test_full_spectrum_matches_binomial_oracle_at_larger_n(n, data):
+    s = OrbitIndexSet.of(n, data.draw(st.sets(st.integers(1, n))))
+    assert full_spectrum(s).values == tuple(eigenvalue(s, k) for k in range(n + 1))
 
 
 def test_wht_matches_closed_form_small():
@@ -107,24 +118,25 @@ def test_wht_examples():
     assert wht_spectrum(OrbitIndexSet.of(4, set())).values == (0, 0, 0, 0, 0)
 
 
+def _naive_matches_butterfly(s):
+    f = _indicator(s)
+    return np.array_equal(_wht_naive(f, s.n), _fwht(f.copy()))
+
+
 def test_naive_wht_matches_butterfly():
     for n in range(1, 6):
         for mask in range(1 << n):
-            s = OrbitIndexSet.from_bitmask(n, mask)
-            assert wht_spectrum(s, method="naive") == wht_spectrum(s)
+            assert _naive_matches_butterfly(OrbitIndexSet.from_bitmask(n, mask))
     rng = random.Random(7)
     for _ in range(5):
-        s = OrbitIndexSet.from_bitmask(8, rng.randrange(1, 1 << 8))
-        assert wht_spectrum(s, method="naive") == wht_spectrum(s)
+        assert _naive_matches_butterfly(OrbitIndexSet.from_bitmask(8, rng.randrange(1, 1 << 8)))
 
 
 def test_wht_caps_and_methods():
     with pytest.raises(ValueError):
         wht_spectrum(OrbitIndexSet.of(25, {1}))
     with pytest.raises(ValueError):
-        wht_spectrum(OrbitIndexSet.of(9, {1}), method="naive")
-    with pytest.raises(ValueError):
-        wht_spectrum(OrbitIndexSet.of(4, {1}), method="dft")
+        _wht_naive(np.zeros(1 << 9, dtype=np.int64), 9)
 
 
 def test_wht_rejects_weight_inhomogeneous_indicator(monkeypatch):
@@ -218,7 +230,7 @@ def test_closed_forms_scale_beyond_machine_integers():
     assert s.size() > 1 << 63
     spec = full_spectrum(s)  # the internal moment checks exercise exact arithmetic
     assert spec.values[0] == s.size()
-    assert spec == full_spectrum(s, method="recurrence")
+    assert spec.values == tuple(eigenvalue(s, k) for k in range(129))
 
 
 def test_spectrum_serialization():

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import json
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcayley.core import Gf2Vector, OrbitIndexSet, ResidueFamily
+import orbitcayley.srg as srg_module
+from orbitcayley.census import census
+from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
+from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, ResidueFamily
 from orbitcayley.explicit import ExplicitGraph, connected_components
 from orbitcayley.srg import (
     FAMILIES,
     NONTRIVIAL_FAMILY_KEYS,
     SrgParams,
     VerdictStatus,
+    SrgVerdict,
+    certify,
     classify_trivial,
     family_construct,
     match_families,
@@ -112,6 +118,23 @@ def test_explicit_checker_examples():
         srg_check_explicit(OrbitIndexSet.of(13, {1}))
     with pytest.raises(ValueError):
         srg_check_explicit(OrbitIndexSet.of(4, {1}), max_n=15)
+
+
+def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
+    s = OrbitIndexSet.of(4, {1, 4})
+    honest = certify(s, 0)[0]
+    monkeypatch.setattr(srg_module, "srg_check_paircount",
+                        lambda t: SrgVerdict(VerdictStatus.NOT_SRG))
+    with pytest.raises(ConsistencyError) as exc:
+        certify(s, 0)
+    message = str(exc.value)
+    assert "n=4;I=1,4" in message
+    assert json.dumps(SrgVerdict(VerdictStatus.NOT_SRG).to_json_dict()) in message
+    assert json.dumps(honest.to_json_dict()) in message
+    with pytest.raises(ConsistencyError):
+        census(4)
+    assert main(["srg-check", "--set", "n=4;I=1,4"]) == EXIT_VERIFICATION_FAILED
+    assert "n=4;I=1,4" in capsys.readouterr().err
 
 
 def test_three_checkers_agree(small_sweep):
