@@ -2,7 +2,9 @@
 
 Exit codes: 0 all requested verifications passed, 1 a mathematical
 verification failed, 2 usage or configuration error.  Relative output
-paths are resolved against ORBITCAYLEY_OUT_DIR when it is set.
+paths are resolved against ORBITCAYLEY_OUT_DIR when it is set.  Files
+named by --out are replaced atomically: a failed run leaves them as they
+were.
 """
 
 from __future__ import annotations
@@ -48,12 +50,29 @@ def _resolve_out(path: str | None) -> Path | None:
     return p
 
 
+def _write_atomic(out: Path, data: bytes) -> None:
+    """Write data to a temporary file beside out, then rename it over out.
+
+    A failure at any point removes the temporary file, so out is either
+    left as it was or holds all of data, never a prefix.
+    """
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_text(out: Path | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        _write_atomic(out, text.encode())
 
 
 def _write_bytes(out: Path | None, blob: bytes) -> None:
@@ -61,8 +80,7 @@ def _write_bytes(out: Path | None, blob: bytes) -> None:
         sys.stdout.buffer.write(blob)
         sys.stdout.buffer.flush()
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(blob)
+        _write_atomic(out, blob)
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrbitIndexSet
-from .spectrum import _weight_table
+from .spectrum import _indicator
 
 EXPLICIT_MAX_N = 12  # 2^12 x 2^12 adjacency; raisable to the hard cap below
 EXPLICIT_HARD_MAX_N = 14
+FLOAT32_EXACT_MAX = 1 << 24  # float32 holds every integer up to 2^24 exactly
 
 
 def check_explicit_cap(cap: int, n: int | None = None) -> None:
@@ -28,7 +29,7 @@ def check_explicit_cap(cap: int, n: int | None = None) -> None:
 
 def _row0(s: OrbitIndexSet) -> np.ndarray:
     """Adjacency row of vertex 0: row0[y] <=> weight(y) in I."""
-    return np.isin(_weight_table(s.n), list(s.indices))
+    return _indicator(s).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,16 @@ def complement_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 
 def common_neighbor_matrix(adjacency: np.ndarray) -> np.ndarray:
-    """counts[x, y] = number of common neighbors of x and y.
+    """counts[x, y] = number of common neighbors of x and y, as float32.
 
-    Computed as A @ A through BLAS; float32 is exact because every count is
-    below 2^24.
+    Computed as A @ A.T, the dot products of the neighbourhood rows, which
+    numpy sends to BLAS syrk (half the flops of a general product); for the
+    symmetric adjacency of a graph it equals A @ A.  Every partial sum is a
+    count of at most N vertices, so float32 is exact while N < 2^24; a
+    larger matrix raises ValueError before anything is allocated.
     """
+    size = adjacency.shape[0]
+    if size >= FLOAT32_EXACT_MAX:
+        raise ValueError(f"{size} vertices exceed the float32-exact bound {FLOAT32_EXACT_MAX}")
     a = adjacency.astype(np.float32)
-    return (a @ a).astype(np.int64)
+    return a @ a.T

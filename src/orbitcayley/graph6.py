@@ -2,8 +2,9 @@
 
 The format packs the column-major upper triangle of the adjacency matrix
 into 6-bit printable characters offset by 63, preceded by the vertex
-count.  Encoding streams one column at a time from vertex 0's adjacency
-row, so no full matrix is materialized.
+count.  Encoding gathers one column at a time from vertex 0's adjacency
+row and packs the bits block by block into one preallocated buffer, so
+neither the matrix nor its N(N-1)/2-bit upper triangle is ever built.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .explicit import EXPLICIT_HARD_MAX_N, _row0, check_explicit_cap
 
 _SIZE_SMALL_MAX = 62
 _SIZE_MEDIUM_MAX = 258047
+_BLOCK_BITS = 1 << 20  # upper-triangle bits gathered before each pack
 
 
 def _encode_size(vertices: int) -> bytes:
@@ -41,23 +43,55 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return (groups[0] << 12) | (groups[1] << 6) | groups[2], 4
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    pad = (-bits.size) % 6
-    padded = np.concatenate([bits.astype(np.uint8), np.zeros(pad, dtype=np.uint8)])
-    groups = padded.reshape(-1, 6)
-    values = groups @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
-    return values.astype(np.uint8).tobytes()
+def _pack_upper_triangle(row0: np.ndarray, out: np.ndarray) -> None:
+    """Write the graph6 body of the graph x ~ y <=> row0[x ^ y] into ``out``.
+
+    Column j holds bits row0[i ^ j] for i < j.  Columns are gathered into a
+    bit buffer until it holds ``_BLOCK_BITS`` bits; the buffer's whole 6-bit
+    groups are then packed in place with shifts and ORs, and the 0-5 bits
+    left over are carried to the front of the buffer for the next block.
+    """
+    size = row0.size
+    row0 = row0.view(np.uint8)
+    # room for the carry (< 6 bits), a block, one more column and the padding (< 6 bits)
+    bits = np.zeros(_BLOCK_BITS + size + 12, dtype=np.uint8)
+    index = np.empty(size, dtype=np.intp)
+    xs = np.arange(size)
+    fill = written = 0
+    for j in range(1, size):
+        np.bitwise_xor(xs[:j], j, out=index[:j])
+        # indices are in range by construction; "clip" skips the buffered copy of "raise"
+        np.take(row0, index[:j], out=bits[fill : fill + j], mode="clip")
+        fill += j
+        last = j == size - 1
+        if fill < _BLOCK_BITS and not last:
+            continue
+        if last:
+            bits[fill : fill + 5] = 0
+            fill += (-fill) % 6
+        whole = fill - fill % 6
+        groups = bits[:whole].reshape(-1, 6)
+        chars = out[written : written + whole // 6]
+        chars[:] = groups[:, 0]
+        for b in range(1, 6):
+            chars <<= 1
+            chars |= groups[:, b]
+        chars += 63
+        written += whole // 6
+        bits[: fill - whole] = bits[whole:fill]
+        fill -= whole
 
 
 def export_graph6(s: OrbitIndexSet, max_n: int = EXPLICIT_HARD_MAX_N) -> bytes:
     """graph6 encoding with vertices 0..2^n-1 ordered by integer value."""
     check_explicit_cap(max_n, s.n)
-    row0 = _row0(s)
     size = 1 << s.n
-    xs = np.arange(size)
-    columns = [row0[xs[:j] ^ j] for j in range(1, size)]
-    bits = np.concatenate(columns) if columns else np.zeros(0, dtype=bool)
-    return _encode_size(size) + _pack_bits(bits)
+    header = _encode_size(size)
+    body = (size * (size - 1) // 2 + 5) // 6
+    out = np.empty(len(header) + body, dtype=np.uint8)
+    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    _pack_upper_triangle(_row0(s), out[len(header) :])
+    return out.tobytes()
 
 
 def decode_graph6(data: bytes) -> np.ndarray:

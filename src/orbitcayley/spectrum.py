@@ -137,9 +137,18 @@ def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     return spec
 
 
+WEIGHT_TABLE_MAX_N = 255  # popcounts are stored as uint8
+
+
 @lru_cache(maxsize=32)
 def _weight_table(n: int) -> np.ndarray:
-    """weights[x] = popcount(x) for all x < 2^n, built by doubling."""
+    """weights[x] = popcount(x) for all x < 2^n, built by doubling.
+
+    The table is uint8, which holds every popcount only for n <= 255;
+    larger n raises ValueError before anything is allocated.
+    """
+    if n > WEIGHT_TABLE_MAX_N:
+        raise ValueError(f"n={n} exceeds the uint8 weight-table bound {WEIGHT_TABLE_MAX_N}")
     w = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
         w[1 << b : 1 << (b + 1)] = w[: 1 << b] + 1
@@ -148,22 +157,28 @@ def _weight_table(n: int) -> np.ndarray:
 
 
 def _indicator(s: OrbitIndexSet) -> np.ndarray:
-    w = _weight_table(s.n)
-    f = np.zeros(1 << s.n, dtype=np.int64)
-    for i in s.indices:
-        f[w == i] = 1
-    return f
+    """0/1 int32 indicator of the connection set: one gather through a per-weight table."""
+    lut = np.zeros(s.n + 1, dtype=np.int32)
+    lut[list(s.indices)] = 1
+    return lut[_weight_table(s.n)]
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place butterfly transform; int64 stays exact for n <= 24."""
+    """In-place butterfly transform of a 0/1 vector of length 2^n.
+
+    Every partial sum is bounded by |f-hat| <= 2^n, so int32 is exact for
+    n <= WHT_MAX_N = 24; a longer vector raises ValueError before any work.
+    """
     size = a.size
+    if size > 1 << WHT_MAX_N:
+        raise ValueError(f"transform length {size} exceeds the int32 bound 2^{WHT_MAX_N}")
     h = 1
     while h < size:
         a = a.reshape(-1, 2, h)
-        x = a[:, 0, :].copy()
-        a[:, 0, :] = x + a[:, 1, :]
-        a[:, 1, :] = x - a[:, 1, :]
+        lo, hi = a[:, 0, :], a[:, 1, :]
+        x = lo.copy()
+        np.add(x, hi, out=lo)
+        np.subtract(x, hi, out=hi)
         a = a.reshape(size)
         h *= 2
     return a
@@ -186,19 +201,24 @@ def _wht_naive(f: np.ndarray, n: int) -> np.ndarray:
 def wht_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Oracle spectrum: transform the 0/1 indicator of S over all 2^n points.
 
-    Groups the transform by the weight of the character index and insists the
-    value is constant within each weight class before returning.
+    Insists that the transform is constant on each weight class before
+    returning: every entry is compared, in one gather, with the entry at
+    2^k - 1 (the lowest index of weight k) for its own weight k.
     """
     if s.n > WHT_MAX_N:
         raise ValueError(f"n={s.n} exceeds the transform cap {WHT_MAX_N}")
     fhat = _fwht(_indicator(s))
     w = _weight_table(s.n)
-    values = []
-    for k in range(s.n + 1):
-        cls = fhat[w == k]
-        if not (cls == cls[0]).all():
-            raise ConsistencyError(f"transform not constant on weight class k={k}")
-        values.append(int(cls[0]))
-    spec = Spectrum(s.n, tuple(values))
+    heads = (1 << np.arange(s.n + 1, dtype=np.int64)) - 1
+    values = fhat[heads]
+    mismatch = fhat != values[w]
+    if mismatch.any():
+        k = int(w[mismatch].min())
+        x = int(np.flatnonzero(mismatch & (w == k))[0])
+        raise ConsistencyError(
+            f"transform not constant on weight class k={k} of {s.format()}: "
+            f"fhat[{heads[k]}]={values[k]} but fhat[{x}]={fhat[x]}"
+        )
+    spec = Spectrum(s.n, tuple(int(v) for v in values))
     _check_invariants(spec, s.size())
     return spec

@@ -327,8 +327,18 @@ def _spectral_verdict(s: OrbitIndexSet, spectrum: Spectrum) -> SrgVerdict:
     return _srg_verdict(s, lam, mu, r)
 
 
+def _constant(values: np.ndarray) -> int | None:
+    """The single value of a nonempty array, or None when it holds more than one."""
+    lo, hi = values.min(), values.max()
+    return int(lo) if lo == hi else None
+
+
 def srg_check_explicit(s: OrbitIndexSet, max_n: int = EXPLICIT_MAX_N) -> SrgVerdict:
-    """Full brute force: build the graph and count common neighbors of every pair."""
+    """Full brute force: build the graph and count common neighbors of every pair.
+
+    Every ordered pair is compared: lambda is read over all adjacent entries
+    of the count matrix and mu over all non-adjacent off-diagonal entries.
+    """
     graph = ExplicitGraph.build(s, max_n=max_n)
     adjacency = graph.adjacency
     size = graph.size
@@ -338,14 +348,14 @@ def srg_check_explicit(s: OrbitIndexSet, max_n: int = EXPLICIT_MAX_N) -> SrgVerd
     if (degrees == size - 1).all():
         return SrgVerdict(VerdictStatus.COMPLETE)
     counts = common_neighbor_matrix(adjacency)
-    upper = np.triu(np.ones((size, size), dtype=bool), 1)
-    lam_values = np.unique(counts[adjacency & upper])
-    mu_values = np.unique(counts[~adjacency & upper])
-    if degrees.min() != degrees.max() or len(lam_values) != 1 or len(mu_values) != 1:
+    complement = complement_adjacency(adjacency)
+    lam = _constant(counts[adjacency])
+    mu = _constant(counts[complement])
+    if degrees.min() != degrees.max() or lam is None or mu is None:
         return SrgVerdict(VerdictStatus.NOT_SRG)
-    trivial = not is_connected_adjacency(complement_adjacency(adjacency))
+    trivial = not is_connected_adjacency(complement)
     status = VerdictStatus.TRIVIAL_SRG if trivial else VerdictStatus.NONTRIVIAL_SRG
-    params = SrgParams(size, int(degrees[0]), int(lam_values[0]), int(mu_values[0]))
+    params = SrgParams(size, int(degrees[0]), lam, mu)
     return SrgVerdict(status, params, match_families(s))
 
 

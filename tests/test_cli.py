@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -125,6 +126,56 @@ def test_export_writes_graph6(tmp_path, capsys):
     assert main(["export", "--set", "n=2;I=1,2", "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == b"C~\n"
     assert main(["export", "--set", "n=1;I=1"]) == EXIT_OK
+
+
+class _FailingWriter:
+    """Stands in for the file object: writes half of what it is given, then fails."""
+
+    calls = 0
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        _FailingWriter.calls += 1
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("device full")
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--set", "n=4;I=1,4"],
+    ["srg-check", "--set", "n=4;I=1,4"],
+    ["census", "--n", "1..4"],
+])
+@pytest.mark.parametrize("existing", [None, b"previous contents\n"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, argv, existing):
+    out = tmp_path / "result"
+    if existing is not None:
+        out.write_bytes(existing)
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(_FailingWriter, "calls", 0)
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FailingWriter(real_fdopen(fd, mode)))
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert _FailingWriter.calls == 1
+    assert "device full" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["result"])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_out_replaces_an_existing_file(tmp_path):
+    out = tmp_path / "k4.g6"
+    out.write_bytes(b"a much longer previous file than the new contents\n")
+    assert main(["export", "--set", "n=2;I=1,2", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == b"C~\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["k4.g6"]
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

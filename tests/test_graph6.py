@@ -3,14 +3,27 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
 
+import orbitcayley.graph6 as graph6_module
 from orbitcayley.core import OrbitIndexSet
-from orbitcayley.explicit import ExplicitGraph
-from orbitcayley.graph6 import decode_graph6, export_graph6
+from orbitcayley.explicit import EXPLICIT_HARD_MAX_N, ExplicitGraph
+from orbitcayley.graph6 import _encode_size, decode_graph6, export_graph6
+
+
+def _reference_graph6(s):
+    """Column-concatenation encoder: the whole upper triangle as one bit string, then 6-bit groups."""
+    adjacency = ExplicitGraph.build(s, max_n=EXPLICIT_HARD_MAX_N).adjacency
+    size = adjacency.shape[0]
+    columns = [adjacency[:j, j] for j in range(1, size)]
+    bits = np.concatenate(columns).astype(np.int64) if columns else np.zeros(0, dtype=np.int64)
+    bits = np.concatenate([bits, np.zeros((-bits.size) % 6, dtype=np.int64)])
+    chars = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1]) + 63
+    return _encode_size(size) + chars.astype(np.uint8).tobytes()
 
 
 def test_canonical_small_encodings():
@@ -90,3 +103,52 @@ def test_decode_rejects_malformed_input():
         decode_graph6(b"B" + bytes([63 + 63]))  # nonzero padding bits for 3 vertices
     with pytest.raises(ValueError):
         decode_graph6(bytes([32, 70]))  # size byte below the printable offset
+
+
+def test_streamed_packing_matches_reference_encoder():
+    # n=11 and n=12 bodies hold 2,096,128 and 8,386,560 bits, packed in 2 and 8
+    # blocks of about 2^20 bits; two n=12 block ends fall off a multiple of 6
+    # and carry 1 and 3 bits into the next block
+    rng = random.Random(5)
+    for n in (11, 12):
+        for _ in range(2):
+            s = OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n))
+            assert export_graph6(s) == _reference_graph6(s), s.format()
+
+
+@pytest.mark.parametrize("block_bits", [1, 5, 7, 64, 1000])
+def test_streamed_packing_with_small_blocks(monkeypatch, block_bits):
+    # blocks far smaller than a column, and boundaries off every multiple of 6
+    monkeypatch.setattr(graph6_module, "_BLOCK_BITS", block_bits)
+    for n in range(1, 7):
+        for mask in range(1 << n):
+            s = OrbitIndexSet.from_bitmask(n, mask)
+            assert export_graph6(s) == _reference_graph6(s), s.format()
+    s = OrbitIndexSet.of(9, {1, 4, 7})
+    assert export_graph6(s) == _reference_graph6(s)
+
+
+def test_export_peak_allocation_stays_within_budget():
+    s = OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12})
+    size = 1 << s.n
+    out_bytes = 4 + (size * (size - 1) // 2 + 5) // 6  # medium header + body: 1,397,764 B
+    export_graph6(s)  # warm the weight-table cache outside the trace
+    tracemalloc.start()
+    try:
+        blob = export_graph6(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(blob) == out_bytes
+    # Live at once, at most:
+    #   the packed output buffer                                  out_bytes
+    #   its bytes copy, made on return                            out_bytes
+    #   the bit buffer: carry, one block, one column, padding     _BLOCK_BITS + size + 12
+    #   the int64 column index and arange                         16 * size
+    # (the copy only exists after the bit buffer is freed, so this overcounts).
+    # The margin covers the int32 indicator and bool row of vertex 0 (5 * size)
+    # and interpreter bookkeeping.  An encoder that builds the whole triangle
+    # holds N(N-1)/2 = 8.4 MB of bits in several copies, far over this budget.
+    block = graph6_module._BLOCK_BITS + size + 12 + 16 * size
+    margin = 5 * size + 64 * 1024
+    assert peak <= 2 * out_bytes + block + margin, peak

@@ -16,6 +16,7 @@ from orbitcayley.spectrum import (
     Spectrum,
     _fwht,
     _indicator,
+    _weight_table,
     _wht_naive,
     character_sum_row,
     distinct,
@@ -149,8 +150,31 @@ def test_wht_rejects_weight_inhomogeneous_indicator(monkeypatch):
         return f
 
     monkeypatch.setattr(spectrum_module, "_indicator", doctored)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as exc:
         wht_spectrum(OrbitIndexSet.of(4, {1}))
+    # fhat[y] = 1 - 2*y_0: the weight-1 class holds -1 at y=1 and 1 at y=2
+    message = str(exc.value)
+    assert "n=4;I=1" in message
+    assert "weight class k=1" in message
+    assert "fhat[1]=-1 but fhat[2]=1" in message
+
+
+def test_fixed_width_bounds_are_checked_before_any_work():
+    # zero-stride views stand for the oversized inputs; nothing large is allocated
+    with pytest.raises(ValueError, match="int32 bound"):
+        _fwht(np.broadcast_to(np.int32(0), ((1 << 24) + 1,)))
+    assert _fwht(np.zeros(2, dtype=np.int32)).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="uint8 weight-table bound"):
+        _weight_table(256)
+    assert _weight_table(3).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+
+
+def test_transform_is_exact_at_the_int32_scale():
+    # |fhat(0)| = |S| reaches 2^n - 1 for the full set; int32 holds it exactly
+    f = _indicator(OrbitIndexSet.of(20, set(range(1, 21))))
+    assert f.dtype == np.int32
+    fhat = _fwht(f)
+    assert fhat[0] == (1 << 20) - 1 and fhat[1] == -1
 
 
 def test_distinct_examples():

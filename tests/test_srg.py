@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,12 @@ import orbitcayley.srg as srg_module
 from orbitcayley.census import census
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, ResidueFamily
-from orbitcayley.explicit import ExplicitGraph, connected_components
+from orbitcayley.explicit import (
+    EXPLICIT_MAX_N,
+    ExplicitGraph,
+    common_neighbor_matrix,
+    connected_components,
+)
 from orbitcayley.srg import (
     FAMILIES,
     NONTRIVIAL_FAMILY_KEYS,
@@ -118,6 +125,48 @@ def test_explicit_checker_examples():
         srg_check_explicit(OrbitIndexSet.of(13, {1}))
     with pytest.raises(ValueError):
         srg_check_explicit(OrbitIndexSet.of(4, {1}), max_n=15)
+
+
+def _integer_common_neighbors(adjacency):
+    a = adjacency.astype(np.int64)
+    return a @ a
+
+
+def test_common_neighbor_matrix_matches_integer_product():
+    sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 7) for mask in range(1 << n)]
+    rng = random.Random(3)
+    sets += [OrbitIndexSet.from_bitmask(8, rng.randrange(1, 1 << 8)) for _ in range(6)]
+    for s in sets:
+        adjacency = ExplicitGraph.build(s).adjacency
+        counts = common_neighbor_matrix(adjacency)
+        assert counts.dtype == np.float32
+        assert np.array_equal(counts, _integer_common_neighbors(adjacency)), s.format()
+
+
+def test_common_neighbor_float32_bound_is_checked_before_any_work():
+    # a zero-stride view stands for the 2^24-vertex matrix; nothing large is allocated
+    with pytest.raises(ValueError, match="float32-exact bound"):
+        common_neighbor_matrix(np.broadcast_to(False, (1 << 24, 1 << 24)))
+
+
+@pytest.mark.parametrize("adjacent", [True, False])
+def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
+    # one entry below the diagonal: every ordered pair must be read, not only x < y
+    s = OrbitIndexSet.of(4, {1, 4})
+    adjacency = ExplicitGraph.build(s).adjacency
+    x, y = next((x, y) for x in range(16) for y in range(x) if adjacency[x, y] == adjacent)
+    honest = common_neighbor_matrix
+
+    def perturbed(a):
+        counts = honest(a)
+        counts[x, y] += 1
+        return counts
+
+    assert srg_check_explicit(s).status is VerdictStatus.NONTRIVIAL_SRG
+    monkeypatch.setattr(srg_module, "common_neighbor_matrix", perturbed)
+    assert srg_check_explicit(s).status is VerdictStatus.NOT_SRG
+    with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
+        certify(s, EXPLICIT_MAX_N)
 
 
 def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
