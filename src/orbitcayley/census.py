@@ -11,11 +11,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import OrbitIndexSet, is_connected
-from .explicit import check_explicit_cap
+from .explicit import EXPLICIT_MAX_N
 from .spectrum import distinct
 from .srg import SrgParams, SrgVerdict, certify
 
-CENSUS_DEFAULT_MAX_N = 12
+CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
 CENSUS_DEFAULT_EXPLICIT_CAP = 8
 
 
@@ -58,20 +58,19 @@ class CensusRecord:
 CENSUS_CSV_COLUMNS = ["n", "I", "connected", "distinct", "verdict", "r", "lambda", "mu"]
 
 
-def census(
-    n: int,
-    explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP,
-    max_n: int = CENSUS_DEFAULT_MAX_N,
-) -> list[CensusRecord]:
+def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[CensusRecord]:
     """One record per nonempty index set, ascending by bitmask.
 
     Each set goes through ``certify``: the two closed-form checkers always run
     and must agree; the dense brute-force checker additionally runs (and must
-    agree) when n is within ``explicit_cap``.
+    agree) when n is within ``explicit_cap``.  Raises ValueError before any
+    work when n is outside 1..CENSUS_MAX_N or explicit_cap exceeds
+    EXPLICIT_MAX_N.
     """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n={n} outside the configured range 1..{max_n}")
-    check_explicit_cap(explicit_cap)
+    if not 1 <= n <= CENSUS_MAX_N:
+        raise ValueError(f"n={n} outside the census range 1..{CENSUS_MAX_N}")
+    if explicit_cap > EXPLICIT_MAX_N:
+        raise ValueError(f"explicit cap {explicit_cap} exceeds the dense cap {EXPLICIT_MAX_N}")
     records = []
     for mask in range(1, 1 << n):
         s = OrbitIndexSet.from_bitmask(n, mask)
@@ -96,14 +95,12 @@ def distinct_count_histogram(n: int) -> dict[int, int]:
 
 
 def find_srgs(
-    n: int,
-    explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP,
-    max_n: int = CENSUS_DEFAULT_MAX_N,
+    n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP
 ) -> list[tuple[OrbitIndexSet, SrgParams, bool]]:
     """All strongly regular index sets with parameters and a trivial flag, by degree."""
     hits = [
         (rec.index_set, rec.verdict.params, rec.verdict.status.value == "trivial_srg")
-        for rec in census(n, explicit_cap=explicit_cap, max_n=max_n)
+        for rec in census(n, explicit_cap=explicit_cap)
         if rec.verdict.status.is_srg()
     ]
     return sorted(hits, key=lambda h: (h[1].degree, h[0].bitmask))

@@ -17,18 +17,12 @@ import os
 import sys
 from pathlib import Path
 
-from .census import (
-    CENSUS_CSV_COLUMNS,
-    CENSUS_DEFAULT_EXPLICIT_CAP,
-    CENSUS_DEFAULT_MAX_N,
-    census,
-)
+from .census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census
 from .core import ConsistencyError, OrbitIndexSet
-from .explicit import EXPLICIT_HARD_MAX_N, EXPLICIT_MAX_N, check_explicit_cap
 from .graph6 import export_graph6
 from .identities import verify_all
-from .spectrum import WHT_MAX_N, distinct, full_spectrum, wht_spectrum
-from .srg import certify, emit_table1
+from .spectrum import distinct, full_spectrum, wht_spectrum
+from .srg import FAMILIES_CHECK_CAP, certify, emit_table1
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -83,13 +77,23 @@ def _write_bytes(out: Path | None, blob: bytes) -> None:
         _write_atomic(out, blob)
 
 
+def _decimal(text: str) -> int:
+    """A non-negative integer written in ASCII digits only.
+
+    int() alone would also take '+4', ' 4', '1_0' and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
 def _parse_n_range(text: str) -> tuple[int, int]:
     if ".." in text:
-        lo, hi = (int(part) for part in text.split("..", 1))
+        lo, hi = (_decimal(part) for part in text.split("..", 1))
         if lo > hi:
             raise ValueError(f"bad n range {lo}..{hi}")
         return lo, hi
-    value = int(text)
+    value = _decimal(text)
     return value, value
 
 
@@ -102,15 +106,15 @@ def _csv_text(columns: list[str], rows: list[list[str]]) -> str:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.wht_cap > WHT_MAX_N:
-        raise ValueError(f"transform cap {args.wht_cap} exceeds {WHT_MAX_N}")
     s = OrbitIndexSet.parse(args.set)
     spec = full_spectrum(s)
     if args.check_oracle:
-        if s.n > args.wht_cap:
-            raise ValueError(f"--check-oracle needs n <= {args.wht_cap}")
-        if wht_spectrum(s) != spec:
-            raise ConsistencyError(f"transform oracle disagrees on {s.format()}")
+        oracle = wht_spectrum(s)
+        if oracle != spec:
+            raise ConsistencyError(
+                f"transform oracle disagrees on {s.format()}: "
+                f"closed form {spec.values}, transform {oracle.values}"
+            )
     text = distinct(spec).to_csv() if args.distinct else json.dumps(spec.to_json_dict()) + "\n"
     _write_text(_resolve_out(args.out), text)
     return EXIT_OK
@@ -118,8 +122,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_srg_check(args: argparse.Namespace) -> int:
     s = OrbitIndexSet.parse(args.set)
-    check_explicit_cap(args.explicit_cap, s.n if args.explicit else None)
-    verdict, _ = certify(s, args.explicit_cap if args.explicit else 0)
+    verdict, _ = certify(s, s.n if args.explicit else 0)
     payload = {"set": s.format()}
     payload.update(verdict.to_json_dict())
     _write_text(_resolve_out(args.out), json.dumps(payload) + "\n")
@@ -130,7 +133,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     n_start, n_end = _parse_n_range(args.n)
     records = []
     for n in range(n_start, n_end + 1):
-        records.extend(census(n, explicit_cap=args.explicit_cap, max_n=args.max_n))
+        records.extend(census(n, explicit_cap=args.explicit_cap))
     if args.format == "jsonl":
         text = "".join(json.dumps(rec.to_json_dict()) + "\n" for rec in records)
     else:
@@ -163,7 +166,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     s = OrbitIndexSet.parse(args.set)
-    _write_bytes(_resolve_out(args.out), export_graph6(s, max_n=args.max_n) + b"\n")
+    _write_bytes(_resolve_out(args.out), export_graph6(s) + b"\n")
     return EXIT_OK
 
 
@@ -179,40 +182,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distinct", action="store_true", help="emit distinct values as CSV")
     p.add_argument("--check-oracle", action="store_true",
                    help="cross-check against the transform oracle")
-    p.add_argument("--wht-cap", type=int, default=WHT_MAX_N)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("srg-check", help="strong-regularity verdict for one index set")
     p.add_argument("--set", required=True)
     p.add_argument("--explicit", action="store_true", help="also run the dense brute force")
-    p.add_argument("--explicit-cap", type=int, default=EXPLICIT_MAX_N)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_srg_check)
 
     p = sub.add_parser("census", help="sweep all index sets for a range of dimensions")
     p.add_argument("--n", required=True, help="dimension or range, e.g. 6 or 4..10")
-    p.add_argument("--explicit-cap", type=int, default=CENSUS_DEFAULT_EXPLICIT_CAP)
-    p.add_argument("--max-n", type=int, default=CENSUS_DEFAULT_MAX_N)
+    p.add_argument("--explicit-cap", type=_decimal, default=CENSUS_DEFAULT_EXPLICIT_CAP)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("families", help="predicted family parameters with verification")
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--check-cap", type=int, default=20,
+    p.add_argument("--m-max", type=_decimal, required=True)
+    p.add_argument("--check-cap", type=_decimal, default=FAMILIES_CHECK_CAP,
                    help="verify rows whose dimension is at most this")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_families)
 
     p = sub.add_parser("identities", help="verify every binomial identity up to a bound")
-    p.add_argument("--max-m", type=int, required=True)
+    p.add_argument("--max-m", type=_decimal, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("export", help="graph6 encoding of one index set")
     p.add_argument("--set", required=True)
-    p.add_argument("--max-n", type=int, default=EXPLICIT_HARD_MAX_N)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_export)
 

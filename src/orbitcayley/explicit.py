@@ -14,17 +14,10 @@ import numpy as np
 from .core import OrbitIndexSet
 from .spectrum import _indicator
 
-EXPLICIT_MAX_N = 12  # 2^12 x 2^12 adjacency; raisable to the hard cap below
-EXPLICIT_HARD_MAX_N = 14
+# the dense route holds the bool adjacency, its float32 copy and the float32
+# product at once, about 9 * 4^n bytes: 151 MB at n = 12, 2.4 GB at n = 14
+EXPLICIT_MAX_N = 12
 FLOAT32_EXACT_MAX = 1 << 24  # float32 holds every integer up to 2^24 exactly
-
-
-def check_explicit_cap(cap: int, n: int | None = None) -> None:
-    """Reject a dense-work cap above the hard limit, and a dimension n above the cap."""
-    if cap > EXPLICIT_HARD_MAX_N:
-        raise ValueError(f"cap {cap} exceeds the hard limit {EXPLICIT_HARD_MAX_N}")
-    if n is not None and n > cap:
-        raise ValueError(f"n={n} exceeds the dense-graph cap {cap}")
 
 
 def _row0(s: OrbitIndexSet) -> np.ndarray:
@@ -40,8 +33,10 @@ class ExplicitGraph:
     adjacency: np.ndarray
 
     @classmethod
-    def build(cls, s: OrbitIndexSet, max_n: int = EXPLICIT_MAX_N) -> ExplicitGraph:
-        check_explicit_cap(max_n, s.n)
+    def build(cls, s: OrbitIndexSet) -> ExplicitGraph:
+        """Raises ValueError before any allocation when n exceeds EXPLICIT_MAX_N."""
+        if s.n > EXPLICIT_MAX_N:
+            raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
         row0 = _row0(s)
         size = 1 << s.n
         xs = np.arange(size)
@@ -59,9 +54,6 @@ class ExplicitGraph:
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
-
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
 
 
 def connected_component(adjacency: np.ndarray, start: int = 0) -> np.ndarray:

@@ -12,7 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import OrbitIndexSet
-from .explicit import EXPLICIT_HARD_MAX_N, _row0, check_explicit_cap
+from .explicit import _row0
+
+# the encoder holds the output string and one copy of it, about 4^n / 12
+# bytes each: 1.4 MB at n = 12, 22 MB at n = 14
+EXPORT_MAX_N = 14
 
 _SIZE_SMALL_MAX = 62
 _SIZE_MEDIUM_MAX = 258047
@@ -82,9 +86,13 @@ def _pack_upper_triangle(row0: np.ndarray, out: np.ndarray) -> None:
         fill -= whole
 
 
-def export_graph6(s: OrbitIndexSet, max_n: int = EXPLICIT_HARD_MAX_N) -> bytes:
-    """graph6 encoding with vertices 0..2^n-1 ordered by integer value."""
-    check_explicit_cap(max_n, s.n)
+def export_graph6(s: OrbitIndexSet) -> bytes:
+    """graph6 encoding with vertices 0..2^n-1 ordered by integer value.
+
+    Raises ValueError before any allocation when n exceeds EXPORT_MAX_N.
+    """
+    if s.n > EXPORT_MAX_N:
+        raise ValueError(f"n={s.n} exceeds the graph6 export cap {EXPORT_MAX_N}")
     size = 1 << s.n
     header = _encode_size(size)
     body = (size * (size - 1) // 2 + 5) // 6

@@ -25,7 +25,6 @@ from .core import (
     is_connected,
 )
 from .explicit import (
-    EXPLICIT_MAX_N,
     ExplicitGraph,
     common_neighbor_matrix,
     complement_adjacency,
@@ -34,6 +33,7 @@ from .explicit import (
 from .spectrum import Spectrum, distinct, full_spectrum
 
 PAIR_COUNT_ORACLE_MAX_N = 20
+FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
 
 
 def pair_count(s: OrbitIndexSet, w: int) -> int:
@@ -239,7 +239,7 @@ def match_families(s: OrbitIndexSet) -> tuple[str, ...]:
     return tuple(tags)
 
 
-def emit_table1(m_max: int, check_cap: int = 20) -> list[dict]:
+def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
     """One row per (m, nontrivial family): closed-form parameters plus verification.
 
     ``verified`` is "yes"/"no" from ``certify`` (both closed-form routes) when
@@ -333,13 +333,13 @@ def _constant(values: np.ndarray) -> int | None:
     return int(lo) if lo == hi else None
 
 
-def srg_check_explicit(s: OrbitIndexSet, max_n: int = EXPLICIT_MAX_N) -> SrgVerdict:
+def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
     """Full brute force: build the graph and count common neighbors of every pair.
 
     Every ordered pair is compared: lambda is read over all adjacent entries
     of the count matrix and mu over all non-adjacent off-diagonal entries.
     """
-    graph = ExplicitGraph.build(s, max_n=max_n)
+    graph = ExplicitGraph.build(s)
     adjacency = graph.adjacency
     size = graph.size
     if not is_connected_adjacency(adjacency):
@@ -363,9 +363,10 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
     """The SRG verdict of s, certified by every route that applies, and its spectrum.
 
     The pair-count and spectral routes always run; the dense route also runs
-    when s.n is within ``explicit_cap``.  When any verdict differs, raises
-    ConsistencyError naming the set and every route's verdict, so the failure
-    can be replayed with ``srg-check --set``.
+    when s.n is within ``explicit_cap`` (and raises ValueError above
+    EXPLICIT_MAX_N).  When any verdict differs, raises ConsistencyError
+    naming the set and every route's verdict, so the failure can be replayed
+    with ``srg-check --set``.
     """
     spectrum = full_spectrum(s)
     verdicts = {
@@ -373,7 +374,7 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
         "spectral": _spectral_verdict(s, spectrum),
     }
     if s.n <= explicit_cap:
-        verdicts["explicit"] = srg_check_explicit(s, max_n=explicit_cap)
+        verdicts["explicit"] = srg_check_explicit(s)
     verdict = verdicts["pair_count"]
     if any(other != verdict for other in verdicts.values()):
         detail = "; ".join(

@@ -6,12 +6,14 @@ import pytest
 
 from orbitcayley.census import (
     CENSUS_CSV_COLUMNS,
+    CENSUS_MAX_N,
     CensusRecord,
     census,
     distinct_count_histogram,
     find_srgs,
 )
 from orbitcayley.core import OrbitIndexSet, is_connected
+from orbitcayley.explicit import EXPLICIT_MAX_N
 from orbitcayley.srg import SrgParams, VerdictStatus
 
 
@@ -67,10 +69,11 @@ def test_census_range_validation():
     with pytest.raises(ValueError):
         census(0)
     with pytest.raises(ValueError):
-        census(13)
+        census(CENSUS_MAX_N + 1)
     assert len(census(2, explicit_cap=0)) == 3  # closed-form only
+    assert len(census(4, explicit_cap=EXPLICIT_MAX_N)) == 15
     with pytest.raises(ValueError):
-        census(4, explicit_cap=15)
+        census(4, explicit_cap=EXPLICIT_MAX_N + 1)
 
 
 def test_distinct_count_histogram_examples():

@@ -2,15 +2,34 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
 import os
+import re
+import time
+from pathlib import Path
 
 import pytest
 
-from orbitcayley.cli import EXIT_OK, EXIT_USAGE, main
+import orbitcayley.cli as cli_module
+from orbitcayley.census import CENSUS_MAX_N
+from orbitcayley.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, build_parser, main
+from orbitcayley.explicit import EXPLICIT_MAX_N
+from orbitcayley.graph6 import EXPORT_MAX_N
+from orbitcayley.spectrum import WHT_MAX_N, Spectrum
 from orbitcayley.srg import emit_table1
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _exit_code(argv):
+    """The exit code of main, including argparse's SystemExit for a rejected flag or value."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_spectrum_json(capsys):
@@ -26,8 +45,19 @@ def test_spectrum_distinct_csv_with_oracle(capsys):
 
 
 def test_spectrum_oracle_cap_is_usage_error(capsys):
-    code = main(["spectrum", "--set", "n=4;I=1", "--check-oracle", "--wht-cap", "3"])
+    code = main(["spectrum", "--set", f"n={WHT_MAX_N + 1};I=1", "--check-oracle"])
     assert code == EXIT_USAGE
+    assert "transform cap" in capsys.readouterr().err
+
+
+def test_oracle_disagreement_names_the_set_and_both_spectra(monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "wht_spectrum", lambda s: Spectrum(4, (5, 1, 1, -3, -2)))
+    code = main(["spectrum", "--set", "n=4;I=1,4", "--check-oracle"])
+    assert code == EXIT_VERIFICATION_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=4;I=1,4" in captured.err
+    assert "closed form (5, 1, 1, -3, -3), transform (5, 1, 1, -3, -2)" in captured.err
 
 
 def test_srg_check_json(capsys):
@@ -88,10 +118,49 @@ def test_census_bad_range_is_usage_error(capsys):
     assert main(["census", "--n", "5..4"]) == EXIT_USAGE
 
 
-def test_cap_invariants_are_usage_errors(capsys):
-    assert main(["census", "--n", "4", "--explicit-cap", "15"]) == EXIT_USAGE
-    assert main(["spectrum", "--set", "n=4;I=1", "--wht-cap", "30"]) == EXIT_USAGE
-    assert main(["srg-check", "--set", "n=4;I=1", "--explicit-cap", "15"]) == EXIT_USAGE
+# the first size above each limit, and each flag that used to move a limit
+BEYOND_A_LIMIT = [
+    ["census", "--n", str(CENSUS_MAX_N + 1)],
+    ["census", "--n", "4", "--explicit-cap", str(EXPLICIT_MAX_N + 1)],
+    ["srg-check", "--set", f"n={EXPLICIT_MAX_N + 1};I=1", "--explicit"],
+    ["export", "--set", f"n={EXPORT_MAX_N + 1};I=1"],
+    ["spectrum", "--set", f"n={WHT_MAX_N + 1};I=1", "--check-oracle"],
+    ["spectrum", "--set", "n=4;I=1", "--wht-cap", "30"],
+    ["srg-check", "--set", "n=4;I=1", "--explicit", "--explicit-cap", "15"],
+    ["census", "--n", "4", "--max-n", "30"],
+    ["export", "--set", "n=4;I=1", "--max-n", "20"],
+]
+
+
+def test_cap_invariants_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "out"
+    for argv in BEYOND_A_LIMIT:
+        start = time.perf_counter()
+        assert _exit_code(argv + ["--out", str(out)]) == EXIT_USAGE, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert capsys.readouterr().out == ""
+        assert not out.exists(), argv
+
+
+def test_integer_flags_take_ascii_digits_only(capsys):
+    prefixes = [
+        ["census", "--n"],
+        ["census", "--n", "4", "--explicit-cap"],
+        ["families", "--m-max"],
+        ["families", "--m-max", "1", "--check-cap"],
+        ["identities", "--max-m"],
+    ]
+    # int() accepts all of these but the last two
+    for bad in ("1_0", "+4", " 4", "4 ", "\uff14", "-1", "4.0", ""):
+        for prefix in prefixes:
+            assert _exit_code(prefix + [bad]) == EXIT_USAGE, (prefix, bad)
+            assert capsys.readouterr().out == ""
+        assert main(["census", "--n", f"1..{bad}"]) == EXIT_USAGE
+    # leading zeros are accepted
+    assert main(["census", "--n", "03"]) == EXIT_OK
+    padded = capsys.readouterr().out
+    assert main(["census", "--n", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == padded
 
 
 def test_families_table(capsys):
@@ -214,3 +283,19 @@ def test_outputs_are_byte_identical_to_recorded_hashes(tmp_path):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, argv
+
+
+def _readme_synopsis():
+    """Subcommand -> set of --flags, from the sh block of the README's CLI section."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line)) for line in block.splitlines()}
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    actions = build_parser()._actions
+    subcommands = next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+    synopsis = _readme_synopsis()
+    assert set(synopsis) == set(subcommands)
+    for name, sub in subcommands.items():
+        flags = {opt for action in sub._actions for opt in action.option_strings}
+        assert synopsis[name] == flags - {"-h", "--help"}, name

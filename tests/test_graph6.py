@@ -11,13 +11,13 @@ import pytest
 
 import orbitcayley.graph6 as graph6_module
 from orbitcayley.core import OrbitIndexSet
-from orbitcayley.explicit import EXPLICIT_HARD_MAX_N, ExplicitGraph
-from orbitcayley.graph6 import _encode_size, decode_graph6, export_graph6
+from orbitcayley.explicit import ExplicitGraph
+from orbitcayley.graph6 import EXPORT_MAX_N, _encode_size, decode_graph6, export_graph6
 
 
 def _reference_graph6(s):
     """Column-concatenation encoder: the whole upper triangle as one bit string, then 6-bit groups."""
-    adjacency = ExplicitGraph.build(s, max_n=EXPLICIT_HARD_MAX_N).adjacency
+    adjacency = ExplicitGraph.build(s).adjacency
     size = adjacency.shape[0]
     columns = [adjacency[:j, j] for j in range(1, size)]
     bits = np.concatenate(columns).astype(np.int64) if columns else np.zeros(0, dtype=np.int64)
@@ -72,10 +72,8 @@ def test_decode_tolerates_trailing_newline():
 
 
 def test_export_cap():
-    with pytest.raises(ValueError):
-        export_graph6(OrbitIndexSet.of(15, {1}))
-    with pytest.raises(ValueError):
-        export_graph6(OrbitIndexSet.of(4, {1}), max_n=20)
+    with pytest.raises(ValueError, match="export cap"):
+        export_graph6(OrbitIndexSet.of(EXPORT_MAX_N + 1, {1}))
 
 
 def test_clebsch_export_decodes_to_srg():

@@ -121,10 +121,8 @@ def test_explicit_checker_examples():
     assert verdict.status is VerdictStatus.TRIVIAL_SRG
     assert verdict.params == SrgParams(16, 8, 0, 8)
 
-    with pytest.raises(ValueError):
-        srg_check_explicit(OrbitIndexSet.of(13, {1}))
-    with pytest.raises(ValueError):
-        srg_check_explicit(OrbitIndexSet.of(4, {1}), max_n=15)
+    with pytest.raises(ValueError, match="dense-graph cap"):
+        srg_check_explicit(OrbitIndexSet.of(EXPLICIT_MAX_N + 1, {1}))
 
 
 def _integer_common_neighbors(adjacency):
