@@ -58,19 +58,23 @@ class CensusRecord:
 CENSUS_CSV_COLUMNS = ["n", "I", "connected", "distinct", "verdict", "r", "lambda", "mu"]
 
 
+def check_census_request(n: int, explicit_cap: int) -> None:
+    """Raise ValueError when n is outside 1..CENSUS_MAX_N or explicit_cap exceeds EXPLICIT_MAX_N."""
+    if not 1 <= n <= CENSUS_MAX_N:
+        raise ValueError(f"n={n} outside the census range 1..{CENSUS_MAX_N}")
+    if explicit_cap > EXPLICIT_MAX_N:
+        raise ValueError(f"explicit cap {explicit_cap} exceeds the dense cap {EXPLICIT_MAX_N}")
+
+
 def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[CensusRecord]:
     """One record per nonempty index set, ascending by bitmask.
 
     Each set goes through ``certify``: the two closed-form checkers always run
     and must agree; the dense brute-force checker additionally runs (and must
     agree) when n is within ``explicit_cap``.  Raises ValueError before any
-    work when n is outside 1..CENSUS_MAX_N or explicit_cap exceeds
-    EXPLICIT_MAX_N.
+    work when ``check_census_request`` rejects the request.
     """
-    if not 1 <= n <= CENSUS_MAX_N:
-        raise ValueError(f"n={n} outside the census range 1..{CENSUS_MAX_N}")
-    if explicit_cap > EXPLICIT_MAX_N:
-        raise ValueError(f"explicit cap {explicit_cap} exceeds the dense cap {EXPLICIT_MAX_N}")
+    check_census_request(n, explicit_cap)
     records = []
     for mask in range(1, 1 << n):
         s = OrbitIndexSet.from_bitmask(n, mask)

@@ -17,7 +17,12 @@ import os
 import sys
 from pathlib import Path
 
-from .census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census
+from .census import (
+    CENSUS_CSV_COLUMNS,
+    CENSUS_DEFAULT_EXPLICIT_CAP,
+    census,
+    check_census_request,
+)
 from .core import ConsistencyError, OrbitIndexSet
 from .graph6 import export_graph6
 from .identities import verify_all
@@ -44,18 +49,19 @@ def _resolve_out(path: str | None) -> Path | None:
     return p
 
 
-def _write_atomic(out: Path, data: bytes) -> None:
-    """Write data to a temporary file beside out, then rename it over out.
+def _write_atomic(out: Path, *chunks: bytes) -> None:
+    """Write the chunks to a temporary file beside out, then rename it over out.
 
     A failure at any point removes the temporary file, so out is either
-    left as it was or holds all of data, never a prefix.
+    left as it was or holds all of the chunks, never a prefix.
     """
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -69,12 +75,14 @@ def _write_text(out: Path | None, text: str) -> None:
         _write_atomic(out, text.encode())
 
 
-def _write_bytes(out: Path | None, blob: bytes) -> None:
+def _write_bytes(out: Path | None, *chunks: bytes) -> None:
+    """Write the chunks in order, so no caller joins them into a second copy."""
     if out is None:
-        sys.stdout.buffer.write(blob)
+        for chunk in chunks:
+            sys.stdout.buffer.write(chunk)
         sys.stdout.buffer.flush()
     else:
-        _write_atomic(out, blob)
+        _write_atomic(out, *chunks)
 
 
 def _decimal(text: str) -> int:
@@ -131,6 +139,9 @@ def _cmd_srg_check(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     n_start, n_end = _parse_n_range(args.n)
+    # both ends, so a range running past the cap fails before the sweep starts
+    check_census_request(n_start, args.explicit_cap)
+    check_census_request(n_end, args.explicit_cap)
     records = []
     for n in range(n_start, n_end + 1):
         records.extend(census(n, explicit_cap=args.explicit_cap))
@@ -166,7 +177,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     s = OrbitIndexSet.parse(args.set)
-    _write_bytes(_resolve_out(args.out), export_graph6(s) + b"\n")
+    _write_bytes(_resolve_out(args.out), export_graph6(s), b"\n")
     return EXIT_OK
 
 

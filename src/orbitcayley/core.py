@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
@@ -18,6 +19,23 @@ def binom(s: int, t: int) -> int:
     if t < 0 or t > s:
         return 0
     return comb(s, t)
+
+
+# Row n holds n + 1 ints of at most n bits: 10.6 KB at n = 200.  Requests
+# up to n = 200 touch rows 0..200 only, 0.95 MB in all; a full cache of
+# rows 0..255 holds 1.65 MB.
+PASCAL_ROWS_CACHED = 256
+
+
+@lru_cache(maxsize=PASCAL_ROWS_CACHED)
+def pascal_row(n: int) -> tuple[int, ...]:
+    """(C(n, 0), ..., C(n, n)), exact: each entry is the last times (n - t) / (t + 1)."""
+    if n < 0:
+        raise ValueError(f"row index must be >= 0, got {n}")
+    row = [1]
+    for t in range(n):
+        row.append(row[t] * (n - t) // (t + 1))
+    return tuple(row)
 
 
 def orbit_size(n: int, i: int) -> int:

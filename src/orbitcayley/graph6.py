@@ -14,8 +14,8 @@ import numpy as np
 from .core import OrbitIndexSet
 from .explicit import _row0
 
-# the encoder holds the output string and one copy of it, about 4^n / 12
-# bytes each: 1.4 MB at n = 12, 22 MB at n = 14
+# the encoder holds the output string, about 4^n / 12 bytes (1.4 MB at
+# n = 12, 22 MB at n = 14), and a bit buffer of about 2^20 + 2^n bytes
 EXPORT_MAX_N = 14
 
 _SIZE_SMALL_MAX = 62
@@ -86,20 +86,22 @@ def _pack_upper_triangle(row0: np.ndarray, out: np.ndarray) -> None:
         fill -= whole
 
 
-def export_graph6(s: OrbitIndexSet) -> bytes:
+def export_graph6(s: OrbitIndexSet) -> bytearray:
     """graph6 encoding with vertices 0..2^n-1 ordered by integer value.
 
-    Raises ValueError before any allocation when n exceeds EXPORT_MAX_N.
+    The encoding is packed straight into the returned bytearray, so the
+    string is never copied.  Raises ValueError before any allocation when n
+    exceeds EXPORT_MAX_N.
     """
     if s.n > EXPORT_MAX_N:
         raise ValueError(f"n={s.n} exceeds the graph6 export cap {EXPORT_MAX_N}")
     size = 1 << s.n
     header = _encode_size(size)
     body = (size * (size - 1) // 2 + 5) // 6
-    out = np.empty(len(header) + body, dtype=np.uint8)
-    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    _pack_upper_triangle(_row0(s), out[len(header) :])
-    return out.tobytes()
+    out = bytearray(len(header) + body)
+    out[: len(header)] = header
+    _pack_upper_triangle(_row0(s), np.frombuffer(out, dtype=np.uint8)[len(header) :])
+    return out
 
 
 def decode_graph6(data: bytes) -> np.ndarray:

@@ -3,15 +3,17 @@
 Every identity is evaluated in arbitrary-precision integer arithmetic: the
 left side by literal summation under the zero-outside-range binomial
 convention, the right side from its closed form.  Summation limits always
-extend until the zero convention truncates them naturally.
+extend until the zero convention truncates them naturally.  The terms are
+read from cached Pascal rows (``core.pascal_row``) and summed one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Literal
 
-from .core import ConsistencyError, binom
+from .core import ConsistencyError, pascal_row
 
 
 def mod4_binomial_sum(n: int, r: int) -> int:
@@ -20,7 +22,7 @@ def mod4_binomial_sum(n: int, r: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if r not in (0, 1, 2, 3):
         raise ValueError(f"residue must be in 0..3, got {r}")
-    return sum(binom(n, t) for t in range(r, n + 1, 4))
+    return sum(pascal_row(n)[r::4])
 
 
 def parity_binomial_sum(n: int, parity: Literal["even", "odd"]) -> int:
@@ -30,7 +32,7 @@ def parity_binomial_sum(n: int, parity: Literal["even", "odd"]) -> int:
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     start = 0 if parity == "even" else 1
-    total = sum(binom(n, t) for t in range(start, n + 1, 2))
+    total = sum(pascal_row(n)[start::2])
     if total != 1 << (n - 1):
         raise ConsistencyError(f"parity sum mismatch at n={n}: {total} != 2^{n - 1}")
     return total
@@ -49,10 +51,27 @@ def _rhs_r3(m: int) -> int:
 
 
 def _double_sum(factor: int, a: int, p: int, b: int, q: int, jmax: int, m: int) -> int:
+    """factor * sum over t <= m, j <= jmax of C(a, 2j + p) C(b, 4t - 2j + q).
+
+    For each t the j-sum is one dot product of a stride-2 slice of row a
+    with a stride-2 slice of row b read backwards.  j is clipped to where
+    both bottoms lie in 0..top, which are exactly the terms the
+    zero-outside-range convention keeps; a negative b keeps none.
+    """
+    if b < 0:
+        return 0
+    row_a = pascal_row(a)
+    row_b_reversed = pascal_row(b)[::-1]  # C(b, u) sits at index b - u
     total = 0
     for t in range(m + 1):
-        for j in range(jmax + 1):
-            total += binom(a, 2 * j + p) * binom(b, 4 * t - 2 * j + q)
+        top = 4 * t + q
+        j_lo = max(0, -(p // 2), -((b - top) // 2))
+        j_hi = min(jmax, (a - p) // 2, top // 2)
+        if j_lo > j_hi:
+            continue
+        firsts = row_a[2 * j_lo + p : 2 * j_hi + p + 1 : 2]
+        seconds = row_b_reversed[b - top + 2 * j_lo : b - top + 2 * j_hi + 1 : 2]
+        total += sum(map(mul, firsts, seconds))
     return factor * total
 
 
@@ -105,12 +124,12 @@ def _residue_identity(n_of_m: Callable[[int], int], residues: tuple[int, ...],
 
 _REGISTRY: dict[str, _Identity] = {
     "L31-even": _Identity(
-        lambda k, m: sum(binom(m, t) for t in range(0, m + 1, 2)),
+        lambda k, m: sum(pascal_row(m)[0::2]),
         lambda k, m: 1 << (m - 1),
         _single,
     ),
     "L31-odd": _Identity(
-        lambda k, m: sum(binom(m, t) for t in range(1, m + 1, 2)),
+        lambda k, m: sum(pascal_row(m)[1::2]),
         lambda k, m: 1 << (m - 1),
         _single,
     ),

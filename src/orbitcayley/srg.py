@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import and_
 
 import numpy as np
 
@@ -20,9 +22,9 @@ from .core import (
     Gf2Vector,
     OrbitIndexSet,
     ResidueFamily,
-    binom,
     expand_family,
     is_connected,
+    pascal_row,
 )
 from .explicit import (
     ExplicitGraph,
@@ -39,20 +41,25 @@ FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certifi
 def pair_count(s: OrbitIndexSet, w: int) -> int:
     """|C(v,S)| for any v of weight w, in closed form.
 
-    A pair (x, y) with x in the weight-i class, y in the weight-i' class and
-    x XOR y = v is fixed by how many of x's ones sit inside the support of v:
-    that overlap must be (w + i - i')/2, leaving (i + i' - w)/2 ones outside.
+    Each x in S with x XOR v in S is counted by its a ones inside the
+    support of v and its b ones outside it: |x| = a + b and
+    |x XOR v| = w - a + b, and C(w, a) C(n - w, b) vectors share (a, b).  So
+    |C(v,S)| = sum_a C(w, a) sum_b C(n - w, b) [a + b in I] [w - a + b in I],
+    the Hamming-scheme numbers p_ij^w summed over I x I without building
+    them.  Swapping a and w - a swaps the two conditions, so only a <= w/2
+    is summed, and every a < w/2 twice; the b-sum runs over the 0/1 bytes
+    of I and a cached Pascal row.
     """
-    if not 0 <= w <= s.n:
-        raise ValueError(f"weight {w} out of range 0..{s.n}")
+    n = s.n
+    if not 0 <= w <= n:
+        raise ValueError(f"weight {w} out of range 0..{n}")
+    member = bytes(i in s.indices for i in range(n + 1))
+    outside = pascal_row(n - w)
+    inside = pascal_row(w)
     total = 0
-    for i in s.indices:
-        for i2 in s.indices:
-            if (w + i - i2) % 2:
-                continue
-            inside = (w + i - i2) // 2
-            outside = (i + i2 - w) // 2
-            total += binom(w, inside) * binom(s.n - w, outside)
+    for a in range(w // 2 + 1):
+        both = sum(compress(outside, map(and_, member[a:], member[w - a :])))
+        total += inside[a] * both if 2 * a == w else 2 * inside[a] * both
     return total
 
 

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,7 @@ def test_census_bad_range_is_usage_error(capsys):
 # the first size above each limit, and each flag that used to move a limit
 BEYOND_A_LIMIT = [
     ["census", "--n", str(CENSUS_MAX_N + 1)],
+    ["census", "--n", f"1..{CENSUS_MAX_N + 1}"],  # rejected before n = 1..12 is swept
     ["census", "--n", "4", "--explicit-cap", str(EXPLICIT_MAX_N + 1)],
     ["srg-check", "--set", f"n={EXPLICIT_MAX_N + 1};I=1", "--explicit"],
     ["export", "--set", f"n={EXPORT_MAX_N + 1};I=1"],
@@ -195,6 +197,21 @@ def test_export_writes_graph6(tmp_path, capsys):
     assert main(["export", "--set", "n=2;I=1,2", "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == b"C~\n"
     assert main(["export", "--set", "n=1;I=1"]) == EXIT_OK
+
+
+def test_export_holds_one_copy_of_the_graph6_string(tmp_path):
+    out = tmp_path / "family.g6"
+    argv = ["export", "--set", "n=12;I=1,4,5,8,9,12", "--out", str(out)]
+    assert main(argv) == EXIT_OK  # warm lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 1,397,765 B with the newline; the encoder's bit buffer (about 1.05 MB)
+    # fits beside one copy, a second copy of the string does not
+    assert peak < 2 * out.stat().st_size, peak
 
 
 class _FailingWriter:
@@ -275,6 +292,11 @@ RECORDED_OUTPUT_SHA256 = {
         "2c0cc480a987f94d167f3c33f8a8d29e0e7d67ff00b7b525356892cebc7e200f",
     ("families", "--m-max", "6"):
         "054f43ff6a141e570c28f60426bc8fa5a19977f30fbad203a744e923f65553bd",
+    # recorded before pair counts and double sums moved to cached Pascal rows
+    ("identities", "--max-m", "25"):
+        "0b63d893091c311c06a9d198cf23f64d33c4b1eff1154fef2b01fd66e491fb78",
+    ("families", "--m-max", "16", "--check-cap", "66"):
+        "4ae294ede4ae3dc23315fb60d03d67bea3f62710ab870b0dc4df651ff7a80c5f",
 }
 
 

@@ -16,6 +16,7 @@ from orbitcayley.core import (
     expand_family,
     is_connected,
     orbit_size,
+    pascal_row,
 )
 from orbitcayley.explicit import ExplicitGraph, is_connected_adjacency
 
@@ -33,6 +34,20 @@ def test_gf2vector_validation():
         Gf2Vector(0, 0)
     with pytest.raises(ValueError):
         Gf2Vector(3, 1) ^ Gf2Vector(4, 1)
+
+
+def test_pascal_row_is_the_binomial_row():
+    for n in range(61):
+        assert pascal_row(n) == tuple(comb(n, t) for t in range(n + 1))
+    row = pascal_row(200)
+    assert len(row) == 201
+    assert all(row[t] == comb(200, t) for t in range(201))
+    with pytest.raises(ValueError):
+        pascal_row(-1)
+
+
+def test_pascal_row_cache_is_bounded():
+    assert pascal_row.cache_info().maxsize is not None
 
 
 def test_orbit_size_against_pascal_triangle():

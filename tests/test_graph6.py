@@ -139,14 +139,12 @@ def test_export_peak_allocation_stays_within_budget():
         tracemalloc.stop()
     assert len(blob) == out_bytes
     # Live at once, at most:
-    #   the packed output buffer                                  out_bytes
-    #   its bytes copy, made on return                            out_bytes
+    #   the packed output buffer, returned without a copy          out_bytes
     #   the bit buffer: carry, one block, one column, padding     _BLOCK_BITS + size + 12
     #   the int64 column index and arange                         16 * size
-    # (the copy only exists after the bit buffer is freed, so this overcounts).
     # The margin covers the int32 indicator and bool row of vertex 0 (5 * size)
     # and interpreter bookkeeping.  An encoder that builds the whole triangle
     # holds N(N-1)/2 = 8.4 MB of bits in several copies, far over this budget.
     block = graph6_module._BLOCK_BITS + size + 12 + 16 * size
     margin = 5 * size + 64 * 1024
-    assert peak <= 2 * out_bytes + block + margin, peak
+    assert peak <= out_bytes + block + margin, peak

@@ -6,7 +6,9 @@ import pytest
 
 from orbitcayley.core import binom
 from orbitcayley.identities import (
+    _DOUBLE_SUMS,
     IDENTITY_IDS,
+    _double_sum,
     admissible_k,
     identity_sides,
     mod4_binomial_sum,
@@ -60,15 +62,17 @@ def test_identity_sides_rejects_inadmissible_arguments():
         identity_sides("nope", 1, 1)
 
 
+def _literal_double_sum(factor, a, p, b, q, jmax, m):
+    # the triple loop term by term, zero outside range
+    return factor * sum(
+        binom(a, 2 * j + p) * binom(b, 4 * t - 2 * j + q)
+        for t in range(m + 1)
+        for j in range(jmax + 1)
+    )
+
+
 def test_k_equal_m_really_fails_for_the_reduced_range_items():
     # independent recomputation documenting why those ranges exclude k = m
-    def double_sum(factor, a, p, b, q, jmax, m):
-        return factor * sum(
-            binom(a, 2 * j + p) * binom(b, 4 * t - 2 * j + q)
-            for t in range(m + 1)
-            for j in range(jmax + 1)
-        )
-
     m = 2
     shapes = {
         "T35-i": (2, 4 * m + 1, 0, -1, 0, 2 * m),
@@ -80,7 +84,18 @@ def test_k_equal_m_really_fails_for_the_reduced_range_items():
     for identity_id, (f, a, p, b, q, jmax) in shapes.items():
         assert m not in admissible_k(identity_id, m)
         _, rhs = identity_sides(identity_id, 0, m)
-        assert double_sum(f, a, p, b, q, jmax, m) != rhs
+        assert _literal_double_sum(f, a, p, b, q, jmax, m) != rhs
+
+
+def test_double_sum_rows_match_the_triple_loop():
+    # every shape at every k in 0..m, inadmissible k included: at k = m a
+    # negative top (4m - 4k - 1 or - 3) leaves no term and both sides are 0
+    for f, ao, p, bo, q, jo, _, _ in _DOUBLE_SUMS.values():
+        for m in range(1, 13):
+            for k in range(m + 1):
+                args = (f, 4 * k + ao, p, 4 * m - 4 * k + bo, q, 2 * k + jo, m)
+                assert _double_sum(*args) == _literal_double_sum(*args), args
+    assert _double_sum(2, 4, 1, -1, 0, 3, 1) == 0
 
 
 def test_admissible_ranges():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitcayley.spectrum as spectrum_module
 from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.spectrum import (
     DistinctSpectrum,
@@ -56,6 +57,22 @@ def test_orbit_character_sum_range_checks():
         orbit_character_sum(4, 5, 0)
     with pytest.raises(ValueError):
         orbit_character_sum(4, 0, -1)
+
+
+def test_recurrence_rows_are_cached_in_a_bounded_cache():
+    assert character_sum_row.cache_info().maxsize is not None
+    assert character_sum_row(9, 4) is character_sum_row(9, 4)
+
+
+def test_inexact_recurrence_raises_and_is_not_cached(monkeypatch):
+    character_sum_row.cache_clear()
+    # a wrong start value C(5, 2) + 1 = 11 makes the first division 11 / 5 inexact
+    monkeypatch.setattr(spectrum_module, "comb", lambda n, i: comb(n, i) + 1)
+    with pytest.raises(ConsistencyError, match="n=5, i=2, k=0"):
+        character_sum_row(5, 2)
+    assert character_sum_row.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert character_sum_row(5, 2) == tuple(orbit_character_sum(5, 2, k) for k in range(6))
 
 
 def test_recurrence_row_matches_binomial_sums():
@@ -142,8 +159,6 @@ def test_wht_caps_and_methods():
 
 def test_wht_rejects_weight_inhomogeneous_indicator(monkeypatch):
     # a transform of anything that is not weight-class invariant must be caught
-    import orbitcayley.spectrum as spectrum_module
-
     def doctored(s):
         f = np.zeros(1 << s.n, dtype=np.int64)
         f[1] = 1  # one single weight-1 vector, not the whole class

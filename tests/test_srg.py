@@ -8,13 +8,13 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitcayley.srg as srg_module
 from orbitcayley.census import census
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
-from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, ResidueFamily
+from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, ResidueFamily, binom
 from orbitcayley.explicit import (
     EXPLICIT_MAX_N,
     ExplicitGraph,
@@ -78,6 +78,32 @@ def test_pair_count_matches_oracle_for_arbitrary_vectors(n, data):
     s = OrbitIndexSet.from_bitmask(n, mask)
     v = Gf2Vector(n, bits)
     assert pair_count(s, v.weight) == pair_count_oracle(s, v)
+
+
+def _pair_count_by_index_pairs(s, w):
+    # the literal I x I sum: x in class i, x XOR v in class i2, overlap with supp v fixed
+    total = 0
+    for i in s.indices:
+        for i2 in s.indices:
+            if (w + i - i2) % 2 == 0:
+                total += binom(w, (w + i - i2) // 2) * binom(s.n - w, (i + i2 - w) // 2)
+    return total
+
+
+@st.composite
+def _index_sets(draw):
+    n = draw(st.integers(1, 200))
+    # at most 16 indices keeps the literal |I|^2 (n + 1) reference fast
+    return OrbitIndexSet(n, draw(st.frozensets(st.integers(1, n), max_size=16)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_index_sets())
+@example(OrbitIndexSet(200, frozenset(range(1, 201, 7))))
+@example(OrbitIndexSet(2, frozenset({1, 2})))
+def test_pair_count_matches_the_index_pair_sum(s):
+    for w in range(s.n + 1):
+        assert pair_count(s, w) == _pair_count_by_index_pairs(s, w), (s.format(), w)
 
 
 def test_pair_count_handshake():
