@@ -10,12 +10,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import OrbitIndexSet, is_connected
+import numpy as np
+
+from .core import ConsistencyError, OrbitIndexSet, is_connected, pascal_row
 from .explicit import EXPLICIT_MAX_N
-from .spectrum import distinct
-from .srg import SrgParams, SrgVerdict, certify
+from .spectrum import _first_invariant_failure, character_table
+from .srg import SrgParams, SrgVerdict, _certified, pair_count_table
 
 CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
+# The sweep runs in int64.  Table entries, eigenvalues and pair counts are at
+# most 2^n in absolute value, and the second-moment partial sums at most
+# 4^n * sum_k C(n, k) = 8^n, so int64 is exact for n <= 20.
+TABLE_INT64_MAX_N = 20
 CENSUS_DEFAULT_EXPLICIT_CAP = 8
 
 
@@ -59,31 +65,63 @@ CENSUS_CSV_COLUMNS = ["n", "I", "connected", "distinct", "verdict", "r", "lambda
 
 
 def check_census_request(n: int, explicit_cap: int) -> None:
-    """Raise ValueError when n is outside 1..CENSUS_MAX_N or explicit_cap exceeds EXPLICIT_MAX_N."""
+    """Raise ValueError when n is outside 1..CENSUS_MAX_N or explicit_cap exceeds EXPLICIT_MAX_N.
+
+    Also raises when n exceeds TABLE_INT64_MAX_N, the bound of the int64 sweep.
+    """
     if not 1 <= n <= CENSUS_MAX_N:
         raise ValueError(f"n={n} outside the census range 1..{CENSUS_MAX_N}")
+    if n > TABLE_INT64_MAX_N:
+        raise ValueError(f"n={n} exceeds the int64-exact table bound {TABLE_INT64_MAX_N}")
     if explicit_cap > EXPLICIT_MAX_N:
         raise ValueError(f"explicit cap {explicit_cap} exceeds the dense cap {EXPLICIT_MAX_N}")
+
+
+def sweep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Membership, spectra and pair counts of every nonempty index set of dimension n.
+
+    Row r is the set with bitmask r + 1: member[r, i - 1] = [i in I],
+    spectra[r, k] = sum over i in I of K[i][k] (``character_table``) and
+    counts[r, w - 1] = sum over i, j in I of P[w][i][j] for w = 1..n
+    (``pair_count_table``); member is int8, spectra and counts int64.
+    ``full_spectrum`` and ``pair_count`` are the per-set oracles of these
+    rows.
+    """
+    member = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
+    spectra = member @ character_table(n)[1:]
+    counts = np.einsum("mi,wij,mj->mw", member, pair_count_table(n)[1:, 1:, 1:], member)
+    return member, spectra, counts
 
 
 def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[CensusRecord]:
     """One record per nonempty index set, ascending by bitmask.
 
-    Each set goes through ``certify``: the two closed-form checkers always run
-    and must agree; the dense brute-force checker additionally runs (and must
-    agree) when n is within ``explicit_cap``.  Raises ValueError before any
-    work when ``check_census_request`` rejects the request.
+    All 2^n - 1 spectra and pair counts come from one ``sweep_tables``
+    call, and the spectrum invariants are checked on every row at once.
+    Each set then gets the two closed-form verdicts, which must agree, as
+    in ``certify``; the dense brute-force checker additionally runs (and
+    must agree) when n is within ``explicit_cap``.  Raises ValueError
+    before any work when ``check_census_request`` rejects the request.
     """
     check_census_request(n, explicit_cap)
+    member, spectra, counts = sweep_tables(n)
+    failure = _first_invariant_failure(spectra, member @ np.array(pascal_row(n)[1:]))
+    if failure is not None:
+        row, what = failure
+        raise ConsistencyError(f"{what} on {OrbitIndexSet.from_bitmask(n, row + 1).format()}")
+    spectra.sort(axis=1)
     records = []
-    for mask in range(1, 1 << n):
+    # rows become Python ints one at a time: whole-table lists would hold
+    # about 4 MB more at n = 12
+    for mask, sorted_row, count_row in zip(range(1, 1 << n), spectra[:, ::-1], counts):
         s = OrbitIndexSet.from_bitmask(n, mask)
-        verdict, spectrum = certify(s, explicit_cap)
+        values = tuple(dict.fromkeys(sorted_row.tolist()))
+        verdict = _certified(s, count_row.tolist(), values, explicit_cap)
         records.append(
             CensusRecord(
                 index_set=s,
                 connected=is_connected(s),
-                distinct_eigenvalues=len(distinct(spectrum)),
+                distinct_eigenvalues=len(values),
                 verdict=verdict,
                 complement_indices=s.complement().sorted_indices,
                 explicit_verified=n <= explicit_cap,

@@ -18,6 +18,7 @@ from .spectrum import _indicator
 # product at once, about 9 * 4^n bytes: 151 MB at n = 12, 2.4 GB at n = 14
 EXPLICIT_MAX_N = 12
 FLOAT32_EXACT_MAX = 1 << 24  # float32 holds every integer up to 2^24 exactly
+_GATHER_BLOCK_BYTES = 1 << 20  # bound on the index block of ExplicitGraph.build
 
 
 def _row0(s: OrbitIndexSet) -> np.ndarray:
@@ -40,11 +41,13 @@ class ExplicitGraph:
         row0 = _row0(s)
         size = 1 << s.n
         xs = np.arange(size)
-        # row x is row 0 translated by XOR; build per row to keep
-        # intermediates O(2^n) rather than O(4^n) in the index dtype
+        # row x is row 0 translated by XOR, gathered a block of rows at a
+        # time so the index intermediate stays within _GATHER_BLOCK_BYTES
+        # (one block for n <= 8) rather than O(4^n) in the index dtype
+        block = max(1, _GATHER_BLOCK_BYTES // (xs.itemsize * size))
         adjacency = np.empty((size, size), dtype=bool)
-        for x in range(size):
-            adjacency[x] = row0[xs ^ x]
+        for x0 in range(0, size, block):
+            adjacency[x0 : x0 + block] = row0[xs[x0 : x0 + block, None] ^ xs]
         adjacency.setflags(write=False)
         return cls(s, adjacency)
 

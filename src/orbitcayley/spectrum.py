@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .core import ConsistencyError, OrbitIndexSet, binom
+from .core import ConsistencyError, OrbitIndexSet, binom, pascal_row
 
 WHT_MAX_N = 24  # transform is O(n * 2^n) time and O(2^n) memory
 NAIVE_WHT_MAX_N = 8  # the O(4^n) summation is a test oracle only
@@ -60,6 +60,15 @@ def character_sum_row(n: int, i: int) -> tuple[int, ...]:
         prev = row[k]
         row.append(q)
     return tuple(row)
+
+
+def character_table(n: int) -> np.ndarray:
+    """K[i][k] = character_sum_row(n, i)[k] for i, k in 0..n, as int64.
+
+    Row i sums the characters over the weight-i orbit, so |K[i][k]| <= C(n, i)
+    and the spectrum of an index set I is the sum of its rows i in I.
+    """
+    return np.array([character_sum_row(n, i) for i in range(n + 1)], dtype=np.int64)
 
 
 def eigenvalue(s: OrbitIndexSet, k: int) -> int:
@@ -121,16 +130,47 @@ def distinct(spec: Spectrum) -> DistinctSpectrum:
     return DistinctSpectrum(spec.n, pairs)
 
 
+_TRACE, _SECOND_MOMENT, _DEGREE = (
+    "spectrum trace is nonzero",
+    "spectrum second moment does not match edge count",
+    "degree eigenvalue is not the maximum",
+)
+
+
 def _check_invariants(spec: Spectrum, set_size: int) -> None:
     # zeroth moment sum(C(n,k)) = 2^n holds by construction of entries
     n = spec.n
     mults = [comb(n, k) for k in range(n + 1)]
     if sum(v * m for v, m in zip(spec.values, mults)) != 0:
-        raise ConsistencyError("spectrum trace is nonzero")
+        raise ConsistencyError(_TRACE)
     if sum(v * v * m for v, m in zip(spec.values, mults)) != (1 << n) * set_size:
-        raise ConsistencyError("spectrum second moment does not match edge count")
+        raise ConsistencyError(_SECOND_MOMENT)
     if spec.values[0] != set_size or any(v > set_size for v in spec.values):
-        raise ConsistencyError("degree eigenvalue is not the maximum")
+        raise ConsistencyError(_DEGREE)
+
+
+def _first_invariant_failure(spectra: np.ndarray, sizes: np.ndarray) -> tuple[int, str] | None:
+    """The checks of ``_check_invariants`` on every row of an int64 spectrum table at once.
+
+    Row r holds lambda_0..lambda_n of a set of size sizes[r].  Returns the
+    first failing row with the first check it fails, or None.  The caller
+    keeps the sums within int64: with |lambda_k| <= 2^n the second-moment
+    partial sums are at most 4^n * sum_k C(n, k) = 8^n.
+    """
+    n = spectra.shape[1] - 1
+    mults = np.array(pascal_row(n), dtype=np.int64)
+    failed = np.stack(
+        [
+            spectra @ mults != 0,
+            (spectra * spectra) @ mults != sizes << n,
+            (spectra[:, 0] != sizes) | (spectra.max(axis=1) > sizes),
+        ]
+    )
+    rows = np.flatnonzero(failed.any(axis=0))
+    if not rows.size:
+        return None
+    row = int(rows[0])
+    return row, (_TRACE, _SECOND_MOMENT, _DEGREE)[int(np.argmax(failed[:, row]))]
 
 
 def full_spectrum(s: OrbitIndexSet) -> Spectrum:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from operator import and_
+from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +62,23 @@ def pair_count(s: OrbitIndexSet, w: int) -> int:
         both = sum(compress(outside, map(and_, member[a:], member[w - a :])))
         total += inside[a] * both if 2 * a == w else 2 * inside[a] * both
     return total
+
+
+def pair_count_table(n: int) -> np.ndarray:
+    """P[w][i][j] = p_ij^w for w, i, j in 0..n, as int64: the Hamming-scheme intersection numbers.
+
+    For any v of weight w, P[w][i][j] counts the x of weight i with x XOR v
+    of weight j.  The same split as ``pair_count``: x with a ones inside
+    supp v and b outside has weights i = a + b and j = w - a + b, and
+    C(w, a) C(n - w, b) vectors share (a, b), which (i, j) determines.  So
+    pair_count(s, w) is the sum of P[w] over I x I.
+    """
+    table = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
+    for w in range(n + 1):
+        a = np.arange(w + 1)[:, None]
+        b = np.arange(n - w + 1)
+        table[w, a + b, w - a + b] = np.outer(pascal_row(w), pascal_row(n - w))
+    return table
 
 
 def pair_count_oracle(s: OrbitIndexSet, v: Gf2Vector) -> int:
@@ -301,12 +319,21 @@ def _srg_verdict(s: OrbitIndexSet, lam: int, mu: int, degree: int) -> SrgVerdict
 
 def srg_check_paircount(s: OrbitIndexSet) -> SrgVerdict:
     """Strong regularity iff |C(v,S)| is one constant on S and another off S."""
+    return _paircount_verdict(s, _pair_counts(s))
+
+
+def _pair_counts(s: OrbitIndexSet) -> list[int]:
+    """pair_count(s, w) for w = 1..n."""
+    return [pair_count(s, w) for w in range(1, s.n + 1)]
+
+
+def _paircount_verdict(s: OrbitIndexSet, counts: Sequence[int]) -> SrgVerdict:
+    """The pair-count verdict from counts[w - 1] = |C(v,S)| for |v| = w, w = 1..n."""
     gate = _gate(s)
     if gate is not None:
         return gate
-    counts = {w: pair_count(s, w) for w in range(1, s.n + 1)}
-    lam_values = {counts[w] for w in s.indices}
-    mu_values = {counts[w] for w in range(1, s.n + 1) if w not in s.indices}
+    lam_values = {counts[w - 1] for w in s.indices}
+    mu_values = {counts[w - 1] for w in range(1, s.n + 1) if w not in s.indices}
     if len(lam_values) == 1 and len(mu_values) == 1:
         return _srg_verdict(s, lam_values.pop(), mu_values.pop(), s.size())
     return SrgVerdict(VerdictStatus.NOT_SRG)
@@ -318,17 +345,21 @@ def srg_check_spectral(s: OrbitIndexSet) -> SrgVerdict:
     Parameters recovered by the standard identities
     mu = r + theta*tau and lambda = mu + theta + tau.
     """
-    return _spectral_verdict(s, full_spectrum(s))
+    return _spectral_verdict(s, _distinct_values(full_spectrum(s)))
 
 
-def _spectral_verdict(s: OrbitIndexSet, spectrum: Spectrum) -> SrgVerdict:
+def _distinct_values(spectrum: Spectrum) -> tuple[int, ...]:
+    return tuple(value for value, _ in distinct(spectrum).pairs)
+
+
+def _spectral_verdict(s: OrbitIndexSet, values: Sequence[int]) -> SrgVerdict:
+    """The spectral verdict from the distinct eigenvalues of s, strictly descending."""
     gate = _gate(s)
     if gate is not None:
         return gate
-    pairs = distinct(spectrum).pairs
-    if len(pairs) != 3:
+    if len(values) != 3:
         return SrgVerdict(VerdictStatus.NOT_SRG)
-    (r, _), (theta, _), (tau, _) = pairs
+    r, theta, tau = values
     mu = r + theta * tau
     lam = mu + theta + tau
     return _srg_verdict(s, lam, mu, r)
@@ -376,9 +407,23 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
     with ``srg-check --set``.
     """
     spectrum = full_spectrum(s)
+    return _certified(s, _pair_counts(s), _distinct_values(spectrum), explicit_cap), spectrum
+
+
+def _certified(
+    s: OrbitIndexSet, counts: Sequence[int], values: Sequence[int], explicit_cap: int
+) -> SrgVerdict:
+    """The verdict every route agrees on, from the pair counts and distinct eigenvalues of s.
+
+    The pair-count and spectral verdicts are read from ``counts`` and
+    ``values`` (as ``_paircount_verdict`` and ``_spectral_verdict`` take
+    them); the dense route joins when s.n <= explicit_cap.  Shared by
+    ``certify`` and the census sweep; raises ConsistencyError naming the
+    set and every route's verdict when any two differ.
+    """
     verdicts = {
-        "pair_count": srg_check_paircount(s),
-        "spectral": _spectral_verdict(s, spectrum),
+        "pair_count": _paircount_verdict(s, counts),
+        "spectral": _spectral_verdict(s, values),
     }
     if s.n <= explicit_cap:
         verdicts["explicit"] = srg_check_explicit(s)
@@ -388,7 +433,7 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
             f"{route}: {json.dumps(v.to_json_dict())}" for route, v in verdicts.items()
         )
         raise ConsistencyError(f"SRG routes disagree on {s.format()}: {detail}")
-    return verdict, spectrum
+    return verdict
 
 
 def verify_equitable_partition(graph: ExplicitGraph, v: int) -> list[list[int]] | None:

@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import importlib
+from functools import cache
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcayley.census import (
     CENSUS_CSV_COLUMNS,
     CENSUS_MAX_N,
+    TABLE_INT64_MAX_N,
     CensusRecord,
     census,
     distinct_count_histogram,
     find_srgs,
+    sweep_tables,
 )
-from orbitcayley.core import OrbitIndexSet, is_connected
+from orbitcayley.core import ConsistencyError, OrbitIndexSet, is_connected
 from orbitcayley.explicit import EXPLICIT_MAX_N
-from orbitcayley.srg import SrgParams, VerdictStatus
+from orbitcayley.spectrum import _first_invariant_failure, character_table, distinct, full_spectrum
+from orbitcayley.srg import SrgParams, VerdictStatus, pair_count, pair_count_table
+
+# the package re-exports the function census, which shadows the module of that name
+census_module = importlib.import_module("orbitcayley.census")
 
 
 def _by_indices(records):
@@ -155,3 +167,82 @@ def test_census_serialization_shapes():
 
     empty_params = _by_indices(census(4))[(2,)]
     assert empty_params.to_csv_row()[5:] == ["", "", ""]
+
+
+# -- the table sweep against its per-set oracles -------------------------------
+
+_sweep = cache(sweep_tables)
+
+
+def _assert_rows_match_the_oracles(n, mask):
+    s = OrbitIndexSet.from_bitmask(n, mask)
+    member, spectra, counts = _sweep(n)
+    assert member[mask - 1].tolist() == [int(i in s.indices) for i in range(1, n + 1)]
+    assert tuple(spectra[mask - 1].tolist()) == full_spectrum(s).values, s.format()
+    assert counts[mask - 1].tolist() == [pair_count(s, w) for w in range(1, n + 1)], s.format()
+
+
+def test_sweep_tables_match_the_per_set_oracles_exhaustively():
+    for n in range(1, 11):
+        for mask in range(1, 1 << n):
+            _assert_rows_match_the_oracles(n, mask)
+        for rec in census(n, explicit_cap=0):
+            assert rec.distinct_eigenvalues == len(distinct(full_spectrum(rec.index_set)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([11, 12]), st.data())
+def test_sweep_tables_match_the_per_set_oracles_at_n11_and_n12(n, data):
+    _assert_rows_match_the_oracles(n, data.draw(st.integers(1, (1 << n) - 1)))
+
+
+def test_table_route_is_exact_at_the_int64_bound():
+    # the same products as sweep_tables on a few rows at n = TABLE_INT64_MAX_N
+    n = TABLE_INT64_MAX_N
+    sets = [OrbitIndexSet.of(n, range(1, n + 1)), OrbitIndexSet.of(n, range(1, n, 2)),
+            OrbitIndexSet.of(n, {1, 2, 7, 8, 13, 19, 20})]
+    member = np.array([[int(i in s.indices) for i in range(1, n + 1)] for s in sets])
+    spectra = member @ character_table(n)[1:]
+    counts = np.einsum("mi,wij,mj->mw", member, pair_count_table(n)[1:, 1:, 1:], member)
+    sizes = np.array([s.size() for s in sets])
+    assert _first_invariant_failure(spectra, sizes) is None
+    for s, row, count_row in zip(sets, spectra.tolist(), counts.tolist()):
+        assert tuple(row) == full_spectrum(s).values
+        assert count_row == [pair_count(s, w) for w in range(1, n + 1)]
+
+
+def test_int64_bound_is_checked_before_any_work(monkeypatch):
+    assert CENSUS_MAX_N <= TABLE_INT64_MAX_N
+
+    def no_work(n):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(census_module, "CENSUS_MAX_N", TABLE_INT64_MAX_N + 4)
+    monkeypatch.setattr(census_module, "sweep_tables", no_work)
+    with pytest.raises(ValueError, match="int64-exact table bound 20"):
+        census(TABLE_INT64_MAX_N + 1, explicit_cap=0)
+
+
+def _perturbed(table_builder, index):
+    def build(n):
+        table = table_builder(n)
+        table[index] += 1
+        return table
+
+    return build
+
+
+def test_perturbed_pair_count_table_names_the_set(monkeypatch):
+    # P[2][1][4] enters only the sets holding both 1 and 4; the first is the
+    # Clebsch graph, whose pair count at weight 2 becomes 3 instead of mu = 2
+    monkeypatch.setattr(census_module, "pair_count_table", _perturbed(pair_count_table, (2, 1, 4)))
+    with pytest.raises(ConsistencyError, match=r"^SRG routes disagree on n=4;I=1,4: pair_count"):
+        census(4, explicit_cap=0)
+
+
+def test_perturbed_character_table_names_the_set(monkeypatch):
+    # K[1][2] enters every set holding 1; the first is I={1}, whose trace
+    # moves by C(4, 2)
+    monkeypatch.setattr(census_module, "character_table", _perturbed(character_table, (1, 2)))
+    with pytest.raises(ConsistencyError, match=r"^spectrum trace is nonzero on n=4;I=1$"):
+        census(4, explicit_cap=0)

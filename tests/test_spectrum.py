@@ -15,11 +15,14 @@ from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.spectrum import (
     DistinctSpectrum,
     Spectrum,
+    _check_invariants,
+    _first_invariant_failure,
     _fwht,
     _indicator,
     _weight_table,
     _wht_naive,
     character_sum_row,
+    character_table,
     distinct,
     eigenvalue,
     full_spectrum,
@@ -290,3 +293,35 @@ def test_spectrum_shape_validation():
         Spectrum(3, (1, 2))
     d = DistinctSpectrum(2, ((3, 1), (-1, 3)))
     assert len(d) == 2
+
+
+def _broken_rows(row):
+    # each breaks one more invariant: the trace; the second moment alone
+    # (lambda_0 and lambda_n share multiplicity 1); the degree alone
+    n = len(row) - 1
+    yield [row[0] + 1] + row[1:]
+    yield [row[0] + 1] + row[1:n] + [row[n] - 1]
+    if row[0] != row[n]:
+        yield [row[n]] + row[1:n] + [row[0]]
+
+
+def test_row_wise_invariants_match_the_single_spectrum_check():
+    n = 4
+    member = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
+    spectra = member @ character_table(n)[1:]
+    sizes = member @ np.array([comb(n, i) for i in range(1, n + 1)])
+    assert _first_invariant_failure(spectra, sizes) is None
+    for r, row in enumerate(spectra.tolist()):
+        for broken in _broken_rows(row):
+            table = spectra.copy()
+            table[r] = broken
+            table[r + 1 :] = broken  # later rows never hide the first one
+            with pytest.raises(ConsistencyError) as exc:
+                _check_invariants(Spectrum(n, tuple(broken)), int(sizes[r]))
+            assert _first_invariant_failure(table, sizes) == (r, str(exc.value))
+    # degree first, both moments right, yet another eigenvalue above it
+    above = [1, -1, 0, 2]
+    with pytest.raises(ConsistencyError, match="degree eigenvalue is not the maximum"):
+        _check_invariants(Spectrum(3, tuple(above)), 1)
+    assert _first_invariant_failure(np.array([above]), np.array([1])) == (
+        0, "degree eigenvalue is not the maximum")

@@ -33,6 +33,7 @@ from orbitcayley.srg import (
     match_families,
     pair_count,
     pair_count_oracle,
+    pair_count_table,
     srg_check_explicit,
     srg_check_paircount,
     srg_check_spectral,
@@ -106,6 +107,21 @@ def test_pair_count_matches_the_index_pair_sum(s):
         assert pair_count(s, w) == _pair_count_by_index_pairs(s, w), (s.format(), w)
 
 
+def test_pair_count_table_matches_literal_enumeration():
+    for n in range(1, 7):
+        table = pair_count_table(n)
+        for w in range(n + 1):
+            v = (1 << w) - 1
+            literal = np.zeros((n + 1, n + 1), dtype=np.int64)
+            for x in range(1 << n):
+                literal[x.bit_count(), (x ^ v).bit_count()] += 1
+            assert np.array_equal(table[w], literal), (n, w)
+            for mask in range(1, 1 << n):
+                s = OrbitIndexSet.from_bitmask(n, mask)
+                member = np.array([int(i in s.indices) for i in range(n + 1)])
+                assert member @ table[w] @ member == pair_count_oracle(s, Gf2Vector(n, v))
+
+
 def test_pair_count_handshake():
     for n in range(1, 9):
         for mask in (1, 5 % (1 << n), (1 << n) - 1):
@@ -149,6 +165,24 @@ def test_explicit_checker_examples():
 
     with pytest.raises(ValueError, match="dense-graph cap"):
         srg_check_explicit(OrbitIndexSet.of(EXPLICIT_MAX_N + 1, {1}))
+
+
+def _per_row_adjacency(s):
+    # row x of the Cayley graph is row 0 translated by XOR, one row at a time
+    size = 1 << s.n
+    row0 = np.array([x.bit_count() in s.indices for x in range(size)])
+    xs = np.arange(size)
+    return np.array([row0[xs ^ x] for x in range(size)])
+
+
+def test_dense_build_matches_the_per_row_reference():
+    # n <= 8 fills in one block; n = 12 takes 128 blocks of 32 rows
+    sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 7) for mask in range(1 << n)]
+    sets += [OrbitIndexSet.of(8, {1, 2, 7, 8}), OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12})]
+    for s in sets:
+        adjacency = ExplicitGraph.build(s).adjacency
+        assert adjacency.dtype == bool and not adjacency.flags.writeable
+        assert np.array_equal(adjacency, _per_row_adjacency(s)), s.format()
 
 
 def _integer_common_neighbors(adjacency):
@@ -196,18 +230,20 @@ def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
 def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
     s = OrbitIndexSet.of(4, {1, 4})
     honest = certify(s, 0)[0]
-    monkeypatch.setattr(srg_module, "srg_check_paircount",
-                        lambda t: SrgVerdict(VerdictStatus.NOT_SRG))
+    # the verdict helper that certify and the census sweep share
+    monkeypatch.setattr(srg_module, "_paircount_verdict",
+                        lambda t, counts: SrgVerdict(VerdictStatus.NOT_SRG))
     with pytest.raises(ConsistencyError) as exc:
         certify(s, 0)
     message = str(exc.value)
     assert "n=4;I=1,4" in message
     assert json.dumps(SrgVerdict(VerdictStatus.NOT_SRG).to_json_dict()) in message
     assert json.dumps(honest.to_json_dict()) in message
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as exc:
         census(4)
+    assert "SRG routes disagree on n=4;I=" in str(exc.value)
     assert main(["srg-check", "--set", "n=4;I=1,4"]) == EXIT_VERIFICATION_FAILED
-    assert "n=4;I=1,4" in capsys.readouterr().err
+    assert f"verification failure: {message}" in capsys.readouterr().err
 
 
 def test_three_checkers_agree(small_sweep):
