@@ -1,6 +1,6 @@
 """Orbit Cayley graphs over Z2^n: exact spectra, strong-regularity certification, census."""
 
-from .census import CensusRecord, census, distinct_count_histogram, find_srgs
+from .census import CensusRecord, census, find_srgs
 from .core import (
     ConsistencyError,
     Gf2Vector,
@@ -9,7 +9,6 @@ from .core import (
     binom,
     expand_family,
     is_connected,
-    orbit_size,
 )
 from .explicit import ExplicitGraph
 from .graph6 import decode_graph6, export_graph6
@@ -18,7 +17,6 @@ from .identities import (
     IdentityCheck,
     identity_sides,
     mod4_binomial_sum,
-    parity_binomial_sum,
     verify_all,
 )
 from .spectrum import (
@@ -37,16 +35,13 @@ from .srg import (
     SrgVerdict,
     VerdictStatus,
     certify,
-    classify_trivial,
     emit_table1,
     family_construct,
     match_families,
     pair_count,
-    pair_count_oracle,
     srg_check_explicit,
     srg_check_paircount,
     srg_check_spectral,
-    verify_equitable_partition,
 )
 
 __all__ = [
@@ -68,10 +63,8 @@ __all__ = [
     "census",
     "certify",
     "character_sum_row",
-    "classify_trivial",
     "decode_graph6",
     "distinct",
-    "distinct_count_histogram",
     "eigenvalue",
     "emit_table1",
     "expand_family",
@@ -84,15 +77,11 @@ __all__ = [
     "match_families",
     "mod4_binomial_sum",
     "orbit_character_sum",
-    "orbit_size",
     "pair_count",
-    "pair_count_oracle",
-    "parity_binomial_sum",
     "srg_check_explicit",
     "srg_check_paircount",
     "srg_check_spectral",
     "verify_all",
-    "verify_equitable_partition",
     "wht_spectrum",
 ]
 

@@ -7,15 +7,14 @@ orbit index i is a member), so output is byte-identical across runs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConsistencyError, OrbitIndexSet, is_connected, pascal_row
+from .core import ConsistencyError, OrbitIndexSet, pascal_row
 from .explicit import EXPLICIT_MAX_N
 from .spectrum import _first_invariant_failure, character_table
-from .srg import SrgParams, SrgVerdict, _certified, pair_count_table
+from .srg import SrgParams, SrgVerdict, VerdictStatus, _certified, pair_count_table
 
 CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
 # The sweep runs in int64.  Table entries, eigenvalues and pair counts are at
@@ -120,7 +119,7 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
         records.append(
             CensusRecord(
                 index_set=s,
-                connected=is_connected(s),
+                connected=verdict.status is not VerdictStatus.DISCONNECTED,
                 distinct_eigenvalues=len(values),
                 verdict=verdict,
                 complement_indices=s.complement().sorted_indices,
@@ -128,12 +127,6 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
             )
         )
     return records
-
-
-def distinct_count_histogram(n: int) -> dict[int, int]:
-    """How many nonempty index sets achieve each distinct-eigenvalue count."""
-    hist = Counter(rec.distinct_eigenvalues for rec in census(n, explicit_cap=0))
-    return dict(sorted(hist.items()))
 
 
 def find_srgs(

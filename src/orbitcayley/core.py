@@ -38,13 +38,6 @@ def pascal_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def orbit_size(n: int, i: int) -> int:
-    """Number of weight-i vectors in GF(2)^n, i.e. C(n, i), exact."""
-    if not 0 <= i <= n:
-        raise ValueError(f"orbit index {i} out of range for n={n}")
-    return comb(n, i)
-
-
 @dataclass(frozen=True)
 class Gf2Vector:
     """A vector of GF(2)^n stored as an n-bit integer; addition is XOR."""

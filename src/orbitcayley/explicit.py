@@ -76,19 +76,6 @@ def is_connected_adjacency(adjacency: np.ndarray) -> bool:
     return bool(connected_component(adjacency).all())
 
 
-def connected_components(adjacency: np.ndarray) -> list[np.ndarray]:
-    """Vertex index arrays of all components, by smallest member."""
-    size = adjacency.shape[0]
-    seen = np.zeros(size, dtype=bool)
-    out = []
-    while not seen.all():
-        start = int(np.flatnonzero(~seen)[0])
-        mask = connected_component(adjacency, start)
-        out.append(np.flatnonzero(mask))
-        seen |= mask
-    return out
-
-
 def complement_adjacency(adjacency: np.ndarray) -> np.ndarray:
     comp = ~adjacency
     np.fill_diagonal(comp, False)

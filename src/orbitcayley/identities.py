@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Literal
+from typing import Callable
 
 from .core import ConsistencyError, pascal_row
 
@@ -23,19 +23,6 @@ def mod4_binomial_sum(n: int, r: int) -> int:
     if r not in (0, 1, 2, 3):
         raise ValueError(f"residue must be in 0..3, got {r}")
     return sum(pascal_row(n)[r::4])
-
-
-def parity_binomial_sum(n: int, parity: Literal["even", "odd"]) -> int:
-    """Sum of C(n, t) over t of the given parity; equals 2^(n-1), asserted."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    start = 0 if parity == "even" else 1
-    total = sum(pascal_row(n)[start::2])
-    if total != 1 << (n - 1):
-        raise ConsistencyError(f"parity sum mismatch at n={n}: {total} != 2^{n - 1}")
-    return total
 
 
 def _rhs_r1(m: int) -> int:

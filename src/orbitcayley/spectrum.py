@@ -18,7 +18,6 @@ import numpy as np
 from .core import ConsistencyError, OrbitIndexSet, binom, pascal_row
 
 WHT_MAX_N = 24  # transform is O(n * 2^n) time and O(2^n) memory
-NAIVE_WHT_MAX_N = 8  # the O(4^n) summation is a test oracle only
 
 
 def orbit_character_sum(n: int, i: int, k: int) -> int:
@@ -231,20 +230,6 @@ def _fwht(a: np.ndarray) -> np.ndarray:
         a = a.reshape(size)
         h *= 2
     return a
-
-
-def _wht_naive(f: np.ndarray, n: int) -> np.ndarray:
-    """Direct O(4^n) summation: the test oracle for ``_fwht``."""
-    if n > NAIVE_WHT_MAX_N:
-        raise ValueError(f"n={n} exceeds the naive-summation cap {NAIVE_WHT_MAX_N}")
-    out = np.zeros_like(f)
-    for y in range(1 << n):
-        acc = 0
-        for x in range(1 << n):
-            if f[x]:
-                acc += -1 if (x & y).bit_count() & 1 else 1
-        out[y] = acc
-    return out
 
 
 def wht_spectrum(s: OrbitIndexSet) -> Spectrum:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     ConsistencyError,
-    Gf2Vector,
     OrbitIndexSet,
     ResidueFamily,
     expand_family,
@@ -35,7 +34,6 @@ from .explicit import (
 )
 from .spectrum import Spectrum, distinct, full_spectrum
 
-PAIR_COUNT_ORACLE_MAX_N = 20
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
 
 
@@ -79,15 +77,6 @@ def pair_count_table(n: int) -> np.ndarray:
         b = np.arange(n - w + 1)
         table[w, a + b, w - a + b] = np.outer(pascal_row(w), pascal_row(n - w))
     return table
-
-
-def pair_count_oracle(s: OrbitIndexSet, v: Gf2Vector) -> int:
-    """|C(v,S)| by direct enumeration of S."""
-    if s.n > PAIR_COUNT_ORACLE_MAX_N:
-        raise ValueError(f"n={s.n} exceeds the enumeration cap {PAIR_COUNT_ORACLE_MAX_N}")
-    if v.n != s.n:
-        raise ValueError(f"dimension mismatch: vector n={v.n}, set n={s.n}")
-    return sum(1 for x in s.vectors() if s.contains(v ^ Gf2Vector(s.n, x)))
 
 
 class VerdictStatus(str, Enum):
@@ -136,20 +125,6 @@ class SrgVerdict:
             out["params"] = None
         out["families"] = list(self.family_tags)
         return out
-
-
-def classify_trivial(s: OrbitIndexSet) -> ResidueFamily | None:
-    """Shape match against the two index sets with disconnected complements.
-
-    At n = 2 the two shapes coincide and the all-but-top tag wins.
-    """
-    if s.n < 2:
-        return None
-    if s.indices == frozenset(range(1, s.n)):
-        return ResidueFamily.S_MINUS
-    if not s.is_full() and s.indices == expand_family(ResidueFamily.S_ODD, s.n).indices:
-        return ResidueFamily.S_ODD
-    return None
 
 
 # -- named families ----------------------------------------------------------
@@ -311,7 +286,7 @@ def _gate(s: OrbitIndexSet) -> SrgVerdict | None:
 
 def _srg_verdict(s: OrbitIndexSet, lam: int, mu: int, degree: int) -> SrgVerdict:
     # trivial means the complement graph is disconnected (the definition,
-    # not a shape heuristic; the shape matcher is classify_trivial)
+    # not a shape heuristic; match_families tags the s_minus and s_odd shapes)
     trivial = not is_connected(s.complement())
     status = VerdictStatus.TRIVIAL_SRG if trivial else VerdictStatus.NONTRIVIAL_SRG
     return SrgVerdict(status, SrgParams(1 << s.n, degree, lam, mu), match_families(s))
@@ -434,34 +409,3 @@ def _certified(
         )
         raise ConsistencyError(f"SRG routes disagree on {s.format()}: {detail}")
     return verdict
-
-
-def verify_equitable_partition(graph: ExplicitGraph, v: int) -> list[list[int]] | None:
-    """Quotient matrix of the partition {v} | N(v) | N2(v), or None if not equitable.
-
-    Requires diameter exactly 2 around v (every non-neighbor of v adjacent to
-    some neighbor, and at least one non-neighbor); raises otherwise.  When the
-    matrix exists, entry [1][1] is lambda and entry [2][1] is mu.
-    """
-    adjacency = graph.adjacency
-    size = graph.size
-    if not 0 <= v < size:
-        raise ValueError(f"vertex {v} out of range")
-    n1 = adjacency[v].copy()
-    n2 = ~n1
-    n2[v] = False
-    if not n2.any():
-        raise ValueError("graph is complete: no vertex at distance 2")
-    if not (adjacency[n2][:, n1].any(axis=1)).all():
-        raise ValueError("eccentricity of v exceeds 2")
-    cells = [np.flatnonzero(np.arange(size) == v), np.flatnonzero(n1), np.flatnonzero(n2)]
-    matrix: list[list[int]] = []
-    for cell in cells:
-        row = []
-        for other in cells:
-            per_vertex = adjacency[np.ix_(cell, other)].sum(axis=1)
-            if per_vertex.min() != per_vertex.max():
-                return None
-            row.append(int(per_vertex[0]))
-        matrix.append(row)
-    return matrix

@@ -21,9 +21,10 @@ from orbitcayley.srg import (
     VerdictStatus,
     family_construct,
     pair_count,
-    pair_count_oracle,
     srg_check_paircount,
 )
+
+from oracles import pair_count_oracle
 
 TABLE2 = {
     ("s0s1@4m", 1): (16, 5, 0, 2),

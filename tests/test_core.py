@@ -1,8 +1,12 @@
-"""Vectors, orbits, index sets, and the connectivity rule."""
+"""Vectors, orbits, index sets, the connectivity rule, and the package's public surface."""
 
 from __future__ import annotations
 
+import ast
+import io
+import tokenize
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,10 +19,53 @@ from orbitcayley.core import (
     binom,
     expand_family,
     is_connected,
-    orbit_size,
     pascal_row,
 )
+import orbitcayley
 from orbitcayley.explicit import ExplicitGraph, is_connected_adjacency
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC_NAMES = (
+    "CensusRecord",
+    "ConsistencyError",
+    "DistinctSpectrum",
+    "ExplicitGraph",
+    "FAMILIES",
+    "Gf2Vector",
+    "IDENTITY_IDS",
+    "IdentityCheck",
+    "OrbitIndexSet",
+    "ResidueFamily",
+    "Spectrum",
+    "SrgParams",
+    "SrgVerdict",
+    "VerdictStatus",
+    "binom",
+    "census",
+    "certify",
+    "character_sum_row",
+    "decode_graph6",
+    "distinct",
+    "eigenvalue",
+    "emit_table1",
+    "expand_family",
+    "export_graph6",
+    "family_construct",
+    "find_srgs",
+    "full_spectrum",
+    "identity_sides",
+    "is_connected",
+    "match_families",
+    "mod4_binomial_sum",
+    "orbit_character_sum",
+    "pair_count",
+    "srg_check_explicit",
+    "srg_check_paircount",
+    "srg_check_spectral",
+    "verify_all",
+    "wht_spectrum",
+)
 
 
 def test_weight_examples():
@@ -48,23 +95,6 @@ def test_pascal_row_is_the_binomial_row():
 
 def test_pascal_row_cache_is_bounded():
     assert pascal_row.cache_info().maxsize is not None
-
-
-def test_orbit_size_against_pascal_triangle():
-    rows = [[1]]
-    for _ in range(12):
-        prev = rows[-1]
-        rows.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    for n in range(13):
-        for i in range(n + 1):
-            assert orbit_size(n, i) == rows[n][i]
-    assert orbit_size(4, 1) == 4
-    assert orbit_size(6, 3) == 20
-    assert orbit_size(10, 5) == 252
-    with pytest.raises(ValueError):
-        orbit_size(5, 6)
-    with pytest.raises(ValueError):
-        orbit_size(5, -1)
 
 
 def test_binom_zero_convention():
@@ -190,3 +220,63 @@ def test_complement_partitions_nonzero_vectors(n, data):
     s = OrbitIndexSet.of(n, indices)
     assert s.complement().size() + s.size() + 1 == 1 << n
     assert s.complement().complement() == s
+
+
+def test_public_surface_is_pinned():
+    assert tuple(sorted(orbitcayley.__all__)) == PUBLIC_NAMES
+    assert len(set(orbitcayley.__all__)) == len(orbitcayley.__all__)
+    for name in PUBLIC_NAMES:
+        assert hasattr(orbitcayley, name), name
+
+
+# constructors whose repr the README quotes as if it were a literal
+_LITERAL_CALLS = {"bytearray": bytearray}
+
+
+def _leading_literal(comment):
+    """(True, value) when the comment text starts with a Python literal, else (False, None).
+
+    The shortest prefix that parses as an expression, ending at a word
+    boundary, decides: a literal (or a ``_LITERAL_CALLS`` call of one)
+    counts, prose does not.
+    """
+    text = comment.lstrip("#").strip()
+    for end in range(1, len(text) + 1):
+        if end < len(text) and (text[end].isalnum() or text[end] in "_.'\""):
+            continue
+        try:
+            node = ast.parse(text[:end], mode="eval").body
+        except SyntaxError:
+            continue
+        if isinstance(node, ast.Name) and node.id in _LITERAL_CALLS:
+            continue  # the call's arguments follow
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _LITERAL_CALLS:
+            if len(node.args) == 1 and not node.keywords:
+                return True, _LITERAL_CALLS[node.func.id](ast.literal_eval(node.args[0]))
+        try:
+            return True, ast.literal_eval(node)
+        except ValueError:
+            return False, None
+    return False, None
+
+
+def test_readme_quick_start_runs_and_its_commented_values_hold():
+    block = README.read_text().split("## Library quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        is_literal, expected = _leading_literal(comments.get(stmt.end_lineno, ""))
+        if is_literal:
+            assert value == expected, ast.unparse(stmt)
+            checked += 1
+    assert checked >= 6

@@ -12,7 +12,6 @@ from orbitcayley.identities import (
     admissible_k,
     identity_sides,
     mod4_binomial_sum,
-    parity_binomial_sum,
     rhs_group,
     verify_all,
 )
@@ -31,16 +30,8 @@ def test_mod4_binomial_sum_examples():
 def test_mod4_residues_partition_the_row():
     for n in range(1, 41):
         assert sum(mod4_binomial_sum(n, r) for r in range(4)) == 1 << n
-        assert mod4_binomial_sum(n, 0) + mod4_binomial_sum(n, 2) == parity_binomial_sum(n, "even")
-        assert mod4_binomial_sum(n, 1) + mod4_binomial_sum(n, 3) == parity_binomial_sum(n, "odd")
-
-
-def test_parity_binomial_sum_examples():
-    assert parity_binomial_sum(3, "even") == 4
-    assert parity_binomial_sum(1, "odd") == 1
-    assert parity_binomial_sum(10, "even") == 512
-    with pytest.raises(ValueError):
-        parity_binomial_sum(3, "both")
+        assert mod4_binomial_sum(n, 0) + mod4_binomial_sum(n, 2) == 1 << (n - 1)
+        assert mod4_binomial_sum(n, 1) + mod4_binomial_sum(n, 3) == 1 << (n - 1)
 
 
 def test_identity_sides_examples():

@@ -14,13 +14,8 @@ from hypothesis import strategies as st
 import orbitcayley.srg as srg_module
 from orbitcayley.census import census
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
-from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, ResidueFamily, binom
-from orbitcayley.explicit import (
-    EXPLICIT_MAX_N,
-    ExplicitGraph,
-    common_neighbor_matrix,
-    connected_components,
-)
+from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, binom
+from orbitcayley.explicit import EXPLICIT_MAX_N, ExplicitGraph, common_neighbor_matrix
 from orbitcayley.srg import (
     FAMILIES,
     NONTRIVIAL_FAMILY_KEYS,
@@ -28,17 +23,16 @@ from orbitcayley.srg import (
     VerdictStatus,
     SrgVerdict,
     certify,
-    classify_trivial,
     family_construct,
     match_families,
     pair_count,
-    pair_count_oracle,
     pair_count_table,
     srg_check_explicit,
     srg_check_paircount,
     srg_check_spectral,
-    verify_equitable_partition,
 )
+
+from oracles import connected_components, pair_count_oracle, verify_equitable_partition
 
 
 def test_pair_count_examples():
@@ -300,15 +294,6 @@ def test_equitable_partition_agrees_with_verdicts(small_sweep):
             assert matrix is None
 
 
-def test_classify_trivial_examples():
-    assert classify_trivial(OrbitIndexSet.of(5, {1, 3, 5})) is ResidueFamily.S_ODD
-    assert classify_trivial(OrbitIndexSet.of(5, {1, 2, 3, 4})) is ResidueFamily.S_MINUS
-    assert classify_trivial(OrbitIndexSet.of(5, {1, 3})) is None
-    assert classify_trivial(OrbitIndexSet.of(2, {1})) is ResidueFamily.S_MINUS
-    assert classify_trivial(OrbitIndexSet.of(1, {1})) is None
-    assert classify_trivial(OrbitIndexSet.of(3, {1, 2, 3})) is None
-
-
 def test_family_construct_examples():
     s, predicted = family_construct("s0s1@4m", 2)
     assert s == OrbitIndexSet.of(8, {1, 4, 5, 8})
@@ -366,8 +351,12 @@ def test_match_families():
     assert match_families(OrbitIndexSet.of(4, {1, 4})) == ("s0s1@4m",)
     assert match_families(OrbitIndexSet.of(6, {1, 2, 5, 6})) == ("s1s2@4m+2",)
     assert match_families(OrbitIndexSet.of(5, {1, 3, 5})) == ("s_odd",)
+    assert match_families(OrbitIndexSet.of(5, {1, 2, 3, 4})) == ("s_minus",)
     assert match_families(OrbitIndexSet.of(2, {1})) == ("s_minus", "s_odd")
     assert match_families(OrbitIndexSet.of(5, {1, 2})) == ()
+    assert match_families(OrbitIndexSet.of(5, {1, 3})) == ()
+    assert match_families(OrbitIndexSet.of(1, {1})) == ()
+    assert match_families(OrbitIndexSet.of(3, {1, 2, 3})) == ()
 
 
 def test_complement_parameter_law(small_sweep):
@@ -401,7 +390,9 @@ def test_closed_form_checkers_scale_beyond_machine_integers():
 
 
 def test_trivial_verdicts_match_shapes(small_sweep):
+    # the verdict comes from complement connectivity, the tags from the shapes
     for s, verdict, _, _ in small_sweep.values():
+        shape = {"s_minus", "s_odd"} & set(match_families(s))
         assert (verdict.status is VerdictStatus.TRIVIAL_SRG) == (
-            classify_trivial(s) is not None and verdict.status.is_srg()
-        )
+            bool(shape) and verdict.status.is_srg()
+        ), s.format()
