@@ -28,7 +28,7 @@ from .core import (
 )
 from .explicit import (
     ExplicitGraph,
-    common_neighbor_matrix,
+    common_neighbor_constants,
     complement_adjacency,
     is_connected_adjacency,
 )
@@ -340,17 +340,14 @@ def _spectral_verdict(s: OrbitIndexSet, values: Sequence[int]) -> SrgVerdict:
     return _srg_verdict(s, lam, mu, r)
 
 
-def _constant(values: np.ndarray) -> int | None:
-    """The single value of a nonempty array, or None when it holds more than one."""
-    lo, hi = values.min(), values.max()
-    return int(lo) if lo == hi else None
-
-
 def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
     """Full brute force: build the graph and count common neighbors of every pair.
 
-    Every ordered pair is compared: lambda is read over all adjacent entries
-    of the count matrix and mu over all non-adjacent off-diagonal entries.
+    Every ordered pair is compared: ``common_neighbor_constants`` reads the
+    upper triangle of the count matrix after checking that the adjacency is
+    symmetric, so each pair (y, x) with y > x is read as (x, y).  Lambda is
+    read over all adjacent pairs and mu over all other pairs of distinct
+    vertices.
     """
     graph = ExplicitGraph.build(s)
     adjacency = graph.adjacency
@@ -360,13 +357,11 @@ def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
     degrees = graph.degrees()
     if (degrees == size - 1).all():
         return SrgVerdict(VerdictStatus.COMPLETE)
-    counts = common_neighbor_matrix(adjacency)
-    complement = complement_adjacency(adjacency)
-    lam = _constant(counts[adjacency])
-    mu = _constant(counts[complement])
+    lam, mu = common_neighbor_constants(adjacency)
     if degrees.min() != degrees.max() or lam is None or mu is None:
         return SrgVerdict(VerdictStatus.NOT_SRG)
-    trivial = not is_connected_adjacency(complement)
+    # the complement is copied only for an SRG, where it decides trivial/nontrivial
+    trivial = not is_connected_adjacency(complement_adjacency(adjacency))
     status = VerdictStatus.TRIVIAL_SRG if trivial else VerdictStatus.NONTRIVIAL_SRG
     params = SrgParams(size, int(degrees[0]), lam, mu)
     return SrgVerdict(status, params, match_families(s))

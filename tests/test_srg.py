@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import orbitcayley.explicit as explicit_module
 import orbitcayley.srg as srg_module
 from orbitcayley.census import census
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, binom
-from orbitcayley.explicit import EXPLICIT_MAX_N, ExplicitGraph, common_neighbor_matrix
+from orbitcayley.explicit import EXPLICIT_MAX_N, ExplicitGraph, common_neighbor_constants
 from orbitcayley.srg import (
     FAMILIES,
     NONTRIVIAL_FAMILY_KEYS,
@@ -184,41 +186,118 @@ def _integer_common_neighbors(adjacency):
     return a @ a
 
 
-def test_common_neighbor_matrix_matches_integer_product():
+def _single_value(values):
+    distinct = np.unique(values)
+    return int(distinct[0]) if distinct.size == 1 else None
+
+
+def _integer_constants(adjacency):
+    # lambda over every adjacent entry, mu over every other off-diagonal entry
+    counts = _integer_common_neighbors(adjacency)
+    other = ~adjacency
+    np.fill_diagonal(other, False)
+    return _single_value(counts[adjacency]), _single_value(counts[other])
+
+
+def _band_rows(monkeypatch, size, rows):
+    # bands of ``rows`` rows for a size-vertex matrix, through the byte bound
+    monkeypatch.setattr(explicit_module, "_BAND_BYTES", 4 * size * rows)
+
+
+def test_common_neighbor_constants_match_integer_product(monkeypatch):
     sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 7) for mask in range(1 << n)]
     rng = random.Random(3)
     sets += [OrbitIndexSet.from_bitmask(8, rng.randrange(1, 1 << 8)) for _ in range(6)]
+    honest = explicit_module._band_product
+    bands = []
+
+    def recorded(a, r0, r1):
+        bands.append((r0, r1))
+        return honest(a, r0, r1)
+
+    monkeypatch.setattr(explicit_module, "_band_product", recorded)
+    default = explicit_module._BAND_BYTES
     for s in sets:
         adjacency = ExplicitGraph.build(s).adjacency
-        counts = common_neighbor_matrix(adjacency)
-        assert counts.dtype == np.float32
-        assert np.array_equal(counts, _integer_common_neighbors(adjacency)), s.format()
+        size = adjacency.shape[0]
+        expected = _integer_constants(adjacency)
+        # one band by default for n <= 8; 3, 5 and 7 rows divide no 2^n, so the
+        # last band is short and the diagonal blocks have ragged edges
+        for rows in (None, 3, 5, 7):
+            bands.clear()
+            if rows is None:
+                monkeypatch.setattr(explicit_module, "_BAND_BYTES", default)
+            else:
+                _band_rows(monkeypatch, size, rows)
+            assert common_neighbor_constants(adjacency) == expected, (s.format(), rows)
+            step = rows or size
+            assert bands == [(r0, min(r0 + step, size)) for r0 in range(0, size, step)]
 
 
 def test_common_neighbor_float32_bound_is_checked_before_any_work():
     # a zero-stride view stands for the 2^24-vertex matrix; nothing large is allocated
     with pytest.raises(ValueError, match="float32-exact bound"):
-        common_neighbor_matrix(np.broadcast_to(False, (1 << 24, 1 << 24)))
+        common_neighbor_constants(np.broadcast_to(False, (1 << 24, 1 << 24)))
+
+
+@pytest.mark.parametrize("entry", [(3, 5), (5, 3)])
+def test_asymmetric_adjacency_raises_before_any_product(monkeypatch, entry):
+    # the 6-cycle plus the chord {3, 5} in one direction only, in bands of 2 rows,
+    # so the bad entry sits in the second band and off its diagonal tile
+    cycle = np.roll(np.eye(6, dtype=bool), 1, axis=1)
+    adjacency = cycle | cycle.T
+    adjacency[entry] = True
+
+    def no_product(a, r0, r1):
+        pytest.fail(f"band {r0}:{r1} formed before the symmetry check failed")
+
+    monkeypatch.setattr(explicit_module, "_band_product", no_product)
+    _band_rows(monkeypatch, 6, 2)
+    with pytest.raises(ConsistencyError, match=r"not symmetric: entry \(3, 5\)"):
+        common_neighbor_constants(adjacency)
 
 
 @pytest.mark.parametrize("adjacent", [True, False])
 def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
-    # one entry below the diagonal: every ordered pair must be read, not only x < y
+    # bands of 5 rows over 16 vertices: 0:5, 5:10, 10:15, 15:16
     s = OrbitIndexSet.of(4, {1, 4})
     adjacency = ExplicitGraph.build(s).adjacency
-    x, y = next((x, y) for x in range(16) for y in range(x) if adjacency[x, y] == adjacent)
-    honest = common_neighbor_matrix
-
-    def perturbed(a):
-        counts = honest(a)
-        counts[x, y] += 1
-        return counts
-
+    _band_rows(monkeypatch, 16, 5)
     assert srg_check_explicit(s).status is VerdictStatus.NONTRIVIAL_SRG
-    monkeypatch.setattr(srg_module, "common_neighbor_matrix", perturbed)
-    assert srg_check_explicit(s).status is VerdictStatus.NOT_SRG
-    with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
-        certify(s, EXPLICIT_MAX_N)
+    honest = explicit_module._band_product
+    # one entry strictly below the diagonal of the diagonal block of band 5:10
+    # (the product computes both orders there), and one right of band 10:15's
+    # diagonal block
+    below = next((x, y) for x in range(5, 10) for y in range(5, x) if adjacency[x, y] == adjacent)
+    later = next((x, 15) for x in range(10, 15) if adjacency[x, 15] == adjacent)
+    for x, y in (below, later):
+
+        def perturbed(a, r0, r1, x=x, y=y):
+            band = honest(a, r0, r1)
+            if r0 <= x < r1:
+                band[x - r0, y - r0] += 1
+            return band
+
+        monkeypatch.setattr(explicit_module, "_band_product", perturbed)
+        assert srg_check_explicit(s).status is VerdictStatus.NOT_SRG, (x, y)
+        with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
+            certify(s, EXPLICIT_MAX_N)
+
+
+def test_dense_check_peak_allocation_at_n12():
+    s = OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12})
+    srg_check_explicit(OrbitIndexSet.of(4, {1, 4}))  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        verdict = srg_check_explicit(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
+    # the bool adjacency (4^n B) and its float32 copy (4 * 4^n B) plus one band
+    # of the product and its reads (about 0.9 * 4^n B at n = 12); the whole
+    # float32 count matrix beside them would be 9 * 4^n B
+    assert peak < 7 * 4**s.n, peak / 4**s.n
 
 
 def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
