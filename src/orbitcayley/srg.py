@@ -341,13 +341,15 @@ def _spectral_verdict(s: OrbitIndexSet, values: Sequence[int]) -> SrgVerdict:
 
 
 def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
-    """Full brute force: build the graph and count common neighbors of every pair.
+    """Brute force on the explicit graph: BFS connectivity, degrees, and lambda and mu.
 
-    Every ordered pair is compared: ``common_neighbor_constants`` reads the
-    upper triangle of the count matrix after checking that the adjacency is
-    symmetric, so each pair (y, x) with y > x is read as (x, y).  Lambda is
-    read over all adjacent pairs and mu over all other pairs of distinct
-    vertices.
+    ``common_neighbor_constants`` first checks on the matrix that the graph
+    is a Cayley graph of Z2^n (A[x, y] = A[0, x XOR y] for every entry), so
+    the common-neighbour count of any pair (x, y) equals that of
+    (0, x XOR y); it then reads lambda over the neighbours of vertex 0 and
+    mu over its other vertices, which covers every ordered pair.  A failed
+    premise raises ConsistencyError naming the set, the entry and both
+    values.  The all-pairs product is the test oracle of this route.
     """
     graph = ExplicitGraph.build(s)
     adjacency = graph.adjacency
@@ -357,7 +359,10 @@ def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
     degrees = graph.degrees()
     if (degrees == size - 1).all():
         return SrgVerdict(VerdictStatus.COMPLETE)
-    lam, mu = common_neighbor_constants(adjacency)
+    try:
+        lam, mu = common_neighbor_constants(adjacency)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"dense route on {s.format()}: {exc}") from exc
     if degrees.min() != degrees.max() or lam is None or mu is None:
         return SrgVerdict(VerdictStatus.NOT_SRG)
     # the complement is copied only for an SRG, where it decides trivial/nontrivial

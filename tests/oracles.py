@@ -15,6 +15,11 @@ the independent check of one fast route.
   that the complement of the odd-weight graph splits into two cliques:
   the shape behind the trivial verdict, which ``srg`` reads from complement
   connectivity alone.
+- ``all_pairs_common_neighbor_constants``: lambda and mu read from the
+  common-neighbour count of every pair, by a float32 product in row bands
+  of the upper triangle after checking that A is symmetric, the check of
+  ``explicit.common_neighbor_constants``, which reads them from vertex 0
+  alone under the Cayley premise it verifies.
 
 The tests directory has no ``__init__.py``, so pytest's default
 ``prepend`` import mode puts it on ``sys.path`` and ``from oracles import``
@@ -25,11 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from orbitcayley.core import Gf2Vector, OrbitIndexSet
+from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet
 from orbitcayley.explicit import ExplicitGraph, connected_component
 
 PAIR_COUNT_ORACLE_MAX_N = 20
 NAIVE_WHT_MAX_N = 8
+FLOAT32_EXACT_MAX = 1 << 24  # float32 holds every integer up to 2^24 exactly
+_BAND_BYTES = 1 << 23  # bound on one float32 band of the common-neighbour product
 
 
 def pair_count_oracle(s: OrbitIndexSet, v: Gf2Vector) -> int:
@@ -97,3 +104,66 @@ def connected_components(adjacency: np.ndarray) -> list[np.ndarray]:
         out.append(np.flatnonzero(mask))
         seen |= mask
     return out
+
+
+def all_pairs_common_neighbor_constants(adjacency: np.ndarray) -> tuple[int | None, int | None]:
+    """(lambda, mu) as ``explicit.common_neighbor_constants`` returns them, from every pair.
+
+    The counts are the dot products of the neighbourhood rows, taken in row
+    bands r0:r1 of the upper triangle, band = a[r0:r1] @ a[r0:].T on one
+    float32 copy a of A, so the 2^n x 2^n count matrix is never formed.  A
+    band holds at most _BAND_BYTES (one band for n <= 8).  Every partial sum
+    is a count of at most N vertices, so float32 is exact while N < 2^24; a
+    larger matrix raises ValueError before anything is allocated.  A is
+    first checked to be symmetric, so the columns y >= r0 of rows r0:r1
+    cover every ordered pair; an asymmetric entry raises ConsistencyError
+    naming the pair before any product is formed.
+    """
+    size = adjacency.shape[0]
+    if size >= FLOAT32_EXACT_MAX:
+        raise ValueError(f"{size} vertices exceed the float32-exact bound {FLOAT32_EXACT_MAX}")
+    rows = max(1, _BAND_BYTES // (4 * size))
+    _check_symmetric(adjacency, rows)
+    a = adjacency.astype(np.float32)
+    # running (min, max) of each class; min > max while no pair of it is read
+    lam = mu = (np.inf, -np.inf)
+    for r0 in range(0, size, rows):
+        band = _band_product(a, r0, min(r0 + rows, size))
+        upper = adjacency[r0 : r0 + rows, r0:]
+        other = ~upper
+        np.fill_diagonal(other, False)  # entry (i, i) of the band is the pair (r0 + i, r0 + i)
+        lam = _widen(lam, band[upper])
+        mu = _widen(mu, band[other])
+        del band, other  # free this band before the next one is formed
+    return tuple(int(lo) if lo == hi else None for lo, hi in (lam, mu))
+
+
+def _check_symmetric(adjacency: np.ndarray, rows: int) -> None:
+    """Raise ConsistencyError naming the first pair (x, y), x < y, found with A[x, y] != A[y, x].
+
+    Compared over the upper triangle in square tiles of ``rows`` rows, so
+    each transposed read stays within one tile.
+    """
+    size = adjacency.shape[0]
+    for r0 in range(0, size, rows):
+        for c0 in range(r0, size, rows):
+            tile = adjacency[r0 : r0 + rows, c0 : c0 + rows]
+            mismatch = tile != adjacency[c0 : c0 + rows, r0 : r0 + rows].T
+            if mismatch.any():
+                i, j = np.argwhere(mismatch)[0]
+                raise ConsistencyError(
+                    f"adjacency is not symmetric: entry ({r0 + i}, {c0 + j}) "
+                    "differs from its transpose"
+                )
+
+
+def _band_product(a: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Common-neighbour counts of rows r0:r1 against the columns y >= r0, as float32."""
+    return a[r0:r1] @ a[r0:].T
+
+
+def _widen(extremes: tuple[float, float], values: np.ndarray) -> tuple[float, float]:
+    """The (min, max) pair widened to cover ``values``."""
+    if not values.size:
+        return extremes
+    return min(extremes[0], values.min()), max(extremes[1], values.max())

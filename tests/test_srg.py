@@ -34,7 +34,13 @@ from orbitcayley.srg import (
     srg_check_spectral,
 )
 
-from oracles import connected_components, pair_count_oracle, verify_equitable_partition
+import oracles
+from oracles import (
+    all_pairs_common_neighbor_constants,
+    connected_components,
+    pair_count_oracle,
+    verify_equitable_partition,
+)
 
 
 def test_pair_count_examples():
@@ -200,88 +206,149 @@ def _integer_constants(adjacency):
 
 
 def _band_rows(monkeypatch, size, rows):
-    # bands of ``rows`` rows for a size-vertex matrix, through the byte bound
-    monkeypatch.setattr(explicit_module, "_BAND_BYTES", 4 * size * rows)
+    # oracle bands of ``rows`` rows for a size-vertex matrix, through the byte bound
+    monkeypatch.setattr(oracles, "_BAND_BYTES", 4 * size * rows)
+
+
+def _gather_rows(monkeypatch, size, rows):
+    # translation-gather blocks of ``rows`` rows, through the index-byte bound
+    monkeypatch.setattr(explicit_module, "_GATHER_BLOCK_BYTES", np.intp(0).itemsize * size * rows)
 
 
 def test_common_neighbor_constants_match_integer_product(monkeypatch):
     sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 7) for mask in range(1 << n)]
     rng = random.Random(3)
     sets += [OrbitIndexSet.from_bitmask(8, rng.randrange(1, 1 << 8)) for _ in range(6)]
-    honest = explicit_module._band_product
+    honest = oracles._band_product
     bands = []
 
     def recorded(a, r0, r1):
         bands.append((r0, r1))
         return honest(a, r0, r1)
 
-    monkeypatch.setattr(explicit_module, "_band_product", recorded)
-    default = explicit_module._BAND_BYTES
+    monkeypatch.setattr(oracles, "_band_product", recorded)
+    band_default = oracles._BAND_BYTES
+    gather_default = explicit_module._GATHER_BLOCK_BYTES
     for s in sets:
         adjacency = ExplicitGraph.build(s).adjacency
         size = adjacency.shape[0]
         expected = _integer_constants(adjacency)
-        # one band by default for n <= 8; 3, 5 and 7 rows divide no 2^n, so the
-        # last band is short and the diagonal blocks have ragged edges
+        # one band and one gather block by default for n <= 8; 3, 5 and 7 rows
+        # divide no 2^n, so the last band or block is short and the oracle's
+        # diagonal blocks have ragged edges
         for rows in (None, 3, 5, 7):
             bands.clear()
             if rows is None:
-                monkeypatch.setattr(explicit_module, "_BAND_BYTES", default)
+                monkeypatch.setattr(oracles, "_BAND_BYTES", band_default)
+                monkeypatch.setattr(explicit_module, "_GATHER_BLOCK_BYTES", gather_default)
             else:
                 _band_rows(monkeypatch, size, rows)
-            assert common_neighbor_constants(adjacency) == expected, (s.format(), rows)
+                _gather_rows(monkeypatch, size, rows)
+            assert all_pairs_common_neighbor_constants(adjacency) == expected, (s.format(), rows)
             step = rows or size
             assert bands == [(r0, min(r0 + step, size)) for r0 in range(0, size, step)]
+            assert common_neighbor_constants(adjacency) == expected, (s.format(), rows)
+
+
+def test_common_neighbor_constants_match_the_all_pairs_oracle():
+    # every built adjacency up to n = 8, and at the dense cap one SRG and one
+    # connected set that is not
+    sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 9) for mask in range(1 << n)]
+    sets += [family_construct("s0s1@4m", 3)[0], OrbitIndexSet.of(12, {1, 2, 5})]
+    for s in sets:
+        adjacency = ExplicitGraph.build(s).adjacency
+        expected = all_pairs_common_neighbor_constants(adjacency)
+        assert common_neighbor_constants(adjacency) == expected, s.format()
+    assert expected[1] is None  # n=12;I=1,2,5 is not strongly regular
 
 
 def test_common_neighbor_float32_bound_is_checked_before_any_work():
     # a zero-stride view stands for the 2^24-vertex matrix; nothing large is allocated
     with pytest.raises(ValueError, match="float32-exact bound"):
-        common_neighbor_constants(np.broadcast_to(False, (1 << 24, 1 << 24)))
+        all_pairs_common_neighbor_constants(np.broadcast_to(False, (1 << 24, 1 << 24)))
+
+
+def _six_cycle():
+    cycle = np.roll(np.eye(6, dtype=bool), 1, axis=1)
+    return cycle | cycle.T
 
 
 @pytest.mark.parametrize("entry", [(3, 5), (5, 3)])
 def test_asymmetric_adjacency_raises_before_any_product(monkeypatch, entry):
     # the 6-cycle plus the chord {3, 5} in one direction only, in bands of 2 rows,
     # so the bad entry sits in the second band and off its diagonal tile
-    cycle = np.roll(np.eye(6, dtype=bool), 1, axis=1)
-    adjacency = cycle | cycle.T
+    adjacency = _six_cycle()
     adjacency[entry] = True
 
     def no_product(a, r0, r1):
         pytest.fail(f"band {r0}:{r1} formed before the symmetry check failed")
 
-    monkeypatch.setattr(explicit_module, "_band_product", no_product)
+    monkeypatch.setattr(oracles, "_band_product", no_product)
     _band_rows(monkeypatch, 6, 2)
     with pytest.raises(ConsistencyError, match=r"not symmetric: entry \(3, 5\)"):
+        all_pairs_common_neighbor_constants(adjacency)
+
+
+def test_cayley_premise_on_the_shape_raises_before_any_count(monkeypatch):
+    looped = ExplicitGraph.build(OrbitIndexSet.of(4, {1, 4})).adjacency.copy()
+    looped[0, 0] = True
+
+    def no_block(row0):
+        pytest.fail("a block was read before the premise on the shape failed")
+
+    monkeypatch.setattr(explicit_module, "_translates", no_block)
+    # 6 vertices are no Z2^n, though the 6-cycle is a symmetric, loopless Cayley graph of Z6
+    with pytest.raises(ConsistencyError, match="6 vertices are not a power of two"):
+        common_neighbor_constants(_six_cycle())
+    with pytest.raises(ConsistencyError, match=r"A\[0, 0\] = True"):
+        common_neighbor_constants(looped)
+
+
+@pytest.mark.parametrize(
+    "flip, named",
+    [
+        # off row 0: the flipped entry itself, in the third block of 3 rows
+        ((7, 12), (7, 12)),
+        # in row 0, which every other row is compared with: the first row
+        # that disagrees is row 1, at its translate of column 6
+        ((0, 6), (1, 7)),
+    ],
+)
+def test_cayley_premise_names_the_first_disagreeing_entry(monkeypatch, flip, named):
+    s = OrbitIndexSet.of(4, {1, 4})
+    built = ExplicitGraph.build(s)
+    adjacency = built.adjacency.copy()
+    adjacency[flip] = ~adjacency[flip]
+    x, y = named
+    message = rf"A\[{x}, {y}\] = {adjacency[x, y]} but A\[0, {x ^ y}\] = {adjacency[0, x ^ y]}"
+    assert adjacency[x, y] != adjacency[0, x ^ y]
+    _gather_rows(monkeypatch, 16, 3)
+    with pytest.raises(ConsistencyError, match=message):
         common_neighbor_constants(adjacency)
+    # through the dense route, the error also names the set
+    monkeypatch.setattr(ExplicitGraph, "build", classmethod(lambda cls, t: cls(t, adjacency)))
+    with pytest.raises(ConsistencyError, match=rf"n=4;I=1,4: .*{message}"):
+        srg_check_explicit(s)
 
 
 @pytest.mark.parametrize("adjacent", [True, False])
 def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
-    # bands of 5 rows over 16 vertices: 0:5, 5:10, 10:15, 15:16
+    # one of vertex 0's counts, at a neighbour of 0 (lambda) or at a non-neighbour (mu)
     s = OrbitIndexSet.of(4, {1, 4})
     adjacency = ExplicitGraph.build(s).adjacency
-    _band_rows(monkeypatch, 16, 5)
     assert srg_check_explicit(s).status is VerdictStatus.NONTRIVIAL_SRG
-    honest = explicit_module._band_product
-    # one entry strictly below the diagonal of the diagonal block of band 5:10
-    # (the product computes both orders there), and one right of band 10:15's
-    # diagonal block
-    below = next((x, y) for x in range(5, 10) for y in range(5, x) if adjacency[x, y] == adjacent)
-    later = next((x, 15) for x in range(10, 15) if adjacency[x, 15] == adjacent)
-    for x, y in (below, later):
+    y = next(y for y in range(1, 16) if adjacency[0, y] == adjacent)
+    honest = explicit_module._vertex0_counts
 
-        def perturbed(a, r0, r1, x=x, y=y):
-            band = honest(a, r0, r1)
-            if r0 <= x < r1:
-                band[x - r0, y - r0] += 1
-            return band
+    def perturbed(a):
+        counts = honest(a)
+        counts[y] += 1
+        return counts
 
-        monkeypatch.setattr(explicit_module, "_band_product", perturbed)
-        assert srg_check_explicit(s).status is VerdictStatus.NOT_SRG, (x, y)
-        with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
-            certify(s, EXPLICIT_MAX_N)
+    monkeypatch.setattr(explicit_module, "_vertex0_counts", perturbed)
+    assert srg_check_explicit(s).status is VerdictStatus.NOT_SRG, y
+    with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
+        certify(s, EXPLICIT_MAX_N)
 
 
 def test_dense_check_peak_allocation_at_n12():
@@ -294,10 +361,10 @@ def test_dense_check_peak_allocation_at_n12():
     finally:
         tracemalloc.stop()
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
-    # the bool adjacency (4^n B) and its float32 copy (4 * 4^n B) plus one band
-    # of the product and its reads (about 0.9 * 4^n B at n = 12); the whole
-    # float32 count matrix beside them would be 9 * 4^n B
-    assert peak < 7 * 4**s.n, peak / 4**s.n
+    # the bool adjacency (4^n B), the complement copied for an SRG (4^n B) and
+    # one 1 MB gather block with its reads or the BFS frontier rows; the
+    # all-pairs product would add a float32 copy of A (4 * 4^n B) alone
+    assert peak < 3 * 4**s.n, peak / 4**s.n
 
 
 def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
