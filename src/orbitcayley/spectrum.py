@@ -216,15 +216,19 @@ def _fwht(a: np.ndarray) -> np.ndarray:
 
     Every partial sum is bounded by |f-hat| <= 2^n, so int32 is exact for
     n <= WHT_MAX_N = 24; a longer vector raises ValueError before any work.
+    Each stage saves the low halves in one half-length scratch buffer,
+    allocated once.
     """
     size = a.size
     if size > 1 << WHT_MAX_N:
         raise ValueError(f"transform length {size} exceeds the int32 bound 2^{WHT_MAX_N}")
+    scratch = np.empty(size // 2, dtype=a.dtype)
     h = 1
     while h < size:
         a = a.reshape(-1, 2, h)
         lo, hi = a[:, 0, :], a[:, 1, :]
-        x = lo.copy()
+        x = scratch.reshape(lo.shape)
+        np.copyto(x, lo)
         np.add(x, hi, out=lo)
         np.subtract(x, hi, out=hi)
         a = a.reshape(size)

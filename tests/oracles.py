@@ -20,6 +20,11 @@ the independent check of one fast route.
   of the upper triangle after checking that A is symmetric, the check of
   ``explicit.common_neighbor_constants``, which reads them from vertex 0
   alone under the Cayley premise it verifies.
+- ``column_gather_graph6``: the graph6 string with each column of the
+  upper triangle gathered bit by bit from vertex 0's row through an int64
+  XOR index, packed 6 bits at a time with shifts and ORs, the check of
+  ``graph6.export_graph6``, which copies row prefixes from chunk-permuted
+  translate blocks and packs whole 24-bit groups with ``np.packbits``.
 
 The tests directory has no ``__init__.py``, so pytest's default
 ``prepend`` import mode puts it on ``sys.path`` and ``from oracles import``
@@ -31,12 +36,14 @@ from __future__ import annotations
 import numpy as np
 
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet
-from orbitcayley.explicit import ExplicitGraph, connected_component
+from orbitcayley.explicit import ExplicitGraph, _row0, connected_component
+from orbitcayley.graph6 import _encode_size
 
 PAIR_COUNT_ORACLE_MAX_N = 20
 NAIVE_WHT_MAX_N = 8
 FLOAT32_EXACT_MAX = 1 << 24  # float32 holds every integer up to 2^24 exactly
 _BAND_BYTES = 1 << 23  # bound on one float32 band of the common-neighbour product
+_COLUMN_BLOCK_BITS = 1 << 20  # upper-triangle bits gathered before each pack
 
 
 def pair_count_oracle(s: OrbitIndexSet, v: Gf2Vector) -> int:
@@ -167,3 +174,52 @@ def _widen(extremes: tuple[float, float], values: np.ndarray) -> tuple[float, fl
     if not values.size:
         return extremes
     return min(extremes[0], values.min()), max(extremes[1], values.max())
+
+
+def column_gather_graph6(s: OrbitIndexSet) -> bytes:
+    """graph6 encoding as ``graph6.export_graph6`` returns it, gathered column by column."""
+    size = 1 << s.n
+    header = _encode_size(size)
+    out = np.zeros((size * (size - 1) // 2 + 5) // 6, dtype=np.uint8)
+    _pack_columns(_row0(s), out)
+    return header + out.tobytes()
+
+
+def _pack_columns(row0: np.ndarray, out: np.ndarray) -> None:
+    """Write the graph6 body of the graph x ~ y <=> row0[x ^ y] into ``out``.
+
+    Column j holds bits row0[i ^ j] for i < j.  Columns are gathered into a
+    bit buffer until it holds ``_COLUMN_BLOCK_BITS`` bits; the buffer's
+    whole 6-bit groups are then packed in place with shifts and ORs, and the
+    0-5 bits left over are carried to the front of the buffer for the next
+    block.
+    """
+    size = row0.size
+    row0 = row0.view(np.uint8)
+    # room for the carry (< 6 bits), a block, one more column and the padding (< 6 bits)
+    bits = np.zeros(_COLUMN_BLOCK_BITS + size + 12, dtype=np.uint8)
+    index = np.empty(size, dtype=np.intp)
+    xs = np.arange(size)
+    fill = written = 0
+    for j in range(1, size):
+        np.bitwise_xor(xs[:j], j, out=index[:j])
+        # indices are in range by construction; "clip" skips the buffered copy of "raise"
+        np.take(row0, index[:j], out=bits[fill : fill + j], mode="clip")
+        fill += j
+        last = j == size - 1
+        if fill < _COLUMN_BLOCK_BITS and not last:
+            continue
+        if last:
+            bits[fill : fill + 5] = 0
+            fill += (-fill) % 6
+        whole = fill - fill % 6
+        groups = bits[:whole].reshape(-1, 6)
+        chars = out[written : written + whole // 6]
+        chars[:] = groups[:, 0]
+        for b in range(1, 6):
+            chars <<= 1
+            chars |= groups[:, b]
+        chars += 63
+        written += whole // 6
+        bits[: fill - whole] = bits[whole:fill]
+        fill -= whole

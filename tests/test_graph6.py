@@ -13,6 +13,7 @@ import orbitcayley.graph6 as graph6_module
 from orbitcayley.core import OrbitIndexSet
 from orbitcayley.explicit import ExplicitGraph
 from orbitcayley.graph6 import EXPORT_MAX_N, _encode_size, decode_graph6, export_graph6
+from oracles import column_gather_graph6
 
 
 def _reference_graph6(s):
@@ -114,6 +115,18 @@ def test_streamed_packing_matches_reference_encoder():
             assert export_graph6(s) == _reference_graph6(s), s.format()
 
 
+def test_packing_matches_the_column_gather_oracle():
+    # every set up to n = 7; at odd n, N is no square, so a block never has
+    # as many column chunks as rows; n = 13 and 14 bodies span 32 and 128
+    # bit-buffer blocks
+    sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 8) for mask in range(1 << n)]
+    rng = random.Random(17)
+    for n, count in ((9, 3), (11, 3), (13, 3), (14, 1)):
+        sets += [OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n)) for _ in range(count)]
+    for s in sets:
+        assert export_graph6(s) == column_gather_graph6(s), s.format()
+
+
 @pytest.mark.parametrize("block_bits", [1, 5, 7, 64, 1000])
 def test_streamed_packing_with_small_blocks(monkeypatch, block_bits):
     # blocks far smaller than a column, and boundaries off every multiple of 6
@@ -140,9 +153,10 @@ def test_export_peak_allocation_stays_within_budget():
     assert len(blob) == out_bytes
     # Live at once, at most:
     #   the packed output buffer, returned without a copy          out_bytes
-    #   the bit buffer: carry, one block, one column, padding     _BLOCK_BITS + size + 12
-    #   the int64 column index and arange                         16 * size
-    # The margin covers the int32 indicator and bool row of vertex 0 (5 * size)
+    #   the bit buffer: one block and one row, within              _BLOCK_BITS + size + 12
+    #   the first block of 8 rows and one translate block          16 * size
+    # The margin covers the int32 indicator and bool row of vertex 0 (5 * size),
+    # the packbits temporaries of one 2^17-bit sub-chunk (about 2^14 B each)
     # and interpreter bookkeeping.  An encoder that builds the whole triangle
     # holds N(N-1)/2 = 8.4 MB of bits in several copies, far over this budget.
     block = graph6_module._BLOCK_BITS + size + 12 + 16 * size

@@ -13,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitcayley.explicit as explicit_module
+import orbitcayley.graph6 as graph6_module
 import orbitcayley.srg as srg_module
 from orbitcayley.census import census
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, binom
 from orbitcayley.explicit import EXPLICIT_MAX_N, ExplicitGraph, common_neighbor_constants
+from orbitcayley.graph6 import export_graph6
 from orbitcayley.srg import (
     FAMILIES,
     NONTRIVIAL_FAMILY_KEYS,
@@ -211,8 +213,11 @@ def _band_rows(monkeypatch, size, rows):
 
 
 def _gather_rows(monkeypatch, size, rows):
-    # translation-gather blocks of ``rows`` rows, through the index-byte bound
-    monkeypatch.setattr(explicit_module, "_GATHER_BLOCK_BYTES", np.intp(0).itemsize * size * rows)
+    # translate blocks of ``rows`` rows (a power of two) for a size-vertex matrix,
+    # through the byte bound on one block step: 4 bool blocks and a rows x rows index
+    step = rows * (4 * size + np.intp(0).itemsize * rows)
+    monkeypatch.setattr(explicit_module, "_GATHER_BLOCK_BYTES", step)
+    assert explicit_module._block_rows(size) == min(rows, size)
 
 
 def test_common_neighbor_constants_match_integer_product(monkeypatch):
@@ -233,21 +238,42 @@ def test_common_neighbor_constants_match_integer_product(monkeypatch):
         adjacency = ExplicitGraph.build(s).adjacency
         size = adjacency.shape[0]
         expected = _integer_constants(adjacency)
-        # one band and one gather block by default for n <= 8; 3, 5 and 7 rows
-        # divide no 2^n, so the last band or block is short and the oracle's
-        # diagonal blocks have ragged edges
-        for rows in (None, 3, 5, 7):
+        # one band and one gather block by default for n <= 8; oracle bands of
+        # 3, 5 and 7 rows divide no 2^n, so the last band is short and the
+        # diagonal blocks have ragged edges; translate blocks of 1, 2 and 4
+        # rows split every matrix with n >= 3 into several blocks, each a
+        # chunk permutation of the first
+        for rows, block in ((None, None), (3, 1), (5, 2), (7, 4)):
             bands.clear()
             if rows is None:
                 monkeypatch.setattr(oracles, "_BAND_BYTES", band_default)
                 monkeypatch.setattr(explicit_module, "_GATHER_BLOCK_BYTES", gather_default)
             else:
                 _band_rows(monkeypatch, size, rows)
-                _gather_rows(monkeypatch, size, rows)
+                _gather_rows(monkeypatch, size, block)
             assert all_pairs_common_neighbor_constants(adjacency) == expected, (s.format(), rows)
             step = rows or size
             assert bands == [(r0, min(r0 + step, size)) for r0 in range(0, size, step)]
-            assert common_neighbor_constants(adjacency) == expected, (s.format(), rows)
+            assert common_neighbor_constants(adjacency) == expected, (s.format(), block)
+
+
+def test_every_translate_block_shape_gives_the_same_results(monkeypatch):
+    # every power-of-two block from 1 row to N, in the dense build, the
+    # premise pass and the graph6 encoder, against their default blocks
+    sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 7) for mask in range(1 << n)]
+    sets.append(OrbitIndexSet.of(9, {1, 4, 6, 9}))
+    for s in sets:
+        size = 1 << s.n
+        adjacency = ExplicitGraph.build(s).adjacency
+        constants = common_neighbor_constants(adjacency)
+        blob = export_graph6(s)
+        for k in range(s.n + 1):
+            _gather_rows(monkeypatch, size, 1 << k)
+            monkeypatch.setattr(graph6_module, "_PACK_ROWS", 1 << k)
+            assert np.array_equal(ExplicitGraph.build(s).adjacency, adjacency), (s.format(), k)
+            assert common_neighbor_constants(adjacency) == constants, (s.format(), k)
+            assert export_graph6(s) == blob, (s.format(), k)
+        monkeypatch.undo()
 
 
 def test_common_neighbor_constants_match_the_all_pairs_oracle():
@@ -307,7 +333,8 @@ def test_cayley_premise_on_the_shape_raises_before_any_count(monkeypatch):
 @pytest.mark.parametrize(
     "flip, named",
     [
-        # off row 0: the flipped entry itself, in the third block of 3 rows
+        # off row 0: the flipped entry itself, in the second block of 4 rows
+        # and its fourth column chunk, a copy of the first block's third
         ((7, 12), (7, 12)),
         # in row 0, which every other row is compared with: the first row
         # that disagrees is row 1, at its translate of column 6
@@ -322,12 +349,29 @@ def test_cayley_premise_names_the_first_disagreeing_entry(monkeypatch, flip, nam
     x, y = named
     message = rf"A\[{x}, {y}\] = {adjacency[x, y]} but A\[0, {x ^ y}\] = {adjacency[0, x ^ y]}"
     assert adjacency[x, y] != adjacency[0, x ^ y]
-    _gather_rows(monkeypatch, 16, 3)
+    _gather_rows(monkeypatch, 16, 4)
     with pytest.raises(ConsistencyError, match=message):
         common_neighbor_constants(adjacency)
     # through the dense route, the error also names the set
     monkeypatch.setattr(ExplicitGraph, "build", classmethod(lambda cls, t: cls(t, adjacency)))
     with pytest.raises(ConsistencyError, match=rf"n=4;I=1,4: .*{message}"):
+        srg_check_explicit(s)
+
+
+def test_cayley_premise_fails_in_a_permuted_chunk(monkeypatch):
+    # n = 9 takes 2 default blocks of 256 rows; the flip sits in the second
+    # block, in its second column chunk, a copy of the first block's first
+    s = OrbitIndexSet.of(9, {1, 4, 6, 9})
+    adjacency = ExplicitGraph.build(s).adjacency.copy()
+    rows = explicit_module._block_rows(adjacency.shape[0])
+    assert rows == 256
+    x, y = rows + 3, rows + 133
+    adjacency[x, y] = ~adjacency[x, y]
+    message = rf"A\[{x}, {y}\] = {adjacency[x, y]} but A\[0, {x ^ y}\] = {adjacency[0, x ^ y]}"
+    with pytest.raises(ConsistencyError, match=message):
+        common_neighbor_constants(adjacency)
+    monkeypatch.setattr(ExplicitGraph, "build", classmethod(lambda cls, t: cls(t, adjacency)))
+    with pytest.raises(ConsistencyError, match=rf"n=9;I=1,4,6,9: .*{message}"):
         srg_check_explicit(s)
 
 
@@ -362,7 +406,7 @@ def test_dense_check_peak_allocation_at_n12():
         tracemalloc.stop()
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
     # the bool adjacency (4^n B), the complement copied for an SRG (4^n B) and
-    # one 1 MB gather block with its reads or the BFS frontier rows; the
+    # one block step of at most 1 MB or the BFS frontier rows; the
     # all-pairs product would add a float32 copy of A (4 * 4^n B) alone
     assert peak < 3 * 4**s.n, peak / 4**s.n
 
