@@ -10,7 +10,6 @@ from .core import (
     expand_family,
     is_connected,
 )
-from .explicit import ExplicitGraph
 from .graph6 import decode_graph6, export_graph6
 from .identities import (
     IDENTITY_IDS,
@@ -48,7 +47,6 @@ __all__ = [
     "CensusRecord",
     "ConsistencyError",
     "DistinctSpectrum",
-    "ExplicitGraph",
     "FAMILIES",
     "Gf2Vector",
     "IDENTITY_IDS",

@@ -1,44 +1,46 @@
-"""Dense adjacency for small orbit Cayley graphs and brute-force graph primitives.
+"""The dense route of Cayley graphs of Z2^n, read from the adjacency row of vertex 0.
 
 Vertices are the 2^n integers; x ~ y iff the weight of x XOR y belongs to
-the index set.  The graph is a Cayley graph of Z2^n, so every translation
-z -> z XOR x is an automorphism.  ``common_neighbor_constants`` first
-checks that premise on the explicit matrix, A[x, y] = A[0, x XOR y] for
-every entry, and then reads lambda and mu from the common-neighbour counts
-of vertex 0 alone, in O(4^n).  The all-pairs product it replaces is the
-test oracle ``all_pairs_common_neighbor_constants`` in ``tests/oracles.py``.
+the index set, that is, iff row0[x XOR y] for the 0/1 row of vertex 0.
+Every translation z -> z XOR x is an automorphism, so the row of x is
+row 0 translated by x, and the route never holds the 2^n x 2^n matrix:
 
-The same structure builds the matrix.  In an aligned block of B = 2^k rows
-starting at x0, the rows are the first block's rows with their B-wide
-column chunks permuted by h -> h XOR (x0 / B) (``_translates``).  Row i
-of the first block is row 0 with the entries of each B-wide chunk
-permuted by l -> i XOR l, so the whole first block is one gather through
-a B x B XOR index.  The build and the premise pass index single bytes for
-the first block only, and copy contiguous B-byte chunks of it for every
-later block.  At n = 12 (blocks of 32 rows) the build takes about
-3 ms and the premise pass with its counts about 15 ms (best of 5, 2-vCPU
-host, numpy 2.4.6).
+- connectivity: the support of row 0 spans GF(2)^n (``spans``), and the
+  same test on the complement's support tells trivial from nontrivial;
+- degree: the number of ones in row 0;
+- lambda and mu: the common-neighbour counts of vertex 0 with every y
+  (``row0_constants``), each row ANDed with row 0 and summed.
+
+The translated rows come in aligned blocks of B = 2^k rows.  The block
+starting at x0 is the first block with its B-wide column chunks permuted
+by h -> h XOR (x0 / B) (``_translates``), so every later block copies
+contiguous B-byte chunks of the first.  The first block is built by
+doubling (``_first_block``): rows h..2h-1 are rows 0..h-1 with the halves
+of every 2h-wide chunk swapped.  ``graph6`` encodes from the same blocks.
+The matrix build, breadth-first search and the check
+A[x, y] = A[0, x XOR y] on every entry are the test oracles of this
+route, in ``tests/oracles.py``.  One ``srg_check_explicit`` takes about
+4 ms at n = 12 and 0.1 s at n = 14 (best of 7, 2-vCPU host, numpy 2.4.6);
+the matrix route took 36-50 ms at n = 12.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .core import ConsistencyError, OrbitIndexSet
+from .core import OrbitIndexSet
 from .spectrum import _indicator
 
-# the dense route holds the bool adjacency, 4^n bytes, plus one block step
-# of at most 1 MB (see _GATHER_BLOCK_BYTES); the BFS frontier rows
-# and, for an SRG, the complement copy raise it to about 2.5 * 4^n: 40 MB
-# traced at n = 12, so about 670 MB at n = 14
-EXPLICIT_MAX_N = 12
-# bound on one block step of B rows: the first block, one translate block,
-# the premise pass's two bool temporaries (4 * B * 2^n bytes) and the B x B
-# int64 index of the first gather; one block for n <= 8, 32 rows at n = 12
-_GATHER_BLOCK_BYTES = 1 << 20
+# the dense route holds row 0 and its uint16 counts, 3 * 2^n bytes, and one
+# block step of at most 0.5 MB (see _GATHER_BLOCK_BYTES): 0.5 MB traced at
+# n = 14; the uint16 counts would allow n = 15, at 4 times the work
+EXPLICIT_MAX_N = 14
+# bound on one block step of B rows: the first block, one translate block
+# and its AND with row 0, 3 * B * 2^n bytes; one block for n <= 8, 32 rows
+# at n = 12, 8 rows at n = 14
+_GATHER_BLOCK_BYTES = 1 << 19
 
 
 def _row0(s: OrbitIndexSet) -> np.ndarray:
@@ -49,7 +51,7 @@ def _row0(s: OrbitIndexSet) -> np.ndarray:
 def _block_rows(size: int) -> int:
     """The largest power of two B <= size whose block step fits in _GATHER_BLOCK_BYTES."""
     rows = size
-    while rows > 1 and rows * (4 * size + np.intp(0).itemsize * rows) > _GATHER_BLOCK_BYTES:
+    while rows > 1 and 3 * rows * size > _GATHER_BLOCK_BYTES:
         rows //= 2
     return rows
 
@@ -57,144 +59,95 @@ def _block_rows(size: int) -> int:
 def _first_block(row0: np.ndarray, rows: int) -> np.ndarray:
     """F[i, y] = row0[i XOR y] for i < rows; rows is a power of two dividing N.
 
-    For y = h * rows + l with l < rows, i XOR y = h * rows + (i XOR l), so
-    one gather through the rows x rows index i XOR l fills every column
-    chunk h, in [h, i, l] order; a transposing copy puts it in [i, h, l]
-    order, and is a free reshape when rows = N.
+    Built by doubling: for i < h, (i + h) XOR y = i XOR (y XOR h), and
+    y -> y XOR h swaps the two halves of every 2h-wide column chunk, so
+    rows h..2h-1 are rows 0..h-1 with those halves swapped.  No index
+    array is formed.
     """
-    ls = np.arange(rows)
-    # indices are in range by construction; "clip" skips the buffered copy of "raise"
-    by_chunk = np.take(row0.reshape(-1, rows), ls[:, None] ^ ls, axis=1, mode="clip")
-    return np.ascontiguousarray(by_chunk.transpose(1, 0, 2)).reshape(rows, -1)
+    first = np.empty((rows, row0.size), dtype=row0.dtype)
+    first[0] = row0
+    h = 1
+    while h < rows:
+        halves = first[:h].reshape(h, -1, 2, h)
+        first[h : 2 * h].reshape(halves.shape)[...] = halves[:, :, ::-1]
+        h *= 2
+    return first
 
 
-def _translates(
-    row0: np.ndarray, out: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
+def _translates(row0: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (x0, rows) with rows[i, y] = row0[(x0 + i) XOR y], covering x0 + i = 0..N-1.
 
     N = len(row0) must be a power of two, so that every x XOR y indexes
     row0.  Blocks are B = ``_block_rows(N)`` rows starting at multiples of
     B.  Write y = h * B + l with l < B; then (x0 + i) XOR y = (h XOR c) * B
     + (i XOR l) for block c = x0 / B, so block c is the first block F with
-    its B-wide column chunks permuted by h -> h XOR c.  F takes one gather
-    of single bytes (``_first_block``); every later block is a gather of
-    contiguous B-byte chunks of F.  With ``out``, an N x N array, each block
-    is written into its rows of ``out`` and the yielded rows are views of it.
+    its B-wide column chunks permuted by h -> h XOR c.  F is built by
+    doubling (``_first_block``); every later block is a gather of
+    contiguous B-byte chunks of F.
     """
     size = row0.size
     rows = _block_rows(size)
     chunks = size // rows
     first = _first_block(row0, rows)
-    if out is not None:
-        out[:rows] = first
-        first = out[:rows]
     yield 0, first
     by_chunk = first.reshape(rows, chunks, rows)
     hs = np.arange(chunks)
     for c in range(1, chunks):
-        target = None if out is None else out[c * rows : (c + 1) * rows].reshape(by_chunk.shape)
-        block = np.take(by_chunk, hs ^ c, axis=1, out=target, mode="clip")
+        block = np.take(by_chunk, hs ^ c, axis=1, mode="clip")
         yield c * rows, block.reshape(rows, size)
 
 
-@dataclass(frozen=True)
-class ExplicitGraph:
-    """The 2^n-vertex graph as a dense boolean adjacency matrix."""
+def spans(row: np.ndarray) -> bool:
+    """Whether the support of ``row``, a 0/1 row of length N = 2^n, spans GF(2)^n.
 
-    index_set: OrbitIndexSet
-    adjacency: np.ndarray
-
-    @classmethod
-    def build(cls, s: OrbitIndexSet) -> ExplicitGraph:
-        """Raises ValueError before any allocation when n exceeds EXPLICIT_MAX_N."""
-        if s.n > EXPLICIT_MAX_N:
-            raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
-        size = 1 << s.n
-        row0 = _row0(s)  # before the matrix, like graph6.export_graph6
-        adjacency = np.empty((size, size), dtype=bool)
-        for _ in _translates(row0, out=adjacency):
-            pass
-        adjacency.setflags(write=False)
-        return cls(s, adjacency)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.index_set.n
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
-
-
-def connected_component(adjacency: np.ndarray, start: int = 0) -> np.ndarray:
-    """Boolean mask of the component containing ``start`` (frontier BFS)."""
-    size = adjacency.shape[0]
-    visited = np.zeros(size, dtype=bool)
-    visited[start] = True
-    frontier = adjacency[start].copy()
-    frontier[start] = False
-    while frontier.any():
-        visited |= frontier
-        frontier = adjacency[frontier].any(axis=0) & ~visited
-    return visited
-
-
-def is_connected_adjacency(adjacency: np.ndarray) -> bool:
-    return bool(connected_component(adjacency).all())
-
-
-def complement_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    comp = ~adjacency
-    np.fill_diagonal(comp, False)
-    return comp
-
-
-def common_neighbor_constants(adjacency: np.ndarray) -> tuple[int | None, int | None]:
-    """(lambda, mu): the common-neighbour count of every adjacent pair and of every
-    other pair of distinct vertices, each None unless those counts hold exactly one value.
-
-    ``_vertex0_counts`` first checks the Cayley premise A[x, y] = A[0, x XOR y]
-    on every entry.  Under it the common neighbours of (x, y) are those of
-    (0, x XOR y), by the substitution u = x XOR z in sum_z A[x, z] A[y, z],
-    and (x, y) is adjacent iff (0, x XOR y) is.  So lambda is read from
-    vertex 0's counts over the y adjacent to 0, and mu over the other y != 0,
-    and together they cover every ordered pair of distinct vertices.
+    Cay(Z2^n, S) is connected iff S generates Z2^n, that is, spans
+    GF(2)^n.  Gaussian elimination over the n bits: at bit b (from 0 up)
+    one remaining vector with bit b set is the pivot, and it is XORed into
+    every vector with bit b set, the pivot included, which clears bit b
+    from all of them.  If some bit finds no pivot, the pivots so far and
+    the remaining vectors (all zero on bits 0..b) span at most n - 1
+    dimensions; so S spans GF(2)^n iff every bit finds one.
     """
-    counts = _vertex0_counts(adjacency)
-    adjacent = adjacency[0]
-    other = ~adjacent
+    vectors = np.flatnonzero(row)
+    for b in range(row.size.bit_length() - 1):
+        has_bit = (vectors & (1 << b)) != 0
+        if not has_bit.any():
+            return False
+        np.bitwise_xor(vectors, vectors[np.argmax(has_bit)], out=vectors, where=has_bit)
+    return True
+
+
+def row0_constants(row0: np.ndarray) -> tuple[int | None, int | None]:
+    """(lambda, mu) of Cay(Z2^n, S) for row0 = the 0/1 row of S: the common-neighbour
+    count of every adjacent pair and of every other pair of distinct vertices, each
+    None unless those counts hold exactly one value.
+
+    Translation by x is an automorphism, so the common neighbours of (x, y)
+    are those of (0, x XOR y), and (x, y) is adjacent iff (0, x XOR y) is.
+    So lambda is read from vertex 0's counts over the y adjacent to 0, and
+    mu over the other y != 0, and together they cover every ordered pair of
+    distinct vertices.
+    """
+    counts = _row0_counts(row0)
+    other = ~row0
     other[0] = False
-    return _constant(counts[adjacent]), _constant(counts[other])
+    return _constant(counts[row0]), _constant(counts[other])
 
 
-def _vertex0_counts(adjacency: np.ndarray) -> np.ndarray:
-    """Common neighbours of vertex 0 and each y, after checking A[x, y] = A[0, x XOR y].
+def _row0_counts(row0: np.ndarray) -> np.ndarray:
+    """counts[y] = sum_z row0[z] row0[y XOR z], the common neighbours of 0 and y, as uint16.
 
-    N must be a power of two and A[0, 0] False, or ConsistencyError is
-    raised before any block is read.  Then each block of rows is compared
-    with row 0 translated by XOR (``_translates``, the chunk-permuted blocks
-    that ``ExplicitGraph.build`` writes); the first mismatch raises ConsistencyError
-    naming (x, y) and both values.  The premise implies that A is symmetric
-    with a False diagonal.  Each count is an exact integer of at most N.
+    Row y of the graph is row0 translated by y, so each block of rows from
+    ``_translates`` is ANDed with row0 and summed along its rows.  Each
+    count and partial sum is at most N, so uint16 is exact while
+    N <= 2^16 - 1; a longer row raises ValueError before any block is formed.
     """
-    size = adjacency.shape[0]
-    if size & (size - 1):
-        raise ConsistencyError(f"{size} vertices are not a power of two, so not Z2^n")
-    row0 = adjacency[0]
-    if row0[0]:
-        raise ConsistencyError("A[0, 0] = True: vertex 0 is adjacent to itself")
-    counts = np.empty(size, dtype=np.intp)
-    for x0, expected in _translates(row0):
-        rows = adjacency[x0 : x0 + len(expected)]
-        mismatch = rows != expected
-        if mismatch.any():
-            i, y = np.argwhere(mismatch)[0]
-            x = x0 + i
-            raise ConsistencyError(
-                f"adjacency is not a Cayley graph of Z2^n: A[{x}, {y}] = {rows[i, y]} "
-                f"but A[0, {x ^ y}] = {expected[i, y]}"
-            )
-        counts[x0 : x0 + len(rows)] = np.count_nonzero(rows & row0, axis=1)
+    size = row0.size
+    if size > np.iinfo(np.uint16).max:
+        raise ValueError(f"{size} vertices exceed the uint16 count bound 2^16 - 1")
+    counts = np.empty(size, dtype=np.uint16)
+    for x0, rows in _translates(row0):
+        np.add.reduce(rows & row0, axis=1, dtype=np.uint16, out=counts[x0 : x0 + len(rows)])
     return counts
 
 

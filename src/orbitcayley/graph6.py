@@ -9,8 +9,8 @@ each the first block of ``explicit._translates`` with its column chunks
 permuted, and copies each row's prefix into a bit buffer.  Each full
 buffer is packed into one preallocated output by ``np.packbits`` in whole
 24-bit groups, 3 bytes splitting into 4 characters.  Neither the matrix
-nor its N(N-1)/2-bit upper triangle is ever built, and no index is larger
-than 8 x 8.  One export takes
+nor its N(N-1)/2-bit upper triangle is ever built, and the only index is
+the chunk order of one block, N/8 entries.  One export takes
 about 10 ms at n = 12 and 100-150 ms at n = 14 (best of 3-5, 2-vCPU host,
 numpy 2.4.6).  The test oracle ``column_gather_graph6`` gathers each column
 bit by bit through an int64 XOR index instead.

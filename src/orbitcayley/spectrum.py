@@ -211,28 +211,65 @@ def _indicator(s: OrbitIndexSet) -> np.ndarray:
     return lut[_weight_table(s.n)]
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place butterfly transform of a 0/1 vector of length 2^n.
+# the transform views its vector as a (rows, cols) matrix and reorders it
+# through square tiles of this many entries a side (128 KB of int16)
+_TRANSPOSE_TILE = 256
+# entries of the transform compared at once with their weight class's value
+_COMPARE_CHUNK = 1 << 18
 
-    Every partial sum is bounded by |f-hat| <= 2^n, so int32 is exact for
-    n <= WHT_MAX_N = 24; a longer vector raises ValueError before any work.
-    Each stage saves the low halves in one half-length scratch buffer,
-    allocated once.
+
+def _transpose_into(src: np.ndarray, dst: np.ndarray) -> None:
+    """dst = src.T, copied (and cast) one square tile at a time, so each tile stays in cache."""
+    rows, cols = src.shape
+    for r0 in range(0, rows, _TRANSPOSE_TILE):
+        for c0 in range(0, cols, _TRANSPOSE_TILE):
+            tile = src[r0 : r0 + _TRANSPOSE_TILE, c0 : c0 + _TRANSPOSE_TILE]
+            dst[c0 : c0 + _TRANSPOSE_TILE, r0 : r0 + _TRANSPOSE_TILE] = tile.T
+
+
+def _butterflies(v: np.ndarray, h: int) -> None:
+    """The butterfly stages of half-width h, 2h, ... < v.size, in place.
+
+    Each stage maps a pair (lo, hi) of h-long runs to (lo + hi, lo - hi)
+    without scratch: lo += hi, then hi = lo - 2 hi.
+    """
+    size = v.size
+    while h < size:
+        pairs = v.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0, :], pairs[:, 1, :]
+        np.add(lo, hi, out=lo)
+        np.add(hi, hi, out=hi)
+        np.subtract(lo, hi, out=hi)
+        h *= 2
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard transform of a contiguous 0/1 integer vector of length 2^n.
+
+    The vector is the (rows, cols) matrix x = r * cols + c with
+    cols = 2^floor(n/2).  The stages on the low bits c run on its int16
+    transpose, where they pair runs of at least ``rows`` entries; every
+    value they form, 2 hi included, is a signed sum of at most cols values
+    0/1, so |v| <= cols, and int16 is exact while cols <= 2^15 - 1.  The result is
+    transposed back into ``a`` and the stages on the high bits r pair runs
+    of at least cols entries.  Every partial sum then has |f-hat| <= 2^n,
+    so a's int32 is exact for n <= WHT_MAX_N = 24.  Both bounds are checked
+    before any work, with ValueError.  Beside ``a`` the transform holds the
+    int16 transpose, 2 * 2^n bytes, and no scratch.
     """
     size = a.size
     if size > 1 << WHT_MAX_N:
         raise ValueError(f"transform length {size} exceeds the int32 bound 2^{WHT_MAX_N}")
-    scratch = np.empty(size // 2, dtype=a.dtype)
-    h = 1
-    while h < size:
-        a = a.reshape(-1, 2, h)
-        lo, hi = a[:, 0, :], a[:, 1, :]
-        x = scratch.reshape(lo.shape)
-        np.copyto(x, lo)
-        np.add(x, hi, out=lo)
-        np.subtract(x, hi, out=hi)
-        a = a.reshape(size)
-        h *= 2
+    cols = 1 << (size.bit_length() - 1) // 2
+    rows = size // cols
+    if cols > np.iinfo(np.int16).max:
+        raise ValueError(f"low-bit transform length {cols} exceeds the int16 bound 2^15 - 1")
+    low = np.empty((cols, rows), dtype=np.int16)
+    _transpose_into(a.reshape(rows, cols), low)
+    _butterflies(low, rows)
+    _transpose_into(low, a.reshape(rows, cols))
+    del low
+    _butterflies(a, cols)
     return a
 
 
@@ -240,8 +277,12 @@ def wht_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Oracle spectrum: transform the 0/1 indicator of S over all 2^n points.
 
     Insists that the transform is constant on each weight class before
-    returning: every entry is compared, in one gather, with the entry at
-    2^k - 1 (the lowest index of weight k) for its own weight k.
+    returning: every entry is compared with the entry at 2^k - 1 (the
+    lowest index of weight k) for its own weight k, in chunks of
+    ``_COMPARE_CHUNK`` entries.  A failure names the lowest weight k that
+    fails and the first index x of that weight where it does.  The peak
+    beyond the cached uint8 weight table is the int32 vector and the
+    transform's int16 transpose, 6 * 2^n bytes, plus one chunk.
     """
     if s.n > WHT_MAX_N:
         raise ValueError(f"n={s.n} exceeds the transform cap {WHT_MAX_N}")
@@ -249,10 +290,16 @@ def wht_spectrum(s: OrbitIndexSet) -> Spectrum:
     w = _weight_table(s.n)
     heads = (1 << np.arange(s.n + 1, dtype=np.int64)) - 1
     values = fhat[heads]
-    mismatch = fhat != values[w]
-    if mismatch.any():
-        k = int(w[mismatch].min())
-        x = int(np.flatnonzero(mismatch & (w == k))[0])
+    failure = None  # (k, x) of the lowest failing weight and its first index
+    for start in range(0, fhat.size, _COMPARE_CHUNK):
+        weights = w[start : start + _COMPARE_CHUNK]
+        mismatch = fhat[start : start + _COMPARE_CHUNK] != values[weights]
+        if mismatch.any():
+            k = int(weights[mismatch].min())
+            if failure is None or k < failure[0]:
+                failure = k, start + int(np.flatnonzero(mismatch & (weights == k))[0])
+    if failure is not None:
+        k, x = failure
         raise ConsistencyError(
             f"transform not constant on weight class k={k} of {s.format()}: "
             f"fhat[{heads[k]}]={values[k]} but fhat[{x}]={fhat[x]}"

@@ -26,12 +26,7 @@ from .core import (
     is_connected,
     pascal_row,
 )
-from .explicit import (
-    ExplicitGraph,
-    common_neighbor_constants,
-    complement_adjacency,
-    is_connected_adjacency,
-)
+from .explicit import EXPLICIT_MAX_N, _row0, row0_constants, spans
 from .spectrum import Spectrum, distinct, full_spectrum
 
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
@@ -341,35 +336,33 @@ def _spectral_verdict(s: OrbitIndexSet, values: Sequence[int]) -> SrgVerdict:
 
 
 def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
-    """Brute force on the explicit graph: BFS connectivity, degrees, and lambda and mu.
+    """Brute force on the explicit graph, read from the adjacency row of vertex 0.
 
-    ``common_neighbor_constants`` first checks on the matrix that the graph
-    is a Cayley graph of Z2^n (A[x, y] = A[0, x XOR y] for every entry), so
-    the common-neighbour count of any pair (x, y) equals that of
-    (0, x XOR y); it then reads lambda over the neighbours of vertex 0 and
-    mu over its other vertices, which covers every ordered pair.  A failed
-    premise raises ConsistencyError naming the set, the entry and both
-    values.  The all-pairs product is the test oracle of this route.
+    Connectivity is a GF(2) span of row 0's support, the degree its number
+    of ones, and lambda and mu the literal common-neighbour counts of
+    vertex 0, Sigma_z S(z) S(z XOR y) (``explicit.row0_constants``); every
+    translation is an automorphism, so vertex 0 stands for every vertex.
+    Trivial vs nontrivial is the same span test on the complement's
+    support.  None of these uses the closed forms.  Raises ValueError
+    before any allocation when n exceeds EXPLICIT_MAX_N.
     """
-    graph = ExplicitGraph.build(s)
-    adjacency = graph.adjacency
-    size = graph.size
-    if not is_connected_adjacency(adjacency):
+    if s.n > EXPLICIT_MAX_N:
+        raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
+    row0 = _row0(s)
+    if not spans(row0):
         return SrgVerdict(VerdictStatus.DISCONNECTED)
-    degrees = graph.degrees()
-    if (degrees == size - 1).all():
+    size = row0.size
+    degree = int(np.count_nonzero(row0))
+    if degree == size - 1:
         return SrgVerdict(VerdictStatus.COMPLETE)
-    try:
-        lam, mu = common_neighbor_constants(adjacency)
-    except ConsistencyError as exc:
-        raise ConsistencyError(f"dense route on {s.format()}: {exc}") from exc
-    if degrees.min() != degrees.max() or lam is None or mu is None:
+    lam, mu = row0_constants(row0)
+    if lam is None or mu is None:
         return SrgVerdict(VerdictStatus.NOT_SRG)
-    # the complement is copied only for an SRG, where it decides trivial/nontrivial
-    trivial = not is_connected_adjacency(complement_adjacency(adjacency))
-    status = VerdictStatus.TRIVIAL_SRG if trivial else VerdictStatus.NONTRIVIAL_SRG
-    params = SrgParams(size, int(degrees[0]), lam, mu)
-    return SrgVerdict(status, params, match_families(s))
+    # the complement graph is disconnected exactly for a trivial SRG
+    other = ~row0
+    other[0] = False
+    status = VerdictStatus.NONTRIVIAL_SRG if spans(other) else VerdictStatus.TRIVIAL_SRG
+    return SrgVerdict(status, SrgParams(size, degree, lam, mu), match_families(s))
 
 
 def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:

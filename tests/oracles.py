@@ -7,7 +7,17 @@ the independent check of one fast route.
   closed form ``srg.pair_count`` and of the census table
   ``srg.pair_count_table``.
 - ``wht_naive``: the Walsh-Hadamard transform by direct O(4^n) summation,
-  the check of the butterfly ``spectrum._fwht`` behind ``wht_spectrum``.
+  and ``butterfly_fwht``: the same transform by one numpy butterfly stage
+  per bit in natural order; both check the tiled-transpose transform
+  ``spectrum._fwht`` behind ``wht_spectrum``.
+- ``ExplicitGraph``: the 2^n x 2^n bool adjacency, built block by block
+  from the translate blocks of ``explicit._translates``.
+- ``matrix_srg_check``: the dense verdict from the built matrix, by BFS
+  (``connected_component``), every vertex's degree, the premise pass
+  ``common_neighbor_constants`` and BFS on the complement, the check of
+  ``srg.srg_check_explicit``, which reads everything from row 0 alone.
+  ``common_neighbor_constants`` checks A[x, y] = A[0, x XOR y] on every
+  entry and then counts vertex 0's common neighbours on the matrix.
 - ``verify_equitable_partition``: lambda and mu read off the distance
   partition around one vertex, a fourth route to the verdicts of
   ``certify``'s three.
@@ -18,8 +28,7 @@ the independent check of one fast route.
 - ``all_pairs_common_neighbor_constants``: lambda and mu read from the
   common-neighbour count of every pair, by a float32 product in row bands
   of the upper triangle after checking that A is symmetric, the check of
-  ``explicit.common_neighbor_constants``, which reads them from vertex 0
-  alone under the Cayley premise it verifies.
+  ``common_neighbor_constants`` and of ``explicit.row0_constants``.
 - ``column_gather_graph6``: the graph6 string with each column of the
   upper triangle gathered bit by bit from vertex 0's row through an int64
   XOR index, packed 6 bits at a time with shifts and ORs, the check of
@@ -33,11 +42,16 @@ works from every test module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from orbitcayley import explicit
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet
-from orbitcayley.explicit import ExplicitGraph, _row0, connected_component
+from orbitcayley.explicit import EXPLICIT_MAX_N, _row0
 from orbitcayley.graph6 import _encode_size
+from orbitcayley.spectrum import WHT_MAX_N
+from orbitcayley.srg import SrgParams, SrgVerdict, VerdictStatus, match_families
 
 PAIR_COUNT_ORACLE_MAX_N = 20
 NAIVE_WHT_MAX_N = 8
@@ -67,6 +81,162 @@ def wht_naive(f: np.ndarray, n: int) -> np.ndarray:
                 acc += -1 if (x & y).bit_count() & 1 else 1
         out[y] = acc
     return out
+
+
+def butterfly_fwht(a: np.ndarray) -> np.ndarray:
+    """In-place butterfly transform of a 0/1 vector of length 2^n, one stage per bit.
+
+    Stage h pairs runs of h entries, so the stages with small h run numpy
+    loops of 1 to h elements.  Every partial sum is bounded by
+    |f-hat| <= 2^n, so int32 is exact for n <= WHT_MAX_N; a longer vector
+    raises ValueError before any work.  Each stage saves the low halves in
+    one half-length scratch buffer, allocated once.
+    """
+    size = a.size
+    if size > 1 << WHT_MAX_N:
+        raise ValueError(f"transform length {size} exceeds the int32 bound 2^{WHT_MAX_N}")
+    scratch = np.empty(size // 2, dtype=a.dtype)
+    h = 1
+    while h < size:
+        a = a.reshape(-1, 2, h)
+        lo, hi = a[:, 0, :], a[:, 1, :]
+        x = scratch.reshape(lo.shape)
+        np.copyto(x, lo)
+        np.add(x, hi, out=lo)
+        np.subtract(x, hi, out=hi)
+        a = a.reshape(size)
+        h *= 2
+    return a
+
+
+@dataclass(frozen=True)
+class ExplicitGraph:
+    """The 2^n-vertex graph as a dense boolean adjacency matrix."""
+
+    index_set: OrbitIndexSet
+    adjacency: np.ndarray
+
+    @classmethod
+    def build(cls, s: OrbitIndexSet) -> ExplicitGraph:
+        """Row x is row 0 translated by x, written block by block from ``explicit._translates``.
+
+        Raises ValueError before any allocation when n exceeds EXPLICIT_MAX_N.
+        """
+        if s.n > EXPLICIT_MAX_N:
+            raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
+        size = 1 << s.n
+        row0 = _row0(s)  # before the matrix, like graph6.export_graph6
+        adjacency = np.empty((size, size), dtype=bool)
+        for x0, rows in explicit._translates(row0):
+            adjacency[x0 : x0 + len(rows)] = rows
+        adjacency.setflags(write=False)
+        return cls(s, adjacency)
+
+    @property
+    def size(self) -> int:
+        return 1 << self.index_set.n
+
+    def degrees(self) -> np.ndarray:
+        return self.adjacency.sum(axis=1)
+
+
+def connected_component(adjacency: np.ndarray, start: int = 0) -> np.ndarray:
+    """Boolean mask of the component containing ``start`` (frontier BFS)."""
+    size = adjacency.shape[0]
+    visited = np.zeros(size, dtype=bool)
+    visited[start] = True
+    frontier = adjacency[start].copy()
+    frontier[start] = False
+    while frontier.any():
+        visited |= frontier
+        frontier = adjacency[frontier].any(axis=0) & ~visited
+    return visited
+
+
+def is_connected_adjacency(adjacency: np.ndarray) -> bool:
+    return bool(connected_component(adjacency).all())
+
+
+def complement_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    comp = ~adjacency
+    np.fill_diagonal(comp, False)
+    return comp
+
+
+def matrix_srg_check(s: OrbitIndexSet) -> SrgVerdict:
+    """``srg.srg_check_explicit``'s verdict from the built matrix: BFS connectivity,
+    the degree of every vertex, lambda and mu from ``common_neighbor_constants``
+    (which checks the Cayley premise on every entry first), and BFS on the
+    complement for trivial vs nontrivial.
+
+    A failed premise raises ConsistencyError naming the set, the entry and
+    both values.
+    """
+    graph = ExplicitGraph.build(s)
+    adjacency = graph.adjacency
+    size = graph.size
+    if not is_connected_adjacency(adjacency):
+        return SrgVerdict(VerdictStatus.DISCONNECTED)
+    degrees = graph.degrees()
+    if (degrees == size - 1).all():
+        return SrgVerdict(VerdictStatus.COMPLETE)
+    try:
+        lam, mu = common_neighbor_constants(adjacency)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"dense route on {s.format()}: {exc}") from exc
+    if degrees.min() != degrees.max() or lam is None or mu is None:
+        return SrgVerdict(VerdictStatus.NOT_SRG)
+    trivial = not is_connected_adjacency(complement_adjacency(adjacency))
+    status = VerdictStatus.TRIVIAL_SRG if trivial else VerdictStatus.NONTRIVIAL_SRG
+    params = SrgParams(size, int(degrees[0]), lam, mu)
+    return SrgVerdict(status, params, match_families(s))
+
+
+def common_neighbor_constants(adjacency: np.ndarray) -> tuple[int | None, int | None]:
+    """(lambda, mu) as ``explicit.row0_constants`` returns them, from the matrix.
+
+    ``_vertex0_counts`` first checks the Cayley premise A[x, y] = A[0, x XOR y]
+    on every entry.  Under it the common neighbours of (x, y) are those of
+    (0, x XOR y), by the substitution u = x XOR z in sum_z A[x, z] A[y, z],
+    and (x, y) is adjacent iff (0, x XOR y) is.  So lambda is read from
+    vertex 0's counts over the y adjacent to 0, and mu over the other y != 0.
+    """
+    counts = _vertex0_counts(adjacency)
+    adjacent = adjacency[0]
+    other = ~adjacent
+    other[0] = False
+    return explicit._constant(counts[adjacent]), explicit._constant(counts[other])
+
+
+def _vertex0_counts(adjacency: np.ndarray) -> np.ndarray:
+    """Common neighbours of vertex 0 and each y, after checking A[x, y] = A[0, x XOR y].
+
+    N must be a power of two and A[0, 0] False, or ConsistencyError is
+    raised before any block is read.  Then each block of rows is compared
+    with row 0 translated by XOR (``explicit._translates``); the first
+    mismatch raises ConsistencyError naming (x, y) and both values.  The
+    premise implies that A is symmetric with a False diagonal.  Each count
+    is an exact integer of at most N.
+    """
+    size = adjacency.shape[0]
+    if size & (size - 1):
+        raise ConsistencyError(f"{size} vertices are not a power of two, so not Z2^n")
+    row0 = adjacency[0]
+    if row0[0]:
+        raise ConsistencyError("A[0, 0] = True: vertex 0 is adjacent to itself")
+    counts = np.empty(size, dtype=np.intp)
+    for x0, expected in explicit._translates(row0):
+        rows = adjacency[x0 : x0 + len(expected)]
+        mismatch = rows != expected
+        if mismatch.any():
+            i, y = np.argwhere(mismatch)[0]
+            x = x0 + i
+            raise ConsistencyError(
+                f"adjacency is not a Cayley graph of Z2^n: A[{x}, {y}] = {rows[i, y]} "
+                f"but A[0, {x ^ y}] = {expected[i, y]}"
+            )
+        counts[x0 : x0 + len(rows)] = np.count_nonzero(rows & row0, axis=1)
+    return counts
 
 
 def verify_equitable_partition(graph: ExplicitGraph, v: int) -> list[list[int]] | None:
@@ -114,7 +284,7 @@ def connected_components(adjacency: np.ndarray) -> list[np.ndarray]:
 
 
 def all_pairs_common_neighbor_constants(adjacency: np.ndarray) -> tuple[int | None, int | None]:
-    """(lambda, mu) as ``explicit.common_neighbor_constants`` returns them, from every pair.
+    """(lambda, mu) as ``common_neighbor_constants`` returns them, from every pair.
 
     The counts are the dot products of the neighbourhood rows, taken in row
     bands r0:r1 of the upper triangle, band = a[r0:r1] @ a[r0:].T on one

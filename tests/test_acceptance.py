@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from orbitcayley.core import Gf2Vector, OrbitIndexSet
-from orbitcayley.explicit import ExplicitGraph
 from orbitcayley.graph6 import decode_graph6, export_graph6
 from orbitcayley.identities import verify_all
 from orbitcayley.spectrum import distinct, full_spectrum, wht_spectrum
@@ -24,7 +23,7 @@ from orbitcayley.srg import (
     srg_check_paircount,
 )
 
-from oracles import pair_count_oracle
+from oracles import ExplicitGraph, pair_count_oracle
 
 TABLE2 = {
     ("s0s1@4m", 1): (16, 5, 0, 2),

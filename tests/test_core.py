@@ -22,7 +22,8 @@ from orbitcayley.core import (
     pascal_row,
 )
 import orbitcayley
-from orbitcayley.explicit import ExplicitGraph, is_connected_adjacency
+
+from oracles import ExplicitGraph, is_connected_adjacency
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,7 +31,6 @@ PUBLIC_NAMES = (
     "CensusRecord",
     "ConsistencyError",
     "DistinctSpectrum",
-    "ExplicitGraph",
     "FAMILIES",
     "Gf2Vector",
     "IDENTITY_IDS",

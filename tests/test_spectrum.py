@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -29,7 +30,7 @@ from orbitcayley.spectrum import (
     wht_spectrum,
 )
 
-from oracles import wht_naive
+from oracles import butterfly_fwht, wht_naive
 
 
 def test_orbit_character_sum_examples():
@@ -154,6 +155,50 @@ def test_naive_wht_matches_butterfly():
         assert _naive_matches_butterfly(OrbitIndexSet.from_bitmask(8, rng.randrange(1, 1 << 8)))
 
 
+def _transforms_agree(f, n):
+    # the tiled transform against the one-stage-per-bit butterfly, and the
+    # naive sum where it is cheap; each transform gets its own copy
+    fhat = _fwht(f.copy())
+    assert np.array_equal(fhat, butterfly_fwht(f.copy())), n
+    if n <= 8:
+        assert np.array_equal(fhat, wht_naive(f, n)), n
+
+
+def test_transform_matches_the_butterfly_and_naive_oracles():
+    # every index set up to n = 5, every 0/1 vector up to n = 3, random 0/1
+    # vectors of every length up to 2^14 (odd n has more rows than columns),
+    # and one at n = 20, whose low stages run on runs of 1,024 entries
+    for n in range(1, 6):
+        for mask in range(1 << n):
+            _transforms_agree(_indicator(OrbitIndexSet.from_bitmask(n, mask)), n)
+    for n in range(0, 4):
+        for bits in range(1 << (1 << n)):
+            f = np.array([bits >> x & 1 for x in range(1 << n)], dtype=np.int32)
+            _transforms_agree(f, n)
+    rng = np.random.default_rng(11)
+    for n in range(1, 15):
+        for density in (0.1, 0.5, 0.9):
+            _transforms_agree((rng.random(1 << n) < density).astype(np.int32), n)
+    _transforms_agree((rng.random(1 << 20) < 0.5).astype(np.int32), 20)
+
+
+def test_wht_peak_allocation_at_n22():
+    # the int32 indicator (4 * 2^n B), the transform's int16 transpose
+    # (2 * 2^n B) and the uint8 weight table (2^n B), counted cold; the
+    # one-stage-per-bit butterfly's scratch and a whole-vector gather of the
+    # weight-class values took it to 10 * 2^n B
+    s = OrbitIndexSet.of(22, set(range(1, 23, 2)) | {4, 8})
+    _weight_table.cache_clear()
+    tracemalloc.start()
+    try:
+        spec = wht_spectrum(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec == full_spectrum(s)
+    assert peak <= 8 * 2**s.n, peak / 2**s.n
+
+
 def test_wht_caps_and_methods():
     with pytest.raises(ValueError):
         wht_spectrum(OrbitIndexSet.of(25, {1}))
@@ -178,11 +223,58 @@ def test_wht_rejects_weight_inhomogeneous_indicator(monkeypatch):
     assert "fhat[1]=-1 but fhat[2]=1" in message
 
 
-def test_fixed_width_bounds_are_checked_before_any_work():
+def _first_class_failure(fhat, w):
+    # (k, x): the lowest weight whose class is not constant, and its first index
+    # that differs from the class head 2^k - 1, from the whole vector at once
+    mismatch = fhat != fhat[(1 << w) - 1]
+    if not mismatch.any():
+        return None
+    k = int(w[mismatch].min())
+    return k, int(np.flatnonzero(mismatch & (w == k))[0])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 18])
+def test_weight_class_failure_is_the_same_in_every_chunking(monkeypatch, chunk):
+    # random 0/1 vectors that are no union of weight classes; in some, a
+    # higher class fails at a lower index than the lowest failing class
+    monkeypatch.setattr(spectrum_module, "_COMPARE_CHUNK", chunk)
+    rng = np.random.default_rng(13)
+    later = 0
+    for n in (4, 5, 6):
+        for _ in range(20):
+            f = (rng.random(1 << n) < 0.3).astype(np.int32)
+            fhat = butterfly_fwht(f.copy())
+            w = np.array([y.bit_count() for y in range(1 << n)])
+            failure = _first_class_failure(fhat, w)
+            if failure is None:
+                continue
+            k, x = failure
+            later += bool((fhat[:x] != fhat[(1 << w[:x]) - 1]).any())
+            monkeypatch.setattr(spectrum_module, "_indicator", lambda s, f=f: f.copy())
+            with pytest.raises(ConsistencyError) as exc:
+                wht_spectrum(OrbitIndexSet.of(n, {1}))
+            assert str(exc.value) == (
+                f"transform not constant on weight class k={k} of n={n};I=1: "
+                f"fhat[{(1 << k) - 1}]={fhat[(1 << k) - 1]} but fhat[{x}]={fhat[x]}"
+            )
+    assert later
+
+
+def test_fixed_width_bounds_are_checked_before_any_work(monkeypatch):
     # zero-stride views stand for the oversized inputs; nothing large is allocated
     with pytest.raises(ValueError, match="int32 bound"):
         _fwht(np.broadcast_to(np.int32(0), ((1 << 24) + 1,)))
     assert _fwht(np.zeros(2, dtype=np.int32)).tolist() == [0, 0]
+    # with the int32 cap lifted, 2^30 entries give 2^15 columns, past int16
+    monkeypatch.setattr(spectrum_module, "WHT_MAX_N", 30)
+
+    def no_transpose(src, dst):
+        pytest.fail("a tile was copied before the int16 bound was checked")
+
+    monkeypatch.setattr(spectrum_module, "_transpose_into", no_transpose)
+    with pytest.raises(ValueError, match="int16 bound"):
+        _fwht(np.broadcast_to(np.int32(0), (1 << 30,)))
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="uint8 weight-table bound"):
         _weight_table(256)
     assert _weight_table(3).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
@@ -254,7 +346,7 @@ def test_even_orbit_reflection_symmetry():
 def test_spectrum_matches_numerical_eigendecomposition():
     # third route: LAPACK eigenvalues of the dense adjacency; the integer
     # spectra are well separated so rounding is safe at these sizes
-    from orbitcayley.explicit import ExplicitGraph
+    from oracles import ExplicitGraph
 
     for n in range(1, 7):
         for mask in range(1 << n):

@@ -18,7 +18,7 @@ import orbitcayley.srg as srg_module
 from orbitcayley.census import census
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, binom
-from orbitcayley.explicit import EXPLICIT_MAX_N, ExplicitGraph, common_neighbor_constants
+from orbitcayley.explicit import EXPLICIT_MAX_N, _row0, row0_constants, spans
 from orbitcayley.graph6 import export_graph6
 from orbitcayley.srg import (
     FAMILIES,
@@ -38,8 +38,12 @@ from orbitcayley.srg import (
 
 import oracles
 from oracles import (
+    ExplicitGraph,
     all_pairs_common_neighbor_constants,
+    common_neighbor_constants,
+    connected_component,
     connected_components,
+    matrix_srg_check,
     pair_count_oracle,
     verify_equitable_partition,
 )
@@ -214,8 +218,8 @@ def _band_rows(monkeypatch, size, rows):
 
 def _gather_rows(monkeypatch, size, rows):
     # translate blocks of ``rows`` rows (a power of two) for a size-vertex matrix,
-    # through the byte bound on one block step: 4 bool blocks and a rows x rows index
-    step = rows * (4 * size + np.intp(0).itemsize * rows)
+    # through the byte bound on one block step: 3 bool blocks
+    step = 3 * rows * size
     monkeypatch.setattr(explicit_module, "_GATHER_BLOCK_BYTES", step)
     assert explicit_module._block_rows(size) == min(rows, size)
 
@@ -255,37 +259,87 @@ def test_common_neighbor_constants_match_integer_product(monkeypatch):
             step = rows or size
             assert bands == [(r0, min(r0 + step, size)) for r0 in range(0, size, step)]
             assert common_neighbor_constants(adjacency) == expected, (s.format(), block)
+            assert row0_constants(_row0(s)) == expected, (s.format(), block)
 
 
 def test_every_translate_block_shape_gives_the_same_results(monkeypatch):
     # every power-of-two block from 1 row to N, in the dense build, the
-    # premise pass and the graph6 encoder, against their default blocks
+    # premise pass, the row-0 counts and the graph6 encoder, against their
+    # default blocks
     sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 7) for mask in range(1 << n)]
     sets.append(OrbitIndexSet.of(9, {1, 4, 6, 9}))
     for s in sets:
         size = 1 << s.n
         adjacency = ExplicitGraph.build(s).adjacency
         constants = common_neighbor_constants(adjacency)
+        assert row0_constants(_row0(s)) == constants, s.format()
         blob = export_graph6(s)
         for k in range(s.n + 1):
             _gather_rows(monkeypatch, size, 1 << k)
             monkeypatch.setattr(graph6_module, "_PACK_ROWS", 1 << k)
             assert np.array_equal(ExplicitGraph.build(s).adjacency, adjacency), (s.format(), k)
             assert common_neighbor_constants(adjacency) == constants, (s.format(), k)
+            assert row0_constants(_row0(s)) == constants, (s.format(), k)
             assert export_graph6(s) == blob, (s.format(), k)
         monkeypatch.undo()
 
 
+# every set up to n = 8, and at n = 12 one SRG and one connected set that is not
+_ORACLE_SETS = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 9) for mask in range(1 << n)]
+_ORACLE_SETS += [family_construct("s0s1@4m", 3)[0], OrbitIndexSet.of(12, {1, 2, 5})]
+
+
 def test_common_neighbor_constants_match_the_all_pairs_oracle():
-    # every built adjacency up to n = 8, and at the dense cap one SRG and one
-    # connected set that is not
-    sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 9) for mask in range(1 << n)]
-    sets += [family_construct("s0s1@4m", 3)[0], OrbitIndexSet.of(12, {1, 2, 5})]
-    for s in sets:
+    # the premise pass on the matrix and the row-0 counts, against every pair
+    for s in _ORACLE_SETS:
         adjacency = ExplicitGraph.build(s).adjacency
         expected = all_pairs_common_neighbor_constants(adjacency)
         assert common_neighbor_constants(adjacency) == expected, s.format()
+        assert row0_constants(_row0(s)) == expected, s.format()
     assert expected[1] is None  # n=12;I=1,2,5 is not strongly regular
+
+
+def test_row0_route_matches_the_matrix_oracle():
+    # connectivity, degree, lambda, mu and trivial vs nontrivial, from row 0
+    # alone, against BFS, every degree, the premise pass and the complement's
+    # components on the built matrix
+    statuses = set()
+    for s in _ORACLE_SETS:
+        verdict = srg_check_explicit(s)
+        assert verdict == matrix_srg_check(s), s.format()
+        statuses.add(verdict.status)
+        if verdict.status is VerdictStatus.TRIVIAL_SRG:
+            parts = connected_components(ExplicitGraph.build(s.complement()).adjacency)
+            assert len(parts) > 1, s.format()
+    assert statuses == set(VerdictStatus)
+
+
+def _xor_adjacency(row0):
+    # the Cayley graph of Z2^n with connection set {y : row0[y]}, for any 0/1 row
+    xs = np.arange(row0.size)
+    return row0[xs[:, None] ^ xs]
+
+
+def test_row0_route_on_connection_sets_that_are_no_union_of_weight_classes():
+    # arbitrary connection sets: the span test against BFS, and the row-0
+    # counts against every pair, on the same XOR-translated matrix
+    rng = np.random.default_rng(5)
+    rows = [np.zeros(1 << n, dtype=bool) for n in range(1, 7)]
+    for n in range(1, 8):
+        for density in (0.05, 0.2, 0.5, 0.9):
+            for _ in range(6):
+                row0 = rng.random(1 << n) < density
+                row0[0] = False
+                rows.append(row0)
+    rows += [np.eye(1, 1 << n, 1 << b, dtype=bool)[0] for n in (4, 6) for b in range(n)]
+    connected = 0
+    for row0 in rows:
+        adjacency = _xor_adjacency(row0)
+        assert spans(row0) == bool(connected_component(adjacency).all()), row0.nonzero()
+        connected += spans(row0)
+        expected = all_pairs_common_neighbor_constants(adjacency)
+        assert row0_constants(row0) == expected, row0.nonzero()
+    assert 0 < connected < len(rows)
 
 
 def test_common_neighbor_float32_bound_is_checked_before_any_work():
@@ -352,10 +406,10 @@ def test_cayley_premise_names_the_first_disagreeing_entry(monkeypatch, flip, nam
     _gather_rows(monkeypatch, 16, 4)
     with pytest.raises(ConsistencyError, match=message):
         common_neighbor_constants(adjacency)
-    # through the dense route, the error also names the set
+    # through the matrix route, the error also names the set
     monkeypatch.setattr(ExplicitGraph, "build", classmethod(lambda cls, t: cls(t, adjacency)))
     with pytest.raises(ConsistencyError, match=rf"n=4;I=1,4: .*{message}"):
-        srg_check_explicit(s)
+        matrix_srg_check(s)
 
 
 def test_cayley_premise_fails_in_a_permuted_chunk(monkeypatch):
@@ -372,24 +426,24 @@ def test_cayley_premise_fails_in_a_permuted_chunk(monkeypatch):
         common_neighbor_constants(adjacency)
     monkeypatch.setattr(ExplicitGraph, "build", classmethod(lambda cls, t: cls(t, adjacency)))
     with pytest.raises(ConsistencyError, match=rf"n=9;I=1,4,6,9: .*{message}"):
-        srg_check_explicit(s)
+        matrix_srg_check(s)
 
 
 @pytest.mark.parametrize("adjacent", [True, False])
 def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
     # one of vertex 0's counts, at a neighbour of 0 (lambda) or at a non-neighbour (mu)
     s = OrbitIndexSet.of(4, {1, 4})
-    adjacency = ExplicitGraph.build(s).adjacency
+    row0 = _row0(s)
     assert srg_check_explicit(s).status is VerdictStatus.NONTRIVIAL_SRG
-    y = next(y for y in range(1, 16) if adjacency[0, y] == adjacent)
-    honest = explicit_module._vertex0_counts
+    y = next(y for y in range(1, 16) if row0[y] == adjacent)
+    honest = explicit_module._row0_counts
 
-    def perturbed(a):
-        counts = honest(a)
+    def perturbed(row):
+        counts = honest(row)
         counts[y] += 1
         return counts
 
-    monkeypatch.setattr(explicit_module, "_vertex0_counts", perturbed)
+    monkeypatch.setattr(explicit_module, "_row0_counts", perturbed)
     assert srg_check_explicit(s).status is VerdictStatus.NOT_SRG, y
     with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
         certify(s, EXPLICIT_MAX_N)
@@ -405,10 +459,51 @@ def test_dense_check_peak_allocation_at_n12():
     finally:
         tracemalloc.stop()
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
-    # the bool adjacency (4^n B), the complement copied for an SRG (4^n B) and
-    # one block step of at most 1 MB or the BFS frontier rows; the
-    # all-pairs product would add a float32 copy of A (4 * 4^n B) alone
+    # the matrix route held the bool adjacency (4^n B) and the complement
+    # copied for an SRG (4^n B); the row-0 route holds neither
     assert peak < 3 * 4**s.n, peak / 4**s.n
+
+
+def test_dense_check_peak_allocation_at_n14():
+    # one block step (at most _GATHER_BLOCK_BYTES) beside row 0, its uint16
+    # counts and the complement mask (4 * 2^n B); the span test's int64
+    # support and its temporaries (at most 17 * 2^n B) come before and after
+    # it; about 0.48 MB measured, where the bool adjacency alone is 4^n B = 256 MB
+    s = family_construct("s0s1@4m+2", 3)[0]  # an SRG, so every step runs
+    assert s.n == EXPLICIT_MAX_N
+    srg_check_explicit(s)  # warm the cached weight table outside the trace
+    tracemalloc.start()
+    try:
+        verdict = srg_check_explicit(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
+    assert peak < explicit_module._GATHER_BLOCK_BYTES + 12 * 2**s.n, peak
+
+
+def test_counts_bound_is_checked_before_any_work(monkeypatch):
+    # a zero-stride view stands for the 2^16-vertex row; nothing large is allocated
+    def no_block(row0):
+        pytest.fail("a block was formed before the uint16 bound was checked")
+
+    monkeypatch.setattr(explicit_module, "_translates", no_block)
+    with pytest.raises(ValueError, match="uint16 count bound"):
+        explicit_module._row0_counts(np.broadcast_to(False, (1 << 16,)))
+    assert EXPLICIT_MAX_N < 16
+
+
+def test_four_m_plus_two_members_pass_all_three_routes_at_m3():
+    for key in NONTRIVIAL_FAMILY_KEYS:
+        spec = FAMILIES[key]
+        if spec.offset != 2:
+            continue
+        s, predicted = family_construct(key, 3)
+        assert s.n == 14 <= EXPLICIT_MAX_N
+        verdict, _ = certify(s, EXPLICIT_MAX_N)  # raises unless all three routes agree
+        assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, key
+        assert verdict.params == predicted, key
+        assert srg_check_explicit(s) == verdict, key
 
 
 def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
