@@ -14,7 +14,14 @@ import numpy as np
 from .core import ConsistencyError, OrbitIndexSet, pascal_row
 from .explicit import EXPLICIT_MAX_N
 from .spectrum import _first_invariant_failure, character_table
-from .srg import SrgParams, SrgVerdict, VerdictStatus, _certified, pair_count_table
+from .srg import (
+    SrgParams,
+    SrgVerdict,
+    VerdictStatus,
+    _certified,
+    _distinct_values,
+    pair_count_table,
+)
 
 CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
 # The sweep runs in int64.  Table entries, eigenvalues and pair counts are at
@@ -114,7 +121,7 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
     # about 4 MB more at n = 12
     for mask, sorted_row, count_row in zip(range(1, 1 << n), spectra[:, ::-1], counts):
         s = OrbitIndexSet.from_bitmask(n, mask)
-        values = tuple(dict.fromkeys(sorted_row.tolist()))
+        values = _distinct_values(sorted_row.tolist())
         verdict = _certified(s, count_row.tolist(), values, explicit_cap)
         records.append(
             CensusRecord(

@@ -106,10 +106,10 @@ class OrbitIndexSet:
         """Parse the text form ``n=<int>;I=<comma-separated ascending ints>``.
 
         Only the canonical spelling that ``format`` produces is accepted:
-        indices strictly ascending, no spaces inside the text.
+        indices strictly ascending, no whitespace inside or around the text.
         """
         try:
-            n_part, i_part = text.strip().split(";")
+            n_part, i_part = text.split(";")
             if not n_part.startswith("n=") or not i_part.startswith("I="):
                 raise ValueError
             n = int(n_part[2:])
@@ -118,7 +118,7 @@ class OrbitIndexSet:
         except ValueError:
             raise ValueError(f"malformed index-set text {text!r}; expected 'n=4;I=1,4'") from None
         s = cls(n, frozenset(indices))
-        if s.format() != text.strip():
+        if s.format() != text:
             raise ValueError(f"index-set text {text!r} is not canonical; expected {s.format()!r}")
         return s
 

@@ -1,17 +1,17 @@
 """Exact verification of the binomial-sum identities behind the family parameters.
 
-Every identity is evaluated in arbitrary-precision integer arithmetic: the
-left side by literal summation under the zero-outside-range binomial
-convention, the right side from its closed form.  Summation limits always
-extend until the zero convention truncates them naturally.  The terms are
-read from cached Pascal rows (``core.pascal_row``) and summed one by one.
+Every identity is a row of integers: ``_RESIDUE_SUMS`` holds Lemmas 3.1-3.3
+and ``_DOUBLE_SUMS`` Theorems 3.4-3.5, and ``_sides`` evaluates both.  The left
+side is a literal sum in arbitrary-precision integers under the zero-outside-range
+binomial convention, its terms read from cached Pascal rows (``core.pascal_row``);
+the right side is 2^(a*m + b) + sigma * (-1)^m * 2^(2m + c), stored as (a, b, sigma, c).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable
+from typing import NamedTuple
 
 from .core import ConsistencyError, pascal_row
 
@@ -23,18 +23,6 @@ def mod4_binomial_sum(n: int, r: int) -> int:
     if r not in (0, 1, 2, 3):
         raise ValueError(f"residue must be in 0..3, got {r}")
     return sum(pascal_row(n)[r::4])
-
-
-def _rhs_r1(m: int) -> int:
-    return (1 << (4 * m - 2)) + (-1) ** m * (1 << (2 * m - 1))
-
-
-def _rhs_r2(m: int) -> int:
-    return (1 << (4 * m)) + (-1) ** m * (1 << (2 * m))
-
-
-def _rhs_r3(m: int) -> int:
-    return (1 << (4 * m)) - (-1) ** m * (1 << (2 * m))
 
 
 def _double_sum(factor: int, a: int, p: int, b: int, q: int, jmax: int, m: int) -> int:
@@ -62,89 +50,50 @@ def _double_sum(factor: int, a: int, p: int, b: int, q: int, jmax: int, m: int) 
     return factor * total
 
 
-def _paired_mod4(n: int, r_first: int, r_second: int) -> int:
-    """Both residue sums where the statement asserts they coincide; cross-checked."""
-    first = mod4_binomial_sum(n, r_first)
-    second = mod4_binomial_sum(n, r_second)
-    if first != second:
-        raise ConsistencyError(
-            f"residue sums r={r_first} and r={r_second} differ at n={n}: {first} != {second}"
-        )
-    return first
+# The three closed forms that several double sums share, named for ``rhs_group``.
+_R1, _R2, _R3 = (4, -2, 1, -1), (4, 0, 1, 0), (4, 0, -1, 0)
+_RHS_GROUP_NAMES = {_R1: "r1", _R2: "r2", _R3: "r3"}
 
 
-@dataclass(frozen=True)
-class _Identity:
-    lhs: Callable[[int, int], int]
-    rhs: Callable[[int, int], int]
-    k_range: Callable[[int], range]
-    rhs_group: str | None = None
+class _ResidueSum(NamedTuple):
+    """sum_j C(scale*m + offset, modulus*j + r) for each r in residues; two must agree."""
+
+    modulus: int
+    scale: int
+    offset: int
+    residues: tuple[int, ...]
+    rhs: tuple[int, int, int, int]
 
 
-def _single(m: int) -> range:
-    # one-parameter identities: k is a placeholder column, reported as 0
-    return range(0, 1)
-
-
-def _k_full(m: int) -> range:
-    return range(0, m + 1)
-
-
-def _k_below(m: int) -> range:
-    return range(0, m)
-
-
-def _k_positive(m: int) -> range:
-    return range(1, m + 1)
-
-
-def _residue_identity(n_of_m: Callable[[int], int], residues: tuple[int, ...],
-                      rhs: Callable[[int], int]) -> _Identity:
-    if len(residues) == 1:
-        r = residues[0]
-        lhs = lambda k, m: mod4_binomial_sum(n_of_m(m), r)  # noqa: E731
-    else:
-        r1, r2 = residues
-        lhs = lambda k, m: _paired_mod4(n_of_m(m), r1, r2)  # noqa: E731
-    return _Identity(lhs, lambda k, m: rhs(m), _single)
-
-
-_REGISTRY: dict[str, _Identity] = {
-    "L31-even": _Identity(
-        lambda k, m: sum(pascal_row(m)[0::2]),
-        lambda k, m: 1 << (m - 1),
-        _single,
-    ),
-    "L31-odd": _Identity(
-        lambda k, m: sum(pascal_row(m)[1::2]),
-        lambda k, m: 1 << (m - 1),
-        _single,
-    ),
-    "L32-a": _residue_identity(lambda m: 4 * m, (0,), _rhs_r1),
-    "L32-b": _residue_identity(
-        lambda m: 4 * m, (2,), lambda m: (1 << (4 * m - 2)) - (-1) ** m * (1 << (2 * m - 1))
-    ),
-    "L32-c": _residue_identity(lambda m: 4 * m, (1, 3), lambda m: 1 << (4 * m - 2)),
-    "L33-a": _residue_identity(
-        lambda m: 4 * m + 1, (0, 1),
-        lambda m: (1 << (4 * m - 1)) + (-1) ** m * (1 << (2 * m - 1)),
-    ),
-    "L33-b": _residue_identity(
-        lambda m: 4 * m + 1, (2, 3),
-        lambda m: (1 << (4 * m - 1)) - (-1) ** m * (1 << (2 * m - 1)),
-    ),
-    "L33-c": _residue_identity(lambda m: 4 * m + 2, (0, 2), lambda m: 1 << (4 * m)),
-    "L33-d": _residue_identity(lambda m: 4 * m + 2, (1,), _rhs_r2),
-    "L33-e": _residue_identity(lambda m: 4 * m + 2, (3,), _rhs_r3),
-    "L33-f": _residue_identity(
-        lambda m: 4 * m + 3, (0, 3),
-        lambda m: (1 << (4 * m + 1)) - (-1) ** m * (1 << (2 * m)),
-    ),
-    "L33-g": _residue_identity(
-        lambda m: 4 * m + 3, (1, 2),
-        lambda m: (1 << (4 * m + 1)) + (-1) ** m * (1 << (2 * m)),
-    ),
+_RESIDUE_SUMS: dict[str, _ResidueSum] = {
+    "L31-even": _ResidueSum(2, 1, 0, (0,), (1, -1, 0, 0)),
+    "L31-odd": _ResidueSum(2, 1, 0, (1,), (1, -1, 0, 0)),
+    "L32-a": _ResidueSum(4, 4, 0, (0,), _R1),
+    "L32-b": _ResidueSum(4, 4, 0, (2,), (4, -2, -1, -1)),
+    "L32-c": _ResidueSum(4, 4, 0, (1, 3), (4, -2, 0, 0)),
+    "L33-a": _ResidueSum(4, 4, 1, (0, 1), (4, -1, 1, -1)),
+    "L33-b": _ResidueSum(4, 4, 1, (2, 3), (4, -1, -1, -1)),
+    "L33-c": _ResidueSum(4, 4, 2, (0, 2), (4, 0, 0, 0)),
+    "L33-d": _ResidueSum(4, 4, 2, (1,), _R2),
+    "L33-e": _ResidueSum(4, 4, 2, (3,), _R3),
+    "L33-f": _ResidueSum(4, 4, 3, (0, 3), (4, 1, -1, 0)),
+    "L33-g": _ResidueSum(4, 4, 3, (1, 2), (4, 1, 1, 0)),
 }
+
+
+class _DoubleSum(NamedTuple):
+    """Row of ``_DOUBLE_SUMS``; k runs from k_lo to m + k_hi_minus_m."""
+
+    factor: int
+    a_offset: int
+    p: int
+    b_offset: int
+    q: int
+    j_offset: int
+    rhs: tuple[int, int, int, int]
+    k_lo: int
+    k_hi_minus_m: int
+
 
 # Double-sum identities: factor * sum_t sum_j C(4k+ao, 2j+p) C(4m-4k+bo, 4t-2j+q)
 # with j running to 2k+jo.  The admissible k ranges were pinned by brute-force
@@ -152,62 +101,70 @@ _REGISTRY: dict[str, _Identity] = {
 # zero convention annihilates the whole sum at k = m, so those ranges stop at
 # m-1, while k = 0 is both valid and the case the pair-counting arguments
 # rely on for weight classes other than S0.
-_DOUBLE_SUMS: dict[str, tuple[int, int, int, int, int, int, Callable, Callable]] = {
-    "T34": (1, 0, 0, 1, 1, 0, _rhs_r1, _k_positive),
-    "T35-i": (2, 1, 0, -1, 0, 0, _rhs_r1, _k_below),
-    "T35-ii": (1, 2, 1, -1, 0, 0, _rhs_r1, _k_below),
-    "T35-iii": (2, 3, 1, -3, -1, 1, _rhs_r1, _k_below),
-    "T35-iv": (1, 0, 0, 3, 1, 0, _rhs_r2, _k_positive),
-    "T35-v": (2, 1, 0, 1, 0, 0, _rhs_r2, _k_full),
-    "T35-vi": (1, 2, 1, 1, 0, 0, _rhs_r2, _k_full),
-    "T35-vii": (2, 3, 1, -1, -1, 1, _rhs_r2, _k_below),
-    "T35-viii": (1, 0, 0, 3, 0, 0, _rhs_r3, _k_positive),
-    "T35-ix": (2, 3, 0, -1, 0, 1, _rhs_r3, _k_below),
-    "T35-x": (2, 1, 1, 1, -1, 0, _rhs_r3, _k_full),
-    "T35-xi": (1, 2, 1, 1, 3, 0, _rhs_r3, _k_full),
+_DOUBLE_SUMS: dict[str, _DoubleSum] = {
+    "T34": _DoubleSum(1, 0, 0, 1, 1, 0, _R1, 1, 0),
+    "T35-i": _DoubleSum(2, 1, 0, -1, 0, 0, _R1, 0, -1),
+    "T35-ii": _DoubleSum(1, 2, 1, -1, 0, 0, _R1, 0, -1),
+    "T35-iii": _DoubleSum(2, 3, 1, -3, -1, 1, _R1, 0, -1),
+    "T35-iv": _DoubleSum(1, 0, 0, 3, 1, 0, _R2, 1, 0),
+    "T35-v": _DoubleSum(2, 1, 0, 1, 0, 0, _R2, 0, 0),
+    "T35-vi": _DoubleSum(1, 2, 1, 1, 0, 0, _R2, 0, 0),
+    "T35-vii": _DoubleSum(2, 3, 1, -1, -1, 1, _R2, 0, -1),
+    "T35-viii": _DoubleSum(1, 0, 0, 3, 0, 0, _R3, 1, 0),
+    "T35-ix": _DoubleSum(2, 3, 0, -1, 0, 1, _R3, 0, -1),
+    "T35-x": _DoubleSum(2, 1, 1, 1, -1, 0, _R3, 0, 0),
+    "T35-xi": _DoubleSum(1, 2, 1, 1, 3, 0, _R3, 0, 0),
 }
 
-_RHS_GROUP_NAMES = {_rhs_r1: "r1", _rhs_r2: "r2", _rhs_r3: "r3"}
+IDENTITY_IDS: tuple[str, ...] = (*_RESIDUE_SUMS, *_DOUBLE_SUMS)
 
-for _id, (_f, _ao, _p, _bo, _q, _jo, _rhs, _krange) in _DOUBLE_SUMS.items():
-    _REGISTRY[_id] = _Identity(
-        lhs=(
-            lambda k, m, f=_f, ao=_ao, p=_p, bo=_bo, q=_q, jo=_jo: _double_sum(
-                f, 4 * k + ao, p, 4 * m - 4 * k + bo, q, 2 * k + jo, m
-            )
-        ),
-        rhs=lambda k, m, rhs=_rhs: rhs(m),
-        k_range=_krange,
-        rhs_group=_RHS_GROUP_NAMES[_rhs],
-    )
 
-IDENTITY_IDS: tuple[str, ...] = tuple(_REGISTRY)
+def _k_range(identity_id: str, m: int) -> range:
+    if identity_id in _DOUBLE_SUMS:
+        row = _DOUBLE_SUMS[identity_id]
+        return range(row.k_lo, m + row.k_hi_minus_m + 1)
+    if identity_id in _RESIDUE_SUMS:
+        return range(0, 1)  # k is a placeholder column, reported as 0
+    raise ValueError(f"unknown identity id {identity_id!r}")
+
+
+def _sides(identity_id: str, k: int, m: int) -> tuple[int, int]:
+    """(lhs, rhs) of one row at (k, m), which the caller has checked admissible."""
+    if identity_id in _DOUBLE_SUMS:
+        f, ao, p, bo, q, jo, rhs, _, _ = _DOUBLE_SUMS[identity_id]
+        lhs = _double_sum(f, 4 * k + ao, p, 4 * m - 4 * k + bo, q, 2 * k + jo, m)
+    else:
+        modulus, scale, offset, residues, rhs = _RESIDUE_SUMS[identity_id]
+        n = scale * m + offset
+        # mod-4 rows go through the public (and traced) mod4_binomial_sum
+        lhs, *pair = [mod4_binomial_sum(n, r) if modulus == 4 else sum(pascal_row(n)[r::modulus])
+                      for r in residues]
+        if pair and pair[0] != lhs:
+            raise ConsistencyError(f"residue sums r={residues[0]} and r={residues[1]} "
+                                   f"differ at n={n}: {lhs} != {pair[0]}")
+    a, b, sigma, c = rhs
+    return lhs, (1 << (a * m + b)) + sigma * (-1) ** m * (1 << (2 * m + c))
 
 
 def rhs_group(identity_id: str) -> str | None:
     """Which shared closed form the identity evaluates to, if it has partners."""
-    return _REGISTRY[identity_id].rhs_group
+    if identity_id in _RESIDUE_SUMS:
+        return None
+    return _RHS_GROUP_NAMES[_DOUBLE_SUMS[identity_id].rhs]
 
 
 def admissible_k(identity_id: str, m: int) -> range:
     """The k values for which the identity is asserted at a given m."""
-    if identity_id not in _REGISTRY:
-        raise ValueError(f"unknown identity id {identity_id!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return _REGISTRY[identity_id].k_range(m)
+    return _k_range(identity_id, m)
 
 
 def identity_sides(identity_id: str, k: int, m: int) -> tuple[int, int]:
     """(lhs, rhs) for one identity instance; raises if (k, m) is inadmissible."""
-    ident = _REGISTRY.get(identity_id)
-    if ident is None:
-        raise ValueError(f"unknown identity id {identity_id!r}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if k not in ident.k_range(m):
+    if k not in admissible_k(identity_id, m):
         raise ValueError(f"k={k} inadmissible for {identity_id} at m={m}")
-    return ident.lhs(k, m), ident.rhs(k, m)
+    return _sides(identity_id, k, m)
 
 
 @dataclass(frozen=True)
@@ -231,9 +188,9 @@ def verify_all(max_m: int) -> list[IdentityCheck]:
     """
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
-    report = []
-    for identity_id, ident in _REGISTRY.items():
-        for m in range(1, max_m + 1):
-            for k in ident.k_range(m):
-                report.append(IdentityCheck(identity_id, k, m, ident.lhs(k, m), ident.rhs(k, m)))
-    return report
+    return [
+        IdentityCheck(identity_id, k, m, *_sides(identity_id, k, m))
+        for identity_id in IDENTITY_IDS
+        for m in range(1, max_m + 1)
+        for k in _k_range(identity_id, m)
+    ]

@@ -10,6 +10,7 @@ because S is a union of weight classes.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -27,7 +28,7 @@ from .core import (
     pascal_row,
 )
 from .explicit import EXPLICIT_MAX_N, _row0, row0_constants, spans
-from .spectrum import Spectrum, distinct, full_spectrum
+from .spectrum import Spectrum, full_spectrum
 
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
 
@@ -242,6 +243,18 @@ def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    # the largest value, 2^(4 m_max + 2) vertices, must print within Python's
+    # int-to-str digit limit L (0 means none): it has at most L digits iff it
+    # is below 10^L, that is iff 4 m_max + 2 < (10^L).bit_length().  Pythons
+    # before 3.10.7 have no limit and no getter.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        largest = ((10**limit).bit_length() - 3) // 4
+        if m_max > largest:
+            raise ValueError(
+                f"m_max={m_max} exceeds {largest}: 2^(4*m_max+2) would have more than "
+                f"{limit} digits (sys.get_int_max_str_digits())"
+            )
     rows = []
     for m in range(1, m_max + 1):
         for key in NONTRIVIAL_FAMILY_KEYS:
@@ -315,11 +328,16 @@ def srg_check_spectral(s: OrbitIndexSet) -> SrgVerdict:
     Parameters recovered by the standard identities
     mu = r + theta*tau and lambda = mu + theta + tau.
     """
-    return _spectral_verdict(s, _distinct_values(full_spectrum(s)))
+    return _spectral_verdict(s, _distinct_values(sorted(full_spectrum(s).values, reverse=True)))
 
 
-def _distinct_values(spectrum: Spectrum) -> tuple[int, ...]:
-    return tuple(value for value, _ in distinct(spectrum).pairs)
+def _distinct_values(descending: Sequence[int]) -> tuple[int, ...]:
+    """The distinct values of a descending sequence, strictly descending.
+
+    ``certify`` and the census sweep both reduce through this; neither
+    needs the multiplicities that ``spectrum.distinct`` sums.
+    """
+    return tuple(dict.fromkeys(descending))
 
 
 def _spectral_verdict(s: OrbitIndexSet, values: Sequence[int]) -> SrgVerdict:
@@ -375,7 +393,8 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
     with ``srg-check --set``.
     """
     spectrum = full_spectrum(s)
-    return _certified(s, _pair_counts(s), _distinct_values(spectrum), explicit_cap), spectrum
+    values = _distinct_values(sorted(spectrum.values, reverse=True))
+    return _certified(s, _pair_counts(s), values, explicit_cap), spectrum
 
 
 def _certified(

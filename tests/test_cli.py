@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -131,6 +132,7 @@ BEYOND_A_LIMIT = [
     ["srg-check", "--set", "n=4;I=1", "--explicit", "--explicit-cap", "15"],
     ["census", "--n", "4", "--max-n", "30"],
     ["export", "--set", "n=4;I=1", "--max-n", "20"],
+    ["families", "--m-max", "4000"],  # 2^16002 vertices: over Python's int-to-str digit limit
 ]
 
 
@@ -282,6 +284,22 @@ def test_emit_table1_shape():
     ]
     with pytest.raises(ValueError):
         emit_table1(0)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python < 3.10.7")
+def test_families_stop_at_the_int_to_str_digit_limit(capsys):
+    # at Python's smallest limit, 640 digits, the last row of m_max = 531 has
+    # 2^2126 vertices, exactly 640 digits; m_max = 532 is refused before any row
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["families", "--m-max", "531", "--check-cap", "0"]) == EXIT_OK
+        last = list(csv.reader(capsys.readouterr().out.splitlines()))[-1]
+        assert last[0] == "Cay(Z2^2126,S0+S3)" and len(last[1]) == 640
+        with pytest.raises(ValueError, match=r"m_max=532 exceeds 531: .* more than 640 digits"):
+            emit_table1(532, check_cap=0)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # sha256 of each output, recorded before the certification routes were merged

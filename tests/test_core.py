@@ -147,7 +147,8 @@ def test_text_form_round_trip():
     empty = OrbitIndexSet.parse("n=5;I=")
     assert empty.indices == set()
     assert OrbitIndexSet.parse(empty.format()) == empty
-    for bad in ("n=4", "I=1,2", "n=x;I=1", "n=4;I=1;2", "4;1,2"):
+    # no whitespace around the text either
+    for bad in ("n=4", "I=1,2", "n=x;I=1", "n=4;I=1;2", "4;1,2", " n=4;I=1,4", "n=4;I=1,4\n"):
         with pytest.raises(ValueError):
             OrbitIndexSet.parse(bad)
     # the list must be ascending, duplicate-free and unpadded

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from orbitcayley.core import binom
+import orbitcayley.identities as identities_module
+from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
+from orbitcayley.core import ConsistencyError, binom
 from orbitcayley.identities import (
     _DOUBLE_SUMS,
+    _RESIDUE_SUMS,
     IDENTITY_IDS,
     _double_sum,
     admissible_k,
@@ -81,12 +84,28 @@ def test_k_equal_m_really_fails_for_the_reduced_range_items():
 def test_double_sum_rows_match_the_triple_loop():
     # every shape at every k in 0..m, inadmissible k included: at k = m a
     # negative top (4m - 4k - 1 or - 3) leaves no term and both sides are 0
-    for f, ao, p, bo, q, jo, _, _ in _DOUBLE_SUMS.values():
+    for row in _DOUBLE_SUMS.values():
         for m in range(1, 13):
             for k in range(m + 1):
-                args = (f, 4 * k + ao, p, 4 * m - 4 * k + bo, q, 2 * k + jo, m)
+                a, b = 4 * k + row.a_offset, 4 * m - 4 * k + row.b_offset
+                args = (row.factor, a, row.p, b, row.q, 2 * k + row.j_offset, m)
                 assert _double_sum(*args) == _literal_double_sum(*args), args
     assert _double_sum(2, 4, 1, -1, 0, 3, 1) == 0
+
+
+def test_every_identity_is_a_row_of_integers():
+    rows = {**_RESIDUE_SUMS, **_DOUBLE_SUMS}
+    assert tuple(rows) == IDENTITY_IDS
+    for identity_id, row in rows.items():
+        flat = [x for field in row for x in (field if isinstance(field, tuple) else (field,))]
+        assert all(type(x) is int for x in flat), identity_id
+        assert len(row.rhs) == 4, identity_id
+    # worked rows: L33-d is C(6,1) + C(6,5) = 2^4 - 2^2 at m = 1, and
+    # T35-v at (k, m) = (1, 2) is 2 * sum C(5, 2j) C(5, 4t - 2j) = 2^8 + 2^4
+    assert _RESIDUE_SUMS["L33-d"] == (4, 4, 2, (1,), (4, 0, 1, 0))
+    assert identity_sides("L33-d", 0, 1) == (12, 12)
+    assert _DOUBLE_SUMS["T35-v"] == (2, 1, 0, 1, 0, 0, (4, 0, 1, 0), 0, 0)
+    assert identity_sides("T35-v", 1, 2) == (272, 272)
 
 
 def test_admissible_ranges():
@@ -135,6 +154,21 @@ def test_rhs_groups_share_one_value():
                 k = admissible_k(identity_id, m)[0]
                 values.add(identity_sides(identity_id, k, m)[1])
             assert len(values) == 1, (members, m)
+
+
+def test_paired_residue_sums_are_cross_checked(monkeypatch, capsys):
+    # L32-c asserts the r=1 and r=3 sums of row 4m coincide; push r=3 off by one
+    real = identities_module.mod4_binomial_sum
+    monkeypatch.setattr(
+        identities_module, "mod4_binomial_sum", lambda n, r: real(n, r) + (r == 3)
+    )
+    message = r"^residue sums r=1 and r=3 differ at n=4: 4 != 5$"
+    with pytest.raises(ConsistencyError, match=message):
+        identity_sides("L32-c", 0, 1)
+    assert main(["identities", "--max-m", "1"]) == EXIT_VERIFICATION_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "residue sums r=1 and r=3 differ at n=4" in captured.err
 
 
 def test_closed_forms_against_direct_sums_at_scale():

@@ -20,12 +20,14 @@ from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, binom
 from orbitcayley.explicit import EXPLICIT_MAX_N, _row0, row0_constants, spans
 from orbitcayley.graph6 import export_graph6
+from orbitcayley.spectrum import distinct, full_spectrum
 from orbitcayley.srg import (
     FAMILIES,
     NONTRIVIAL_FAMILY_KEYS,
     SrgParams,
     VerdictStatus,
     SrgVerdict,
+    _distinct_values,
     certify,
     family_construct,
     match_families,
@@ -523,6 +525,16 @@ def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
     assert "SRG routes disagree on n=4;I=" in str(exc.value)
     assert main(["srg-check", "--set", "n=4;I=1,4"]) == EXIT_VERIFICATION_FAILED
     assert f"verification failure: {message}" in capsys.readouterr().err
+
+
+def test_distinct_values_keep_the_order_of_a_descending_sequence():
+    # the reduction certify and the census share: spectrum.distinct without multiplicities
+    assert _distinct_values([5, 1, 1, 1, 1, -3]) == (5, 1, -3)
+    for n in range(1, 7):
+        for mask in range(1, 1 << n):
+            spec = full_spectrum(OrbitIndexSet.from_bitmask(n, mask))
+            expected = tuple(value for value, _ in distinct(spec).pairs)
+            assert _distinct_values(sorted(spec.values, reverse=True)) == expected
 
 
 def test_three_checkers_agree(small_sweep):
