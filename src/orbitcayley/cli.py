@@ -1,10 +1,15 @@
 """Command-line front end: spectra, SRG checks, census sweeps, identity reports, graph6 export.
 
 Exit codes: 0 all requested verifications passed, 1 a mathematical
-verification failed, 2 usage or configuration error.  Relative output
-paths are resolved against ORBITCAYLEY_OUT_DIR when it is set.  Files
-named by --out are replaced atomically: a failed run leaves them as they
-were.
+verification failed, 2 usage or configuration error.
+
+Each command returns its exit code and its output as chunks of bytes,
+which ``main`` writes.  stdout is all-or-nothing: nothing is written
+until every chunk is made.  --out (relative to ORBITCAYLEY_OUT_DIR when
+that is set) is written to a temporary file beside the target and
+renamed over it at the end.  census writes into that file one dimension
+at a time, so a killed process may leave a .NAME.<hex>.tmp file but
+never a partial NAME.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .census import (
     CENSUS_CSV_COLUMNS,
@@ -49,11 +55,12 @@ def _resolve_out(path: str | None) -> Path | None:
     return p
 
 
-def _write_atomic(out: Path, *chunks: bytes) -> None:
+def _write_atomic(out: Path, chunks: Iterable[bytes]) -> None:
     """Write the chunks to a temporary file beside out, then rename it over out.
 
-    A failure at any point removes the temporary file, so out is either
-    left as it was or holds all of the chunks, never a prefix.
+    The chunks are made as they are taken.  A failure in making or in
+    writing one removes the temporary file, so out is either left as it
+    was or holds all of the chunks, never a prefix.
     """
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
@@ -68,21 +75,19 @@ def _write_atomic(out: Path, *chunks: bytes) -> None:
         raise
 
 
-def _write_text(out: Path | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(out, text.encode())
+def _write(out: Path | None, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to out, or to stdout when out is None.
 
-
-def _write_bytes(out: Path | None, *chunks: bytes) -> None:
-    """Write the chunks in order, so no caller joins them into a second copy."""
-    if out is None:
-        for chunk in chunks:
-            sys.stdout.buffer.write(chunk)
-        sys.stdout.buffer.flush()
-    else:
-        _write_atomic(out, *chunks)
+    stdout gets nothing unless every chunk was made, and then the chunks
+    one by one, never joined into a second copy.
+    """
+    if out is not None:
+        _write_atomic(out, chunks)
+        return
+    made = list(chunks)
+    for chunk in made:
+        sys.stdout.buffer.write(chunk)
+    sys.stdout.buffer.flush()
 
 
 def _decimal(text: str) -> int:
@@ -105,15 +110,13 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def _csv_text(columns: list[str], rows: list[list[str]]) -> str:
+def _csv(rows: Iterable[list[str]]) -> bytes:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> tuple[int, list[bytes]]:
     s = OrbitIndexSet.parse(args.set)
     spec = full_spectrum(s)
     if args.check_oracle:
@@ -124,61 +127,57 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                 f"closed form {spec.values}, transform {oracle.values}"
             )
     text = distinct(spec).to_csv() if args.distinct else json.dumps(spec.to_json_dict()) + "\n"
-    _write_text(_resolve_out(args.out), text)
-    return EXIT_OK
+    return EXIT_OK, [text.encode()]
 
 
-def _cmd_srg_check(args: argparse.Namespace) -> int:
+def _cmd_srg_check(args: argparse.Namespace) -> tuple[int, list[bytes]]:
     s = OrbitIndexSet.parse(args.set)
     verdict, _ = certify(s, s.n if args.explicit else 0)
     payload = {"set": s.format()}
     payload.update(verdict.to_json_dict())
-    _write_text(_resolve_out(args.out), json.dumps(payload) + "\n")
-    return EXIT_OK
+    return EXIT_OK, [(json.dumps(payload) + "\n").encode()]
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_census(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     n_start, n_end = _parse_n_range(args.n)
     # both ends, so a range running past the cap fails before the sweep starts
     check_census_request(n_start, args.explicit_cap)
     check_census_request(n_end, args.explicit_cap)
-    records = []
-    for n in range(n_start, n_end + 1):
-        records.extend(census(n, explicit_cap=args.explicit_cap))
-    if args.format == "jsonl":
-        text = "".join(json.dumps(rec.to_json_dict()) + "\n" for rec in records)
-    else:
-        text = _csv_text(CENSUS_CSV_COLUMNS, [rec.to_csv_row() for rec in records])
-    _write_text(_resolve_out(args.out), text)
-    return EXIT_OK
+
+    def chunks() -> Iterable[bytes]:
+        if args.format == "csv":
+            yield _csv([CENSUS_CSV_COLUMNS])
+        for n in range(n_start, n_end + 1):
+            records = census(n, explicit_cap=args.explicit_cap)
+            if args.format == "jsonl":
+                yield "".join(json.dumps(rec.to_json_dict()) + "\n" for rec in records).encode()
+            else:
+                yield _csv(rec.to_csv_row() for rec in records)
+
+    return EXIT_OK, chunks()
 
 
-def _cmd_families(args: argparse.Namespace) -> int:
+def _cmd_families(args: argparse.Namespace) -> tuple[int, list[bytes]]:
     rows = emit_table1(args.m_max, check_cap=args.check_cap)
     table = [[str(row[col]) for col in FAMILY_CSV_COLUMNS] for row in rows]
-    _write_text(_resolve_out(args.out), _csv_text(FAMILY_CSV_COLUMNS, table))
-    if any(row["verified"] == "no" for row in rows):
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_OK
+    code = EXIT_VERIFICATION_FAILED if any(row["verified"] == "no" for row in rows) else EXIT_OK
+    return code, [_csv([FAMILY_CSV_COLUMNS, *table])]
 
 
-def _cmd_identities(args: argparse.Namespace) -> int:
+def _cmd_identities(args: argparse.Namespace) -> tuple[int, list[bytes]]:
     report = verify_all(args.max_m)
     rows = [
         [check.identity_id, str(check.k), str(check.m), str(check.lhs), str(check.rhs),
          str(check.passed).lower()]
         for check in report
     ]
-    _write_text(_resolve_out(args.out), _csv_text(IDENTITY_CSV_COLUMNS, rows))
-    if not all(check.passed for check in report):
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_OK
+    code = EXIT_OK if all(check.passed for check in report) else EXIT_VERIFICATION_FAILED
+    return code, [_csv([IDENTITY_CSV_COLUMNS, *rows])]
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace) -> tuple[int, list[bytes]]:
     s = OrbitIndexSet.parse(args.set)
-    _write_bytes(_resolve_out(args.out), export_graph6(s), b"\n")
-    return EXIT_OK
+    return EXIT_OK, [export_graph6(s), b"\n"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,39 +192,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distinct", action="store_true", help="emit distinct values as CSV")
     p.add_argument("--check-oracle", action="store_true",
                    help="cross-check against the transform oracle")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("srg-check", help="strong-regularity verdict for one index set")
     p.add_argument("--set", required=True)
     p.add_argument("--explicit", action="store_true", help="also run the dense brute force")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_srg_check)
 
     p = sub.add_parser("census", help="sweep all index sets for a range of dimensions")
     p.add_argument("--n", required=True, help="dimension or range, e.g. 6 or 4..10")
     p.add_argument("--explicit-cap", type=_decimal, default=CENSUS_DEFAULT_EXPLICIT_CAP)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("families", help="predicted family parameters with verification")
     p.add_argument("--m-max", type=_decimal, required=True)
     p.add_argument("--check-cap", type=_decimal, default=FAMILIES_CHECK_CAP,
                    help="verify rows whose dimension is at most this")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_families)
 
     p = sub.add_parser("identities", help="verify every binomial identity up to a bound")
     p.add_argument("--max-m", type=_decimal, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("export", help="graph6 encoding of one index set")
     p.add_argument("--set", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_export)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -233,7 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, chunks = args.func(args)
+        _write(_resolve_out(args.out), chunks)
+        return code
     except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED

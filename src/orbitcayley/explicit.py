@@ -20,8 +20,7 @@ of every 2h-wide chunk swapped.  ``graph6`` encodes from the same blocks.
 The matrix build, breadth-first search and the check
 A[x, y] = A[0, x XOR y] on every entry are the test oracles of this
 route, in ``tests/oracles.py``.  One ``srg_check_explicit`` takes about
-4 ms at n = 12 and 0.1 s at n = 14 (best of 7, 2-vCPU host, numpy 2.4.6);
-the matrix route took 36-50 ms at n = 12.
+4 ms at n = 12 and 0.1 s at n = 14 (best of 7, 2-vCPU host, numpy 2.4.6).
 """
 
 from __future__ import annotations

@@ -32,20 +32,12 @@ def orbit_character_sum(n: int, i: int, k: int) -> int:
     return sum((-1) ** j * binom(k, j) * binom(n - k, i - j) for j in range(i + 1))
 
 
-# A census sweep reuses the n + 1 rows of one n for all 2^n - 1 sets (90
-# distinct rows for n <= 12, at most 13 in use at a time).  A row holds
-# n + 1 ints of at most n bits, at most 10.2 KB at n = 200, so a full
-# cache holds under 0.7 MB there.
-CHARACTER_ROWS_CACHED = 64
-
-
-@lru_cache(maxsize=CHARACTER_ROWS_CACHED)
 def character_sum_row(n: int, i: int) -> tuple[int, ...]:
     """All orbit character sums for k = 0..n via the three-term recurrence in k.
 
     (n - k) * row[k+1] = (n - 2i) * row[k] - k * row[k-1], started from
     row[0] = C(n, i); every division is exact.  A row whose division fails
-    raises ConsistencyError and is not cached.
+    raises ConsistencyError.
     """
     if not 0 <= i <= n:
         raise ValueError(f"orbit weight {i} out of range 0..{n}")

@@ -18,12 +18,14 @@ import pytest
 import orbitcayley.cli as cli_module
 from orbitcayley.census import CENSUS_MAX_N
 from orbitcayley.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, build_parser, main
+from orbitcayley.core import ConsistencyError
 from orbitcayley.explicit import EXPLICIT_MAX_N
 from orbitcayley.graph6 import EXPORT_MAX_N
 from orbitcayley.spectrum import WHT_MAX_N, Spectrum
 from orbitcayley.srg import emit_table1
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def _exit_code(argv):
@@ -256,6 +258,62 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, argv
     assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["result"])
     if existing is not None:
         assert out.read_bytes() == existing
+
+
+def test_failure_in_a_later_census_dimension_writes_nothing(tmp_path, monkeypatch, capsysbinary):
+    out = tmp_path / "result"
+    out.write_bytes(b"previous contents\n")
+    real_census = cli_module.census
+    seen_at_failure = []
+
+    def census_failing_at_4(n, **kwargs):
+        if n == 4:
+            seen_at_failure.append(sorted(p.name for p in tmp_path.iterdir()))
+            raise ConsistencyError("injected at n=4")
+        return real_census(n, **kwargs)
+
+    monkeypatch.setattr(cli_module, "census", census_failing_at_4)
+    assert main(["census", "--n", "3..4"]) == EXIT_VERIFICATION_FAILED
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert b"injected at n=4" in captured.err
+
+    assert main(["census", "--n", "3..4", "--out", str(out)]) == EXIT_VERIFICATION_FAILED
+    assert capsysbinary.readouterr().out == b""
+    # n = 3 went into the temporary file before n = 4 was made
+    tmp_name, target = seen_at_failure[1]
+    assert re.fullmatch(r"\.result\.[0-9a-f]{8}\.tmp", tmp_name) and target == "result"
+    assert out.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["result"]
+
+
+# one argv per subcommand and output format
+EVERY_OUTPUT = [
+    ["spectrum", "--set", "n=4;I=1,4"],
+    ["spectrum", "--set", "n=4;I=1,4", "--distinct"],
+    ["srg-check", "--set", "n=4;I=1,4"],
+    ["census", "--n", "1..4"],
+    ["census", "--n", "1..4", "--format", "csv"],
+    ["families", "--m-max", "2"],
+    ["identities", "--max-m", "3"],
+    ["export", "--set", "n=6;I=1,4,5"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_OUTPUT)
+def test_stdout_bytes_equal_out_bytes(tmp_path, capsysbinary, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv) == EXIT_OK
+    assert capsysbinary.readouterr().out == out.read_bytes() != b""
+
+
+def test_census_to_12_matches_the_benchmark_hash(capsysbinary):
+    expected = json.loads(BENCHMARK_EXPECTED.read_text())
+    assert expected["census_command"] == "orbitcayley census --n 1..12 --out census.jsonl"
+    assert main(["census", "--n", "1..12"]) == EXIT_OK
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == expected["census_sha256"]
 
 
 def test_out_replaces_an_existing_file(tmp_path):
