@@ -34,11 +34,17 @@ CENSUS_DEFAULT_EXPLICIT_CAP = 8
 @dataclass(frozen=True)
 class CensusRecord:
     index_set: OrbitIndexSet
-    connected: bool
     distinct_eigenvalues: int
     verdict: SrgVerdict
-    complement_indices: tuple[int, ...]
     explicit_verified: bool
+
+    @property
+    def connected(self) -> bool:
+        return self.verdict.status is not VerdictStatus.DISCONNECTED
+
+    @property
+    def complement_indices(self) -> tuple[int, ...]:
+        return self.index_set.complement().sorted_indices
 
     def to_json_dict(self) -> dict:
         out = {
@@ -126,10 +132,8 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
         records.append(
             CensusRecord(
                 index_set=s,
-                connected=verdict.status is not VerdictStatus.DISCONNECTED,
                 distinct_eigenvalues=len(values),
                 verdict=verdict,
-                complement_indices=s.complement().sorted_indices,
                 explicit_verified=n <= explicit_cap,
             )
         )
@@ -141,7 +145,7 @@ def find_srgs(
 ) -> list[tuple[OrbitIndexSet, SrgParams, bool]]:
     """All strongly regular index sets with parameters and a trivial flag, by degree."""
     hits = [
-        (rec.index_set, rec.verdict.params, rec.verdict.status.value == "trivial_srg")
+        (rec.index_set, rec.verdict.params, rec.verdict.status is VerdictStatus.TRIVIAL_SRG)
         for rec in census(n, explicit_cap=explicit_cap)
         if rec.verdict.status.is_srg()
     ]

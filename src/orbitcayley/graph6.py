@@ -139,12 +139,9 @@ def export_graph6(s: OrbitIndexSet) -> bytearray:
     size = 1 << s.n
     header = _encode_size(size)
     body = (size * (size - 1) // 2 + 5) // 6
-    # row 0 first: its cached weight table outlives the call, and allocated
-    # after the output it can pin the heap above the freed output
-    row0 = _row0(s)
     out = bytearray(len(header) + body)
     out[: len(header)] = header
-    _pack_upper_triangle(row0, np.frombuffer(out, dtype=np.uint8)[len(header) :])
+    _pack_upper_triangle(_row0(s), np.frombuffer(out, dtype=np.uint8)[len(header) :])
     return out
 
 

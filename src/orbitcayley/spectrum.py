@@ -10,7 +10,6 @@ indicator (``wht_spectrum``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -128,28 +127,20 @@ _TRACE, _SECOND_MOMENT, _DEGREE = (
 )
 
 
-def _check_invariants(spec: Spectrum, set_size: int) -> None:
-    # zeroth moment sum(C(n,k)) = 2^n holds by construction of entries
-    n = spec.n
-    mults = [comb(n, k) for k in range(n + 1)]
-    if sum(v * m for v, m in zip(spec.values, mults)) != 0:
-        raise ConsistencyError(_TRACE)
-    if sum(v * v * m for v, m in zip(spec.values, mults)) != (1 << n) * set_size:
-        raise ConsistencyError(_SECOND_MOMENT)
-    if spec.values[0] != set_size or any(v > set_size for v in spec.values):
-        raise ConsistencyError(_DEGREE)
-
-
 def _first_invariant_failure(spectra: np.ndarray, sizes: np.ndarray) -> tuple[int, str] | None:
-    """The checks of ``_check_invariants`` on every row of an int64 spectrum table at once.
+    """The spectrum invariants on every row of a spectrum table at once.
 
-    Row r holds lambda_0..lambda_n of a set of size sizes[r].  Returns the
-    first failing row with the first check it fails, or None.  The caller
-    keeps the sums within int64: with |lambda_k| <= 2^n the second-moment
-    partial sums are at most 4^n * sum_k C(n, k) = 8^n.
+    Row r holds lambda_0..lambda_n of a set of size sizes[r]: the trace is
+    0, the second moment 2^n * sizes[r], and lambda_0 = sizes[r] is the
+    largest (the zeroth moment sum_k C(n, k) = 2^n holds by construction).
+    Returns the first failing row with the first check it fails, or None.
+    The multiplicities take the table's dtype, so an object table of Python
+    ints is exact at any n; an int64 caller keeps the sums within int64:
+    with |lambda_k| <= 2^n the second-moment partial sums are at most
+    4^n * sum_k C(n, k) = 8^n.
     """
     n = spectra.shape[1] - 1
-    mults = np.array(pascal_row(n), dtype=np.int64)
+    mults = np.array(pascal_row(n), dtype=spectra.dtype)
     failed = np.stack(
         [
             spectra @ mults != 0,
@@ -162,6 +153,15 @@ def _first_invariant_failure(spectra: np.ndarray, sizes: np.ndarray) -> tuple[in
         return None
     row = int(rows[0])
     return row, (_TRACE, _SECOND_MOMENT, _DEGREE)[int(np.argmax(failed[:, row]))]
+
+
+def _check_invariants(spec: Spectrum, set_size: int) -> None:
+    """Raise ConsistencyError with the first of the three checks that ``spec`` fails, exactly."""
+    failure = _first_invariant_failure(
+        np.array([spec.values], dtype=object), np.array([set_size], dtype=object)
+    )
+    if failure is not None:
+        raise ConsistencyError(failure[1])
 
 
 def full_spectrum(s: OrbitIndexSet) -> Spectrum:
@@ -177,56 +177,51 @@ def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     return spec
 
 
-WEIGHT_TABLE_MAX_N = 255  # popcounts are stored as uint8
+# popcount of every x < 2^12: either half of an index x < 2^WHT_MAX_N
+_HALF_WEIGHTS = np.array([x.bit_count() for x in range(1 << WHT_MAX_N // 2)], dtype=np.intp)
 
 
-@lru_cache(maxsize=32)
-def _weight_table(n: int) -> np.ndarray:
-    """weights[x] = popcount(x) for all x < 2^n, built by doubling.
+def _weight_rows(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the vector v[x] = values[weight(x)] over x < 2^n, and its row map.
 
-    The table is uint8, which holds every popcount only for n <= 255;
-    larger n raises ValueError before anything is allocated.
+    Viewed as the (rows, cols) matrix x = r * cols + c with
+    cols = 2^floor(n/2), row r of v is row weight(r) of
+    table[j, c] = values[j + weight(c)], so v is table[high] with
+    high[r] = weight(r).  Both halves index ``_HALF_WEIGHTS``, so n <= 24;
+    a larger n raises ValueError before anything is allocated.
     """
-    if n > WEIGHT_TABLE_MAX_N:
-        raise ValueError(f"n={n} exceeds the uint8 weight-table bound {WEIGHT_TABLE_MAX_N}")
-    w = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        w[1 << b : 1 << (b + 1)] = w[: 1 << b] + 1
-    w.setflags(write=False)
-    return w
+    if n > WHT_MAX_N:
+        raise ValueError(f"n={n} exceeds the half-popcount bound {WHT_MAX_N}")
+    low = n // 2
+    table = values[np.arange(n - low + 1)[:, None] + _HALF_WEIGHTS[: 1 << low]]
+    return table, _HALF_WEIGHTS[: 1 << (n - low)]
+
+
+def _indicator_rows(s: OrbitIndexSet) -> tuple[np.ndarray, np.ndarray]:
+    """``_weight_rows`` of the 0/1 int32 indicator of the connection set."""
+    lut = np.zeros(s.n + 1, dtype=np.int32)
+    lut[list(s.indices)] = 1
+    return _weight_rows(lut, s.n)
 
 
 def _indicator(s: OrbitIndexSet) -> np.ndarray:
-    """0/1 int32 indicator of the connection set: one gather through a per-weight table."""
-    lut = np.zeros(s.n + 1, dtype=np.int32)
-    lut[list(s.indices)] = 1
-    return lut[_weight_table(s.n)]
+    """0/1 int32 indicator of the connection set, gathered from its distinct rows."""
+    table, high = _indicator_rows(s)
+    return table[high].reshape(-1)
 
 
-# the transform views its vector as a (rows, cols) matrix and reorders it
-# through square tiles of this many entries a side (128 KB of int16)
-_TRANSPOSE_TILE = 256
-# entries of the transform compared at once with their weight class's value
+# entries of the transform compared at once with their weight class's value,
+# rounded down to whole rows and to at least one
 _COMPARE_CHUNK = 1 << 18
 
 
-def _transpose_into(src: np.ndarray, dst: np.ndarray) -> None:
-    """dst = src.T, copied (and cast) one square tile at a time, so each tile stays in cache."""
-    rows, cols = src.shape
-    for r0 in range(0, rows, _TRANSPOSE_TILE):
-        for c0 in range(0, cols, _TRANSPOSE_TILE):
-            tile = src[r0 : r0 + _TRANSPOSE_TILE, c0 : c0 + _TRANSPOSE_TILE]
-            dst[c0 : c0 + _TRANSPOSE_TILE, r0 : r0 + _TRANSPOSE_TILE] = tile.T
-
-
-def _butterflies(v: np.ndarray, h: int) -> None:
-    """The butterfly stages of half-width h, 2h, ... < v.size, in place.
+def _butterflies(v: np.ndarray, h: int, stop: int) -> None:
+    """The butterfly stages of half-width h, 2h, ... < stop on contiguous v read flat, in place.
 
     Each stage maps a pair (lo, hi) of h-long runs to (lo + hi, lo - hi)
     without scratch: lo += hi, then hi = lo - 2 hi.
     """
-    size = v.size
-    while h < size:
+    while h < stop:
         pairs = v.reshape(-1, 2, h)
         lo, hi = pairs[:, 0, :], pairs[:, 1, :]
         np.add(lo, hi, out=lo)
@@ -235,61 +230,53 @@ def _butterflies(v: np.ndarray, h: int) -> None:
         h *= 2
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform of a contiguous 0/1 integer vector of length 2^n.
+def _wht(s: OrbitIndexSet) -> np.ndarray:
+    """Walsh-Hadamard transform of the indicator of S, as int32 over all 2^n points.
 
-    The vector is the (rows, cols) matrix x = r * cols + c with
-    cols = 2^floor(n/2).  The stages on the low bits c run on its int16
-    transpose, where they pair runs of at least ``rows`` entries; every
-    value they form, 2 hi included, is a signed sum of at most cols values
-    0/1, so |v| <= cols, and int16 is exact while cols <= 2^15 - 1.  The result is
-    transposed back into ``a`` and the stages on the high bits r pair runs
-    of at least cols entries.  Every partial sum then has |f-hat| <= 2^n,
-    so a's int32 is exact for n <= WHT_MAX_N = 24.  Both bounds are checked
-    before any work, with ValueError.  Beside ``a`` the transform holds the
-    int16 transpose, 2 * 2^n bytes, and no scratch.
+    The stages on the low bits c act on each row of the (rows, cols) view
+    alone, so they run on the distinct rows of ``_weight_rows``, which are
+    then gathered into the vector; the stages on the high bits r pair runs
+    of at least cols entries.  Every partial sum, 2 hi included, has
+    |v| <= 2^n, so int32 is exact for n <= WHT_MAX_N = 24.  Beside the
+    int32 vector the transform holds only the n/2 + 1 distinct rows.
     """
-    size = a.size
-    if size > 1 << WHT_MAX_N:
-        raise ValueError(f"transform length {size} exceeds the int32 bound 2^{WHT_MAX_N}")
-    cols = 1 << (size.bit_length() - 1) // 2
-    rows = size // cols
-    if cols > np.iinfo(np.int16).max:
-        raise ValueError(f"low-bit transform length {cols} exceeds the int16 bound 2^15 - 1")
-    low = np.empty((cols, rows), dtype=np.int16)
-    _transpose_into(a.reshape(rows, cols), low)
-    _butterflies(low, rows)
-    _transpose_into(low, a.reshape(rows, cols))
-    del low
-    _butterflies(a, cols)
-    return a
+    table, high = _indicator_rows(s)
+    cols = table.shape[1]
+    _butterflies(table, 1, cols)
+    fhat = table[high].reshape(-1)
+    _butterflies(fhat, cols, fhat.size)
+    return fhat
 
 
 def wht_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Oracle spectrum: transform the 0/1 indicator of S over all 2^n points.
 
     Insists that the transform is constant on each weight class before
-    returning: every entry is compared with the entry at 2^k - 1 (the
-    lowest index of weight k) for its own weight k, in chunks of
-    ``_COMPARE_CHUNK`` entries.  A failure names the lowest weight k that
-    fails and the first index x of that weight where it does.  The peak
-    beyond the cached uint8 weight table is the int32 vector and the
-    transform's int16 transpose, 6 * 2^n bytes, plus one chunk.
+    returning: each row of its (rows, cols) view is compared with the row
+    of ``_weight_rows`` built from the entries at 2^k - 1 (the lowest index
+    of weight k), in chunks of whole rows holding about ``_COMPARE_CHUNK``
+    entries.  A failure names the lowest weight k that fails and the first
+    index x of that weight where it does.  The peak is the int32 vector,
+    4 * 2^n bytes, plus one chunk.
     """
     if s.n > WHT_MAX_N:
         raise ValueError(f"n={s.n} exceeds the transform cap {WHT_MAX_N}")
-    fhat = _fwht(_indicator(s))
-    w = _weight_table(s.n)
+    fhat = _wht(s)
     heads = (1 << np.arange(s.n + 1, dtype=np.int64)) - 1
     values = fhat[heads]
+    expected, high = _weight_rows(values, s.n)
+    cols = expected.shape[1]
+    by_row = fhat.reshape(-1, cols)
+    step = max(1, _COMPARE_CHUNK // cols)
     failure = None  # (k, x) of the lowest failing weight and its first index
-    for start in range(0, fhat.size, _COMPARE_CHUNK):
-        weights = w[start : start + _COMPARE_CHUNK]
-        mismatch = fhat[start : start + _COMPARE_CHUNK] != values[weights]
+    for r0 in range(0, by_row.shape[0], step):
+        rows = high[r0 : r0 + step]
+        mismatch = by_row[r0 : r0 + step] != expected[rows]
         if mismatch.any():
+            weights = rows[:, None] + _HALF_WEIGHTS[:cols]
             k = int(weights[mismatch].min())
             if failure is None or k < failure[0]:
-                failure = k, start + int(np.flatnonzero(mismatch & (weights == k))[0])
+                failure = k, r0 * cols + int(np.flatnonzero(mismatch & (weights == k))[0])
     if failure is not None:
         k, x = failure
         raise ConsistencyError(

@@ -8,8 +8,9 @@ the independent check of one fast route.
   ``srg.pair_count_table``.
 - ``wht_naive``: the Walsh-Hadamard transform by direct O(4^n) summation,
   and ``butterfly_fwht``: the same transform by one numpy butterfly stage
-  per bit in natural order; both check the tiled-transpose transform
-  ``spectrum._fwht`` behind ``wht_spectrum``.
+  per bit over the whole indicator; both check ``spectrum._wht`` behind
+  ``wht_spectrum``, which runs the low-bit stages on the indicator's
+  distinct rows before gathering them.
 - ``ExplicitGraph``: the 2^n x 2^n bool adjacency, built block by block
   from the translate blocks of ``explicit._translates``.
 - ``matrix_srg_check``: the dense verdict from the built matrix, by BFS
@@ -125,7 +126,7 @@ class ExplicitGraph:
         if s.n > EXPLICIT_MAX_N:
             raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
         size = 1 << s.n
-        row0 = _row0(s)  # before the matrix, like graph6.export_graph6
+        row0 = _row0(s)
         adjacency = np.empty((size, size), dtype=bool)
         for x0, rows in explicit._translates(row0):
             adjacency[x0 : x0 + len(rows)] = rows

@@ -16,11 +16,12 @@ from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.spectrum import (
     DistinctSpectrum,
     Spectrum,
+    _HALF_WEIGHTS,
     _check_invariants,
     _first_invariant_failure,
-    _fwht,
     _indicator,
-    _weight_table,
+    _weight_rows,
+    _wht,
     character_sum_row,
     character_table,
     distinct,
@@ -134,54 +135,35 @@ def test_wht_examples():
     assert wht_spectrum(OrbitIndexSet.of(4, set())).values == (0, 0, 0, 0, 0)
 
 
-def _naive_matches_butterfly(s):
-    f = _indicator(s)
-    return np.array_equal(wht_naive(f, s.n), _fwht(f.copy()))
-
-
-def test_naive_wht_matches_butterfly():
-    for n in range(1, 6):
-        for mask in range(1 << n):
-            assert _naive_matches_butterfly(OrbitIndexSet.from_bitmask(n, mask))
-    rng = random.Random(7)
-    for _ in range(5):
-        assert _naive_matches_butterfly(OrbitIndexSet.from_bitmask(8, rng.randrange(1, 1 << 8)))
-
-
-def _transforms_agree(f, n):
-    # the tiled transform against the one-stage-per-bit butterfly, and the
-    # naive sum where it is cheap; each transform gets its own copy
-    fhat = _fwht(f.copy())
-    assert np.array_equal(fhat, butterfly_fwht(f.copy())), n
-    if n <= 8:
-        assert np.array_equal(fhat, wht_naive(f, n)), n
-
-
 def test_transform_matches_the_butterfly_and_naive_oracles():
-    # every index set up to n = 5, every 0/1 vector up to n = 3, random 0/1
-    # vectors of every length up to 2^14 (odd n has more rows than columns),
-    # and one at n = 20, whose low stages run on runs of 1,024 entries
-    for n in range(1, 6):
+    # every index set up to n = 8, against the one-stage-per-bit butterfly
+    # and the naive sum (a sum of the single-orbit naive transforms, by
+    # linearity); drawn sets at n = 9..16, and one set each at n = 20 and
+    # at n = 21, whose rows outnumber its columns
+    for n in range(1, 9):
+        weights = np.array([x.bit_count() for x in range(1 << n)])
+        naive = [wht_naive((weights == i).astype(np.int32), n) for i in range(n + 1)]
         for mask in range(1 << n):
-            _transforms_agree(_indicator(OrbitIndexSet.from_bitmask(n, mask)), n)
-    for n in range(0, 4):
-        for bits in range(1 << (1 << n)):
-            f = np.array([bits >> x & 1 for x in range(1 << n)], dtype=np.int32)
-            _transforms_agree(f, n)
-    rng = np.random.default_rng(11)
-    for n in range(1, 15):
-        for density in (0.1, 0.5, 0.9):
-            _transforms_agree((rng.random(1 << n) < density).astype(np.int32), n)
-    _transforms_agree((rng.random(1 << 20) < 0.5).astype(np.int32), 20)
+            s = OrbitIndexSet.from_bitmask(n, mask)
+            f = _indicator(s)
+            assert np.array_equal(f, np.isin(weights, list(s.indices))), s.format()
+            fhat = _wht(s)
+            assert fhat.dtype == np.int32
+            assert np.array_equal(fhat, butterfly_fwht(f)), s.format()
+            naive_sum = sum((naive[i] for i in s.indices), np.zeros_like(fhat))
+            assert np.array_equal(fhat, naive_sum), s.format()
+    rng = random.Random(11)
+    drawn = [OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n)) for n in range(9, 17)]
+    drawn += [OrbitIndexSet.of(20, {1, 2, 7, 13, 20}), OrbitIndexSet.of(21, {3, 10, 11, 21})]
+    for s in drawn:
+        assert np.array_equal(_wht(s), butterfly_fwht(_indicator(s))), s.format()
 
 
 def test_wht_peak_allocation_at_n22():
-    # the int32 indicator (4 * 2^n B), the transform's int16 transpose
-    # (2 * 2^n B) and the uint8 weight table (2^n B), counted cold; the
-    # one-stage-per-bit butterfly's scratch and a whole-vector gather of the
-    # weight-class values took it to 10 * 2^n B
+    # the int32 transform (4 * 2^n B) and one comparison chunk, 4.4 * 2^n B
+    # measured; the tiled transform's int16 transpose (2 * 2^n B) and its
+    # cached uint8 weight table (2^n B) took it to 7 * 2^n B
     s = OrbitIndexSet.of(22, set(range(1, 23, 2)) | {4, 8})
-    _weight_table.cache_clear()
     tracemalloc.start()
     try:
         spec = wht_spectrum(s)
@@ -189,7 +171,7 @@ def test_wht_peak_allocation_at_n22():
     finally:
         tracemalloc.stop()
     assert spec == full_spectrum(s)
-    assert peak <= 8 * 2**s.n, peak / 2**s.n
+    assert peak <= 5 * 2**s.n, peak / 2**s.n
 
 
 def test_wht_caps_and_methods():
@@ -206,7 +188,7 @@ def test_wht_rejects_weight_inhomogeneous_indicator(monkeypatch):
         f[1] = 1  # one single weight-1 vector, not the whole class
         return f
 
-    monkeypatch.setattr(spectrum_module, "_indicator", doctored)
+    monkeypatch.setattr(spectrum_module, "_wht", lambda s: butterfly_fwht(doctored(s)))
     with pytest.raises(ConsistencyError) as exc:
         wht_spectrum(OrbitIndexSet.of(4, {1}))
     # fhat[y] = 1 - 2*y_0: the weight-1 class holds -1 at y=1 and 1 at y=2
@@ -226,7 +208,7 @@ def _first_class_failure(fhat, w):
     return k, int(np.flatnonzero(mismatch & (w == k))[0])
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 1 << 18])
+@pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 18])
 def test_weight_class_failure_is_the_same_in_every_chunking(monkeypatch, chunk):
     # random 0/1 vectors that are no union of weight classes; in some, a
     # higher class fails at a lower index than the lowest failing class
@@ -243,7 +225,7 @@ def test_weight_class_failure_is_the_same_in_every_chunking(monkeypatch, chunk):
                 continue
             k, x = failure
             later += bool((fhat[:x] != fhat[(1 << w[:x]) - 1]).any())
-            monkeypatch.setattr(spectrum_module, "_indicator", lambda s, f=f: f.copy())
+            monkeypatch.setattr(spectrum_module, "_wht", lambda s, fhat=fhat: fhat.copy())
             with pytest.raises(ConsistencyError) as exc:
                 wht_spectrum(OrbitIndexSet.of(n, {1}))
             assert str(exc.value) == (
@@ -254,30 +236,32 @@ def test_weight_class_failure_is_the_same_in_every_chunking(monkeypatch, chunk):
 
 
 def test_fixed_width_bounds_are_checked_before_any_work(monkeypatch):
-    # zero-stride views stand for the oversized inputs; nothing large is allocated
-    with pytest.raises(ValueError, match="int32 bound"):
-        _fwht(np.broadcast_to(np.int32(0), ((1 << 24) + 1,)))
-    assert _fwht(np.zeros(2, dtype=np.int32)).tolist() == [0, 0]
-    # with the int32 cap lifted, 2^30 entries give 2^15 columns, past int16
-    monkeypatch.setattr(spectrum_module, "WHT_MAX_N", 30)
+    assert _HALF_WEIGHTS.tolist() == [x.bit_count() for x in range(1 << 12)]
+    # n = 25 has a 13-bit half, past the popcount constant: rejected before
+    # the index table of 14 * 2^12 entries is formed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="half-popcount bound 24"):
+            _weight_rows(np.zeros(26, dtype=np.int32), 25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 12, peak
+    table, high = _weight_rows(np.arange(4), 3)
+    assert table.tolist() == [[0, 1], [1, 2], [2, 3]] and high.tolist() == [0, 1, 1, 2]
 
-    def no_transpose(src, dst):
-        pytest.fail("a tile was copied before the int16 bound was checked")
+    def no_transform(s):
+        pytest.fail("the transform ran before the cap was checked")
 
-    monkeypatch.setattr(spectrum_module, "_transpose_into", no_transpose)
-    with pytest.raises(ValueError, match="int16 bound"):
-        _fwht(np.broadcast_to(np.int32(0), (1 << 30,)))
-    monkeypatch.undo()
-    with pytest.raises(ValueError, match="uint8 weight-table bound"):
-        _weight_table(256)
-    assert _weight_table(3).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+    monkeypatch.setattr(spectrum_module, "_wht", no_transform)
+    with pytest.raises(ValueError, match="transform cap 24"):
+        wht_spectrum(OrbitIndexSet.of(25, {1}))
 
 
 def test_transform_is_exact_at_the_int32_scale():
     # |fhat(0)| = |S| reaches 2^n - 1 for the full set; int32 holds it exactly
-    f = _indicator(OrbitIndexSet.of(20, set(range(1, 21))))
-    assert f.dtype == np.int32
-    fhat = _fwht(f)
+    fhat = _wht(OrbitIndexSet.of(20, set(range(1, 21))))
+    assert fhat.dtype == np.int32
     assert fhat[0] == (1 << 20) - 1 and fhat[1] == -1
 
 

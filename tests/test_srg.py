@@ -473,7 +473,6 @@ def test_dense_check_peak_allocation_at_n14():
     # it; about 0.48 MB measured, where the bool adjacency alone is 4^n B = 256 MB
     s = family_construct("s0s1@4m+2", 3)[0]  # an SRG, so every step runs
     assert s.n == EXPLICIT_MAX_N
-    srg_check_explicit(s)  # warm the cached weight table outside the trace
     tracemalloc.start()
     try:
         verdict = srg_check_explicit(s)
