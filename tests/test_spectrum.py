@@ -135,6 +135,23 @@ def test_wht_examples():
     assert wht_spectrum(OrbitIndexSet.of(4, set())).values == (0, 0, 0, 0, 0)
 
 
+def _naive_matches_butterfly(s):
+    # the direct O(4^n) sum of the indicator, against the butterfly oracle
+    # and the transform itself
+    f = _indicator(s)
+    naive = wht_naive(f, s.n)
+    return np.array_equal(naive, butterfly_fwht(f.copy())) and np.array_equal(naive, _wht(s))
+
+
+def test_naive_wht_matches_butterfly():
+    for n in range(1, 6):
+        for mask in range(1 << n):
+            assert _naive_matches_butterfly(OrbitIndexSet.from_bitmask(n, mask))
+    rng = random.Random(7)
+    for _ in range(5):
+        assert _naive_matches_butterfly(OrbitIndexSet.from_bitmask(8, rng.randrange(1, 1 << 8)))
+
+
 def test_transform_matches_the_butterfly_and_naive_oracles():
     # every index set up to n = 8, against the one-stage-per-bit butterfly
     # and the naive sum (a sum of the single-orbit naive transforms, by
