@@ -21,9 +21,16 @@ def binom(s: int, t: int) -> int:
     return comb(s, t)
 
 
-# Row n holds n + 1 ints of at most n bits: 10.6 KB at n = 200.  Requests
-# up to n = 200 touch rows 0..200 only, 0.95 MB in all; a full cache of
-# rows 0..255 holds 1.65 MB.
+# the largest n of the closed forms, checked first in spectrum.full_spectrum
+# and srg.pair_count.  The pair counts of all n weights take time cubic in n:
+# srg-check at n = 1024 takes 4.4 s with 2 indices and 6.3 s with 512
+# (2-vCPU host, Python 3.11.7)
+CLOSED_FORM_MAX_N = 1024
+
+# Row n holds n + 1 ints of at most n bits: 10.6 KB at n = 200 and 135 KB at
+# n = 1024.  Requests up to n = 200 touch rows 0..200 only, 0.95 MB in all; a
+# full cache of rows 0..255 holds 1.65 MB, and at CLOSED_FORM_MAX_N the cache
+# holds at most the rows 769..1024, 27.6 MB
 PASCAL_ROWS_CACHED = 256
 
 

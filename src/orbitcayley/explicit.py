@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import OrbitIndexSet
-from .spectrum import _indicator
+from .spectrum import _indicator_rows
 
 # the dense route holds row 0 and its uint16 counts, 3 * 2^n bytes, and one
 # block step of at most 0.5 MB (see _GATHER_BLOCK_BYTES): 0.5 MB traced at
@@ -43,8 +43,13 @@ _GATHER_BLOCK_BYTES = 1 << 19
 
 
 def _row0(s: OrbitIndexSet) -> np.ndarray:
-    """Adjacency row of vertex 0: row0[y] <=> weight(y) in I."""
-    return _indicator(s).astype(bool)
+    """Adjacency row of vertex 0: row0[y] <=> weight(y) in I.
+
+    Gathered as bool from the indicator's distinct rows (``spectrum._weight_rows``),
+    so the row's 2^n bytes are the only allocation of its size.
+    """
+    table, high = _indicator_rows(s, bool)
+    return table[high].reshape(-1)
 
 
 def _block_rows(size: int) -> int:

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .core import ConsistencyError, OrbitIndexSet, binom, pascal_row
+from .core import CLOSED_FORM_MAX_N, ConsistencyError, OrbitIndexSet, binom, pascal_row
 
 WHT_MAX_N = 24  # transform is O(n * 2^n) time and O(2^n) memory
 
@@ -168,8 +168,11 @@ def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Closed-form spectrum of the orbit Cayley graph on 2^n vertices.
 
     Sums the recurrence rows of the member orbits; ``eigenvalue`` is the
-    binomial-sum oracle for the same values.
+    binomial-sum oracle for the same values.  Raises ValueError when n
+    exceeds CLOSED_FORM_MAX_N.
     """
+    if s.n > CLOSED_FORM_MAX_N:
+        raise ValueError(f"n={s.n} exceeds the closed-form cap {CLOSED_FORM_MAX_N}")
     rows = [character_sum_row(s.n, i) for i in s.sorted_indices]
     values = tuple(sum(row[k] for row in rows) for k in range(s.n + 1))
     spec = Spectrum(s.n, values)
@@ -197,17 +200,11 @@ def _weight_rows(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return table, _HALF_WEIGHTS[: 1 << (n - low)]
 
 
-def _indicator_rows(s: OrbitIndexSet) -> tuple[np.ndarray, np.ndarray]:
-    """``_weight_rows`` of the 0/1 int32 indicator of the connection set."""
-    lut = np.zeros(s.n + 1, dtype=np.int32)
+def _indicator_rows(s: OrbitIndexSet, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """``_weight_rows`` of the 0/1 indicator of the connection set, in ``dtype``."""
+    lut = np.zeros(s.n + 1, dtype=dtype)
     lut[list(s.indices)] = 1
     return _weight_rows(lut, s.n)
-
-
-def _indicator(s: OrbitIndexSet) -> np.ndarray:
-    """0/1 int32 indicator of the connection set, gathered from its distinct rows."""
-    table, high = _indicator_rows(s)
-    return table[high].reshape(-1)
 
 
 # entries of the transform compared at once with their weight class's value,
@@ -240,7 +237,7 @@ def _wht(s: OrbitIndexSet) -> np.ndarray:
     |v| <= 2^n, so int32 is exact for n <= WHT_MAX_N = 24.  Beside the
     int32 vector the transform holds only the n/2 + 1 distinct rows.
     """
-    table, high = _indicator_rows(s)
+    table, high = _indicator_rows(s, np.int32)
     cols = table.shape[1]
     _butterflies(table, 1, cols)
     fhat = table[high].reshape(-1)

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    CLOSED_FORM_MAX_N,
     ConsistencyError,
     OrbitIndexSet,
     ResidueFamily,
@@ -43,9 +44,12 @@ def pair_count(s: OrbitIndexSet, w: int) -> int:
     the Hamming-scheme numbers p_ij^w summed over I x I without building
     them.  Swapping a and w - a swaps the two conditions, so only a <= w/2
     is summed, and every a < w/2 twice; the b-sum runs over the 0/1 bytes
-    of I and a cached Pascal row.
+    of I and a cached Pascal row.  Raises ValueError when n exceeds
+    CLOSED_FORM_MAX_N.
     """
     n = s.n
+    if n > CLOSED_FORM_MAX_N:
+        raise ValueError(f"n={n} exceeds the closed-form cap {CLOSED_FORM_MAX_N}")
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range 0..{n}")
     member = bytes(i in s.indices for i in range(n + 1))
@@ -239,7 +243,9 @@ def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
     """One row per (m, nontrivial family): closed-form parameters plus verification.
 
     ``verified`` is "yes"/"no" from ``certify`` (both closed-form routes) when
-    the dimension is within ``check_cap``, else "skipped".
+    the dimension is within ``check_cap``, else "skipped"; only certified rows
+    build their index set.  Raises ValueError before any row when a certified
+    dimension would exceed CLOSED_FORM_MAX_N.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -255,20 +261,26 @@ def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
                 f"m_max={m_max} exceeds {largest}: 2^(4*m_max+2) would have more than "
                 f"{limit} digits (sys.get_int_max_str_digits())"
             )
+    # rows of dimension up to check_cap are certified, and the largest row has 4 m_max + 2
+    checked = min(check_cap, 4 * m_max + 2)
+    if checked > CLOSED_FORM_MAX_N:
+        raise ValueError(
+            f"rows up to n={checked} would be certified, over the closed-form cap "
+            f"{CLOSED_FORM_MAX_N}"
+        )
     rows = []
     for m in range(1, m_max + 1):
         for key in NONTRIVIAL_FAMILY_KEYS:
             spec = FAMILIES[key]
-            index_set, predicted = spec.index_set(m), spec.predicted(m)
-            if index_set.n <= check_cap:
-                verdict, _ = certify(index_set, explicit_cap=0)
+            predicted = spec.predicted(m)
+            verified = "skipped"
+            if spec.dimension(m) <= check_cap:
+                verdict, _ = certify(spec.index_set(m), explicit_cap=0)
                 ok = (
                     verdict.status is VerdictStatus.NONTRIVIAL_SRG
                     and verdict.params == predicted
                 )
                 verified = "yes" if ok else "no"
-            else:
-                verified = "skipped"
             rows.append(
                 {
                     "graph": spec.label(m),

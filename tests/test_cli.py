@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -18,9 +19,10 @@ import pytest
 import orbitcayley.cli as cli_module
 from orbitcayley.census import CENSUS_MAX_N
 from orbitcayley.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, build_parser, main
-from orbitcayley.core import ConsistencyError
+from orbitcayley.core import CLOSED_FORM_MAX_N, ConsistencyError
 from orbitcayley.explicit import EXPLICIT_MAX_N
 from orbitcayley.graph6 import EXPORT_MAX_N
+from orbitcayley.identities import IDENTITIES_MAX_M
 from orbitcayley.spectrum import WHT_MAX_N, Spectrum
 from orbitcayley.srg import emit_table1
 
@@ -135,6 +137,10 @@ BEYOND_A_LIMIT = [
     ["census", "--n", "4", "--max-n", "30"],
     ["export", "--set", "n=4;I=1", "--max-n", "20"],
     ["families", "--m-max", "4000"],  # 2^16002 vertices: over Python's int-to-str digit limit
+    ["srg-check", "--set", f"n={CLOSED_FORM_MAX_N + 1};I=1"],
+    ["spectrum", "--set", f"n={CLOSED_FORM_MAX_N + 1};I=1"],
+    ["families", "--m-max", "300", "--check-cap", str(CLOSED_FORM_MAX_N + 1)],
+    ["identities", "--max-m", str(IDENTITIES_MAX_M + 1)],
 ]
 
 
@@ -397,3 +403,13 @@ def test_readme_cli_synopsis_matches_the_parser():
     for name, sub in subcommands.items():
         flags = {opt for action in sub._actions for opt in action.option_strings}
         assert synopsis[name] == flags - {"-h", "--help"}, name
+
+
+def test_readme_caps_table_matches_the_constants():
+    table = README.read_text().split("| limit | value | bounds | checked in |\n|---|---|---|---|\n")[1]
+    limits = set()
+    for row in table.split("\n\n", 1)[0].splitlines():
+        module, name, value = re.match(r"\| `(\w+)\.(\w+)` \| (\d+) \|", row).groups()
+        assert getattr(importlib.import_module(f"orbitcayley.{module}"), name) == int(value), row
+        limits.add(f"{module}.{name}")
+    assert {"core.CLOSED_FORM_MAX_N", "identities.IDENTITIES_MAX_M"} <= limits

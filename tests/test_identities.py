@@ -10,6 +10,7 @@ from orbitcayley.core import ConsistencyError, binom
 from orbitcayley.identities import (
     _DOUBLE_SUMS,
     _RESIDUE_SUMS,
+    IDENTITIES_MAX_M,
     IDENTITY_IDS,
     _double_sum,
     admissible_k,
@@ -100,6 +101,9 @@ def test_every_identity_is_a_row_of_integers():
         flat = [x for field in row for x in (field if isinstance(field, tuple) else (field,))]
         assert all(type(x) is int for x in flat), identity_id
         assert len(row.rhs) == 4, identity_id
+    # _double_sum's j starts at 0 and its row-b slice at the first bottom >= 0
+    for identity_id, row in _DOUBLE_SUMS.items():
+        assert row.p in (0, 1) and row.q <= 3, identity_id
     # worked rows: L33-d is C(6,1) + C(6,5) = 2^4 - 2^2 at m = 1, and
     # T35-v at (k, m) = (1, 2) is 2 * sum C(5, 2j) C(5, 4t - 2j) = 2^8 + 2^4
     assert _RESIDUE_SUMS["L33-d"] == (4, 4, 2, (1,), (4, 0, 1, 0))
@@ -125,6 +129,22 @@ def test_verify_all_small_sweep():
     assert len(report) == singles + positive + below + full
     with pytest.raises(ValueError):
         verify_all(0)
+
+
+def test_identities_cap_is_checked_before_any_sum(monkeypatch):
+    def no_sum(*args):
+        pytest.fail("a sum began before the identities cap was checked")
+
+    monkeypatch.setattr(identities_module, "pascal_row", no_sum)
+    monkeypatch.setattr(identities_module, "mod4_binomial_sum", no_sum)
+    for call in (
+        lambda: verify_all(IDENTITIES_MAX_M + 1),
+        lambda: admissible_k("T34", IDENTITIES_MAX_M + 1),
+        lambda: identity_sides("L32-a", 0, IDENTITIES_MAX_M + 1),
+    ):
+        with pytest.raises(ValueError, match="identities cap"):
+            call()
+    assert list(admissible_k("T35-v", IDENTITIES_MAX_M)) == list(range(IDENTITIES_MAX_M + 1))
 
 
 def test_report_ordering():

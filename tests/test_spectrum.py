@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 import orbitcayley.spectrum as spectrum_module
 from orbitcayley.core import ConsistencyError, OrbitIndexSet
+from orbitcayley.explicit import _row0
 from orbitcayley.spectrum import (
     DistinctSpectrum,
     Spectrum,
     _HALF_WEIGHTS,
     _check_invariants,
     _first_invariant_failure,
-    _indicator,
     _weight_rows,
     _wht,
     character_sum_row,
@@ -138,7 +138,7 @@ def test_wht_examples():
 def _naive_matches_butterfly(s):
     # the direct O(4^n) sum of the indicator, against the butterfly oracle
     # and the transform itself
-    f = _indicator(s)
+    f = _row0(s).astype(np.int32)
     naive = wht_naive(f, s.n)
     return np.array_equal(naive, butterfly_fwht(f.copy())) and np.array_equal(naive, _wht(s))
 
@@ -162,7 +162,7 @@ def test_transform_matches_the_butterfly_and_naive_oracles():
         naive = [wht_naive((weights == i).astype(np.int32), n) for i in range(n + 1)]
         for mask in range(1 << n):
             s = OrbitIndexSet.from_bitmask(n, mask)
-            f = _indicator(s)
+            f = _row0(s).astype(np.int32)
             assert np.array_equal(f, np.isin(weights, list(s.indices))), s.format()
             fhat = _wht(s)
             assert fhat.dtype == np.int32
@@ -173,7 +173,7 @@ def test_transform_matches_the_butterfly_and_naive_oracles():
     drawn = [OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n)) for n in range(9, 17)]
     drawn += [OrbitIndexSet.of(20, {1, 2, 7, 13, 20}), OrbitIndexSet.of(21, {3, 10, 11, 21})]
     for s in drawn:
-        assert np.array_equal(_wht(s), butterfly_fwht(_indicator(s))), s.format()
+        assert np.array_equal(_wht(s), butterfly_fwht(_row0(s).astype(np.int32))), s.format()
 
 
 def test_wht_peak_allocation_at_n22():

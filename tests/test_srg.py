@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 import orbitcayley.explicit as explicit_module
 import orbitcayley.graph6 as graph6_module
+import orbitcayley.spectrum as spectrum_module
 import orbitcayley.srg as srg_module
 from orbitcayley.census import census
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
-from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet, binom
+from orbitcayley.core import CLOSED_FORM_MAX_N, ConsistencyError, Gf2Vector, OrbitIndexSet, binom
 from orbitcayley.explicit import EXPLICIT_MAX_N, _row0, row0_constants, spans
 from orbitcayley.graph6 import export_graph6
 from orbitcayley.spectrum import distinct, full_spectrum
@@ -29,6 +30,7 @@ from orbitcayley.srg import (
     SrgVerdict,
     _distinct_values,
     certify,
+    emit_table1,
     family_construct,
     match_families,
     pair_count,
@@ -483,6 +485,22 @@ def test_dense_check_peak_allocation_at_n14():
     assert peak < explicit_module._GATHER_BLOCK_BYTES + 12 * 2**s.n, peak
 
 
+def test_row0_peak_allocation_at_n14():
+    # the bool row (2^n B) and the small distinct-row table; gathering the
+    # int32 indicator and casting it to bool held 5 * 2^n B
+    s = family_construct("s0s1@4m+2", 3)[0]
+    assert s.n == EXPLICIT_MAX_N
+    _row0(s)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        row0 = _row0(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row0.dtype == bool and row0.size == 1 << s.n
+    assert peak <= 2 * 2**s.n, peak / 2**s.n
+
+
 def test_counts_bound_is_checked_before_any_work(monkeypatch):
     # a zero-stride view stands for the 2^16-vertex row; nothing large is allocated
     def no_block(row0):
@@ -641,6 +659,47 @@ def test_family_parameters_verified_at_larger_m():
         verdict = srg_check_paircount(s)
         assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
         assert verdict.params == predicted
+
+
+def test_emit_table1_builds_index_sets_only_for_certified_rows(monkeypatch):
+    # certify is stubbed, so its family matching builds no index set and
+    # every counted call is one emit_table1 makes itself
+    built = []
+    real = srg_module.FamilySpec.index_set
+
+    def counting(spec, m):
+        built.append(spec.dimension(m))
+        return real(spec, m)
+
+    monkeypatch.setattr(srg_module.FamilySpec, "index_set", counting)
+    monkeypatch.setattr(
+        srg_module, "certify", lambda s, explicit_cap: (SrgVerdict(VerdictStatus.NOT_SRG), None)
+    )
+    rows = emit_table1(50, check_cap=20)
+    certified = [row for row in rows if row["verified"] != "skipped"]
+    assert len(rows) == 50 * 6
+    assert len(built) == len(certified) == 2 * 5 + 4 * 4  # n = 4m <= 20 and n = 4m + 2 <= 20
+    assert max(built) == 20
+
+
+def test_closed_form_cap_is_checked_before_any_work(monkeypatch):
+    s = OrbitIndexSet.of(CLOSED_FORM_MAX_N + 1, {1})
+
+    def no_work(*args):
+        pytest.fail("work began before the closed-form cap was checked")
+
+    monkeypatch.setattr(srg_module, "pascal_row", no_work)
+    monkeypatch.setattr(spectrum_module, "character_sum_row", no_work)
+    with pytest.raises(ValueError, match="closed-form cap"):
+        full_spectrum(s)
+    with pytest.raises(ValueError, match="closed-form cap"):
+        pair_count(s, 1)
+    # families: check_cap and 4 m_max + 2 both above the cap, and no row is built
+    monkeypatch.setattr(srg_module.FamilySpec, "predicted", no_work)
+    with pytest.raises(ValueError, match=f"n={CLOSED_FORM_MAX_N + 1} would be certified"):
+        emit_table1(300, check_cap=CLOSED_FORM_MAX_N + 1)
+    with pytest.raises(ValueError, match=f"n={CLOSED_FORM_MAX_N + 2} would be certified"):
+        emit_table1((CLOSED_FORM_MAX_N - 2) // 4 + 1, check_cap=CLOSED_FORM_MAX_N + 10)
 
 
 def test_match_families():
