@@ -1,6 +1,6 @@
 """Orbit Cayley graphs over Z2^n: exact spectra, strong-regularity certification, census."""
 
-from .census import CensusRecord, census, find_srgs
+from .census import CensusRecord, census
 from .core import (
     ConsistencyError,
     Gf2Vector,
@@ -68,7 +68,6 @@ __all__ = [
     "expand_family",
     "export_graph6",
     "family_construct",
-    "find_srgs",
     "full_spectrum",
     "identity_sides",
     "is_connected",

@@ -127,6 +127,12 @@ class SrgVerdict:
         return out
 
 
+# the verdicts that carry no parameters, shared by every route and the census
+DISCONNECTED = SrgVerdict(VerdictStatus.DISCONNECTED)
+COMPLETE = SrgVerdict(VerdictStatus.COMPLETE)
+NOT_SRG = SrgVerdict(VerdictStatus.NOT_SRG)
+
+
 # -- named families ----------------------------------------------------------
 
 _PRETTY = {
@@ -298,23 +304,31 @@ def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
 
 def _gate(s: OrbitIndexSet) -> SrgVerdict | None:
     if not is_connected(s):
-        return SrgVerdict(VerdictStatus.DISCONNECTED)
+        return DISCONNECTED
     if s.is_full():
-        return SrgVerdict(VerdictStatus.COMPLETE)
+        return COMPLETE
     return None
 
 
 def _srg_verdict(s: OrbitIndexSet, lam: int, mu: int, degree: int) -> SrgVerdict:
+    """An SRG verdict without family tags; ``_tagged`` adds them once the routes agree."""
     # trivial means the complement graph is disconnected (the definition,
     # not a shape heuristic; match_families tags the s_minus and s_odd shapes)
     trivial = not is_connected(s.complement())
     status = VerdictStatus.TRIVIAL_SRG if trivial else VerdictStatus.NONTRIVIAL_SRG
-    return SrgVerdict(status, SrgParams(1 << s.n, degree, lam, mu), match_families(s))
+    return SrgVerdict(status, SrgParams(1 << s.n, degree, lam, mu))
+
+
+def _tagged(s: OrbitIndexSet, verdict: SrgVerdict) -> SrgVerdict:
+    """The verdict with the family tags of s when it is an SRG verdict."""
+    if verdict.params is None:
+        return verdict
+    return SrgVerdict(verdict.status, verdict.params, match_families(s))
 
 
 def srg_check_paircount(s: OrbitIndexSet) -> SrgVerdict:
     """Strong regularity iff |C(v,S)| is one constant on S and another off S."""
-    return _paircount_verdict(s, _pair_counts(s))
+    return _tagged(s, _paircount_verdict(s, _pair_counts(s)))
 
 
 def _pair_counts(s: OrbitIndexSet) -> list[int]:
@@ -331,7 +345,7 @@ def _paircount_verdict(s: OrbitIndexSet, counts: Sequence[int]) -> SrgVerdict:
     mu_values = {counts[w - 1] for w in range(1, s.n + 1) if w not in s.indices}
     if len(lam_values) == 1 and len(mu_values) == 1:
         return _srg_verdict(s, lam_values.pop(), mu_values.pop(), s.size())
-    return SrgVerdict(VerdictStatus.NOT_SRG)
+    return NOT_SRG
 
 
 def srg_check_spectral(s: OrbitIndexSet) -> SrgVerdict:
@@ -340,7 +354,8 @@ def srg_check_spectral(s: OrbitIndexSet) -> SrgVerdict:
     Parameters recovered by the standard identities
     mu = r + theta*tau and lambda = mu + theta + tau.
     """
-    return _spectral_verdict(s, _distinct_values(sorted(full_spectrum(s).values, reverse=True)))
+    values = _distinct_values(sorted(full_spectrum(s).values, reverse=True))
+    return _tagged(s, _spectral_verdict(s, values))
 
 
 def _distinct_values(descending: Sequence[int]) -> tuple[int, ...]:
@@ -358,7 +373,7 @@ def _spectral_verdict(s: OrbitIndexSet, values: Sequence[int]) -> SrgVerdict:
     if gate is not None:
         return gate
     if len(values) != 3:
-        return SrgVerdict(VerdictStatus.NOT_SRG)
+        return NOT_SRG
     r, theta, tau = values
     mu = r + theta * tau
     lam = mu + theta + tau
@@ -376,23 +391,28 @@ def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
     support.  None of these uses the closed forms.  Raises ValueError
     before any allocation when n exceeds EXPLICIT_MAX_N.
     """
+    return _tagged(s, _explicit_verdict(s))
+
+
+def _explicit_verdict(s: OrbitIndexSet) -> SrgVerdict:
+    """``srg_check_explicit`` without the family tags."""
     if s.n > EXPLICIT_MAX_N:
         raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
     row0 = _row0(s)
     if not spans(row0):
-        return SrgVerdict(VerdictStatus.DISCONNECTED)
+        return DISCONNECTED
     size = row0.size
     degree = int(np.count_nonzero(row0))
     if degree == size - 1:
-        return SrgVerdict(VerdictStatus.COMPLETE)
+        return COMPLETE
     lam, mu = row0_constants(row0)
     if lam is None or mu is None:
-        return SrgVerdict(VerdictStatus.NOT_SRG)
+        return NOT_SRG
     # the complement graph is disconnected exactly for a trivial SRG
     other = ~row0
     other[0] = False
     status = VerdictStatus.NONTRIVIAL_SRG if spans(other) else VerdictStatus.TRIVIAL_SRG
-    return SrgVerdict(status, SrgParams(size, degree, lam, mu), match_families(s))
+    return SrgVerdict(status, SrgParams(size, degree, lam, mu))
 
 
 def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
@@ -418,18 +438,19 @@ def _certified(
     ``values`` (as ``_paircount_verdict`` and ``_spectral_verdict`` take
     them); the dense route joins when s.n <= explicit_cap.  Shared by
     ``certify`` and the census sweep; raises ConsistencyError naming the
-    set and every route's verdict when any two differ.
+    set and every route's verdict when any two differ.  The family tags
+    are matched once, after the routes agree.
     """
     verdicts = {
         "pair_count": _paircount_verdict(s, counts),
         "spectral": _spectral_verdict(s, values),
     }
     if s.n <= explicit_cap:
-        verdicts["explicit"] = srg_check_explicit(s)
+        verdicts["explicit"] = _explicit_verdict(s)
     verdict = verdicts["pair_count"]
     if any(other != verdict for other in verdicts.values()):
         detail = "; ".join(
-            f"{route}: {json.dumps(v.to_json_dict())}" for route, v in verdicts.items()
+            f"{route}: {json.dumps(_tagged(s, v).to_json_dict())}" for route, v in verdicts.items()
         )
         raise ConsistencyError(f"SRG routes disagree on {s.format()}: {detail}")
-    return verdict
+    return _tagged(s, verdict)

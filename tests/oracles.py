@@ -30,6 +30,11 @@ the independent check of one fast route.
   common-neighbour count of every pair, by a float32 product in row bands
   of the upper triangle after checking that A is symmetric, the check of
   ``common_neighbor_constants`` and of ``explicit.row0_constants``.
+- ``find_srgs``: every strongly regular index set of a dimension, read
+  off the census records.
+- ``census_oracle_bytes``: the census JSONL or CSV written set by set
+  from ``certify``, the check of the verdict columns and of the records
+  ``census`` emits from them.
 - ``column_gather_graph6``: the graph6 string with each column of the
   upper triangle gathered bit by bit from vertex 0's row through an int64
   XOR index, packed 6 bits at a time with shifts and ORs, the check of
@@ -43,16 +48,20 @@ works from every test module.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from orbitcayley import explicit
+from orbitcayley.census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet
 from orbitcayley.explicit import EXPLICIT_MAX_N, _row0
 from orbitcayley.graph6 import _encode_size
-from orbitcayley.spectrum import WHT_MAX_N
-from orbitcayley.srg import SrgParams, SrgVerdict, VerdictStatus, match_families
+from orbitcayley.spectrum import WHT_MAX_N, distinct
+from orbitcayley.srg import SrgParams, SrgVerdict, VerdictStatus, certify, match_families
 
 PAIR_COUNT_ORACLE_MAX_N = 20
 NAIVE_WHT_MAX_N = 8
@@ -394,3 +403,53 @@ def _pack_columns(row0: np.ndarray, out: np.ndarray) -> None:
         written += whole // 6
         bits[: fill - whole] = bits[whole:fill]
         fill -= whole
+
+
+def find_srgs(
+    n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP
+) -> list[tuple[OrbitIndexSet, SrgParams, bool]]:
+    """All strongly regular index sets with parameters and a trivial flag, by degree."""
+    hits = [
+        (rec.index_set, rec.verdict.params, rec.verdict.status is VerdictStatus.TRIVIAL_SRG)
+        for rec in census(n, explicit_cap=explicit_cap)
+        if rec.verdict.status.is_srg()
+    ]
+    return sorted(hits, key=lambda h: (h[1].degree, h[0].bitmask))
+
+
+def census_oracle_bytes(
+    dimensions: range, fmt: str, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP
+) -> bytes:
+    """What ``census --n <dimensions> --format <fmt>`` writes, one ``certify`` call per set.
+
+    Each record is built field by field from the set and its certified
+    verdict and spectrum, and serialised by ``json.dumps`` or the csv
+    module.
+    """
+    lines = []
+    rows = [CENSUS_CSV_COLUMNS]
+    for n in dimensions:
+        for mask in range(1, 1 << n):
+            s = OrbitIndexSet.from_bitmask(n, mask)
+            verdict, spectrum = certify(s, explicit_cap)
+            record = {
+                "n": n,
+                "I": list(s.sorted_indices),
+                "connected": verdict.status is not VerdictStatus.DISCONNECTED,
+                "distinct": len(distinct(spectrum)),
+                "complement_I": list(s.complement().sorted_indices),
+                "explicit_verified": n <= explicit_cap,
+                **verdict.to_json_dict(),
+            }
+            lines.append(json.dumps(record) + "\n")
+            params = verdict.params
+            constants = (params.degree, params.lam, params.mu) if params else ("", "", "")
+            rows.append(
+                [str(n), ",".join(map(str, s.sorted_indices)), str(record["connected"]).lower(),
+                 str(record["distinct"]), verdict.status.value, *map(str, constants)]
+            )
+    if fmt == "jsonl":
+        return "".join(lines).encode()
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()

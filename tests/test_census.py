@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 from collections import Counter
 from functools import cache
 
@@ -11,19 +12,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitcayley.srg as srg_module
 from orbitcayley.census import (
     CENSUS_CSV_COLUMNS,
     CENSUS_MAX_N,
     TABLE_INT64_MAX_N,
     CensusRecord,
     census,
-    find_srgs,
     sweep_tables,
+    verdict_columns,
 )
+from orbitcayley.cli import main
 from orbitcayley.core import ConsistencyError, OrbitIndexSet, is_connected
-from orbitcayley.explicit import EXPLICIT_MAX_N
+from orbitcayley.explicit import EXPLICIT_MAX_N, _row0
 from orbitcayley.spectrum import _first_invariant_failure, character_table, distinct, full_spectrum
-from orbitcayley.srg import SrgParams, VerdictStatus, pair_count, pair_count_table
+from orbitcayley.srg import (
+    SrgParams,
+    SrgVerdict,
+    VerdictStatus,
+    certify,
+    pair_count,
+    pair_count_table,
+)
+
+from oracles import census_oracle_bytes, find_srgs
 
 # the package re-exports the function census, which shadows the module of that name
 census_module = importlib.import_module("orbitcayley.census")
@@ -248,3 +260,179 @@ def test_perturbed_character_table_names_the_set(monkeypatch):
     monkeypatch.setattr(census_module, "character_table", _perturbed(character_table, (1, 2)))
     with pytest.raises(ConsistencyError, match=r"^spectrum trace is nonzero on n=4;I=1$"):
         census(4, explicit_cap=0)
+
+
+# -- the verdict columns against certify ----------------------------------------
+
+@cache
+def _columns(n):
+    member, spectra, counts = _sweep(n)
+    return verdict_columns(member, np.sort(spectra, axis=1), counts)
+
+
+_SRG_CODES = [code for code, status in enumerate(VerdictStatus) if status.is_srg()]
+
+
+def _route_verdict(n, row):
+    code, degree, lam, mu = row
+    status = list(VerdictStatus)[code]
+    return status, SrgParams(1 << n, degree, lam, mu) if status.is_srg() else None
+
+
+def _assert_columns_match_certify(n, mask):
+    s = OrbitIndexSet.from_bitmask(n, mask)
+    columns, row = _columns(n), mask - 1
+    verdict, spectrum = certify(s, 0)
+    assert _route_verdict(n, columns.paircount[row].tolist()) == (verdict.status, verdict.params)
+    assert _route_verdict(n, columns.spectral[row].tolist()) == (verdict.status, verdict.params)
+    assert columns.distinct[row] == len(distinct(spectrum)), s.format()
+    assert columns.complete[row] == s.is_full(), s.format()
+    assert columns.connected[row] == is_connected(s), s.format()
+    assert columns.trivial[row] == (not is_connected(s.complement())), s.format()
+    if verdict.status.is_srg():
+        assert columns.trivial[row] == (verdict.status is VerdictStatus.TRIVIAL_SRG), s.format()
+
+
+def test_verdict_columns_match_certify_exhaustively():
+    for n in range(1, 11):
+        for mask in range(1, 1 << n):
+            _assert_columns_match_certify(n, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([11, 12]), st.data())
+def test_verdict_columns_match_certify_at_n11_and_n12(n, data):
+    _assert_columns_match_certify(n, data.draw(st.integers(1, (1 << n) - 1)))
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_srg_columns_match_certify_at_n11_and_n12(n):
+    # uniform draws rarely reach the few SRG rows, the only rows with parameters
+    srg_rows = {
+        row
+        for route in (_columns(n).paircount, _columns(n).spectral)
+        for row in np.flatnonzero(np.isin(route[:, 0], _SRG_CODES)).tolist()
+    }
+    assert len(srg_rows) == (2 if n % 2 else 6)
+    for row in srg_rows:
+        _assert_columns_match_certify(n, row + 1)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_census_bytes_match_the_per_set_writer(fmt, capsysbinary):
+    assert main(["census", "--n", "1..10", "--format", fmt]) == 0
+    assert capsysbinary.readouterr().out == census_oracle_bytes(range(1, 11), fmt)
+
+
+# -- failure paths of the column route ------------------------------------------
+
+def _not_srg(n, indices):
+    s = OrbitIndexSet.of(n, indices)
+    assert certify(s, 0)[0].status is VerdictStatus.NOT_SRG
+    return s
+
+
+def _routes_disagree(s, *verdicts):
+    detail = "; ".join(f"{route}: {json.dumps(v.to_json_dict())}" for route, v in verdicts)
+    return f"SRG routes disagree on {s.format()}: {detail}"
+
+
+def test_perturbed_count_entry_names_the_set(monkeypatch):
+    # counts (10, 18, 10, 16, 10) on I={1,3,4,5}: the weight-4 entry set to 10
+    # makes lambda and mu constant, so the pair counts read an SRG there
+    s = _not_srg(5, {1, 3, 4, 5})
+
+    def perturbed(n):
+        member, spectra, counts = sweep_tables(n)
+        counts[s.bitmask - 1, 3] -= 6
+        return member, spectra, counts
+
+    monkeypatch.setattr(census_module, "sweep_tables", perturbed)
+    claimed = SrgVerdict(VerdictStatus.TRIVIAL_SRG, SrgParams(32, 21, 10, 18))
+    expected = _routes_disagree(
+        s, ("pair_count", claimed), ("spectral", SrgVerdict(VerdictStatus.NOT_SRG))
+    )
+    with pytest.raises(ConsistencyError) as exc:
+        census(5, explicit_cap=0)
+    assert str(exc.value) == expected
+
+
+def test_perturbed_spectrum_entry_names_the_set(monkeypatch):
+    # the sorted spectrum (-5, -1, -1, -1, 3, 11) of I={1,4,5} with its 3
+    # lowered to -1 keeps three distinct values, read past the invariant checks
+    s = _not_srg(5, {1, 4, 5})
+    real = census_module.verdict_columns
+
+    def perturbed(member, spectra, counts):
+        assert spectra[s.bitmask - 1].tolist() == [-5, -1, -1, -1, 3, 11]
+        spectra[s.bitmask - 1, 4] = -1
+        return real(member, spectra, counts)
+
+    monkeypatch.setattr(census_module, "verdict_columns", perturbed)
+    claimed = SrgVerdict(VerdictStatus.NONTRIVIAL_SRG, SrgParams(32, 11, 10, 16))
+    expected = _routes_disagree(
+        s, ("pair_count", SrgVerdict(VerdictStatus.NOT_SRG)), ("spectral", claimed)
+    )
+    with pytest.raises(ConsistencyError) as exc:
+        census(5, explicit_cap=0)
+    assert str(exc.value) == expected
+
+
+def test_perturbed_dense_constants_name_the_set(monkeypatch):
+    # only the dense route reads vertex 0's common-neighbour counts; claiming
+    # constants for the non-SRG I={1,4,5} must stop the census
+    s = _not_srg(5, {1, 4, 5})
+    target = _row0(s)
+    real = srg_module.row0_constants
+
+    def perturbed(row0):
+        if np.array_equal(row0, target):
+            return 2, 6
+        return real(row0)
+
+    monkeypatch.setattr(srg_module, "row0_constants", perturbed)
+    not_srg = SrgVerdict(VerdictStatus.NOT_SRG)
+    claimed = SrgVerdict(VerdictStatus.NONTRIVIAL_SRG, SrgParams(32, 11, 2, 6))
+    expected = _routes_disagree(
+        s, ("pair_count", not_srg), ("spectral", not_srg), ("explicit", claimed)
+    )
+    with pytest.raises(ConsistencyError) as exc:
+        census(5)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize(
+    "routes, explicit_cap, spectral",
+    [
+        # the routes' columns disagree, so the row goes per set
+        (("paircount",), 0, "not_srg (r=0, lambda=0, mu=0)"),
+        # both columns claim the same verdict; the dense cap sends the row per set
+        (("paircount", "spectral"), 8, "nontrivial_srg (r=11, lambda=10, mu=16)"),
+    ],
+    ids=["one-column", "both-columns"],
+)
+def test_columns_that_differ_from_agreeing_routes_name_the_set(
+    monkeypatch, routes, explicit_cap, spectral
+):
+    # the column of each listed route claims an SRG on the non-SRG I={1,4,5};
+    # the per-set routes, read from the same table row, agree on not_srg
+    s = _not_srg(5, {1, 4, 5})
+    real = census_module.verdict_columns
+
+    def claiming(member, spectra, counts):
+        columns = real(member, spectra, counts)
+        for route in routes:
+            getattr(columns, route)[s.bitmask - 1] = [
+                list(VerdictStatus).index(VerdictStatus.NONTRIVIAL_SRG), 11, 10, 16
+            ]
+        return columns
+
+    monkeypatch.setattr(census_module, "verdict_columns", claiming)
+    with pytest.raises(ConsistencyError) as exc:
+        census(5, explicit_cap=explicit_cap)
+    assert str(exc.value) == (
+        "verdict columns disagree with the per-set routes on n=5;I=1,4,5: "
+        "pair_count: nontrivial_srg (r=11, lambda=10, mu=16); "
+        f"spectral: {spectral}; "
+        'per set: {"status": "not_srg", "params": null, "families": []}'
+    )

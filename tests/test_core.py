@@ -52,7 +52,6 @@ PUBLIC_NAMES = (
     "expand_family",
     "export_graph6",
     "family_construct",
-    "find_srgs",
     "full_spectrum",
     "identity_sides",
     "is_connected",
