@@ -4,16 +4,18 @@ The format packs the column-major upper triangle of the adjacency matrix
 into 6-bit printable characters offset by 63, preceded by the vertex
 count.  Column j of the upper triangle is A[i, j] = A[j, i] for i < j, the
 first j entries of row j, so the column-major upper triangle is the
-row-major lower triangle.  Encoding takes rows in aligned blocks of 8,
-each the first block of ``explicit._translates`` with its column chunks
-permuted, and copies each row's prefix into a bit buffer.  Each full
-buffer is packed into one preallocated output by ``np.packbits`` in whole
-24-bit groups, 3 bytes splitting into 4 characters.  Neither the matrix
-nor its N(N-1)/2-bit upper triangle is ever built, and the only index is
-the chunk order of one block, N/8 entries.  One export takes
-about 10 ms at n = 12 and 100-150 ms at n = 14 (best of 3-5, 2-vCPU host,
-numpy 2.4.6).  The test oracle ``column_gather_graph6`` gathers each column
-bit by bit through an int64 XOR index instead.
+row-major lower triangle.  The graph is a Cayley graph of Z2^n, so row x
+is row 0 (``explicit._row0``) translated by x.  Encoding takes rows in
+aligned blocks of 8, each the first block (``_first_block``) with its
+column chunks permuted, and copies each row's prefix into a bit buffer.
+Each full buffer is packed into one preallocated output by
+``np.packbits`` in whole 24-bit groups, 3 bytes splitting into 4
+characters.  Neither the matrix nor its N(N-1)/2-bit upper triangle is
+ever built, and the only index is the chunk order of one block, N/8
+entries.  One export takes about 10 ms at n = 12 and 100-150 ms at
+n = 14 (best of 3-5, 2-vCPU host, numpy 2.4.6).  The test oracle
+``column_gather_graph6`` gathers each column bit by bit through an int64
+XOR index instead.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import OrbitIndexSet
-from .explicit import _first_block, _row0
+from .explicit import _row0
 
 # the encoder holds the output string, about 4^n / 12 bytes (1.4 MB at
 # n = 12, 22 MB at n = 14), a bit buffer of about 2^20 + 2^n bytes and
@@ -60,17 +62,37 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return (groups[0] << 12) | (groups[1] << 6) | groups[2], 4
 
 
+def _first_block(row0: np.ndarray, rows: int) -> np.ndarray:
+    """F[i, y] = row0[i XOR y] for i < rows; rows is a power of two dividing N.
+
+    Built by doubling: for i < h, (i + h) XOR y = i XOR (y XOR h), and
+    y -> y XOR h swaps the two halves of every 2h-wide column chunk, so
+    rows h..2h-1 are rows 0..h-1 with those halves swapped.  No index
+    array is formed.
+    """
+    first = np.empty((rows, row0.size), dtype=row0.dtype)
+    first[0] = row0
+    h = 1
+    while h < rows:
+        halves = first[:h].reshape(h, -1, 2, h)
+        first[h : 2 * h].reshape(halves.shape)[...] = halves[:, :, ::-1]
+        h *= 2
+    return first
+
+
 def _pack_upper_triangle(row0: np.ndarray, out: np.ndarray) -> None:
     """Write the graph6 body of the graph x ~ y <=> row0[x ^ y] into ``out``.
 
     The column-major upper triangle is the row-major lower triangle: column
     j holds A[i, j] = A[j, i] for i < j, the first j entries of row j.
-    Rows come in aligned blocks of ``_PACK_ROWS`` from the translate-block
-    construction of ``explicit._translates``, each cut to the column chunks
-    its row prefixes reach.  Each prefix is copied into a bit buffer until
-    it holds ``_BLOCK_BITS`` bits; the buffer's whole 24-bit groups are then
-    packed by ``_pack_groups``, and the 0-23 bits left over are carried to
-    the front of the buffer for the next block.
+    Rows come in aligned blocks of B = ``_PACK_ROWS``.  Write y = h * B + l
+    with l < B; then (c * B + i) XOR y = (h XOR c) * B + (i XOR l), so block
+    c is the first block with its B-wide column chunks permuted by
+    h -> h XOR c, each cut to the column chunks its row prefixes reach.
+    Each prefix is copied into a bit buffer until it holds ``_BLOCK_BITS``
+    bits; the buffer's whole 24-bit groups are then packed by
+    ``_pack_groups``, and the 0-23 bits left over are carried to the front
+    of the buffer for the next block.
     """
     size = row0.size
     rows = min(_PACK_ROWS, size)

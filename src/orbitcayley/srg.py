@@ -28,7 +28,7 @@ from .core import (
     is_connected,
     pascal_row,
 )
-from .explicit import EXPLICIT_MAX_N, _row0, row0_constants, spans
+from .explicit import EXPLICIT_MAX_N, _constant, _row0, walsh_counts
 from .spectrum import Spectrum, full_spectrum
 
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
@@ -383,35 +383,44 @@ def _spectral_verdict(s: OrbitIndexSet, values: Sequence[int]) -> SrgVerdict:
 def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
     """Brute force on the explicit graph, read from the adjacency row of vertex 0.
 
-    Connectivity is a GF(2) span of row 0's support, the degree its number
-    of ones, and lambda and mu the literal common-neighbour counts of
-    vertex 0, Sigma_z S(z) S(z XOR y) (``explicit.row0_constants``); every
+    Two Walsh-Hadamard passes over row 0 (``explicit.walsh_counts``) give
+    the connectivity of the graph and of its complement (trivial vs
+    nontrivial), the degree, and the common-neighbour counts of vertex 0,
+    Sigma_z S(z) S(z XOR y), from which lambda and mu are read; every
     translation is an automorphism, so vertex 0 stands for every vertex.
-    Trivial vs nontrivial is the same span test on the complement's
-    support.  None of these uses the closed forms.  Raises ValueError
-    before any allocation when n exceeds EXPLICIT_MAX_N.
+    None of these uses the closed forms.  Raises ValueError before any
+    allocation when n exceeds EXPLICIT_MAX_N.
     """
     return _tagged(s, _explicit_verdict(s))
 
 
 def _explicit_verdict(s: OrbitIndexSet) -> SrgVerdict:
-    """``srg_check_explicit`` without the family tags."""
+    """``srg_check_explicit`` without the family tags.
+
+    Translation by x is an automorphism, so the common neighbours of (x, y)
+    are those of (0, x XOR y), and (x, y) is adjacent iff (0, x XOR y) is:
+    lambda is read from vertex 0's counts over the y adjacent to 0, and mu
+    over the other y != 0, which together cover every pair of distinct
+    vertices.
+    """
     if s.n > EXPLICIT_MAX_N:
         raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
     row0 = _row0(s)
-    if not spans(row0):
+    connected, complement_connected, counts = walsh_counts(row0)
+    if not connected:
         return DISCONNECTED
     size = row0.size
-    degree = int(np.count_nonzero(row0))
+    degree = int(counts[0])
     if degree == size - 1:
         return COMPLETE
-    lam, mu = row0_constants(row0)
+    lam = _constant(counts[row0])
+    other = ~row0
+    other[0] = False
+    mu = _constant(counts[other])
     if lam is None or mu is None:
         return NOT_SRG
     # the complement graph is disconnected exactly for a trivial SRG
-    other = ~row0
-    other[0] = False
-    status = VerdictStatus.NONTRIVIAL_SRG if spans(other) else VerdictStatus.TRIVIAL_SRG
+    status = VerdictStatus.NONTRIVIAL_SRG if complement_connected else VerdictStatus.TRIVIAL_SRG
     return SrgVerdict(status, SrgParams(size, degree, lam, mu))
 
 

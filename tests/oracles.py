@@ -11,14 +11,17 @@ the independent check of one fast route.
   per bit over the whole indicator; both check ``spectrum._wht`` behind
   ``wht_spectrum``, which runs the low-bit stages on the indicator's
   distinct rows before gathering them.
-- ``ExplicitGraph``: the 2^n x 2^n bool adjacency, built block by block
-  from the translate blocks of ``explicit._translates``.
+- ``ExplicitGraph``: the 2^n x 2^n bool adjacency, built in row bands by
+  a direct XOR index, row x = row0[x ^ arange(N)] (``_xor_band``), up to
+  its own cap ``MATRIX_MAX_N``.
 - ``matrix_srg_check``: the dense verdict from the built matrix, by BFS
   (``connected_component``), every vertex's degree, the premise pass
   ``common_neighbor_constants`` and BFS on the complement, the check of
-  ``srg.srg_check_explicit``, which reads everything from row 0 alone.
-  ``common_neighbor_constants`` checks A[x, y] = A[0, x XOR y] on every
-  entry and then counts vertex 0's common neighbours on the matrix.
+  ``srg.srg_check_explicit``, which reads everything from two
+  Walsh-Hadamard passes over row 0.  ``common_neighbor_constants`` checks
+  A[x, y] = A[0, x XOR y] on every entry, band by band against the same
+  XOR index, and then counts vertex 0's common neighbours on the matrix
+  literally, row by row.
 - ``verify_equitable_partition``: lambda and mu read off the distance
   partition around one vertex, a fourth route to the verdicts of
   ``certify``'s three.
@@ -29,7 +32,8 @@ the independent check of one fast route.
 - ``all_pairs_common_neighbor_constants``: lambda and mu read from the
   common-neighbour count of every pair, by a float32 product in row bands
   of the upper triangle after checking that A is symmetric, the check of
-  ``common_neighbor_constants`` and of ``explicit.row0_constants``.
+  ``common_neighbor_constants`` and of the counts of
+  ``explicit.walsh_counts``.
 - ``find_srgs``: every strongly regular index set of a dimension, read
   off the census records.
 - ``census_oracle_bytes``: the census JSONL or CSV written set by set
@@ -55,19 +59,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orbitcayley import explicit
 from orbitcayley.census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet
-from orbitcayley.explicit import EXPLICIT_MAX_N, _row0
+from orbitcayley.explicit import _constant, _row0
 from orbitcayley.graph6 import _encode_size
 from orbitcayley.spectrum import WHT_MAX_N, distinct
 from orbitcayley.srg import SrgParams, SrgVerdict, VerdictStatus, certify, match_families
 
 PAIR_COUNT_ORACLE_MAX_N = 20
+# the bool matrix is 4^n bytes, 256 MB at n = 14; the dense route's own cap
+# explicit.EXPLICIT_MAX_N = 20 would allow a 1 TB matrix
+MATRIX_MAX_N = 14
 NAIVE_WHT_MAX_N = 8
 FLOAT32_EXACT_MAX = 1 << 24  # float32 holds every integer up to 2^24 exactly
 _BAND_BYTES = 1 << 23  # bound on one float32 band of the common-neighbour product
 _COLUMN_BLOCK_BITS = 1 << 20  # upper-triangle bits gathered before each pack
+_XOR_BAND_BYTES = 1 << 22  # bound on the int64 XOR index of one row band
 
 
 def pair_count_oracle(s: OrbitIndexSet, v: Gf2Vector) -> int:
@@ -128,17 +135,17 @@ class ExplicitGraph:
 
     @classmethod
     def build(cls, s: OrbitIndexSet) -> ExplicitGraph:
-        """Row x is row 0 translated by x, written block by block from ``explicit._translates``.
+        """Row x is row 0 translated by x, row0[x ^ arange(N)], written band by band.
 
-        Raises ValueError before any allocation when n exceeds EXPLICIT_MAX_N.
+        Raises ValueError before any allocation when n exceeds MATRIX_MAX_N.
         """
-        if s.n > EXPLICIT_MAX_N:
-            raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
+        if s.n > MATRIX_MAX_N:
+            raise ValueError(f"n={s.n} exceeds the matrix oracle cap {MATRIX_MAX_N}")
         size = 1 << s.n
         row0 = _row0(s)
         adjacency = np.empty((size, size), dtype=bool)
-        for x0, rows in explicit._translates(row0):
-            adjacency[x0 : x0 + len(rows)] = rows
+        for x0, x1 in _bands(size):
+            adjacency[x0:x1] = _xor_band(row0, x0, x1)
         adjacency.setflags(write=False)
         return cls(s, adjacency)
 
@@ -148,6 +155,17 @@ class ExplicitGraph:
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
+
+
+def _bands(size: int) -> list[tuple[int, int]]:
+    """Row bands (x0, x1) covering 0..size-1 whose XOR index fits in _XOR_BAND_BYTES."""
+    rows = max(1, _XOR_BAND_BYTES // (8 * size))
+    return [(x0, min(x0 + rows, size)) for x0 in range(0, size, rows)]
+
+
+def _xor_band(row0: np.ndarray, x0: int, x1: int) -> np.ndarray:
+    """Rows x0..x1-1 of the graph x ~ y <=> row0[x ^ y]: row x is row0[x ^ arange(N)]."""
+    return row0[np.arange(x0, x1)[:, None] ^ np.arange(row0.size)]
 
 
 def connected_component(adjacency: np.ndarray, start: int = 0) -> np.ndarray:
@@ -203,7 +221,7 @@ def matrix_srg_check(s: OrbitIndexSet) -> SrgVerdict:
 
 
 def common_neighbor_constants(adjacency: np.ndarray) -> tuple[int | None, int | None]:
-    """(lambda, mu) as ``explicit.row0_constants`` returns them, from the matrix.
+    """(lambda, mu) as ``srg_check_explicit`` reads them, from the matrix.
 
     ``_vertex0_counts`` first checks the Cayley premise A[x, y] = A[0, x XOR y]
     on every entry.  Under it the common neighbours of (x, y) are those of
@@ -215,16 +233,16 @@ def common_neighbor_constants(adjacency: np.ndarray) -> tuple[int | None, int | 
     adjacent = adjacency[0]
     other = ~adjacent
     other[0] = False
-    return explicit._constant(counts[adjacent]), explicit._constant(counts[other])
+    return _constant(counts[adjacent]), _constant(counts[other])
 
 
 def _vertex0_counts(adjacency: np.ndarray) -> np.ndarray:
     """Common neighbours of vertex 0 and each y, after checking A[x, y] = A[0, x XOR y].
 
     N must be a power of two and A[0, 0] False, or ConsistencyError is
-    raised before any block is read.  Then each block of rows is compared
-    with row 0 translated by XOR (``explicit._translates``); the first
-    mismatch raises ConsistencyError naming (x, y) and both values.  The
+    raised before any band is read.  Then each band of rows is compared
+    with row 0 translated by XOR (``_xor_band``); the first mismatch
+    raises ConsistencyError naming (x, y) and both values.  The
     premise implies that A is symmetric with a False diagonal.  Each count
     is an exact integer of at most N.
     """
@@ -235,8 +253,9 @@ def _vertex0_counts(adjacency: np.ndarray) -> np.ndarray:
     if row0[0]:
         raise ConsistencyError("A[0, 0] = True: vertex 0 is adjacent to itself")
     counts = np.empty(size, dtype=np.intp)
-    for x0, expected in explicit._translates(row0):
-        rows = adjacency[x0 : x0 + len(expected)]
+    for x0, x1 in _bands(size):
+        expected = _xor_band(row0, x0, x1)
+        rows = adjacency[x0:x1]
         mismatch = rows != expected
         if mismatch.any():
             i, y = np.argwhere(mismatch)[0]
@@ -245,7 +264,7 @@ def _vertex0_counts(adjacency: np.ndarray) -> np.ndarray:
                 f"adjacency is not a Cayley graph of Z2^n: A[{x}, {y}] = {rows[i, y]} "
                 f"but A[0, {x ^ y}] = {expected[i, y]}"
             )
-        counts[x0 : x0 + len(rows)] = np.count_nonzero(rows & row0, axis=1)
+        counts[x0:x1] = np.count_nonzero(rows & row0, axis=1)
     return counts
 
 

@@ -379,18 +379,20 @@ def test_perturbed_spectrum_entry_names_the_set(monkeypatch):
 
 
 def test_perturbed_dense_constants_name_the_set(monkeypatch):
-    # only the dense route reads vertex 0's common-neighbour counts; claiming
-    # constants for the non-SRG I={1,4,5} must stop the census
+    # only the dense route reads vertex 0's common-neighbour counts; counts
+    # that claim constants for the non-SRG I={1,4,5} must stop the census
     s = _not_srg(5, {1, 4, 5})
     target = _row0(s)
-    real = srg_module.row0_constants
+    real = srg_module.walsh_counts
 
     def perturbed(row0):
+        connected, complement_connected, counts = real(row0)
         if np.array_equal(row0, target):
-            return 2, 6
-        return real(row0)
+            counts = np.where(row0, 2, 6)
+            counts[0] = 11  # the degree
+        return connected, complement_connected, counts
 
-    monkeypatch.setattr(srg_module, "row0_constants", perturbed)
+    monkeypatch.setattr(srg_module, "walsh_counts", perturbed)
     not_srg = SrgVerdict(VerdictStatus.NOT_SRG)
     claimed = SrgVerdict(VerdictStatus.NONTRIVIAL_SRG, SrgParams(32, 11, 2, 6))
     expected = _routes_disagree(

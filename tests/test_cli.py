@@ -24,7 +24,7 @@ from orbitcayley.explicit import EXPLICIT_MAX_N
 from orbitcayley.graph6 import EXPORT_MAX_N
 from orbitcayley.identities import IDENTITIES_MAX_M
 from orbitcayley.spectrum import WHT_MAX_N, Spectrum
-from orbitcayley.srg import emit_table1
+from orbitcayley.srg import emit_table1, family_construct
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -73,6 +73,16 @@ def test_srg_check_json(capsys):
     assert payload["status"] == "nontrivial_srg"
     assert payload["params"] == {"vertices": 16, "degree": 5, "lambda": 0, "mu": 2}
     assert payload["families"] == ["s0s1@4m"]
+
+
+def test_srg_check_explicit_runs_at_the_dense_cap(capsys):
+    s = family_construct("s0s1@4m", 5)[0]
+    assert s.n == EXPLICIT_MAX_N
+    assert main(["srg-check", "--set", s.format(), "--explicit"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "nontrivial_srg"
+    params = {"vertices": 1 << 20, "degree": 523775, "lambda": 261630, "mu": 261632}
+    assert payload["params"] == params
 
 
 def test_srg_check_disconnected_still_exits_zero(capsys):

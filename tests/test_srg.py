@@ -12,14 +12,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import orbitcayley.explicit as explicit_module
 import orbitcayley.graph6 as graph6_module
 import orbitcayley.spectrum as spectrum_module
 import orbitcayley.srg as srg_module
 from orbitcayley.census import census
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
-from orbitcayley.core import CLOSED_FORM_MAX_N, ConsistencyError, Gf2Vector, OrbitIndexSet, binom
-from orbitcayley.explicit import EXPLICIT_MAX_N, _row0, row0_constants, spans
+from orbitcayley.core import (
+    CLOSED_FORM_MAX_N,
+    ConsistencyError,
+    Gf2Vector,
+    OrbitIndexSet,
+    binom,
+    is_connected,
+)
+from orbitcayley.explicit import (
+    EXPLICIT_MAX_N,
+    INT64_EXACT_MAX_N,
+    _constant,
+    _row0,
+    walsh_counts,
+)
 from orbitcayley.graph6 import export_graph6
 from orbitcayley.spectrum import distinct, full_spectrum
 from orbitcayley.srg import (
@@ -45,8 +57,10 @@ from oracles import (
     ExplicitGraph,
     all_pairs_common_neighbor_constants,
     common_neighbor_constants,
+    complement_adjacency,
     connected_component,
     connected_components,
+    is_connected_adjacency,
     matrix_srg_check,
     pair_count_oracle,
     verify_equitable_partition,
@@ -188,13 +202,18 @@ def _per_row_adjacency(s):
 
 
 def test_dense_build_matches_the_per_row_reference():
-    # n <= 8 fills in one block; n = 12 takes 128 blocks of 32 rows
+    # n <= 8 fills in one XOR band; n = 12 takes 32 bands of 128 rows
     sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 7) for mask in range(1 << n)]
     sets += [OrbitIndexSet.of(8, {1, 2, 7, 8}), OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12})]
+    assert len(oracles._bands(1 << 8)) == 1 and len(oracles._bands(1 << 12)) == 32
     for s in sets:
         adjacency = ExplicitGraph.build(s).adjacency
         assert adjacency.dtype == bool and not adjacency.flags.writeable
         assert np.array_equal(adjacency, _per_row_adjacency(s)), s.format()
+    # the matrix oracle keeps its own cap, below the dense route's
+    assert oracles.MATRIX_MAX_N == 14 < EXPLICIT_MAX_N
+    with pytest.raises(ValueError, match="matrix oracle cap 14"):
+        ExplicitGraph.build(OrbitIndexSet.of(oracles.MATRIX_MAX_N + 1, {1}))
 
 
 def _integer_common_neighbors(adjacency):
@@ -220,12 +239,19 @@ def _band_rows(monkeypatch, size, rows):
     monkeypatch.setattr(oracles, "_BAND_BYTES", 4 * size * rows)
 
 
-def _gather_rows(monkeypatch, size, rows):
-    # translate blocks of ``rows`` rows (a power of two) for a size-vertex matrix,
-    # through the byte bound on one block step: 3 bool blocks
-    step = 3 * rows * size
-    monkeypatch.setattr(explicit_module, "_GATHER_BLOCK_BYTES", step)
-    assert explicit_module._block_rows(size) == min(rows, size)
+def _xor_band_rows(monkeypatch, size, rows):
+    # oracle XOR-index bands of ``rows`` rows for a size-vertex matrix, through
+    # the byte bound on one band's int64 index
+    monkeypatch.setattr(oracles, "_XOR_BAND_BYTES", 8 * size * rows)
+    assert oracles._bands(size)[0] == (0, min(rows, size))
+
+
+def _walsh_constants(row0):
+    # (lambda, mu) as srg._explicit_verdict reads them from the counts of walsh_counts
+    counts = walsh_counts(row0)[2]
+    other = ~row0
+    other[0] = False
+    return _constant(counts[row0]), _constant(counts[other])
 
 
 def test_common_neighbor_constants_match_integer_product(monkeypatch):
@@ -241,49 +267,39 @@ def test_common_neighbor_constants_match_integer_product(monkeypatch):
 
     monkeypatch.setattr(oracles, "_band_product", recorded)
     band_default = oracles._BAND_BYTES
-    gather_default = explicit_module._GATHER_BLOCK_BYTES
+    xor_default = oracles._XOR_BAND_BYTES
     for s in sets:
         adjacency = ExplicitGraph.build(s).adjacency
         size = adjacency.shape[0]
         expected = _integer_constants(adjacency)
-        # one band and one gather block by default for n <= 8; oracle bands of
-        # 3, 5 and 7 rows divide no 2^n, so the last band is short and the
-        # diagonal blocks have ragged edges; translate blocks of 1, 2 and 4
-        # rows split every matrix with n >= 3 into several blocks, each a
-        # chunk permutation of the first
+        # one product band and one XOR band by default for n <= 8; product
+        # bands of 3, 5 and 7 rows divide no 2^n, so the last band is short
+        # and the diagonal blocks have ragged edges; XOR bands of 1, 2 and 4
+        # rows split every matrix with n >= 3 into several bands
         for rows, block in ((None, None), (3, 1), (5, 2), (7, 4)):
             bands.clear()
             if rows is None:
                 monkeypatch.setattr(oracles, "_BAND_BYTES", band_default)
-                monkeypatch.setattr(explicit_module, "_GATHER_BLOCK_BYTES", gather_default)
+                monkeypatch.setattr(oracles, "_XOR_BAND_BYTES", xor_default)
             else:
                 _band_rows(monkeypatch, size, rows)
-                _gather_rows(monkeypatch, size, block)
+                _xor_band_rows(monkeypatch, size, block)
             assert all_pairs_common_neighbor_constants(adjacency) == expected, (s.format(), rows)
             step = rows or size
             assert bands == [(r0, min(r0 + step, size)) for r0 in range(0, size, step)]
             assert common_neighbor_constants(adjacency) == expected, (s.format(), block)
-            assert row0_constants(_row0(s)) == expected, (s.format(), block)
+            assert _walsh_constants(_row0(s)) == expected, (s.format(), block)
 
 
 def test_every_translate_block_shape_gives_the_same_results(monkeypatch):
-    # every power-of-two block from 1 row to N, in the dense build, the
-    # premise pass, the row-0 counts and the graph6 encoder, against their
-    # default blocks
+    # every power-of-two block from 1 row to N in the graph6 encoder, against
+    # its default blocks of 8 rows
     sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 7) for mask in range(1 << n)]
     sets.append(OrbitIndexSet.of(9, {1, 4, 6, 9}))
     for s in sets:
-        size = 1 << s.n
-        adjacency = ExplicitGraph.build(s).adjacency
-        constants = common_neighbor_constants(adjacency)
-        assert row0_constants(_row0(s)) == constants, s.format()
         blob = export_graph6(s)
         for k in range(s.n + 1):
-            _gather_rows(monkeypatch, size, 1 << k)
             monkeypatch.setattr(graph6_module, "_PACK_ROWS", 1 << k)
-            assert np.array_equal(ExplicitGraph.build(s).adjacency, adjacency), (s.format(), k)
-            assert common_neighbor_constants(adjacency) == constants, (s.format(), k)
-            assert row0_constants(_row0(s)) == constants, (s.format(), k)
             assert export_graph6(s) == blob, (s.format(), k)
         monkeypatch.undo()
 
@@ -294,12 +310,15 @@ _ORACLE_SETS += [family_construct("s0s1@4m", 3)[0], OrbitIndexSet.of(12, {1, 2, 
 
 
 def test_common_neighbor_constants_match_the_all_pairs_oracle():
-    # the premise pass on the matrix and the row-0 counts, against every pair
+    # the premise pass on the matrix and the Walsh counts of row 0, against
+    # every pair; the Walsh counts equal the literal counts entry by entry
     for s in _ORACLE_SETS:
         adjacency = ExplicitGraph.build(s).adjacency
         expected = all_pairs_common_neighbor_constants(adjacency)
         assert common_neighbor_constants(adjacency) == expected, s.format()
-        assert row0_constants(_row0(s)) == expected, s.format()
+        assert _walsh_constants(_row0(s)) == expected, s.format()
+        literal = oracles._vertex0_counts(adjacency)
+        assert np.array_equal(walsh_counts(_row0(s))[2], literal), s.format()
     assert expected[1] is None  # n=12;I=1,2,5 is not strongly regular
 
 
@@ -325,8 +344,9 @@ def _xor_adjacency(row0):
 
 
 def test_row0_route_on_connection_sets_that_are_no_union_of_weight_classes():
-    # arbitrary connection sets: the span test against BFS, and the row-0
-    # counts against every pair, on the same XOR-translated matrix
+    # arbitrary connection sets: the connectivity and trivial flags against
+    # BFS on the graph and its complement, and the Walsh counts against the
+    # literal counts and every pair, on the same XOR-translated matrix
     rng = np.random.default_rng(5)
     rows = [np.zeros(1 << n, dtype=bool) for n in range(1, 7)]
     for n in range(1, 8):
@@ -336,14 +356,30 @@ def test_row0_route_on_connection_sets_that_are_no_union_of_weight_classes():
                 row0[0] = False
                 rows.append(row0)
     rows += [np.eye(1, 1 << n, 1 << b, dtype=bool)[0] for n in (4, 6) for b in range(n)]
-    connected = 0
+    seen = set()
     for row0 in rows:
         adjacency = _xor_adjacency(row0)
-        assert spans(row0) == bool(connected_component(adjacency).all()), row0.nonzero()
-        connected += spans(row0)
+        connected, complement_connected, counts = walsh_counts(row0)
+        assert connected == is_connected_adjacency(adjacency), row0.nonzero()
+        complement = complement_adjacency(adjacency)
+        assert complement_connected == is_connected_adjacency(complement), row0.nonzero()
+        seen.add((connected, complement_connected))
+        assert np.array_equal(counts, oracles._vertex0_counts(adjacency)), row0.nonzero()
         expected = all_pairs_common_neighbor_constants(adjacency)
-        assert row0_constants(row0) == expected, row0.nonzero()
-    assert 0 < connected < len(rows)
+        assert _walsh_constants(row0) == expected, row0.nonzero()
+    assert seen == {(True, True), (True, False), (False, True)}
+
+
+def test_walsh_flags_match_the_closed_connectivity_test_up_to_n12():
+    # connected and complement connected from the transform of row 0, against
+    # core.is_connected (its rule on the parities of the member weights) on
+    # every set with n <= 12
+    for n in range(1, 13):
+        for mask in range(1, 1 << n):
+            s = OrbitIndexSet.from_bitmask(n, mask)
+            connected, complement_connected, _ = walsh_counts(_row0(s))
+            assert connected == is_connected(s), s.format()
+            assert complement_connected == is_connected(s.complement()), s.format()
 
 
 def test_common_neighbor_float32_bound_is_checked_before_any_work():
@@ -377,10 +413,10 @@ def test_cayley_premise_on_the_shape_raises_before_any_count(monkeypatch):
     looped = ExplicitGraph.build(OrbitIndexSet.of(4, {1, 4})).adjacency.copy()
     looped[0, 0] = True
 
-    def no_block(row0):
-        pytest.fail("a block was read before the premise on the shape failed")
+    def no_band(row0, x0, x1):
+        pytest.fail("a band was read before the premise on the shape failed")
 
-    monkeypatch.setattr(explicit_module, "_translates", no_block)
+    monkeypatch.setattr(oracles, "_xor_band", no_band)
     # 6 vertices are no Z2^n, though the 6-cycle is a symmetric, loopless Cayley graph of Z6
     with pytest.raises(ConsistencyError, match="6 vertices are not a power of two"):
         common_neighbor_constants(_six_cycle())
@@ -391,8 +427,7 @@ def test_cayley_premise_on_the_shape_raises_before_any_count(monkeypatch):
 @pytest.mark.parametrize(
     "flip, named",
     [
-        # off row 0: the flipped entry itself, in the second block of 4 rows
-        # and its fourth column chunk, a copy of the first block's third
+        # off row 0: the flipped entry itself, in the second band of 4 rows
         ((7, 12), (7, 12)),
         # in row 0, which every other row is compared with: the first row
         # that disagrees is row 1, at its translate of column 6
@@ -407,7 +442,7 @@ def test_cayley_premise_names_the_first_disagreeing_entry(monkeypatch, flip, nam
     x, y = named
     message = rf"A\[{x}, {y}\] = {adjacency[x, y]} but A\[0, {x ^ y}\] = {adjacency[0, x ^ y]}"
     assert adjacency[x, y] != adjacency[0, x ^ y]
-    _gather_rows(monkeypatch, 16, 4)
+    _xor_band_rows(monkeypatch, 16, 4)
     with pytest.raises(ConsistencyError, match=message):
         common_neighbor_constants(adjacency)
     # through the matrix route, the error also names the set
@@ -417,12 +452,12 @@ def test_cayley_premise_names_the_first_disagreeing_entry(monkeypatch, flip, nam
 
 
 def test_cayley_premise_fails_in_a_permuted_chunk(monkeypatch):
-    # n = 9 takes 2 default blocks of 256 rows; the flip sits in the second
-    # block, in its second column chunk, a copy of the first block's first
+    # in bands of 256 rows at n = 9, the flip sits in the second band, in
+    # its second 256-column half, where row x reads row 0's first half
     s = OrbitIndexSet.of(9, {1, 4, 6, 9})
     adjacency = ExplicitGraph.build(s).adjacency.copy()
-    rows = explicit_module._block_rows(adjacency.shape[0])
-    assert rows == 256
+    rows = 256
+    _xor_band_rows(monkeypatch, 2 * rows, rows)
     x, y = rows + 3, rows + 133
     adjacency[x, y] = ~adjacency[x, y]
     message = rf"A\[{x}, {y}\] = {adjacency[x, y]} but A\[0, {x ^ y}\] = {adjacency[0, x ^ y]}"
@@ -440,14 +475,14 @@ def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
     row0 = _row0(s)
     assert srg_check_explicit(s).status is VerdictStatus.NONTRIVIAL_SRG
     y = next(y for y in range(1, 16) if row0[y] == adjacent)
-    honest = explicit_module._row0_counts
+    honest = srg_module.walsh_counts
 
     def perturbed(row):
-        counts = honest(row)
+        connected, complement_connected, counts = honest(row)
         counts[y] += 1
-        return counts
+        return connected, complement_connected, counts
 
-    monkeypatch.setattr(explicit_module, "_row0_counts", perturbed)
+    monkeypatch.setattr(srg_module, "walsh_counts", perturbed)
     assert srg_check_explicit(s).status is VerdictStatus.NOT_SRG, y
     with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
         certify(s, EXPLICIT_MAX_N)
@@ -468,28 +503,44 @@ def test_dense_check_peak_allocation_at_n12():
     assert peak < 3 * 4**s.n, peak / 4**s.n
 
 
-def test_dense_check_peak_allocation_at_n14():
-    # one block step (at most _GATHER_BLOCK_BYTES) beside row 0, its uint16
-    # counts and the complement mask (4 * 2^n B); the span test's int64
-    # support and its temporaries (at most 17 * 2^n B) come before and after
-    # it; about 0.48 MB measured, where the bool adjacency alone is 4^n B = 256 MB
-    s = family_construct("s0s1@4m+2", 3)[0]  # an SRG, so every step runs
-    assert s.n == EXPLICIT_MAX_N
+def _traced_explicit_check(s):
+    # the verdict of srg_check_explicit(s) and the traced peak of that one call
     tracemalloc.start()
     try:
         verdict = srg_check_explicit(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return verdict, peak
+
+
+def test_dense_check_peak_allocation_at_n14():
+    # row 0 and the int64 Walsh vector hold 9 * 2^n B, about 0.35 MB
+    # measured, under a bound of 0.5 MB + 12 * 2^n B; the bool adjacency
+    # alone is 4^n B = 256 MB
+    s = family_construct("s0s1@4m+2", 3)[0]  # an SRG, so every step runs
+    assert s.n == 14
+    verdict, peak = _traced_explicit_check(s)
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
-    assert peak < explicit_module._GATHER_BLOCK_BYTES + 12 * 2**s.n, peak
+    assert peak < 524_288 + 12 * 2**s.n, peak
+
+
+def test_dense_check_peak_allocation_at_n20():
+    # row 0 (2^n B), the int64 Walsh vector (8 * 2^n B), one bool mask and
+    # the counts gathered over S (about 4 * 2^n B for this S of about half
+    # the vertices); 14.0 * 2^n B measured
+    s = family_construct("s0s1@4m", 5)[0]
+    assert s.n == EXPLICIT_MAX_N == 20
+    verdict, peak = _traced_explicit_check(s)
+    assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
+    assert peak <= 16 * 2**s.n, peak / 2**s.n
 
 
 def test_row0_peak_allocation_at_n14():
     # the bool row (2^n B) and the small distinct-row table; gathering the
     # int32 indicator and casting it to bool held 5 * 2^n B
     s = family_construct("s0s1@4m+2", 3)[0]
-    assert s.n == EXPLICIT_MAX_N
+    assert s.n == 14
     _row0(s)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -501,15 +552,35 @@ def test_row0_peak_allocation_at_n14():
     assert peak <= 2 * 2**s.n, peak / 2**s.n
 
 
-def test_counts_bound_is_checked_before_any_work(monkeypatch):
-    # a zero-stride view stands for the 2^16-vertex row; nothing large is allocated
-    def no_block(row0):
-        pytest.fail("a block was formed before the uint16 bound was checked")
+def test_int64_bound_covers_the_dense_cap():
+    # the second Walsh pass holds 2 * hi with |hi| <= 2^n |S| <= N (N - 1);
+    # that fits int64 at n = INT64_EXACT_MAX_N = 31 and not at n = 32, and
+    # the dense cap stays within it
+    int64_max = int(np.iinfo(np.int64).max)
+    for n, fits in ((INT64_EXACT_MAX_N, True), (INT64_EXACT_MAX_N + 1, False)):
+        size = 1 << n
+        assert (2 * size * (size - 1) <= int64_max) == fits, n
+    assert EXPLICIT_MAX_N <= INT64_EXACT_MAX_N
 
-    monkeypatch.setattr(explicit_module, "_translates", no_block)
-    with pytest.raises(ValueError, match="uint16 count bound"):
-        explicit_module._row0_counts(np.broadcast_to(False, (1 << 16,)))
-    assert EXPLICIT_MAX_N < 16
+
+@pytest.mark.parametrize(
+    "key, m", [("s0s1@4m", 4), ("s2s3@4m", 4), ("s0s1@4m", 5), ("s2s3@4m", 5), ("s0s1@4m+2", 4)]
+)
+def test_every_route_certifies_the_families_at_n16_to_n20(key, m):
+    s, predicted = family_construct(key, m)
+    assert 16 <= s.n <= EXPLICIT_MAX_N
+    verdict, _ = certify(s, s.n)  # raises unless all three routes agree
+    assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
+    assert verdict.params == predicted
+
+
+@pytest.mark.parametrize(
+    "indices, status", [({2, 4}, VerdictStatus.DISCONNECTED), ({1, 2}, VerdictStatus.NOT_SRG)]
+)
+def test_dense_route_reads_non_srg_verdicts_at_n20(indices, status):
+    s = OrbitIndexSet.of(EXPLICIT_MAX_N, indices)
+    assert srg_check_explicit(s).status is status
+    assert certify(s, s.n)[0].status is status
 
 
 def test_four_m_plus_two_members_pass_all_three_routes_at_m3():
