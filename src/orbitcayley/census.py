@@ -7,7 +7,6 @@ orbit index i is a member), so output is byte-identical across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,8 +23,7 @@ from .srg import (
     SrgVerdict,
     VerdictStatus,
     _certified,
-    _distinct_values,
-    match_families,
+    _tagged,
     pair_count_table,
 )
 
@@ -218,30 +216,12 @@ def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray)
     return VerdictColumns(connected, trivial, complete, distinct, paircount, spectral)
 
 
-def _column_text(route: str, row: list[int]) -> str:
-    code, degree, lam, mu = row
-    return f"{route}: {_STATUSES[code].value} (r={degree}, lambda={lam}, mu={mu})"
-
-
-def _certified_row(
-    n: int, mask: int, columns: VerdictColumns, spectra: np.ndarray, counts: np.ndarray,
-    explicit_cap: int,
-) -> SrgVerdict:
-    """``_certified`` on the table row of one set, whose verdict both route columns must hold."""
-    s = OrbitIndexSet.from_bitmask(n, mask)
-    row = mask - 1
-    values = _distinct_values(spectra[row, ::-1].tolist())
-    verdict = _certified(s, counts[row].tolist(), values, explicit_cap)
-    params = verdict.params.as_tuple()[1:] if verdict.params else (0, 0, 0)
-    per_set = [_CODE[verdict.status], *params]
-    paircount, spectral = columns.paircount[row].tolist(), columns.spectral[row].tolist()
-    if paircount != per_set or spectral != per_set:
-        raise ConsistencyError(
-            f"verdict columns disagree with the per-set routes on {s.format()}: "
-            f"{_column_text('pair_count', paircount)}; {_column_text('spectral', spectral)}; "
-            f"per set: {json.dumps(verdict.to_json_dict())}"
-        )
-    return verdict
+def _column_verdict(n: int, row: list[int]) -> SrgVerdict:
+    """The untagged verdict of one route's column row (status code, degree, lambda, mu)."""
+    code, *params = row
+    if code in _PARAMLESS:
+        return _PARAMLESS[code]
+    return SrgVerdict(_STATUSES[code], SrgParams(1 << n, *params))
 
 
 def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[CensusRecord]:
@@ -250,13 +230,12 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
     All 2^n - 1 spectra and pair counts come from one ``sweep_tables``
     call, the spectrum invariants are checked on every row at once, and
     both closed-form verdicts of every set come from ``verdict_columns``.
-    SRG rows get their family tags from ``match_families``.  A row goes
-    through the per-set ``_certified`` (on its own table row) when n is
-    within ``explicit_cap``, so the dense route joins, or when its two
-    route columns disagree.  That raises the routes' ConsistencyError when
-    they disagree, and one naming the set and its column values when the
-    agreed verdict differs from a column.  Raises ValueError before any
-    work when ``check_census_request`` rejects the request.
+    Each record's verdict is read from its pair-count column row.  When n
+    is within ``explicit_cap`` (so the dense route joins), or when the two
+    route columns disagree, both column verdicts go to ``srg._certified``,
+    which raises the routes' ConsistencyError on any disagreement; other
+    SRG rows get their family tags from ``_tagged``.  Raises ValueError
+    before any work when ``check_census_request`` rejects the request.
     """
     check_census_request(n, explicit_cap)
     member, spectra, counts = sweep_tables(n)
@@ -270,15 +249,15 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
     if n <= explicit_cap:
         per_set[:] = True
     records = []
-    for mask, (code, *params), distinct, checked in zip(
+    for mask, row, distinct, checked in zip(
         range(1, 1 << n), columns.paircount.tolist(), columns.distinct.tolist(), per_set.tolist()
     ):
+        verdict = _column_verdict(n, row)
         if checked:
-            verdict = _certified_row(n, mask, columns, spectra, counts, explicit_cap)
-        elif code in _PARAMLESS:
-            verdict = _PARAMLESS[code]
-        else:
-            s = OrbitIndexSet.from_bitmask(n, mask)
-            verdict = SrgVerdict(_STATUSES[code], SrgParams(1 << n, *params), match_families(s))
+            spectral = _column_verdict(n, columns.spectral[mask - 1].tolist())
+            verdicts = {"pair_count": verdict, "spectral": spectral}
+            verdict = _certified(OrbitIndexSet.from_bitmask(n, mask), verdicts, explicit_cap)
+        elif verdict.params is not None:
+            verdict = _tagged(OrbitIndexSet.from_bitmask(n, mask), verdict)
         records.append(CensusRecord(n, mask, distinct, verdict, n <= explicit_cap))
     return records

@@ -31,11 +31,11 @@ import numpy as np
 from .core import OrbitIndexSet
 from .spectrum import _butterflies, _indicator_rows
 
-# the route holds row 0 and one int64 vector, 9 * 2^n bytes, beside one
-# bool mask and vertex 0's counts gathered over S or off it.  One
-# srg_check_explicit at n = 20 takes 0.15-0.16 s and traces a peak of
-# 14.0 * 2^n B (14 MiB) for an SRG with |S| about 2^(n-1), 18 * 2^n B for
-# a small S (2-vCPU host, numpy 2.4.6).  The int64 passes are exact for
+# the route holds row 0 and one int64 vector, 9 * 2^n bytes, and one bool
+# mask; lambda and mu are a masked min and max over the counts, which
+# gather nothing.  One srg_check_explicit at n = 20 takes 0.15-0.19 s and
+# traces a peak of 10.0 * 2^n B (10 MiB), for a small S as for an SRG
+# (2-vCPU host, numpy 2.4.6).  The int64 passes are exact for
 # n <= INT64_EXACT_MAX_N (see walsh_counts), which this cap stays within.
 EXPLICIT_MAX_N = 20
 INT64_EXACT_MAX_N = 31
@@ -74,8 +74,12 @@ def walsh_counts(row0: np.ndarray) -> tuple[bool, bool, np.ndarray]:
     return connected, complement_connected, fhat
 
 
-def _constant(values: np.ndarray) -> int | None:
-    """The one value ``values`` holds, or None when it holds none or several."""
-    if values.size and values.min() == values.max():
-        return int(values[0])
-    return None
+def _constant(values: np.ndarray, where: np.ndarray) -> int | None:
+    """The one value an integer array holds where ``where`` is set, or None for none or several.
+
+    A masked min and max, so no entry is gathered: an empty mask leaves
+    the min at the dtype's top and the max at its bottom, which differ.
+    """
+    bounds = np.iinfo(values.dtype)
+    low = values.min(where=where, initial=bounds.max)
+    return int(low) if low == values.max(where=where, initial=bounds.min) else None

@@ -44,9 +44,8 @@ def _double_sum(factor: int, a: int, p: int, b: int, q: int, jmax: int, m: int) 
     return factor * total
 
 
-# The three closed forms that several double sums share, named for ``rhs_group``.
+# The three closed forms that several double sums share.
 _R1, _R2, _R3 = (4, -2, 1, -1), (4, 0, 1, 0), (4, 0, -1, 0)
-_RHS_GROUP_NAMES = {_R1: "r1", _R2: "r2", _R3: "r3"}
 
 
 class _ResidueSum(NamedTuple):
@@ -138,13 +137,6 @@ def _sides(identity_id: str, k: int, m: int) -> tuple[int, int]:
                                    f"differ at n={n}: {lhs} != {pair[0]}")
     a, b, sigma, c = rhs
     return lhs, (1 << (a * m + b)) + sigma * (-1) ** m * (1 << (2 * m + c))
-
-
-def rhs_group(identity_id: str) -> str | None:
-    """Which shared closed form the identity evaluates to, if it has partners."""
-    if identity_id in _RESIDUE_SUMS:
-        return None
-    return _RHS_GROUP_NAMES[_DOUBLE_SUMS[identity_id].rhs]
 
 
 def admissible_k(identity_id: str, m: int) -> range:

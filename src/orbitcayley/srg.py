@@ -100,11 +100,6 @@ class SrgParams:
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.vertices, self.degree, self.lam, self.mu)
 
-    def is_feasible(self) -> bool:
-        """r(r - lam - 1) = (v - r - 1) mu, the standard counting identity."""
-        v, r, lam, mu = self.as_tuple()
-        return r * (r - lam - 1) == (v - r - 1) * mu
-
     def complement(self) -> SrgParams:
         v, r, lam, mu = self.as_tuple()
         return SrgParams(v, v - 1 - r, v - 2 - 2 * r + mu, v - 2 * r + lam)
@@ -361,8 +356,9 @@ def srg_check_spectral(s: OrbitIndexSet) -> SrgVerdict:
 def _distinct_values(descending: Sequence[int]) -> tuple[int, ...]:
     """The distinct values of a descending sequence, strictly descending.
 
-    ``certify`` and the census sweep both reduce through this; neither
-    needs the multiplicities that ``spectrum.distinct`` sums.
+    The spectral route of ``certify`` and ``srg_check_spectral`` reads
+    these; it needs none of the multiplicities that ``spectrum.distinct``
+    sums.
     """
     return tuple(dict.fromkeys(descending))
 
@@ -413,10 +409,10 @@ def _explicit_verdict(s: OrbitIndexSet) -> SrgVerdict:
     degree = int(counts[0])
     if degree == size - 1:
         return COMPLETE
-    lam = _constant(counts[row0])
+    lam = _constant(counts, row0)
     other = ~row0
     other[0] = False
-    mu = _constant(counts[other])
+    mu = _constant(counts, other)
     if lam is None or mu is None:
         return NOT_SRG
     # the complement graph is disconnected exactly for a trivial SRG
@@ -435,27 +431,24 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
     """
     spectrum = full_spectrum(s)
     values = _distinct_values(sorted(spectrum.values, reverse=True))
-    return _certified(s, _pair_counts(s), values, explicit_cap), spectrum
-
-
-def _certified(
-    s: OrbitIndexSet, counts: Sequence[int], values: Sequence[int], explicit_cap: int
-) -> SrgVerdict:
-    """The verdict every route agrees on, from the pair counts and distinct eigenvalues of s.
-
-    The pair-count and spectral verdicts are read from ``counts`` and
-    ``values`` (as ``_paircount_verdict`` and ``_spectral_verdict`` take
-    them); the dense route joins when s.n <= explicit_cap.  Shared by
-    ``certify`` and the census sweep; raises ConsistencyError naming the
-    set and every route's verdict when any two differ.  The family tags
-    are matched once, after the routes agree.
-    """
     verdicts = {
-        "pair_count": _paircount_verdict(s, counts),
+        "pair_count": _paircount_verdict(s, _pair_counts(s)),
         "spectral": _spectral_verdict(s, values),
     }
+    return _certified(s, verdicts, explicit_cap), spectrum
+
+
+def _certified(s: OrbitIndexSet, verdicts: dict[str, SrgVerdict], explicit_cap: int) -> SrgVerdict:
+    """The verdict every route agrees on, from the closed-form routes' untagged verdicts of s.
+
+    ``verdicts`` maps "pair_count" and "spectral" to their verdicts, built
+    per set by ``certify`` and read from the verdict columns by the census;
+    the dense route joins when s.n <= explicit_cap.  Raises
+    ConsistencyError naming the set and every route's verdict when any two
+    differ.  The family tags are matched once, after the routes agree.
+    """
     if s.n <= explicit_cap:
-        verdicts["explicit"] = _explicit_verdict(s)
+        verdicts = {**verdicts, "explicit": _explicit_verdict(s)}
     verdict = verdicts["pair_count"]
     if any(other != verdict for other in verdicts.values()):
         detail = "; ".join(

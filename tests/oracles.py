@@ -233,7 +233,7 @@ def common_neighbor_constants(adjacency: np.ndarray) -> tuple[int | None, int | 
     adjacent = adjacency[0]
     other = ~adjacent
     other[0] = False
-    return _constant(counts[adjacent]), _constant(counts[other])
+    return _constant(counts, adjacent), _constant(counts, other)
 
 
 def _vertex0_counts(adjacency: np.ndarray) -> np.ndarray:

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitcayley.spectrum as spectrum_module
 import orbitcayley.srg as srg_module
 from orbitcayley.census import (
     CENSUS_CSV_COLUMNS,
+    CENSUS_DEFAULT_EXPLICIT_CAP,
     CENSUS_MAX_N,
     TABLE_INT64_MAX_N,
     CensusRecord,
@@ -404,20 +406,18 @@ def test_perturbed_dense_constants_name_the_set(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "routes, explicit_cap, spectral",
+    "routes, explicit_cap",
     [
-        # the routes' columns disagree, so the row goes per set
-        (("paircount",), 0, "not_srg (r=0, lambda=0, mu=0)"),
-        # both columns claim the same verdict; the dense cap sends the row per set
-        (("paircount", "spectral"), 8, "nontrivial_srg (r=11, lambda=10, mu=16)"),
+        # the routes' columns disagree, so the row goes to srg._certified
+        (("paircount",), 0),
+        # both columns claim the same verdict; the dense route joins within its cap
+        (("paircount", "spectral"), 8),
     ],
     ids=["one-column", "both-columns"],
 )
-def test_columns_that_differ_from_agreeing_routes_name_the_set(
-    monkeypatch, routes, explicit_cap, spectral
-):
+def test_columns_that_differ_from_agreeing_routes_name_the_set(monkeypatch, routes, explicit_cap):
     # the column of each listed route claims an SRG on the non-SRG I={1,4,5};
-    # the per-set routes, read from the same table row, agree on not_srg
+    # the routes that read no perturbed column hold not_srg
     s = _not_srg(5, {1, 4, 5})
     real = census_module.verdict_columns
 
@@ -430,11 +430,27 @@ def test_columns_that_differ_from_agreeing_routes_name_the_set(
         return columns
 
     monkeypatch.setattr(census_module, "verdict_columns", claiming)
+    claimed = SrgVerdict(VerdictStatus.NONTRIVIAL_SRG, SrgParams(32, 11, 10, 16))
+    not_srg = SrgVerdict(VerdictStatus.NOT_SRG)
+    verdicts = [("pair_count", claimed), ("spectral", claimed if len(routes) == 2 else not_srg)]
+    if explicit_cap >= s.n:
+        verdicts.append(("explicit", not_srg))
     with pytest.raises(ConsistencyError) as exc:
         census(5, explicit_cap=explicit_cap)
-    assert str(exc.value) == (
-        "verdict columns disagree with the per-set routes on n=5;I=1,4,5: "
-        "pair_count: nontrivial_srg (r=11, lambda=10, mu=16); "
-        f"spectral: {spectral}; "
-        'per set: {"status": "not_srg", "params": null, "families": []}'
-    )
+    assert str(exc.value) == _routes_disagree(s, *verdicts)
+
+
+def test_census_derives_no_per_set_closed_form_verdict(monkeypatch):
+    # every record comes from the verdict columns; within the dense cap the
+    # dense route is the only per-set route that runs
+    expected = {(n, CENSUS_DEFAULT_EXPLICIT_CAP): census(n) for n in range(1, CENSUS_MAX_N + 1)}
+    expected[10, 10] = census(10, explicit_cap=10)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-set closed-form route ran in the census")
+
+    for name in ("_paircount_verdict", "_spectral_verdict", "pair_count", "full_spectrum"):
+        monkeypatch.setattr(srg_module, name, forbidden)
+    monkeypatch.setattr(spectrum_module, "full_spectrum", forbidden)
+    for (n, cap), records in expected.items():
+        assert census(n, explicit_cap=cap) == records, (n, cap)

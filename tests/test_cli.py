@@ -382,6 +382,9 @@ RECORDED_OUTPUT_SHA256 = {
         "4136242ecb9a8205da552c876ca3f702161e947e0d9a83367670d7e029d939d6",
     ("census", "--n", "1..8", "--format", "csv"):
         "2c0cc480a987f94d167f3c33f8a8d29e0e7d67ff00b7b525356892cebc7e200f",
+    # the dense route on every set up to n = 10
+    ("census", "--n", "1..10", "--explicit-cap", "10"):
+        "2b50c86570123122de95335cbe6b2b7c1366334e092cb505ec07b281c5995b7e",
     ("families", "--m-max", "6"):
         "054f43ff6a141e570c28f60426bc8fa5a19977f30fbad203a744e923f65553bd",
     # recorded before pair counts and double sums moved to cached Pascal rows

@@ -16,7 +16,6 @@ from orbitcayley.identities import (
     admissible_k,
     identity_sides,
     mod4_binomial_sum,
-    rhs_group,
     verify_all,
 )
 
@@ -159,14 +158,12 @@ def test_report_ordering():
 
 
 def test_rhs_groups_share_one_value():
-    groups: dict[str, list[str]] = {}
-    for identity_id in IDENTITY_IDS:
-        group = rhs_group(identity_id)
-        if group is not None:
-            groups.setdefault(group, []).append(identity_id)
-    assert sorted(groups) == ["r1", "r2", "r3"]
-    assert sorted(groups["r1"]) == ["T34", "T35-i", "T35-ii", "T35-iii"]
-    assert len(groups["r2"]) == len(groups["r3"]) == 4
+    # the double sums grouped by their right-side row: three groups of four
+    groups: dict[tuple[int, int, int, int], list[str]] = {}
+    for identity_id, row in _DOUBLE_SUMS.items():
+        groups.setdefault(row.rhs, []).append(identity_id)
+    assert [len(members) for members in groups.values()] == [4, 4, 4]
+    assert sorted(groups[_DOUBLE_SUMS["T34"].rhs]) == ["T34", "T35-i", "T35-ii", "T35-iii"]
     for members in groups.values():
         for m in range(1, 26):
             values = set()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
 import tracemalloc
@@ -65,6 +66,9 @@ from oracles import (
     pair_count_oracle,
     verify_equitable_partition,
 )
+
+# the package re-exports the function census, which shadows the module of that name
+census_module = importlib.import_module("orbitcayley.census")
 
 
 def test_pair_count_examples():
@@ -251,7 +255,18 @@ def _walsh_constants(row0):
     counts = walsh_counts(row0)[2]
     other = ~row0
     other[0] = False
-    return _constant(counts[row0]), _constant(counts[other])
+    return _constant(counts, row0), _constant(counts, other)
+
+
+def test_masked_constant_reads_one_value_or_none():
+    values = np.array([7, 3, 3, -1], dtype=np.int64)
+    assert _constant(values, np.array([False, True, True, False])) == 3
+    assert _constant(values, np.array([True, False, False, False])) == 7
+    assert _constant(values, np.array([False, True, True, True])) is None
+    assert _constant(values, np.zeros(4, dtype=bool)) is None
+    # the dtype's bounds are the empty mask's initial values, never a result
+    top = np.iinfo(np.int64).max
+    assert _constant(np.array([top, top]), np.array([True, True])) == top
 
 
 def test_common_neighbor_constants_match_integer_product(monkeypatch):
@@ -526,14 +541,18 @@ def test_dense_check_peak_allocation_at_n14():
 
 
 def test_dense_check_peak_allocation_at_n20():
-    # row 0 (2^n B), the int64 Walsh vector (8 * 2^n B), one bool mask and
-    # the counts gathered over S (about 4 * 2^n B for this S of about half
-    # the vertices); 14.0 * 2^n B measured
-    s = family_construct("s0s1@4m", 5)[0]
-    assert s.n == EXPLICIT_MAX_N == 20
-    verdict, peak = _traced_explicit_check(s)
-    assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
-    assert peak <= 16 * 2**s.n, peak / 2**s.n
+    # row 0 (2^n B), the int64 Walsh vector (8 * 2^n B) and one bool mask;
+    # lambda and mu gather no counts, so a small S, whose mu would gather
+    # almost every count, costs no more than an SRG: 10.0 * 2^n B measured
+    # for both
+    for s, status in (
+        (family_construct("s0s1@4m", 5)[0], VerdictStatus.NONTRIVIAL_SRG),
+        (OrbitIndexSet.of(20, {1, 2}), VerdictStatus.NOT_SRG),
+    ):
+        assert s.n == EXPLICIT_MAX_N == 20
+        verdict, peak = _traced_explicit_check(s)
+        assert verdict.status is status
+        assert peak <= 11 * 2**s.n, (s.format(), peak / 2**s.n)
 
 
 def test_row0_peak_allocation_at_n14():
@@ -599,7 +618,7 @@ def test_four_m_plus_two_members_pass_all_three_routes_at_m3():
 def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
     s = OrbitIndexSet.of(4, {1, 4})
     honest = certify(s, 0)[0]
-    # the verdict helper that certify and the census sweep share
+    # certify's pair-count route claims not_srg
     monkeypatch.setattr(srg_module, "_paircount_verdict",
                         lambda t, counts: SrgVerdict(VerdictStatus.NOT_SRG))
     with pytest.raises(ConsistencyError) as exc:
@@ -608,9 +627,20 @@ def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
     assert "n=4;I=1,4" in message
     assert json.dumps(SrgVerdict(VerdictStatus.NOT_SRG).to_json_dict()) in message
     assert json.dumps(honest.to_json_dict()) in message
+    # the census reads that route from its column; the same claim there
+    # reaches the same agreement check and the same message
+    real = census_module.verdict_columns
+    not_srg_code = list(VerdictStatus).index(VerdictStatus.NOT_SRG)
+
+    def claiming(member, spectra, counts):
+        columns = real(member, spectra, counts)
+        columns.paircount[s.bitmask - 1] = [not_srg_code, 0, 0, 0]
+        return columns
+
+    monkeypatch.setattr(census_module, "verdict_columns", claiming)
     with pytest.raises(ConsistencyError) as exc:
-        census(4)
-    assert "SRG routes disagree on n=4;I=" in str(exc.value)
+        census(4, explicit_cap=0)
+    assert str(exc.value) == message
     assert main(["srg-check", "--set", "n=4;I=1,4"]) == EXIT_VERIFICATION_FAILED
     assert f"verification failure: {message}" in capsys.readouterr().err
 
@@ -633,7 +663,8 @@ def test_three_checkers_agree(small_sweep):
 def test_feasibility_of_every_found_parameter_set(small_sweep):
     for s, verdict, _, _ in small_sweep.values():
         if verdict.params is not None:
-            assert verdict.params.is_feasible(), s.format()
+            v, r, lam, mu = verdict.params.as_tuple()
+            assert r * (r - lam - 1) == (v - r - 1) * mu, s.format()
 
 
 def test_equitable_partition_examples():
@@ -712,7 +743,8 @@ def test_family_parameters_verified_up_to_n14():
             verdict = srg_check_paircount(s)
             assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, (key, m)
             assert verdict.params == predicted, (key, m)
-            assert predicted.is_feasible()
+            v, r, lam, mu = predicted.as_tuple()
+            assert r * (r - lam - 1) == (v - r - 1) * mu, (key, m)
             m += 1
     for n in range(2, 15):
         for key in ("s_minus", "s_odd"):
