@@ -392,6 +392,14 @@ RECORDED_OUTPUT_SHA256 = {
         "0b63d893091c311c06a9d198cf23f64d33c4b1eff1154fef2b01fd66e491fb78",
     ("families", "--m-max", "16", "--check-cap", "66"):
         "4ae294ede4ae3dc23315fb60d03d67bea3f62710ab870b0dc4df651ff7a80c5f",
+    # one verdict of each kind with parameters or counts beyond int64:
+    # s2s3@4m at m = 17 (n = 68), s_odd at n = 200, and a non-SRG at n = 128
+    ("srg-check", "--set", "n=68;I=" + ",".join(str(i) for i in range(2, 68) if i % 4 in (2, 3))):
+        "50d85be09246460254caae6e10c565560be25cd0bf857fd097d6a53e2b23cca6",
+    ("srg-check", "--set", "n=200;I=" + ",".join(str(i) for i in range(1, 200, 2))):
+        "86e909fd6c58a8dfc9deaefe6073a6a570c0e1b00df234a8a13180bcba408557",
+    ("srg-check", "--set", "n=128;I=1,2"):
+        "601c836ff473ae655a1ddedd9dc932d5d8dac99954e3f4a0131ccabcf3682f24",
 }
 
 
