@@ -3,29 +3,22 @@
 Records connectivity, distinct-eigenvalue counts, and SRG verdicts for
 every nonempty index set, in ascending bitmask order (bit i-1 set iff
 orbit index i is a member), so output is byte-identical across runs.
+The sweep builds every set's spectrum and pair counts as int64 tables,
+and ``srg.verdict_columns``, the one rule set ``certify`` also runs,
+reads both closed-form verdicts of every row from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from . import srg
 from .core import ConsistencyError, OrbitIndexSet, pascal_row
 from .explicit import EXPLICIT_MAX_N
 from .spectrum import _first_invariant_failure, character_table
-from .srg import (
-    COMPLETE,
-    DISCONNECTED,
-    NOT_SRG,
-    SrgParams,
-    SrgVerdict,
-    VerdictStatus,
-    _certified,
-    _tagged,
-    pair_count_table,
-)
+from .srg import SrgVerdict, VerdictStatus, _certified, _column_verdict, _tagged, pair_count_table
 
 CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
 # The sweep runs in int64.  Table entries, eigenvalues and pair counts are at
@@ -124,112 +117,13 @@ def sweep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return member, spectra, counts
 
 
-# a route's column code of a verdict status is its position here
-_STATUSES = tuple(VerdictStatus)
-_CODE = {status: code for code, status in enumerate(_STATUSES)}
-_PARAMLESS = {
-    _CODE[VerdictStatus.DISCONNECTED]: DISCONNECTED,
-    _CODE[VerdictStatus.COMPLETE]: COMPLETE,
-    _CODE[VerdictStatus.NOT_SRG]: NOT_SRG,
-}
-
-
-class VerdictColumns(NamedTuple):
-    """Both closed-form verdicts of every ``sweep_tables`` row, one column entry per row.
-
-    ``paircount`` and ``spectral`` hold one row (status code, degree,
-    lambda, mu) per set, the code being the status's position in
-    ``VerdictStatus`` and the parameters 0 unless the status is an SRG.
-    """
-
-    connected: np.ndarray  # bool: core.is_connected on I
-    trivial: np.ndarray  # bool: the same rule fails on the complement of I
-    complete: np.ndarray  # bool: |I| = n
-    distinct: np.ndarray  # int64: number of distinct eigenvalues
-    paircount: np.ndarray  # int64 (rows, 4)
-    spectral: np.ndarray  # int64 (rows, 4)
-
-
-def _connected_column(member: np.ndarray) -> np.ndarray:
-    """``core.is_connected`` on every row of a bool membership matrix.
-
-    An odd index below n connects; for odd n the top index connects when n
-    is 1 or another index is present.
-    """
-    n = member.shape[1]
-    connected = member[:, : n - 1 : 2].any(axis=1)
-    if n % 2:
-        connected |= member[:, n - 1] & ((n == 1) | (member.sum(axis=1) >= 2))
-    return connected
-
-
-def _route_columns(
-    gates: tuple[np.ndarray, np.ndarray, np.ndarray],
-    regular: np.ndarray,
-    params: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """One route's (status code, degree, lambda, mu) rows: the gates, then its SRG criterion."""
-    connected, complete, trivial = gates
-    status = np.select(
-        [~connected, complete, ~regular, trivial],
-        [_CODE[VerdictStatus.DISCONNECTED], _CODE[VerdictStatus.COMPLETE],
-         _CODE[VerdictStatus.NOT_SRG], _CODE[VerdictStatus.TRIVIAL_SRG]],
-        _CODE[VerdictStatus.NONTRIVIAL_SRG],
-    )
-    srg = (status == _CODE[VerdictStatus.TRIVIAL_SRG]) | (
-        status == _CODE[VerdictStatus.NONTRIVIAL_SRG]
-    )
-    return np.column_stack([status, *(np.where(srg, p, 0) for p in params)])
-
-
-def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray) -> VerdictColumns:
-    """The verdict columns of ``sweep_tables`` rows whose spectra are sorted ascending per row.
-
-    The pair-count route reads the degree as member @ C(n, i) and calls a
-    set regular when min == max of its counts over the member weights
-    (lambda) and over the others (mu).  The spectral route counts the
-    distinct values of each sorted row; with three, r > theta > tau are its
-    last entry, the entry after the run of tau, and its first entry, and
-    mu = r + theta tau, lambda = mu + theta + tau.  ``certify`` is the
-    per-set oracle of every column.
-    """
-    n = member.shape[1]
-    inside = member.astype(bool)
-    gates = (_connected_column(inside), inside.all(axis=1), ~_connected_column(~inside))
-    connected, complete, trivial = gates
-    distinct = 1 + np.count_nonzero(np.diff(spectra, axis=1), axis=1)
-
-    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
-    lam = np.where(inside, counts, top).min(axis=1)
-    mu = np.where(inside, top, counts).min(axis=1)
-    regular = (lam == np.where(inside, counts, bottom).max(axis=1)) & (
-        mu == np.where(inside, bottom, counts).max(axis=1)
-    )
-    degree = member @ np.array(pascal_row(n)[1:])
-    paircount = _route_columns(gates, regular, (degree, lam, mu))
-
-    tau, r = spectra[:, 0], spectra[:, -1]
-    after_tau = np.minimum(np.count_nonzero(spectra == tau[:, None], axis=1), n)
-    theta = spectra[np.arange(len(spectra)), after_tau]
-    mu = r + theta * tau
-    spectral = _route_columns(gates, distinct == 3, (r, mu + theta + tau, mu))
-    return VerdictColumns(connected, trivial, complete, distinct, paircount, spectral)
-
-
-def _column_verdict(n: int, row: list[int]) -> SrgVerdict:
-    """The untagged verdict of one route's column row (status code, degree, lambda, mu)."""
-    code, *params = row
-    if code in _PARAMLESS:
-        return _PARAMLESS[code]
-    return SrgVerdict(_STATUSES[code], SrgParams(1 << n, *params))
-
-
 def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[CensusRecord]:
     """One record per nonempty index set, ascending by bitmask.
 
     All 2^n - 1 spectra and pair counts come from one ``sweep_tables``
     call, the spectrum invariants are checked on every row at once, and
-    both closed-form verdicts of every set come from ``verdict_columns``.
+    both closed-form verdicts of every set come from
+    ``srg.verdict_columns``, the rules ``certify`` applies to one row.
     Each record's verdict is read from its pair-count column row.  When n
     is within ``explicit_cap`` (so the dense route joins), or when the two
     route columns disagree, both column verdicts go to ``srg._certified``,
@@ -244,7 +138,7 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
         row, what = failure
         raise ConsistencyError(f"{what} on {OrbitIndexSet.from_bitmask(n, row + 1).format()}")
     spectra.sort(axis=1)
-    columns = verdict_columns(member, spectra, counts)
+    columns = srg.verdict_columns(member, spectra, counts)
     per_set = (columns.paircount != columns.spectral).any(axis=1)
     if n <= explicit_cap:
         per_set[:] = True

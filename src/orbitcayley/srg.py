@@ -5,6 +5,12 @@ the spectral three-eigenvalue criterion, and dense brute force; ``certify``
 runs them and insists they agree.  The pair count
 |C(v,S)| = #{(x,y) in S x S : x XOR y = v} depends only on the weight of v
 because S is a union of weight classes.
+
+The two closed-form routes share one rule set, ``verdict_columns``, which
+turns a table of index sets (membership, sorted spectra, pair counts; one
+row per set) into both routes' verdicts: the census passes its int64
+sweep tables, ``certify`` a one-row table of Python ints.  The dense
+route keeps its own rules and is their oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from operator import and_
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +31,6 @@ from .core import (
     OrbitIndexSet,
     ResidueFamily,
     expand_family,
-    is_connected,
     pascal_row,
 )
 from .explicit import EXPLICIT_MAX_N, _constant, _row0, walsh_counts
@@ -295,24 +300,116 @@ def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
     return rows
 
 
+# -- the verdict rules -------------------------------------------------------
+
+# a route's column code of a verdict status is its position here
+_STATUSES = tuple(VerdictStatus)
+_CODE = {status: code for code, status in enumerate(_STATUSES)}
+_PARAMLESS = {
+    _CODE[VerdictStatus.DISCONNECTED]: DISCONNECTED,
+    _CODE[VerdictStatus.COMPLETE]: COMPLETE,
+    _CODE[VerdictStatus.NOT_SRG]: NOT_SRG,
+}
+
+
+class VerdictColumns(NamedTuple):
+    """Both closed-form verdicts of every table row, one column entry per row.
+
+    ``paircount`` and ``spectral`` hold one row (status code, degree,
+    lambda, mu) per set, the code being the status's position in
+    ``VerdictStatus`` and the parameters 0 unless the status is an SRG.
+    """
+
+    connected: np.ndarray  # bool: core.is_connected on I
+    trivial: np.ndarray  # bool: the same rule fails on the complement of I
+    complete: np.ndarray  # bool: |I| = n
+    distinct: np.ndarray  # int64: number of distinct eigenvalues
+    paircount: np.ndarray  # (rows, 4), int64 or object like the counts
+    spectral: np.ndarray  # (rows, 4), int64 or object like the spectra
+
+
+def _connected_column(member: np.ndarray) -> np.ndarray:
+    """``core.is_connected`` on every row of a bool membership matrix.
+
+    An odd index below n connects; for odd n the top index connects when n
+    is 1 or another index is present.
+    """
+    n = member.shape[1]
+    connected = member[:, : n - 1 : 2].any(axis=1)
+    if n % 2:
+        connected |= member[:, n - 1] & ((n == 1) | (member.sum(axis=1) >= 2))
+    return connected
+
+
+def _route_columns(
+    gates: tuple[np.ndarray, np.ndarray, np.ndarray],
+    regular: np.ndarray,
+    params: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """One route's (status code, degree, lambda, mu) rows: the gates, then its SRG criterion."""
+    connected, complete, trivial = gates
+    status = np.select(
+        [~connected, complete, ~regular, trivial],
+        [_CODE[VerdictStatus.DISCONNECTED], _CODE[VerdictStatus.COMPLETE],
+         _CODE[VerdictStatus.NOT_SRG], _CODE[VerdictStatus.TRIVIAL_SRG]],
+        _CODE[VerdictStatus.NONTRIVIAL_SRG],
+    )
+    srg = (status == _CODE[VerdictStatus.TRIVIAL_SRG]) | (
+        status == _CODE[VerdictStatus.NONTRIVIAL_SRG]
+    )
+    return np.column_stack([status, *(np.where(srg, p, 0) for p in params)])
+
+
+def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray) -> VerdictColumns:
+    """The verdict columns of table rows: membership, spectra sorted ascending, pair counts.
+
+    Row r holds one set: member[r, i - 1] = [i in I] (int8), its
+    eigenvalues lambda_0..lambda_n and counts[r, w - 1] = |C(v,S)| for
+    |v| = w.  The gates are ``core.is_connected``'s rule on I (connected)
+    and on its complement (trivial), and |I| = n (complete).  The
+    pair-count route reads the degree as member @ C(n, i) and calls a set
+    regular when min == max of its counts over the member weights (lambda)
+    and over the others (mu).  The spectral route counts the distinct
+    values of each sorted row; with three, r > theta > tau are its last
+    entry, the entry after the run of tau, and its first entry, and
+    mu = r + theta tau, lambda = mu + theta + tau.
+
+    The min/max sentinels are each row's own max and min and the binomials
+    take the counts' dtype, so the same rules run on the census's int64
+    tables and on ``certify``'s one-row object tables of Python ints.
+    """
+    n = member.shape[1]
+    inside = member.astype(bool)
+    gates = (_connected_column(inside), inside.all(axis=1), ~_connected_column(~inside))
+    connected, complete, trivial = gates
+    distinct = 1 + np.count_nonzero(np.diff(spectra, axis=1), axis=1)
+
+    top, bottom = counts.max(axis=1, keepdims=True), counts.min(axis=1, keepdims=True)
+    lam = np.where(inside, counts, top).min(axis=1)
+    mu = np.where(inside, top, counts).min(axis=1)
+    regular = (lam == np.where(inside, counts, bottom).max(axis=1)) & (
+        mu == np.where(inside, bottom, counts).max(axis=1)
+    )
+    degree = member @ np.array(pascal_row(n)[1:], dtype=counts.dtype)
+    paircount = _route_columns(gates, regular, (degree, lam, mu))
+
+    tau, r = spectra[:, 0], spectra[:, -1]
+    after_tau = np.minimum(np.count_nonzero(spectra == tau[:, None], axis=1), n)
+    theta = spectra[np.arange(len(spectra)), after_tau]
+    mu = r + theta * tau
+    spectral = _route_columns(gates, distinct == 3, (r, mu + theta + tau, mu))
+    return VerdictColumns(connected, trivial, complete, distinct, paircount, spectral)
+
+
+def _column_verdict(n: int, row: list[int]) -> SrgVerdict:
+    """The untagged verdict of one route's column row (status code, degree, lambda, mu)."""
+    code, *params = row
+    if code in _PARAMLESS:
+        return _PARAMLESS[code]
+    return SrgVerdict(_STATUSES[code], SrgParams(1 << n, *params))
+
+
 # -- the three checkers ------------------------------------------------------
-
-def _gate(s: OrbitIndexSet) -> SrgVerdict | None:
-    if not is_connected(s):
-        return DISCONNECTED
-    if s.is_full():
-        return COMPLETE
-    return None
-
-
-def _srg_verdict(s: OrbitIndexSet, lam: int, mu: int, degree: int) -> SrgVerdict:
-    """An SRG verdict without family tags; ``_tagged`` adds them once the routes agree."""
-    # trivial means the complement graph is disconnected (the definition,
-    # not a shape heuristic; match_families tags the s_minus and s_odd shapes)
-    trivial = not is_connected(s.complement())
-    status = VerdictStatus.TRIVIAL_SRG if trivial else VerdictStatus.NONTRIVIAL_SRG
-    return SrgVerdict(status, SrgParams(1 << s.n, degree, lam, mu))
-
 
 def _tagged(s: OrbitIndexSet, verdict: SrgVerdict) -> SrgVerdict:
     """The verdict with the family tags of s when it is an SRG verdict."""
@@ -322,8 +419,11 @@ def _tagged(s: OrbitIndexSet, verdict: SrgVerdict) -> SrgVerdict:
 
 
 def srg_check_paircount(s: OrbitIndexSet) -> SrgVerdict:
-    """Strong regularity iff |C(v,S)| is one constant on S and another off S."""
-    return _tagged(s, _paircount_verdict(s, _pair_counts(s)))
+    """Strong regularity iff |C(v,S)| is one constant on S and another off S.
+
+    Read from the pair-count column of the one-row table of s.
+    """
+    return _tagged(s, _closed_form_verdicts(s, full_spectrum(s))["pair_count"])
 
 
 def _pair_counts(s: OrbitIndexSet) -> list[int]:
@@ -331,49 +431,30 @@ def _pair_counts(s: OrbitIndexSet) -> list[int]:
     return [pair_count(s, w) for w in range(1, s.n + 1)]
 
 
-def _paircount_verdict(s: OrbitIndexSet, counts: Sequence[int]) -> SrgVerdict:
-    """The pair-count verdict from counts[w - 1] = |C(v,S)| for |v| = w, w = 1..n."""
-    gate = _gate(s)
-    if gate is not None:
-        return gate
-    lam_values = {counts[w - 1] for w in s.indices}
-    mu_values = {counts[w - 1] for w in range(1, s.n + 1) if w not in s.indices}
-    if len(lam_values) == 1 and len(mu_values) == 1:
-        return _srg_verdict(s, lam_values.pop(), mu_values.pop(), s.size())
-    return NOT_SRG
-
-
 def srg_check_spectral(s: OrbitIndexSet) -> SrgVerdict:
     """Connected + exactly three distinct eigenvalues r > theta > tau => SRG.
 
     Parameters recovered by the standard identities
-    mu = r + theta*tau and lambda = mu + theta + tau.
+    mu = r + theta*tau and lambda = mu + theta + tau, read from the
+    spectral column of the one-row table of s.
     """
-    values = _distinct_values(sorted(full_spectrum(s).values, reverse=True))
-    return _tagged(s, _spectral_verdict(s, values))
+    return _tagged(s, _closed_form_verdicts(s, full_spectrum(s))["spectral"])
 
 
-def _distinct_values(descending: Sequence[int]) -> tuple[int, ...]:
-    """The distinct values of a descending sequence, strictly descending.
+def _closed_form_verdicts(s: OrbitIndexSet, spectrum: Spectrum) -> dict[str, SrgVerdict]:
+    """The untagged pair-count and spectral verdicts of s, from its one-row verdict columns.
 
-    The spectral route of ``certify`` and ``srg_check_spectral`` reads
-    these; it needs none of the multiplicities that ``spectrum.distinct``
-    sums.
+    The row holds Python ints, so ``verdict_columns`` is exact at every n
+    up to CLOSED_FORM_MAX_N.
     """
-    return tuple(dict.fromkeys(descending))
-
-
-def _spectral_verdict(s: OrbitIndexSet, values: Sequence[int]) -> SrgVerdict:
-    """The spectral verdict from the distinct eigenvalues of s, strictly descending."""
-    gate = _gate(s)
-    if gate is not None:
-        return gate
-    if len(values) != 3:
-        return NOT_SRG
-    r, theta, tau = values
-    mu = r + theta * tau
-    lam = mu + theta + tau
-    return _srg_verdict(s, lam, mu, r)
+    member = np.array([[i in s.indices for i in range(1, s.n + 1)]], dtype=np.int8)
+    spectra = np.array([sorted(spectrum.values)], dtype=object)
+    counts = np.array([_pair_counts(s)], dtype=object)
+    columns = verdict_columns(member, spectra, counts)
+    return {
+        "pair_count": _column_verdict(s.n, columns.paircount[0].tolist()),
+        "spectral": _column_verdict(s.n, columns.spectral[0].tolist()),
+    }
 
 
 def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
@@ -410,7 +491,7 @@ def _explicit_verdict(s: OrbitIndexSet) -> SrgVerdict:
     if degree == size - 1:
         return COMPLETE
     lam = _constant(counts, row0)
-    other = ~row0
+    other = np.logical_not(row0, out=row0)  # row 0 is read; the same bytes mask the mu pairs
     other[0] = False
     mu = _constant(counts, other)
     if lam is None or mu is None:
@@ -423,26 +504,22 @@ def _explicit_verdict(s: OrbitIndexSet) -> SrgVerdict:
 def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
     """The SRG verdict of s, certified by every route that applies, and its spectrum.
 
-    The pair-count and spectral routes always run; the dense route also runs
-    when s.n is within ``explicit_cap`` (and raises ValueError above
-    EXPLICIT_MAX_N).  When any verdict differs, raises ConsistencyError
-    naming the set and every route's verdict, so the failure can be replayed
-    with ``srg-check --set``.
+    The pair-count and spectral routes always run, read from the one-row
+    verdict columns of s; the dense route also runs when s.n is within
+    ``explicit_cap`` (and raises ValueError above EXPLICIT_MAX_N).  When any
+    verdict differs, raises ConsistencyError naming the set and every
+    route's verdict, so the failure can be replayed with ``srg-check --set``.
     """
     spectrum = full_spectrum(s)
-    values = _distinct_values(sorted(spectrum.values, reverse=True))
-    verdicts = {
-        "pair_count": _paircount_verdict(s, _pair_counts(s)),
-        "spectral": _spectral_verdict(s, values),
-    }
-    return _certified(s, verdicts, explicit_cap), spectrum
+    return _certified(s, _closed_form_verdicts(s, spectrum), explicit_cap), spectrum
 
 
 def _certified(s: OrbitIndexSet, verdicts: dict[str, SrgVerdict], explicit_cap: int) -> SrgVerdict:
     """The verdict every route agrees on, from the closed-form routes' untagged verdicts of s.
 
-    ``verdicts`` maps "pair_count" and "spectral" to their verdicts, built
-    per set by ``certify`` and read from the verdict columns by the census;
+    ``verdicts`` maps "pair_count" and "spectral" to their verdicts, read
+    from the verdict columns of a one-row table by ``certify`` and of the
+    sweep tables by the census;
     the dense route joins when s.n <= explicit_cap.  Raises
     ConsistencyError naming the set and every route's verdict when any two
     differ.  The family tags are matched once, after the routes agree.

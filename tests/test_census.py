@@ -22,7 +22,6 @@ from orbitcayley.census import (
     CensusRecord,
     census,
     sweep_tables,
-    verdict_columns,
 )
 from orbitcayley.cli import main
 from orbitcayley.core import ConsistencyError, OrbitIndexSet, is_connected
@@ -32,9 +31,11 @@ from orbitcayley.srg import (
     SrgParams,
     SrgVerdict,
     VerdictStatus,
+    _explicit_verdict,
     certify,
     pair_count,
     pair_count_table,
+    verdict_columns,
 )
 
 from oracles import census_oracle_bytes, find_srgs
@@ -264,7 +265,7 @@ def test_perturbed_character_table_names_the_set(monkeypatch):
         census(4, explicit_cap=0)
 
 
-# -- the verdict columns against certify ----------------------------------------
+# -- the verdict columns against the dense route and certify ---------------------
 
 @cache
 def _columns(n):
@@ -282,17 +283,22 @@ def _route_verdict(n, row):
 
 
 def _assert_columns_match_certify(n, mask):
+    # the references share no code with the columns: the untagged dense
+    # route, core.is_connected and spectrum.distinct.  certify runs the same
+    # rules on a one-row table of Python ints, so it also checks that the
+    # rules read the same verdict from either dtype.
     s = OrbitIndexSet.from_bitmask(n, mask)
     columns, row = _columns(n), mask - 1
+    dense = _explicit_verdict(s)
+    expected = (dense.status, dense.params)
+    assert _route_verdict(n, columns.paircount[row].tolist()) == expected, s.format()
+    assert _route_verdict(n, columns.spectral[row].tolist()) == expected, s.format()
     verdict, spectrum = certify(s, 0)
-    assert _route_verdict(n, columns.paircount[row].tolist()) == (verdict.status, verdict.params)
-    assert _route_verdict(n, columns.spectral[row].tolist()) == (verdict.status, verdict.params)
+    assert (verdict.status, verdict.params) == expected, s.format()
     assert columns.distinct[row] == len(distinct(spectrum)), s.format()
     assert columns.complete[row] == s.is_full(), s.format()
     assert columns.connected[row] == is_connected(s), s.format()
     assert columns.trivial[row] == (not is_connected(s.complement())), s.format()
-    if verdict.status.is_srg():
-        assert columns.trivial[row] == (verdict.status is VerdictStatus.TRIVIAL_SRG), s.format()
 
 
 def test_verdict_columns_match_certify_exhaustively():
@@ -363,14 +369,14 @@ def test_perturbed_spectrum_entry_names_the_set(monkeypatch):
     # the sorted spectrum (-5, -1, -1, -1, 3, 11) of I={1,4,5} with its 3
     # lowered to -1 keeps three distinct values, read past the invariant checks
     s = _not_srg(5, {1, 4, 5})
-    real = census_module.verdict_columns
+    real = srg_module.verdict_columns
 
     def perturbed(member, spectra, counts):
         assert spectra[s.bitmask - 1].tolist() == [-5, -1, -1, -1, 3, 11]
         spectra[s.bitmask - 1, 4] = -1
         return real(member, spectra, counts)
 
-    monkeypatch.setattr(census_module, "verdict_columns", perturbed)
+    monkeypatch.setattr(srg_module, "verdict_columns", perturbed)
     claimed = SrgVerdict(VerdictStatus.NONTRIVIAL_SRG, SrgParams(32, 11, 10, 16))
     expected = _routes_disagree(
         s, ("pair_count", SrgVerdict(VerdictStatus.NOT_SRG)), ("spectral", claimed)
@@ -419,7 +425,7 @@ def test_columns_that_differ_from_agreeing_routes_name_the_set(monkeypatch, rout
     # the column of each listed route claims an SRG on the non-SRG I={1,4,5};
     # the routes that read no perturbed column hold not_srg
     s = _not_srg(5, {1, 4, 5})
-    real = census_module.verdict_columns
+    real = srg_module.verdict_columns
 
     def claiming(member, spectra, counts):
         columns = real(member, spectra, counts)
@@ -429,7 +435,7 @@ def test_columns_that_differ_from_agreeing_routes_name_the_set(monkeypatch, rout
             ]
         return columns
 
-    monkeypatch.setattr(census_module, "verdict_columns", claiming)
+    monkeypatch.setattr(srg_module, "verdict_columns", claiming)
     claimed = SrgVerdict(VerdictStatus.NONTRIVIAL_SRG, SrgParams(32, 11, 10, 16))
     not_srg = SrgVerdict(VerdictStatus.NOT_SRG)
     verdicts = [("pair_count", claimed), ("spectral", claimed if len(routes) == 2 else not_srg)]
@@ -449,7 +455,7 @@ def test_census_derives_no_per_set_closed_form_verdict(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-set closed-form route ran in the census")
 
-    for name in ("_paircount_verdict", "_spectral_verdict", "pair_count", "full_spectrum"):
+    for name in ("pair_count", "full_spectrum"):
         monkeypatch.setattr(srg_module, name, forbidden)
     monkeypatch.setattr(spectrum_module, "full_spectrum", forbidden)
     for (n, cap), records in expected.items():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 import json
 import random
 import tracemalloc
@@ -34,14 +33,13 @@ from orbitcayley.explicit import (
     walsh_counts,
 )
 from orbitcayley.graph6 import export_graph6
-from orbitcayley.spectrum import distinct, full_spectrum
+from orbitcayley.spectrum import full_spectrum
 from orbitcayley.srg import (
     FAMILIES,
     NONTRIVIAL_FAMILY_KEYS,
     SrgParams,
     VerdictStatus,
     SrgVerdict,
-    _distinct_values,
     certify,
     emit_table1,
     family_construct,
@@ -66,9 +64,6 @@ from oracles import (
     pair_count_oracle,
     verify_equitable_partition,
 )
-
-# the package re-exports the function census, which shadows the module of that name
-census_module = importlib.import_module("orbitcayley.census")
 
 
 def test_pair_count_examples():
@@ -618,41 +613,30 @@ def test_four_m_plus_two_members_pass_all_three_routes_at_m3():
 def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
     s = OrbitIndexSet.of(4, {1, 4})
     honest = certify(s, 0)[0]
-    # certify's pair-count route claims not_srg
-    monkeypatch.setattr(srg_module, "_paircount_verdict",
-                        lambda t, counts: SrgVerdict(VerdictStatus.NOT_SRG))
+    # the pair-count column of s claims not_srg; certify reads it from its
+    # one-row table and the census from its sweep table, so one patch
+    # reaches both and both reach the same agreement check
+    real = srg_module.verdict_columns
+    not_srg_code = list(VerdictStatus).index(VerdictStatus.NOT_SRG)
+    row_of_s = [int(i in s.indices) for i in range(1, s.n + 1)]
+
+    def claiming(member, spectra, counts):
+        columns = real(member, spectra, counts)
+        columns.paircount[(member == row_of_s).all(axis=1)] = [not_srg_code, 0, 0, 0]
+        return columns
+
+    monkeypatch.setattr(srg_module, "verdict_columns", claiming)
     with pytest.raises(ConsistencyError) as exc:
         certify(s, 0)
     message = str(exc.value)
     assert "n=4;I=1,4" in message
     assert json.dumps(SrgVerdict(VerdictStatus.NOT_SRG).to_json_dict()) in message
     assert json.dumps(honest.to_json_dict()) in message
-    # the census reads that route from its column; the same claim there
-    # reaches the same agreement check and the same message
-    real = census_module.verdict_columns
-    not_srg_code = list(VerdictStatus).index(VerdictStatus.NOT_SRG)
-
-    def claiming(member, spectra, counts):
-        columns = real(member, spectra, counts)
-        columns.paircount[s.bitmask - 1] = [not_srg_code, 0, 0, 0]
-        return columns
-
-    monkeypatch.setattr(census_module, "verdict_columns", claiming)
     with pytest.raises(ConsistencyError) as exc:
         census(4, explicit_cap=0)
     assert str(exc.value) == message
     assert main(["srg-check", "--set", "n=4;I=1,4"]) == EXIT_VERIFICATION_FAILED
     assert f"verification failure: {message}" in capsys.readouterr().err
-
-
-def test_distinct_values_keep_the_order_of_a_descending_sequence():
-    # the reduction certify and the census share: spectrum.distinct without multiplicities
-    assert _distinct_values([5, 1, 1, 1, 1, -3]) == (5, 1, -3)
-    for n in range(1, 7):
-        for mask in range(1, 1 << n):
-            spec = full_spectrum(OrbitIndexSet.from_bitmask(n, mask))
-            expected = tuple(value for value, _ in distinct(spec).pairs)
-            assert _distinct_values(sorted(spec.values, reverse=True)) == expected
 
 
 def test_three_checkers_agree(small_sweep):
