@@ -5,7 +5,9 @@ every nonempty index set, in ascending bitmask order (bit i-1 set iff
 orbit index i is a member), so output is byte-identical across runs.
 The sweep builds every set's spectrum and pair counts as int64 tables,
 and ``srg.verdict_columns``, the one rule set ``certify`` also runs,
-reads both closed-form verdicts of every row from them.
+reads both closed-form verdicts of every row from them.  Within the
+dense cap, ``srg.dense_columns`` reads the dense verdict of every row
+from blocks of rows 0.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import srg
 from .core import ConsistencyError, OrbitIndexSet, pascal_row
-from .explicit import EXPLICIT_MAX_N
+from .explicit import EXPLICIT_MAX_N, _row0_block
 from .spectrum import _first_invariant_failure, character_table
 from .srg import SrgVerdict, VerdictStatus, _certified, _column_verdict, _tagged, pair_count_table
 
@@ -26,6 +28,10 @@ CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
 # 4^n * sum_k C(n, k) = 8^n, so int64 is exact for n <= 20.
 TABLE_INT64_MAX_N = 20
 CENSUS_DEFAULT_EXPLICIT_CAP = 8
+# entries of rows 0 that one srg.dense_columns call holds, rounded down to
+# whole rows and to at least one: 9 bytes each for the block and its int64
+# counts, 144 KiB per chunk
+_DENSE_CHUNK = 1 << 14
 
 
 def _indices(mask: int) -> list[int]:
@@ -124,12 +130,14 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
     call, the spectrum invariants are checked on every row at once, and
     both closed-form verdicts of every set come from
     ``srg.verdict_columns``, the rules ``certify`` applies to one row.
-    Each record's verdict is read from its pair-count column row.  When n
-    is within ``explicit_cap`` (so the dense route joins), or when the two
-    route columns disagree, both column verdicts go to ``srg._certified``,
-    which raises the routes' ConsistencyError on any disagreement; other
-    SRG rows get their family tags from ``_tagged``.  Raises ValueError
-    before any work when ``check_census_request`` rejects the request.
+    When n is within ``explicit_cap``, the dense verdicts of every set come
+    from ``srg.dense_columns`` on blocks of rows 0 holding at most
+    ``_DENSE_CHUNK`` entries.  Each record's verdict is read from its
+    pair-count column row.  Only rows whose columns disagree go to
+    ``srg._certified``, which runs every route on the set again and raises
+    the routes' ConsistencyError; other SRG rows get their family tags
+    from ``_tagged``.  Raises ValueError before any work when
+    ``check_census_request`` rejects the request.
     """
     check_census_request(n, explicit_cap)
     member, spectra, counts = sweep_tables(n)
@@ -141,7 +149,12 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
     columns = srg.verdict_columns(member, spectra, counts)
     per_set = (columns.paircount != columns.spectral).any(axis=1)
     if n <= explicit_cap:
-        per_set[:] = True
+        step = max(1, _DENSE_CHUNK >> n)
+        dense = np.concatenate([
+            srg.dense_columns(_row0_block(member[r0 : r0 + step]))
+            for r0 in range(0, len(member), step)
+        ])
+        per_set |= (dense != columns.paircount).any(axis=1)
     records = []
     for mask, row, distinct, checked in zip(
         range(1, 1 << n), columns.paircount.tolist(), columns.distinct.tolist(), per_set.tolist()

@@ -190,13 +190,15 @@ def _weight_rows(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     Viewed as the (rows, cols) matrix x = r * cols + c with
     cols = 2^floor(n/2), row r of v is row weight(r) of
     table[j, c] = values[j + weight(c)], so v is table[high] with
-    high[r] = weight(r).  Both halves index ``_HALF_WEIGHTS``, so n <= 24;
-    a larger n raises ValueError before anything is allocated.
+    high[r] = weight(r).  Leading axes of ``values`` carry over to the
+    table: values[..., w] gives table[..., j, c].  Both halves index
+    ``_HALF_WEIGHTS``, so n <= 24; a larger n raises ValueError before
+    anything is allocated.
     """
     if n > WHT_MAX_N:
         raise ValueError(f"n={n} exceeds the half-popcount bound {WHT_MAX_N}")
     low = n // 2
-    table = values[np.arange(n - low + 1)[:, None] + _HALF_WEIGHTS[: 1 << low]]
+    table = np.take(values, np.arange(n - low + 1)[:, None] + _HALF_WEIGHTS[: 1 << low], axis=-1)
     return table, _HALF_WEIGHTS[: 1 << (n - low)]
 
 
@@ -213,11 +215,16 @@ _COMPARE_CHUNK = 1 << 18
 
 
 def _butterflies(v: np.ndarray, h: int, stop: int) -> None:
-    """The butterfly stages of half-width h, 2h, ... < stop on contiguous v read flat, in place.
+    """The butterfly stages of half-width h, 2h, ... < stop on C-contiguous v read flat, in place.
 
     Each stage maps a pair (lo, hi) of h-long runs to (lo + hi, lo - hi)
-    without scratch: lo += hi, then hi = lo - 2 hi.
+    without scratch: lo += hi, then hi = lo - 2 hi.  A (sets, 2^n) block
+    runs every row at once, since 2h divides 2^n and no pair crosses a
+    row.  Any other layout raises ValueError: ``reshape`` would copy it,
+    and the stages would then write to the copy.
     """
+    if not v.flags.c_contiguous:
+        raise ValueError(f"butterflies need a C-contiguous array, got strides {v.strides}")
     while h < stop:
         pairs = v.reshape(-1, 2, h)
         lo, hi = pairs[:, 0, :], pairs[:, 1, :]

@@ -10,7 +10,9 @@ The two closed-form routes share one rule set, ``verdict_columns``, which
 turns a table of index sets (membership, sorted spectra, pair counts; one
 row per set) into both routes' verdicts: the census passes its int64
 sweep tables, ``certify`` a one-row table of Python ints.  The dense
-route keeps its own rules and is their oracle.
+route keeps its own rules, ``dense_columns``, and is their oracle: the
+census passes it blocks of rows 0, ``srg_check_explicit`` a one-row
+block.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import (
     expand_family,
     pascal_row,
 )
-from .explicit import EXPLICIT_MAX_N, _constant, _row0, walsh_counts
+from .explicit import EXPLICIT_MAX_N, _row0, _row_constants, walsh_counts
 from .spectrum import Spectrum, full_spectrum
 
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
@@ -472,33 +474,42 @@ def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
 
 
 def _explicit_verdict(s: OrbitIndexSet) -> SrgVerdict:
-    """``srg_check_explicit`` without the family tags.
-
-    Translation by x is an automorphism, so the common neighbours of (x, y)
-    are those of (0, x XOR y), and (x, y) is adjacent iff (0, x XOR y) is:
-    lambda is read from vertex 0's counts over the y adjacent to 0, and mu
-    over the other y != 0, which together cover every pair of distinct
-    vertices.
-    """
+    """``srg_check_explicit`` without the family tags: ``dense_columns`` on the one-row block."""
     if s.n > EXPLICIT_MAX_N:
         raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
-    row0 = _row0(s)
-    connected, complement_connected, counts = walsh_counts(row0)
-    if not connected:
-        return DISCONNECTED
-    size = row0.size
-    degree = int(counts[0])
-    if degree == size - 1:
-        return COMPLETE
-    lam = _constant(counts, row0)
-    other = np.logical_not(row0, out=row0)  # row 0 is read; the same bytes mask the mu pairs
-    other[0] = False
-    mu = _constant(counts, other)
-    if lam is None or mu is None:
-        return NOT_SRG
-    # the complement graph is disconnected exactly for a trivial SRG
-    status = VerdictStatus.NONTRIVIAL_SRG if complement_connected else VerdictStatus.TRIVIAL_SRG
-    return SrgVerdict(status, SrgParams(size, degree, lam, mu))
+    return _column_verdict(s.n, dense_columns(_row0(s)[None])[0].tolist())
+
+
+def dense_columns(block: np.ndarray) -> np.ndarray:
+    """The dense route's (status code, degree, lambda, mu) rows, one per row 0 of a block.
+
+    block is a C-contiguous (sets, 2^n) bool block of adjacency rows of
+    vertex 0 (``explicit._row0_block``); it is read, then inverted in place
+    to mask the mu pairs.  Translation by x is an automorphism, so the
+    common neighbours of (x, y) are those of (0, x XOR y), and (x, y) is
+    adjacent iff (0, x XOR y) is: lambda is read from vertex 0's counts
+    over the y adjacent to 0, and mu over the other y != 0, which together
+    cover every pair of distinct vertices.  The codes and the zero
+    parameters of non-SRG rows are those of ``verdict_columns``, but the
+    gates are the route's own, in its own order: disconnected, complete,
+    not an SRG, trivial (the complement is disconnected), nontrivial.
+    """
+    connected, complement_connected, counts = walsh_counts(block)
+    degree = counts[:, 0]
+    lam, lam_found = _row_constants(counts, block)
+    other = np.logical_not(block, out=block)
+    other[:, 0] = False
+    mu, mu_found = _row_constants(counts, other)
+    status = np.select(
+        [~connected, degree == block.shape[1] - 1, ~(lam_found & mu_found), ~complement_connected],
+        [_CODE[VerdictStatus.DISCONNECTED], _CODE[VerdictStatus.COMPLETE],
+         _CODE[VerdictStatus.NOT_SRG], _CODE[VerdictStatus.TRIVIAL_SRG]],
+        _CODE[VerdictStatus.NONTRIVIAL_SRG],
+    )
+    srg = (status == _CODE[VerdictStatus.TRIVIAL_SRG]) | (
+        status == _CODE[VerdictStatus.NONTRIVIAL_SRG]
+    )
+    return np.column_stack([status, *(np.where(srg, p, 0) for p in (degree, lam, mu))])
 
 
 def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:

@@ -21,7 +21,9 @@ the independent check of one fast route.
   Walsh-Hadamard passes over row 0.  ``common_neighbor_constants`` checks
   A[x, y] = A[0, x XOR y] on every entry, band by band against the same
   XOR index, and then counts vertex 0's common neighbours on the matrix
-  literally, row by row.
+  literally, row by row; its ``_constant`` reads lambda and mu one mask
+  at a time, sharing no code with the route's per-row read
+  ``explicit._row_constants``.
 - ``verify_equitable_partition``: lambda and mu read off the distance
   partition around one vertex, a fourth route to the verdicts of
   ``certify``'s three.
@@ -61,7 +63,7 @@ import numpy as np
 
 from orbitcayley.census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census
 from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet
-from orbitcayley.explicit import _constant, _row0
+from orbitcayley.explicit import _row0
 from orbitcayley.graph6 import _encode_size
 from orbitcayley.spectrum import WHT_MAX_N, distinct
 from orbitcayley.srg import SrgParams, SrgVerdict, VerdictStatus, certify, match_families
@@ -234,6 +236,21 @@ def common_neighbor_constants(adjacency: np.ndarray) -> tuple[int | None, int | 
     other = ~adjacent
     other[0] = False
     return _constant(counts, adjacent), _constant(counts, other)
+
+
+def _constant(values: np.ndarray, where: np.ndarray) -> int | None:
+    """The one value an integer array holds where ``where`` is set, or None for none or several.
+
+    The value at the first set entry (``argmax``) is the constant iff no
+    entry under the mask differs from it.
+    """
+    first = int(np.argmax(where))
+    if not where[first]:
+        return None
+    value = values[first]
+    differs = values != value
+    differs &= where
+    return None if differs.any() else int(value)
 
 
 def _vertex0_counts(adjacency: np.ndarray) -> np.ndarray:

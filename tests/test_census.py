@@ -393,11 +393,11 @@ def test_perturbed_dense_constants_name_the_set(monkeypatch):
     target = _row0(s)
     real = srg_module.walsh_counts
 
-    def perturbed(row0):
-        connected, complement_connected, counts = real(row0)
-        if np.array_equal(row0, target):
-            counts = np.where(row0, 2, 6)
-            counts[0] = 11  # the degree
+    def perturbed(block):
+        connected, complement_connected, counts = real(block)
+        for r in np.flatnonzero((block == target).all(axis=1)):
+            counts[r] = np.where(block[r], 2, 6)
+            counts[r, 0] = 11  # the degree
         return connected, complement_connected, counts
 
     monkeypatch.setattr(srg_module, "walsh_counts", perturbed)
@@ -447,16 +447,27 @@ def test_columns_that_differ_from_agreeing_routes_name_the_set(monkeypatch, rout
 
 
 def test_census_derives_no_per_set_closed_form_verdict(monkeypatch):
-    # every record comes from the verdict columns; within the dense cap the
-    # dense route is the only per-set route that runs
+    # every record comes from the verdict columns and, within the dense cap,
+    # the dense columns; while they agree no per-set route runs, the dense
+    # route's one-row case included
     expected = {(n, CENSUS_DEFAULT_EXPLICIT_CAP): census(n) for n in range(1, CENSUS_MAX_N + 1)}
     expected[10, 10] = census(10, explicit_cap=10)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a per-set closed-form route ran in the census")
+        raise AssertionError("a per-set route ran in the census")
 
-    for name in ("pair_count", "full_spectrum"):
+    for name in ("pair_count", "full_spectrum", "_explicit_verdict"):
         monkeypatch.setattr(srg_module, name, forbidden)
     monkeypatch.setattr(spectrum_module, "full_spectrum", forbidden)
     for (n, cap), records in expected.items():
         assert census(n, explicit_cap=cap) == records, (n, cap)
+
+
+@pytest.mark.parametrize("n, explicit_cap", [(8, 8), (10, 10)])
+def test_dense_chunks_of_any_row_count_give_the_same_records(monkeypatch, n, explicit_cap):
+    # chunks of one, two and three rows against the default; 2^n - 1 is odd,
+    # so two-row chunks end in a short one
+    expected = census(n, explicit_cap=explicit_cap)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(census_module, "_DENSE_CHUNK", rows << n)
+        assert census(n, explicit_cap=explicit_cap) == expected, rows

@@ -28,8 +28,9 @@ from orbitcayley.core import (
 from orbitcayley.explicit import (
     EXPLICIT_MAX_N,
     INT64_EXACT_MAX_N,
-    _constant,
     _row0,
+    _row0_block,
+    _row_constants,
     walsh_counts,
 )
 from orbitcayley.graph6 import export_graph6
@@ -40,7 +41,10 @@ from orbitcayley.srg import (
     SrgParams,
     VerdictStatus,
     SrgVerdict,
+    _column_verdict,
+    _tagged,
     certify,
+    dense_columns,
     emit_table1,
     family_construct,
     match_families,
@@ -245,23 +249,40 @@ def _xor_band_rows(monkeypatch, size, rows):
     assert oracles._bands(size)[0] == (0, min(rows, size))
 
 
+def _read_constant(values, where):
+    # one row's value from explicit._row_constants, or None when it holds none
+    value, found = _row_constants(values, where)
+    return int(value) if found else None
+
+
 def _walsh_constants(row0):
-    # (lambda, mu) as srg._explicit_verdict reads them from the counts of walsh_counts
+    # (lambda, mu) as srg.dense_columns reads them from the counts of walsh_counts
     counts = walsh_counts(row0)[2]
     other = ~row0
     other[0] = False
-    return _constant(counts, row0), _constant(counts, other)
+    return _read_constant(counts, row0), _read_constant(counts, other)
 
 
 def test_masked_constant_reads_one_value_or_none():
+    # the oracle's one-mask read and the route's per-row read, on each mask
+    # alone and on all of them as the rows of one block
     values = np.array([7, 3, 3, -1], dtype=np.int64)
-    assert _constant(values, np.array([False, True, True, False])) == 3
-    assert _constant(values, np.array([True, False, False, False])) == 7
-    assert _constant(values, np.array([False, True, True, True])) is None
-    assert _constant(values, np.zeros(4, dtype=bool)) is None
-    # the dtype's bounds are the empty mask's initial values, never a result
+    cases = [
+        ([False, True, True, False], 3),
+        ([True, False, False, False], 7),
+        ([False, True, True, True], None),
+        ([False, False, False, False], None),
+    ]
+    for mask, expected in cases:
+        assert oracles._constant(values, np.array(mask)) == expected, mask
+        assert _read_constant(values, np.array(mask)) == expected, mask
+    block = np.array([mask for mask, _ in cases])
+    value, found = _row_constants(np.tile(values, (len(cases), 1)), block)
+    assert [int(v) if f else None for v, f in zip(value, found)] == [e for _, e in cases]
+    # the dtype's largest value is read like any other
     top = np.iinfo(np.int64).max
-    assert _constant(np.array([top, top]), np.array([True, True])) == top
+    assert oracles._constant(np.array([top, top]), np.array([True, True])) == top
+    assert _read_constant(np.array([top, top]), np.array([True, True])) == top
 
 
 def test_common_neighbor_constants_match_integer_product(monkeypatch):
@@ -335,16 +356,37 @@ def test_common_neighbor_constants_match_the_all_pairs_oracle():
 def test_row0_route_matches_the_matrix_oracle():
     # connectivity, degree, lambda, mu and trivial vs nontrivial, from row 0
     # alone, against BFS, every degree, the premise pass and the complement's
-    # components on the built matrix
+    # components on the built matrix: set by set, and as the rows of one
+    # dense_columns block per dimension
     statuses = set()
+    by_n = {}
     for s in _ORACLE_SETS:
-        verdict = srg_check_explicit(s)
-        assert verdict == matrix_srg_check(s), s.format()
+        verdict = matrix_srg_check(s)
+        assert srg_check_explicit(s) == verdict, s.format()
+        by_n.setdefault(s.n, []).append((s, verdict))
         statuses.add(verdict.status)
         if verdict.status is VerdictStatus.TRIVIAL_SRG:
             parts = connected_components(ExplicitGraph.build(s.complement()).adjacency)
             assert len(parts) > 1, s.format()
     assert statuses == set(VerdictStatus)
+    for n, rows in by_n.items():
+        member = np.array([[i in s.indices for i in range(1, n + 1)] for s, _ in rows])
+        for (s, verdict), row in zip(rows, dense_columns(_row0_block(member)).tolist()):
+            assert _tagged(s, _column_verdict(n, row)) == verdict, s.format()
+
+
+def test_butterflies_reject_a_block_that_is_not_c_contiguous():
+    # reshape would copy an F-ordered block and the in-place stages would
+    # write to the copy; astype keeps the order, so walsh_counts meets it too
+    member = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.int8)
+    block = np.asfortranarray(_row0_block(member))
+    assert not block.flags.c_contiguous
+    with pytest.raises(ValueError, match="C-contiguous"):
+        walsh_counts(block)
+    fhat = block.astype(np.int64)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        spectrum_module._butterflies(fhat, 1, fhat.shape[1])
+    assert np.array_equal(fhat, block)
 
 
 def _xor_adjacency(row0):
@@ -487,9 +529,9 @@ def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
     y = next(y for y in range(1, 16) if row0[y] == adjacent)
     honest = srg_module.walsh_counts
 
-    def perturbed(row):
-        connected, complement_connected, counts = honest(row)
-        counts[y] += 1
+    def perturbed(block):
+        connected, complement_connected, counts = honest(block)
+        counts[..., y] += 1
         return connected, complement_connected, counts
 
     monkeypatch.setattr(srg_module, "walsh_counts", perturbed)
