@@ -1,31 +1,15 @@
 """Orbit Cayley graphs over Z2^n: exact spectra, strong-regularity certification, census."""
 
 from .census import CensusRecord, census
-from .core import (
-    ConsistencyError,
-    Gf2Vector,
-    OrbitIndexSet,
-    ResidueFamily,
-    binom,
-    expand_family,
-    is_connected,
-)
-from .graph6 import decode_graph6, export_graph6
-from .identities import (
-    IDENTITY_IDS,
-    IdentityCheck,
-    identity_sides,
-    mod4_binomial_sum,
-    verify_all,
-)
+from .core import ConsistencyError, OrbitIndexSet, ResidueFamily, expand_family
+from .graph6 import export_graph6
+from .identities import IDENTITY_IDS, IdentityCheck, mod4_binomial_sum, verify_all
 from .spectrum import (
     DistinctSpectrum,
     Spectrum,
     character_sum_row,
     distinct,
-    eigenvalue,
     full_spectrum,
-    orbit_character_sum,
     wht_spectrum,
 )
 from .srg import (
@@ -38,9 +22,6 @@ from .srg import (
     family_construct,
     match_families,
     pair_count,
-    srg_check_explicit,
-    srg_check_paircount,
-    srg_check_spectral,
 )
 
 __all__ = [
@@ -48,7 +29,6 @@ __all__ = [
     "ConsistencyError",
     "DistinctSpectrum",
     "FAMILIES",
-    "Gf2Vector",
     "IDENTITY_IDS",
     "IdentityCheck",
     "OrbitIndexSet",
@@ -57,27 +37,18 @@ __all__ = [
     "SrgParams",
     "SrgVerdict",
     "VerdictStatus",
-    "binom",
     "census",
     "certify",
     "character_sum_row",
-    "decode_graph6",
     "distinct",
-    "eigenvalue",
     "emit_table1",
     "expand_family",
     "export_graph6",
     "family_construct",
     "full_spectrum",
-    "identity_sides",
-    "is_connected",
     "match_families",
     "mod4_binomial_sum",
-    "orbit_character_sum",
     "pair_count",
-    "srg_check_explicit",
-    "srg_check_paircount",
-    "srg_check_spectral",
     "verify_all",
     "wht_spectrum",
 ]

@@ -1,24 +1,16 @@
-"""GF(2)^n vectors as int bitsets, Hamming-weight orbits, and orbit-indexed connection sets."""
+"""Orbit-indexed connection sets in GF(2)^n (int bitsets), named shapes, and Pascal rows."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed (two routes to the same value disagreed)."""
-
-
-def binom(s: int, t: int) -> int:
-    """C(s, t) with the zero-outside-range convention: 0 whenever t < 0 or t > s."""
-    if t < 0 or t > s:
-        return 0
-    return comb(s, t)
 
 
 # the largest n of the closed forms, checked first in spectrum.full_spectrum
@@ -43,30 +35,6 @@ def pascal_row(n: int) -> tuple[int, ...]:
     for t in range(n):
         row.append(row[t] * (n - t) // (t + 1))
     return tuple(row)
-
-
-@dataclass(frozen=True)
-class Gf2Vector:
-    """A vector of GF(2)^n stored as an n-bit integer; addition is XOR."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits {self.bits:#b} out of range for n={self.n}")
-
-    def __xor__(self, other: Gf2Vector) -> Gf2Vector:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-        return Gf2Vector(self.n, self.bits ^ other.bits)
-
-    @property
-    def weight(self) -> int:
-        """Hamming weight: the number of 1 coordinates."""
-        return self.bits.bit_count()
 
 
 @dataclass(frozen=True)
@@ -136,24 +104,12 @@ class OrbitIndexSet:
         """|S| = sum of C(n, i) over the member indices."""
         return sum(comb(self.n, i) for i in self.indices)
 
-    def contains(self, v: Gf2Vector) -> bool:
-        """Whether the vector belongs to S (the zero vector never does)."""
-        if v.n != self.n:
-            raise ValueError(f"dimension mismatch: vector n={v.n}, set n={self.n}")
-        return v.bits.bit_count() in self.indices
-
     def complement(self) -> OrbitIndexSet:
         """The index set of the complement graph's connection set: {1..n} minus indices."""
         return OrbitIndexSet(self.n, frozenset(range(1, self.n + 1)) - self.indices)
 
     def is_full(self) -> bool:
         return len(self.indices) == self.n
-
-    def vectors(self) -> Iterator[int]:
-        """Members of S as int bitsets, grouped by weight, ascending within each weight."""
-        for i in self.sorted_indices:
-            for pos in combinations(range(self.n), i):
-                yield sum(1 << p for p in pos)
 
 
 class ResidueFamily(str, Enum):
@@ -180,24 +136,3 @@ def expand_family(tag: ResidueFamily | str, n: int) -> OrbitIndexSet:
     else:
         indices = frozenset(range(1, n + 1, 2))
     return OrbitIndexSet(n, indices)
-
-
-def is_connected(s: OrbitIndexSet) -> bool:
-    """Whether the graph with connection set S is connected, i.e. S generates GF(2)^n.
-
-    A weight class with odd i < n generates everything.  Even classes only
-    reach the even-weight subgroup.  The top class {all-ones} generates a
-    2-element subgroup on its own (a perfect matching, disconnected for
-    n >= 2), but for odd n it lifts the even-weight subgroup to the whole
-    group when paired with any other class.  ``srg.verdict_columns`` applies
-    this rule to whole membership tables (its connected and trivial gates);
-    this function is their per-set reference.
-    """
-    if not s.indices:
-        return False
-    n = s.n
-    if any(i % 2 == 1 and i < n for i in s.indices):
-        return True
-    if n in s.indices and n % 2 == 1:
-        return n == 1 or len(s.indices) >= 2
-    return False

@@ -15,7 +15,8 @@ ever built, and the only index is the chunk order of one block, N/8
 entries.  One export takes about 10 ms at n = 12 and 100-150 ms at
 n = 14 (best of 3-5, 2-vCPU host, numpy 2.4.6).  The test oracle
 ``column_gather_graph6`` gathers each column bit by bit through an int64
-XOR index instead.
+XOR index instead, and ``decode_graph6``, also in ``tests/oracles.py``,
+reads a string back into its adjacency matrix.
 """
 
 from __future__ import annotations
@@ -45,21 +46,6 @@ def _encode_size(vertices: int) -> bytes:
         groups = [(vertices >> 12) & 63, (vertices >> 6) & 63, vertices & 63]
         return b"~" + bytes(g + 63 for g in groups)
     raise ValueError(f"{vertices} vertices exceeds the supported graph6 size")
-
-
-def _decode_size(data: bytes) -> tuple[int, int]:
-    if not data:
-        raise ValueError("empty graph6 string")
-    if data[0] < 63:
-        raise ValueError("corrupt graph6 size header")
-    if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) < 4 or data[1] == 126:
-        raise ValueError("unsupported or truncated graph6 size header")
-    groups = [b - 63 for b in data[1:4]]
-    if any(not 0 <= g <= 63 for g in groups):
-        raise ValueError("corrupt graph6 size header")
-    return (groups[0] << 12) | (groups[1] << 6) | groups[2], 4
 
 
 def _first_block(row0: np.ndarray, rows: int) -> np.ndarray:
@@ -165,26 +151,3 @@ def export_graph6(s: OrbitIndexSet) -> bytearray:
     out[: len(header)] = header
     _pack_upper_triangle(_row0(s), np.frombuffer(out, dtype=np.uint8)[len(header) :])
     return out
-
-
-def decode_graph6(data: bytes) -> np.ndarray:
-    """Adjacency matrix of a graph6 string (trailing newline tolerated)."""
-    data = bytes(data).strip()
-    size, offset = _decode_size(data)
-    body = np.frombuffer(data[offset:], dtype=np.uint8).astype(np.int16) - 63
-    if body.size and (body.min() < 0 or body.max() > 63):
-        raise ValueError("graph6 body contains characters outside the printable range")
-    need = size * (size - 1) // 2
-    if body.size != (need + 5) // 6:
-        raise ValueError(f"graph6 body length {body.size} does not match {size} vertices")
-    bits = ((body[:, None] >> np.array([5, 4, 3, 2, 1, 0])) & 1).ravel()
-    if bits[need:].any():
-        raise ValueError("nonzero padding bits in graph6 body")
-    adjacency = np.zeros((size, size), dtype=bool)
-    pos = 0
-    for j in range(1, size):
-        column = bits[pos : pos + j].astype(bool)
-        pos += j
-        adjacency[:j, j] = column
-        adjacency[j, :j] = column
-    return adjacency

@@ -150,13 +150,6 @@ def admissible_k(identity_id: str, m: int) -> range:
     raise ValueError(f"unknown identity id {identity_id!r}")
 
 
-def identity_sides(identity_id: str, k: int, m: int) -> tuple[int, int]:
-    """(lhs, rhs) for one identity instance; raises if (k, m) is inadmissible."""
-    if k not in admissible_k(identity_id, m):
-        raise ValueError(f"k={k} inadmissible for {identity_id} at m={m}")
-    return _sides(identity_id, k, m)
-
-
 @dataclass(frozen=True)
 class IdentityCheck:
     identity_id: str

@@ -1,10 +1,10 @@
 """Exact eigenvalues of orbit Cayley graphs: binomial character sums and a Walsh-Hadamard oracle.
 
 Eigenvalues are exact integers throughout; no floating point enters this
-module.  ``full_spectrum`` evaluates the three-term recurrence.  Two oracles
-check it: the normative double-binomial sum (``orbit_character_sum``,
-``eigenvalue``) and the Walsh-Hadamard transform of the connection-set
-indicator (``wht_spectrum``).
+module.  ``full_spectrum`` evaluates the three-term recurrence;
+``wht_spectrum``, the Walsh-Hadamard transform of the connection-set
+indicator, is its oracle (``spectrum --check-oracle``), and the tests add
+the normative double-binomial sum (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -14,21 +14,9 @@ from math import comb
 
 import numpy as np
 
-from .core import CLOSED_FORM_MAX_N, ConsistencyError, OrbitIndexSet, binom, pascal_row
+from .core import CLOSED_FORM_MAX_N, ConsistencyError, OrbitIndexSet, pascal_row
 
 WHT_MAX_N = 24  # transform is O(n * 2^n) time and O(2^n) memory
-
-
-def orbit_character_sum(n: int, i: int, k: int) -> int:
-    """Character sum over the weight-i orbit for any character index of weight k.
-
-    Normative form: sum_j (-1)^j C(k, j) C(n-k, i-j).
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"orbit weight {i} out of range 0..{n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"character weight {k} out of range 0..{n}")
-    return sum((-1) ** j * binom(k, j) * binom(n - k, i - j) for j in range(i + 1))
 
 
 def character_sum_row(n: int, i: int) -> tuple[int, ...]:
@@ -59,13 +47,6 @@ def character_table(n: int) -> np.ndarray:
     and the spectrum of an index set I is the sum of its rows i in I.
     """
     return np.array([character_sum_row(n, i) for i in range(n + 1)], dtype=np.int64)
-
-
-def eigenvalue(s: OrbitIndexSet, k: int) -> int:
-    """The eigenvalue attached to weight-k character indices: the sum over member orbits."""
-    if not 0 <= k <= s.n:
-        raise ValueError(f"character weight {k} out of range 0..{s.n}")
-    return sum(orbit_character_sum(s.n, i, k) for i in s.indices)
 
 
 @dataclass(frozen=True)
@@ -167,8 +148,7 @@ def _check_invariants(spec: Spectrum, set_size: int) -> None:
 def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Closed-form spectrum of the orbit Cayley graph on 2^n vertices.
 
-    Sums the recurrence rows of the member orbits; ``eigenvalue`` is the
-    binomial-sum oracle for the same values.  Raises ValueError when n
+    Sums the recurrence rows of the member orbits.  Raises ValueError when n
     exceeds CLOSED_FORM_MAX_N.
     """
     if s.n > CLOSED_FORM_MAX_N:

@@ -1,18 +1,19 @@
 """Strong-regularity certification for orbit Cayley graphs.
 
 Three independent routes to the same verdict: closed-form pair counting,
-the spectral three-eigenvalue criterion, and dense brute force; ``certify``
-runs them and insists they agree.  The pair count
+the spectral three-eigenvalue criterion, and dense brute force.
+``certify`` is the one way to check a set: it runs every route that
+applies and insists they agree.  The pair count
 |C(v,S)| = #{(x,y) in S x S : x XOR y = v} depends only on the weight of v
 because S is a union of weight classes.
 
 The two closed-form routes share one rule set, ``verdict_columns``, which
 turns a table of index sets (membership, sorted spectra, pair counts; one
 row per set) into both routes' verdicts: the census passes its int64
-sweep tables, ``certify`` a one-row table of Python ints.  The dense
-route keeps its own rules, ``dense_columns``, and is their oracle: the
-census passes it blocks of rows 0, ``srg_check_explicit`` a one-row
-block.
+sweep tables, ``certify`` a one-row table of Python ints
+(``_closed_form_verdicts``).  The dense route keeps its own rules,
+``dense_columns``, and is their oracle: the census passes it blocks of
+rows 0, ``certify`` a one-row block (``_explicit_verdict``).
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ class VerdictColumns(NamedTuple):
     ``VerdictStatus`` and the parameters 0 unless the status is an SRG.
     """
 
-    connected: np.ndarray  # bool: core.is_connected on I
+    connected: np.ndarray  # bool: the connectivity rule on I
     trivial: np.ndarray  # bool: the same rule fails on the complement of I
     complete: np.ndarray  # bool: |I| = n
     distinct: np.ndarray  # int64: number of distinct eigenvalues
@@ -331,10 +332,12 @@ class VerdictColumns(NamedTuple):
 
 
 def _connected_column(member: np.ndarray) -> np.ndarray:
-    """``core.is_connected`` on every row of a bool membership matrix.
+    """Whether S generates GF(2)^n, for every row of a bool membership matrix.
 
-    An odd index below n connects; for odd n the top index connects when n
-    is 1 or another index is present.
+    An odd weight i < n generates everything, even weights only the
+    even-weight subgroup, and the top weight alone a perfect matching
+    (disconnected for n >= 2).  For odd n the top weight lifts the
+    even-weight subgroup to the whole group when another index is present.
     """
     n = member.shape[1]
     connected = member[:, : n - 1 : 2].any(axis=1)
@@ -367,7 +370,7 @@ def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray)
 
     Row r holds one set: member[r, i - 1] = [i in I] (int8), its
     eigenvalues lambda_0..lambda_n and counts[r, w - 1] = |C(v,S)| for
-    |v| = w.  The gates are ``core.is_connected``'s rule on I (connected)
+    |v| = w.  The gates are ``_connected_column``'s rule on I (connected)
     and on its complement (trivial), and |I| = n (complete).  The
     pair-count route reads the degree as member @ C(n, i) and calls a set
     regular when min == max of its counts over the member weights (lambda)
@@ -411,36 +414,13 @@ def _column_verdict(n: int, row: list[int]) -> SrgVerdict:
     return SrgVerdict(_STATUSES[code], SrgParams(1 << n, *params))
 
 
-# -- the three checkers ------------------------------------------------------
+# -- the routes of one set ---------------------------------------------------
 
 def _tagged(s: OrbitIndexSet, verdict: SrgVerdict) -> SrgVerdict:
     """The verdict with the family tags of s when it is an SRG verdict."""
     if verdict.params is None:
         return verdict
     return SrgVerdict(verdict.status, verdict.params, match_families(s))
-
-
-def srg_check_paircount(s: OrbitIndexSet) -> SrgVerdict:
-    """Strong regularity iff |C(v,S)| is one constant on S and another off S.
-
-    Read from the pair-count column of the one-row table of s.
-    """
-    return _tagged(s, _closed_form_verdicts(s, full_spectrum(s))["pair_count"])
-
-
-def _pair_counts(s: OrbitIndexSet) -> list[int]:
-    """pair_count(s, w) for w = 1..n."""
-    return [pair_count(s, w) for w in range(1, s.n + 1)]
-
-
-def srg_check_spectral(s: OrbitIndexSet) -> SrgVerdict:
-    """Connected + exactly three distinct eigenvalues r > theta > tau => SRG.
-
-    Parameters recovered by the standard identities
-    mu = r + theta*tau and lambda = mu + theta + tau, read from the
-    spectral column of the one-row table of s.
-    """
-    return _tagged(s, _closed_form_verdicts(s, full_spectrum(s))["spectral"])
 
 
 def _closed_form_verdicts(s: OrbitIndexSet, spectrum: Spectrum) -> dict[str, SrgVerdict]:
@@ -451,7 +431,7 @@ def _closed_form_verdicts(s: OrbitIndexSet, spectrum: Spectrum) -> dict[str, Srg
     """
     member = np.array([[i in s.indices for i in range(1, s.n + 1)]], dtype=np.int8)
     spectra = np.array([sorted(spectrum.values)], dtype=object)
-    counts = np.array([_pair_counts(s)], dtype=object)
+    counts = np.array([[pair_count(s, w) for w in range(1, s.n + 1)]], dtype=object)
     columns = verdict_columns(member, spectra, counts)
     return {
         "pair_count": _column_verdict(s.n, columns.paircount[0].tolist()),
@@ -459,24 +439,23 @@ def _closed_form_verdicts(s: OrbitIndexSet, spectrum: Spectrum) -> dict[str, Srg
     }
 
 
-def srg_check_explicit(s: OrbitIndexSet) -> SrgVerdict:
-    """Brute force on the explicit graph, read from the adjacency row of vertex 0.
+def _check_dense_cap(n: int) -> None:
+    """Raise ValueError when the dense route cannot run at dimension n."""
+    if n > EXPLICIT_MAX_N:
+        raise ValueError(f"n={n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
+
+
+def _explicit_verdict(s: OrbitIndexSet) -> SrgVerdict:
+    """The untagged dense verdict of s: ``dense_columns`` on the one-row block of its row 0.
 
     Two Walsh-Hadamard passes over row 0 (``explicit.walsh_counts``) give
     the connectivity of the graph and of its complement (trivial vs
     nontrivial), the degree, and the common-neighbour counts of vertex 0,
-    Sigma_z S(z) S(z XOR y), from which lambda and mu are read; every
-    translation is an automorphism, so vertex 0 stands for every vertex.
-    None of these uses the closed forms.  Raises ValueError before any
-    allocation when n exceeds EXPLICIT_MAX_N.
+    from which lambda and mu are read.  None of these uses the closed
+    forms.  Raises ValueError before any allocation when n exceeds
+    EXPLICIT_MAX_N.
     """
-    return _tagged(s, _explicit_verdict(s))
-
-
-def _explicit_verdict(s: OrbitIndexSet) -> SrgVerdict:
-    """``srg_check_explicit`` without the family tags: ``dense_columns`` on the one-row block."""
-    if s.n > EXPLICIT_MAX_N:
-        raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
+    _check_dense_cap(s.n)
     return _column_verdict(s.n, dense_columns(_row0(s)[None])[0].tolist())
 
 
@@ -517,10 +496,13 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
 
     The pair-count and spectral routes always run, read from the one-row
     verdict columns of s; the dense route also runs when s.n is within
-    ``explicit_cap`` (and raises ValueError above EXPLICIT_MAX_N).  When any
-    verdict differs, raises ConsistencyError naming the set and every
-    route's verdict, so the failure can be replayed with ``srg-check --set``.
+    ``explicit_cap``, and raises ValueError above EXPLICIT_MAX_N before any
+    route runs.  When any verdict differs, raises ConsistencyError naming
+    the set and every route's verdict, so the failure can be replayed with
+    ``srg-check --set``.
     """
+    if s.n <= explicit_cap:
+        _check_dense_cap(s.n)
     spectrum = full_spectrum(s)
     return _certified(s, _closed_form_verdicts(s, spectrum), explicit_cap), spectrum
 

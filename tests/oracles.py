@@ -6,6 +6,17 @@ the independent check of one fast route.
 - ``pair_count_oracle``: |C(v,S)| by enumerating S, the check of the
   closed form ``srg.pair_count`` and of the census table
   ``srg.pair_count_table``.
+- ``orbit_character_sum`` and ``eigenvalue``: the normative
+  double-binomial sum of each eigenvalue (with ``binom``, the
+  zero-outside-range binomial), the check of the recurrence rows of
+  ``spectrum.character_sum_row`` behind ``full_spectrum``.
+- ``is_connected``: the connectivity rule on the parities of one set's
+  member weights, the per-set check of the gate columns of
+  ``srg.verdict_columns`` and of the Walsh flags of
+  ``explicit.walsh_counts``.
+- ``identity_sides``: both sides of one identity instance, rejecting an
+  inadmissible (k, m), the per-instance reading of the rows that
+  ``identities.verify_all`` evaluates.
 - ``wht_naive``: the Walsh-Hadamard transform by direct O(4^n) summation,
   and ``butterfly_fwht``: the same transform by one numpy butterfly stage
   per bit over the whole indicator; both check ``spectrum._wht`` behind
@@ -17,8 +28,8 @@ the independent check of one fast route.
 - ``matrix_srg_check``: the dense verdict from the built matrix, by BFS
   (``connected_component``), every vertex's degree, the premise pass
   ``common_neighbor_constants`` and BFS on the complement, the check of
-  ``srg.srg_check_explicit``, which reads everything from two
-  Walsh-Hadamard passes over row 0.  ``common_neighbor_constants`` checks
+  the dense route ``srg._explicit_verdict``, which reads everything from
+  two Walsh-Hadamard passes over row 0.  ``common_neighbor_constants`` checks
   A[x, y] = A[0, x XOR y] on every entry, band by band against the same
   XOR index, and then counts vertex 0's common neighbours on the matrix
   literally, row by row; its ``_constant`` reads lambda and mu one mask
@@ -46,6 +57,9 @@ the independent check of one fast route.
   XOR index, packed 6 bits at a time with shifts and ORs, the check of
   ``graph6.export_graph6``, which copies row prefixes from chunk-permuted
   translate blocks and packs whole 24-bit groups with ``np.packbits``.
+- ``decode_graph6``: the adjacency matrix of a graph6 string, which
+  rejects a malformed header, body or padding, so an export can be read
+  back and compared with the built matrix.
 
 The tests directory has no ``__init__.py``, so pytest's default
 ``prepend`` import mode puts it on ``sys.path`` and ``from oracles import``
@@ -58,13 +72,16 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from orbitcayley.census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census
-from orbitcayley.core import ConsistencyError, Gf2Vector, OrbitIndexSet
+from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.explicit import _row0
 from orbitcayley.graph6 import _encode_size
+from orbitcayley.identities import _sides, admissible_k
 from orbitcayley.spectrum import WHT_MAX_N, distinct
 from orbitcayley.srg import SrgParams, SrgVerdict, VerdictStatus, certify, match_families
 
@@ -79,13 +96,70 @@ _COLUMN_BLOCK_BITS = 1 << 20  # upper-triangle bits gathered before each pack
 _XOR_BAND_BYTES = 1 << 22  # bound on the int64 XOR index of one row band
 
 
-def pair_count_oracle(s: OrbitIndexSet, v: Gf2Vector) -> int:
-    """|C(v,S)| by direct enumeration of S."""
+def pair_count_oracle(s: OrbitIndexSet, v: int) -> int:
+    """|C(v,S)| by direct enumeration of S, for the vector v of GF(2)^n as an n-bit int."""
     if s.n > PAIR_COUNT_ORACLE_MAX_N:
         raise ValueError(f"n={s.n} exceeds the enumeration cap {PAIR_COUNT_ORACLE_MAX_N}")
-    if v.n != s.n:
-        raise ValueError(f"dimension mismatch: vector n={v.n}, set n={s.n}")
-    return sum(1 for x in s.vectors() if s.contains(v ^ Gf2Vector(s.n, x)))
+    if not 0 <= v < 1 << s.n:
+        raise ValueError(f"vector {v:#b} out of range for n={s.n}")
+    count = 0
+    for i in s.indices:
+        for ones in combinations(range(s.n), i):
+            x = sum(1 << p for p in ones)
+            count += (x ^ v).bit_count() in s.indices
+    return count
+
+
+def binom(s: int, t: int) -> int:
+    """C(s, t) with the zero-outside-range convention: 0 whenever t < 0 or t > s."""
+    if t < 0 or t > s:
+        return 0
+    return comb(s, t)
+
+
+def orbit_character_sum(n: int, i: int, k: int) -> int:
+    """Character sum over the weight-i orbit for any character index of weight k.
+
+    Normative form: sum_j (-1)^j C(k, j) C(n-k, i-j).
+    """
+    if not 0 <= i <= n:
+        raise ValueError(f"orbit weight {i} out of range 0..{n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"character weight {k} out of range 0..{n}")
+    return sum((-1) ** j * binom(k, j) * binom(n - k, i - j) for j in range(i + 1))
+
+
+def eigenvalue(s: OrbitIndexSet, k: int) -> int:
+    """The eigenvalue attached to weight-k character indices: the sum over member orbits."""
+    if not 0 <= k <= s.n:
+        raise ValueError(f"character weight {k} out of range 0..{s.n}")
+    return sum(orbit_character_sum(s.n, i, k) for i in s.indices)
+
+
+def is_connected(s: OrbitIndexSet) -> bool:
+    """Whether the graph with connection set S is connected, i.e. S generates GF(2)^n.
+
+    A weight class with odd i < n generates everything.  Even classes only
+    reach the even-weight subgroup.  The top class {all-ones} generates a
+    2-element subgroup on its own (a perfect matching, disconnected for
+    n >= 2), but for odd n it lifts the even-weight subgroup to the whole
+    group when paired with any other class.
+    """
+    if not s.indices:
+        return False
+    n = s.n
+    if any(i % 2 == 1 and i < n for i in s.indices):
+        return True
+    if n in s.indices and n % 2 == 1:
+        return n == 1 or len(s.indices) >= 2
+    return False
+
+
+def identity_sides(identity_id: str, k: int, m: int) -> tuple[int, int]:
+    """(lhs, rhs) for one identity instance; raises ValueError if (k, m) is inadmissible."""
+    if k not in admissible_k(identity_id, m):
+        raise ValueError(f"k={k} inadmissible for {identity_id} at m={m}")
+    return _sides(identity_id, k, m)
 
 
 def wht_naive(f: np.ndarray, n: int) -> np.ndarray:
@@ -194,7 +268,7 @@ def complement_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 
 def matrix_srg_check(s: OrbitIndexSet) -> SrgVerdict:
-    """``srg.srg_check_explicit``'s verdict from the built matrix: BFS connectivity,
+    """The dense route's verdict, tagged, from the built matrix: BFS connectivity,
     the degree of every vertex, lambda and mu from ``common_neighbor_constants``
     (which checks the Cayley premise on every entry first), and BFS on the
     complement for trivial vs nontrivial.
@@ -223,7 +297,7 @@ def matrix_srg_check(s: OrbitIndexSet) -> SrgVerdict:
 
 
 def common_neighbor_constants(adjacency: np.ndarray) -> tuple[int | None, int | None]:
-    """(lambda, mu) as ``srg_check_explicit`` reads them, from the matrix.
+    """(lambda, mu) as the dense route reads them, from the matrix.
 
     ``_vertex0_counts`` first checks the Cayley premise A[x, y] = A[0, x XOR y]
     on every entry.  Under it the common neighbours of (x, y) are those of
@@ -489,3 +563,42 @@ def census_oracle_bytes(
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().encode()
+
+
+def _decode_size(data: bytes) -> tuple[int, int]:
+    """(vertex count, header length) of a graph6 string's size header."""
+    if not data:
+        raise ValueError("empty graph6 string")
+    if data[0] < 63:
+        raise ValueError("corrupt graph6 size header")
+    if data[0] != 126:
+        return data[0] - 63, 1
+    if len(data) < 4 or data[1] == 126:
+        raise ValueError("unsupported or truncated graph6 size header")
+    groups = [b - 63 for b in data[1:4]]
+    if any(not 0 <= g <= 63 for g in groups):
+        raise ValueError("corrupt graph6 size header")
+    return (groups[0] << 12) | (groups[1] << 6) | groups[2], 4
+
+
+def decode_graph6(data: bytes) -> np.ndarray:
+    """Adjacency matrix of a graph6 string (trailing newline tolerated)."""
+    data = bytes(data).strip()
+    size, offset = _decode_size(data)
+    body = np.frombuffer(data[offset:], dtype=np.uint8).astype(np.int16) - 63
+    if body.size and (body.min() < 0 or body.max() > 63):
+        raise ValueError("graph6 body contains characters outside the printable range")
+    need = size * (size - 1) // 2
+    if body.size != (need + 5) // 6:
+        raise ValueError(f"graph6 body length {body.size} does not match {size} vertices")
+    bits = ((body[:, None] >> np.array([5, 4, 3, 2, 1, 0])) & 1).ravel()
+    if bits[need:].any():
+        raise ValueError("nonzero padding bits in graph6 body")
+    adjacency = np.zeros((size, size), dtype=bool)
+    pos = 0
+    for j in range(1, size):
+        column = bits[pos : pos + j].astype(bool)
+        pos += j
+        adjacency[:j, j] = column
+        adjacency[j, :j] = column
+    return adjacency

@@ -11,19 +11,19 @@ import time
 
 import numpy as np
 
-from orbitcayley.core import Gf2Vector, OrbitIndexSet
-from orbitcayley.graph6 import decode_graph6, export_graph6
+from orbitcayley.core import OrbitIndexSet
+from orbitcayley.graph6 import export_graph6
 from orbitcayley.identities import verify_all
 from orbitcayley.spectrum import distinct, full_spectrum, wht_spectrum
 from orbitcayley.srg import (
     NONTRIVIAL_FAMILY_KEYS,
     VerdictStatus,
+    certify,
     family_construct,
     pair_count,
-    srg_check_paircount,
 )
 
-from oracles import ExplicitGraph, pair_count_oracle
+from oracles import ExplicitGraph, decode_graph6, pair_count_oracle
 
 TABLE2 = {
     ("s0s1@4m", 1): (16, 5, 0, 2),
@@ -47,7 +47,7 @@ def test_criterion_01_table2_reproduction():
     for (key, m), printed in TABLE2.items():
         index_set, predicted = family_construct(key, m)
         assert predicted.as_tuple() == printed, (key, m)
-        verdict = srg_check_paircount(index_set)
+        verdict, _ = certify(index_set, explicit_cap=0)
         assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, (key, m)
         assert verdict.params.as_tuple() == printed, (key, m)
     elapsed = time.monotonic() - start
@@ -63,7 +63,7 @@ def test_criterion_02_trivial_families():
         ):
             index_set, predicted = family_construct(key, n)
             assert predicted.as_tuple() == expected
-            verdict = srg_check_paircount(index_set)
+            verdict, _ = certify(index_set, explicit_cap=0)
             assert verdict.status is VerdictStatus.TRIVIAL_SRG, (key, n)
             assert verdict.params.as_tuple() == expected, (key, n)
     print("criterion 2: PASS (both trivial families exact for 3 <= n <= 10)")
@@ -94,7 +94,7 @@ def test_criterion_04_pair_count_oracle_equivalence():
         for mask in range(1, 1 << n):
             s = OrbitIndexSet.from_bitmask(n, mask)
             for w in range(n + 1):
-                v = Gf2Vector(n, (1 << w) - 1)
+                v = (1 << w) - 1
                 assert pair_count(s, w) == pair_count_oracle(s, v), (s.format(), w)
                 checked += 1
     print(f"criterion 4: PASS ({checked} pair counts matched enumeration)")
@@ -127,7 +127,7 @@ def test_criterion_06_example_fixtures():
 def test_criterion_07_triple_agreement(small_sweep):
     for (n, mask), (s, by_pairs, by_spectrum, by_brute) in small_sweep.items():
         assert by_pairs == by_spectrum == by_brute, s.format()
-    print(f"criterion 7: PASS (three checkers identical on {len(small_sweep)} sets)")
+    print(f"criterion 7: PASS (three routes identical on {len(small_sweep)} sets)")
 
 
 def test_criterion_08_complement_parameter_law():
@@ -135,13 +135,14 @@ def test_criterion_08_complement_parameter_law():
     for n in range(1, 11):
         for mask in range(1, 1 << n):
             s = OrbitIndexSet.from_bitmask(n, mask)
-            verdict = srg_check_paircount(s)
+            verdict, _ = certify(s, explicit_cap=0)
             if verdict.status is not VerdictStatus.NONTRIVIAL_SRG:
                 continue
             v, r, lam, mu = verdict.params.as_tuple()
-            partner = srg_check_paircount(s.complement())
-            assert partner.params is not None, s.format()
+            partner, _ = certify(s.complement(), explicit_cap=0)
+            assert partner.status is VerdictStatus.NONTRIVIAL_SRG, s.format()
             assert partner.params.as_tuple() == (v, v - 1 - r, v - 2 - 2 * r + mu, v - 2 * r + lam)
+            assert partner.params == verdict.params.complement(), s.format()
             checked += 1
     assert checked >= 12
     print(f"criterion 8: PASS (complement law exact for {checked} nontrivial SRGs)")

@@ -24,7 +24,7 @@ from orbitcayley.census import (
     sweep_tables,
 )
 from orbitcayley.cli import main
-from orbitcayley.core import ConsistencyError, OrbitIndexSet, is_connected
+from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.explicit import EXPLICIT_MAX_N, _row0
 from orbitcayley.spectrum import _first_invariant_failure, character_table, distinct, full_spectrum
 from orbitcayley.srg import (
@@ -38,7 +38,7 @@ from orbitcayley.srg import (
     verdict_columns,
 )
 
-from oracles import census_oracle_bytes, find_srgs
+from oracles import census_oracle_bytes, find_srgs, is_connected
 
 # the package re-exports the function census, which shadows the module of that name
 census_module = importlib.import_module("orbitcayley.census")
@@ -150,11 +150,9 @@ def test_find_srgs_n6_contains_families():
 
 
 def test_every_found_srg_survives_the_dense_checker_up_to_n12():
-    from orbitcayley.srg import srg_check_explicit
-
     for n in (9, 10, 11, 12):
         for s, params, trivial in find_srgs(n):
-            verdict = srg_check_explicit(s)
+            verdict = _explicit_verdict(s)
             assert verdict.params == params, s.format()
             assert (verdict.status is VerdictStatus.TRIVIAL_SRG) == trivial
 
@@ -284,9 +282,9 @@ def _route_verdict(n, row):
 
 def _assert_columns_match_certify(n, mask):
     # the references share no code with the columns: the untagged dense
-    # route, core.is_connected and spectrum.distinct.  certify runs the same
-    # rules on a one-row table of Python ints, so it also checks that the
-    # rules read the same verdict from either dtype.
+    # route, the oracle is_connected and spectrum.distinct.  certify runs
+    # the same rules on a one-row table of Python ints, so it also checks
+    # that the rules read the same verdict from either dtype.
     s = OrbitIndexSet.from_bitmask(n, mask)
     columns, row = _columns(n), mask - 1
     dense = _explicit_verdict(s)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import orbitcayley.cli as cli_module
+import orbitcayley.srg as srg_module
 from orbitcayley.census import CENSUS_MAX_N
 from orbitcayley.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, build_parser, main
 from orbitcayley.core import CLOSED_FORM_MAX_N, ConsistencyError
@@ -162,6 +163,27 @@ def test_cap_invariants_are_usage_errors(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0, argv
         assert capsys.readouterr().out == ""
         assert not out.exists(), argv
+
+
+def test_over_cap_requests_fail_before_any_closed_form(monkeypatch, capsys):
+    # srg-check --explicit over the dense cap and spectrum --check-oracle over
+    # the transform cap are rejected before a spectrum or pair count is made,
+    # up to the largest n the closed forms take
+    def no_work(*args):
+        pytest.fail("a closed form ran before the request was rejected")
+
+    monkeypatch.setattr(srg_module, "full_spectrum", no_work)
+    monkeypatch.setattr(srg_module, "pair_count", no_work)
+    monkeypatch.setattr(cli_module, "full_spectrum", no_work)
+    odd = f"n={CLOSED_FORM_MAX_N};I=" + ",".join(map(str, range(1, CLOSED_FORM_MAX_N, 2)))
+    for argv, cap in (
+        (["srg-check", "--set", f"n={EXPLICIT_MAX_N + 1};I=1", "--explicit"], "dense-graph cap"),
+        (["srg-check", "--set", odd, "--explicit"], "dense-graph cap"),
+        (["spectrum", "--set", f"n={WHT_MAX_N + 1};I=1", "--check-oracle"], "transform cap"),
+        (["spectrum", "--set", odd, "--check-oracle"], "transform cap"),
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert cap in capsys.readouterr().err, argv
 
 
 def test_integer_flags_take_ascii_digits_only(capsys):

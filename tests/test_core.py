@@ -1,4 +1,4 @@
-"""Vectors, orbits, index sets, the connectivity rule, and the package's public surface."""
+"""Weights, orbits, index sets, the connectivity rule, and the package's public surface."""
 
 from __future__ import annotations
 
@@ -12,18 +12,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitcayley.core import (
-    Gf2Vector,
-    OrbitIndexSet,
-    ResidueFamily,
-    binom,
-    expand_family,
-    is_connected,
-    pascal_row,
-)
+from orbitcayley.core import OrbitIndexSet, ResidueFamily, expand_family, pascal_row
+from orbitcayley.explicit import _row0
+from orbitcayley.spectrum import _HALF_WEIGHTS
 import orbitcayley
 
-from oracles import ExplicitGraph, is_connected_adjacency
+from oracles import (
+    ExplicitGraph,
+    binom,
+    is_connected,
+    is_connected_adjacency,
+    pair_count_oracle,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,7 +32,6 @@ PUBLIC_NAMES = (
     "ConsistencyError",
     "DistinctSpectrum",
     "FAMILIES",
-    "Gf2Vector",
     "IDENTITY_IDS",
     "IdentityCheck",
     "OrbitIndexSet",
@@ -41,45 +40,29 @@ PUBLIC_NAMES = (
     "SrgParams",
     "SrgVerdict",
     "VerdictStatus",
-    "binom",
     "census",
     "certify",
     "character_sum_row",
-    "decode_graph6",
     "distinct",
-    "eigenvalue",
     "emit_table1",
     "expand_family",
     "export_graph6",
     "family_construct",
     "full_spectrum",
-    "identity_sides",
-    "is_connected",
     "match_families",
     "mod4_binomial_sum",
-    "orbit_character_sum",
     "pair_count",
-    "srg_check_explicit",
-    "srg_check_paircount",
-    "srg_check_spectral",
     "verify_all",
     "wht_spectrum",
 )
 
 
 def test_weight_examples():
-    assert Gf2Vector(4, 0b0000).weight == 0
-    assert Gf2Vector(4, 0b1011).weight == 3
-    assert Gf2Vector(8, 0b11111111).weight == 8
-
-
-def test_gf2vector_validation():
-    with pytest.raises(ValueError):
-        Gf2Vector(4, 0b10000)
-    with pytest.raises(ValueError):
-        Gf2Vector(0, 0)
-    with pytest.raises(ValueError):
-        Gf2Vector(3, 1) ^ Gf2Vector(4, 1)
+    # the popcount table behind every weight the dense and transform routes read
+    assert _HALF_WEIGHTS[0b0000] == 0
+    assert _HALF_WEIGHTS[0b1011] == 3
+    assert _HALF_WEIGHTS[0b11111111] == 8
+    assert all(_HALF_WEIGHTS[x] == x.bit_count() for x in range(_HALF_WEIGHTS.size))
 
 
 def test_pascal_row_is_the_binomial_row():
@@ -105,12 +88,11 @@ def test_binom_zero_convention():
 
 
 def test_contains_examples():
-    s = OrbitIndexSet.of(4, {1, 4})
-    assert s.contains(Gf2Vector(4, 0b1111))
-    assert not s.contains(Gf2Vector(4, 0b0110))
-    assert not s.contains(Gf2Vector(4, 0b0000))
-    with pytest.raises(ValueError):
-        s.contains(Gf2Vector(5, 0b1))
+    # membership in S is the adjacency row of vertex 0
+    row0 = _row0(OrbitIndexSet.of(4, {1, 4}))
+    assert row0[0b1111]
+    assert not row0[0b0110]
+    assert not row0[0b0000]
 
 
 def test_index_set_validation():
@@ -164,11 +146,12 @@ def test_bitmask_round_trip():
 
 
 def test_vectors_enumeration():
-    s = OrbitIndexSet.of(5, {2, 5})
-    members = list(s.vectors())
-    assert len(members) == s.size() == comb(5, 2) + 1
-    assert all(s.contains(Gf2Vector(5, x)) for x in members)
-    assert len(set(members)) == len(members)
+    # x XOR 0 = x, so the pair-count oracle at v = 0 counts every member of S once
+    assert pair_count_oracle(OrbitIndexSet.of(5, {2, 5}), 0) == comb(5, 2) + 1
+    for n in (1, 4, 7):
+        for mask in range(1 << n):
+            s = OrbitIndexSet.from_bitmask(n, mask)
+            assert pair_count_oracle(s, 0) == s.size(), s.format()
 
 
 def test_is_connected_examples():
@@ -193,14 +176,6 @@ def test_is_connected_matches_breadth_first_search():
             assert is_connected(s) == is_connected_adjacency(graph.adjacency), s.format()
 
 
-@given(st.integers(1, 32), st.data())
-def test_weight_xor_parity(n, data):
-    u = data.draw(st.integers(0, (1 << n) - 1))
-    v = data.draw(st.integers(0, (1 << n) - 1))
-    a, b = Gf2Vector(n, u), Gf2Vector(n, v)
-    assert (a ^ b).weight % 2 == (a.weight + b.weight) % 2
-
-
 @given(st.integers(1, 10), st.data())
 def test_contains_is_permutation_invariant(n, data):
     indices = data.draw(st.sets(st.integers(1, n)))
@@ -211,7 +186,9 @@ def test_contains_is_permutation_invariant(n, data):
     for p in range(n):
         if bits >> p & 1:
             permuted |= 1 << perm[p]
-    assert s.contains(Gf2Vector(n, bits)) == s.contains(Gf2Vector(n, permuted))
+    assert permuted.bit_count() == bits.bit_count()
+    row0 = _row0(s)
+    assert row0[bits] == row0[permuted] == (bits.bit_count() in s.indices)
 
 
 @given(st.integers(1, 16), st.data())

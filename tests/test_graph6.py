@@ -11,8 +11,8 @@ import pytest
 
 import orbitcayley.graph6 as graph6_module
 from orbitcayley.core import OrbitIndexSet
-from orbitcayley.graph6 import EXPORT_MAX_N, _encode_size, decode_graph6, export_graph6
-from oracles import ExplicitGraph, column_gather_graph6
+from orbitcayley.graph6 import EXPORT_MAX_N, _encode_size, export_graph6
+from oracles import ExplicitGraph, column_gather_graph6, decode_graph6
 
 
 def _reference_graph6(s):

@@ -25,13 +25,11 @@ from orbitcayley.spectrum import (
     character_sum_row,
     character_table,
     distinct,
-    eigenvalue,
     full_spectrum,
-    orbit_character_sum,
     wht_spectrum,
 )
 
-from oracles import butterfly_fwht, wht_naive
+from oracles import butterfly_fwht, eigenvalue, orbit_character_sum, wht_naive
 
 
 def test_orbit_character_sum_examples():

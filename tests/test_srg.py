@@ -1,4 +1,4 @@
-"""Pair counting, the three SRG checkers, equitable partitions, and families."""
+"""Pair counting, the three SRG routes, equitable partitions, and families."""
 
 from __future__ import annotations
 
@@ -17,14 +17,7 @@ import orbitcayley.spectrum as spectrum_module
 import orbitcayley.srg as srg_module
 from orbitcayley.census import census
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
-from orbitcayley.core import (
-    CLOSED_FORM_MAX_N,
-    ConsistencyError,
-    Gf2Vector,
-    OrbitIndexSet,
-    binom,
-    is_connected,
-)
+from orbitcayley.core import CLOSED_FORM_MAX_N, ConsistencyError, OrbitIndexSet
 from orbitcayley.explicit import (
     EXPLICIT_MAX_N,
     INT64_EXACT_MAX_N,
@@ -41,7 +34,9 @@ from orbitcayley.srg import (
     SrgParams,
     VerdictStatus,
     SrgVerdict,
+    _closed_form_verdicts,
     _column_verdict,
+    _explicit_verdict,
     _tagged,
     certify,
     dense_columns,
@@ -50,19 +45,17 @@ from orbitcayley.srg import (
     match_families,
     pair_count,
     pair_count_table,
-    srg_check_explicit,
-    srg_check_paircount,
-    srg_check_spectral,
 )
 
 import oracles
 from oracles import (
     ExplicitGraph,
     all_pairs_common_neighbor_constants,
+    binom,
     common_neighbor_constants,
     complement_adjacency,
-    connected_component,
     connected_components,
+    is_connected,
     is_connected_adjacency,
     matrix_srg_check,
     pair_count_oracle,
@@ -83,12 +76,12 @@ def test_pair_count_examples():
 
 
 def test_pair_count_oracle_examples():
-    assert pair_count_oracle(OrbitIndexSet.of(2, {1, 2}), Gf2Vector(2, 0b11)) == 2
-    assert pair_count_oracle(OrbitIndexSet.of(3, {1}), Gf2Vector(3, 0b110)) == 2
+    assert pair_count_oracle(OrbitIndexSet.of(2, {1, 2}), 0b11) == 2
+    assert pair_count_oracle(OrbitIndexSet.of(3, {1}), 0b110) == 2
     with pytest.raises(ValueError):
-        pair_count_oracle(OrbitIndexSet.of(21, {1}), Gf2Vector(21, 0))
+        pair_count_oracle(OrbitIndexSet.of(21, {1}), 0)
     with pytest.raises(ValueError):
-        pair_count_oracle(OrbitIndexSet.of(3, {1}), Gf2Vector(4, 0))
+        pair_count_oracle(OrbitIndexSet.of(3, {1}), 0b1000)
 
 
 def test_pair_count_matches_oracle_exhaustively():
@@ -96,7 +89,7 @@ def test_pair_count_matches_oracle_exhaustively():
         for mask in range(1, 1 << n):
             s = OrbitIndexSet.from_bitmask(n, mask)
             for w in range(n + 1):
-                v = Gf2Vector(n, (1 << w) - 1)
+                v = (1 << w) - 1
                 assert pair_count(s, w) == pair_count_oracle(s, v), (s.format(), w)
 
 
@@ -106,8 +99,7 @@ def test_pair_count_matches_oracle_for_arbitrary_vectors(n, data):
     mask = data.draw(st.integers(1, (1 << n) - 1))
     bits = data.draw(st.integers(0, (1 << n) - 1))
     s = OrbitIndexSet.from_bitmask(n, mask)
-    v = Gf2Vector(n, bits)
-    assert pair_count(s, v.weight) == pair_count_oracle(s, v)
+    assert pair_count(s, bits.bit_count()) == pair_count_oracle(s, bits)
 
 
 def _pair_count_by_index_pairs(s, w):
@@ -148,7 +140,7 @@ def test_pair_count_table_matches_literal_enumeration():
             for mask in range(1, 1 << n):
                 s = OrbitIndexSet.from_bitmask(n, mask)
                 member = np.array([int(i in s.indices) for i in range(n + 1)])
-                assert member @ table[w] @ member == pair_count_oracle(s, Gf2Vector(n, v))
+                assert member @ table[w] @ member == pair_count_oracle(s, v)
 
 
 def test_pair_count_handshake():
@@ -159,41 +151,51 @@ def test_pair_count_handshake():
             assert total == s.size() ** 2
 
 
+def _closed_form_verdict(s, route):
+    # one closed-form route's untagged verdict, read from the one-row verdict columns
+    return _closed_form_verdicts(s, full_spectrum(s))[route]
+
+
 def test_paircount_checker_examples():
-    verdict = srg_check_paircount(OrbitIndexSet.of(4, {1, 4}))
+    verdict = _closed_form_verdict(OrbitIndexSet.of(4, {1, 4}), "pair_count")
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
     assert verdict.params == SrgParams(16, 5, 0, 2)
 
-    verdict = srg_check_paircount(OrbitIndexSet.of(6, {2, 3, 6}))
+    verdict = _closed_form_verdict(OrbitIndexSet.of(6, {2, 3, 6}), "pair_count")
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
     assert verdict.params == SrgParams(64, 36, 20, 20)
 
-    assert srg_check_paircount(OrbitIndexSet.of(4, {1})).status is VerdictStatus.NOT_SRG
-    assert srg_check_paircount(OrbitIndexSet.of(4, {2})).status is VerdictStatus.DISCONNECTED
-    assert srg_check_paircount(OrbitIndexSet.of(4, set())).status is VerdictStatus.DISCONNECTED
+    for indices, status in (
+        ({1}, VerdictStatus.NOT_SRG),
+        ({2}, VerdictStatus.DISCONNECTED),
+        (set(), VerdictStatus.DISCONNECTED),
+    ):
+        verdict = _closed_form_verdict(OrbitIndexSet.of(4, indices), "pair_count")
+        assert verdict.status is status, indices
 
 
 def test_spectral_checker_examples():
-    verdict = srg_check_spectral(OrbitIndexSet.of(4, {1, 4}))
+    verdict = _closed_form_verdict(OrbitIndexSet.of(4, {1, 4}), "spectral")
     assert verdict.params == SrgParams(16, 5, 0, 2)
 
-    verdict = srg_check_spectral(OrbitIndexSet.of(3, {1, 2}))
+    verdict = _closed_form_verdict(OrbitIndexSet.of(3, {1, 2}), "spectral")
     assert verdict.status is VerdictStatus.TRIVIAL_SRG
     assert verdict.params == SrgParams(8, 6, 4, 6)
 
-    assert srg_check_spectral(OrbitIndexSet.of(2, {1, 2})).status is VerdictStatus.COMPLETE
+    verdict = _closed_form_verdict(OrbitIndexSet.of(2, {1, 2}), "spectral")
+    assert verdict.status is VerdictStatus.COMPLETE
 
 
 def test_explicit_checker_examples():
-    verdict = srg_check_explicit(OrbitIndexSet.of(4, {1, 4}))
+    verdict = _explicit_verdict(OrbitIndexSet.of(4, {1, 4}))
     assert verdict.params == SrgParams(16, 5, 0, 2)
 
-    verdict = srg_check_explicit(OrbitIndexSet.of(4, {1, 3}))
+    verdict = _explicit_verdict(OrbitIndexSet.of(4, {1, 3}))
     assert verdict.status is VerdictStatus.TRIVIAL_SRG
     assert verdict.params == SrgParams(16, 8, 0, 8)
 
     with pytest.raises(ValueError, match="dense-graph cap"):
-        srg_check_explicit(OrbitIndexSet.of(EXPLICIT_MAX_N + 1, {1}))
+        _explicit_verdict(OrbitIndexSet.of(EXPLICIT_MAX_N + 1, {1}))
 
 
 def _per_row_adjacency(s):
@@ -362,7 +364,7 @@ def test_row0_route_matches_the_matrix_oracle():
     by_n = {}
     for s in _ORACLE_SETS:
         verdict = matrix_srg_check(s)
-        assert srg_check_explicit(s) == verdict, s.format()
+        assert _tagged(s, _explicit_verdict(s)) == verdict, s.format()
         by_n.setdefault(s.n, []).append((s, verdict))
         statuses.add(verdict.status)
         if verdict.status is VerdictStatus.TRIVIAL_SRG:
@@ -423,15 +425,22 @@ def test_row0_route_on_connection_sets_that_are_no_union_of_weight_classes():
 
 
 def test_walsh_flags_match_the_closed_connectivity_test_up_to_n12():
-    # connected and complement connected from the transform of row 0, against
-    # core.is_connected (its rule on the parities of the member weights) on
-    # every set with n <= 12
+    # connected and complement connected from the transform of rows 0, one
+    # block of at most 2^16 entries at a time, against the oracle
+    # is_connected (its rule on the parities of the member weights) on every
+    # set with n <= 12
     for n in range(1, 13):
-        for mask in range(1, 1 << n):
-            s = OrbitIndexSet.from_bitmask(n, mask)
-            connected, complement_connected, _ = walsh_counts(_row0(s))
-            assert connected == is_connected(s), s.format()
-            assert complement_connected == is_connected(s.complement()), s.format()
+        masks = np.arange(1, 1 << n)
+        member = (masks[:, None] >> np.arange(n)) & 1
+        rows = max(1, (1 << 16) >> n)
+        for r0 in range(0, masks.size, rows):
+            flags = walsh_counts(_row0_block(member[r0 : r0 + rows]))[:2]
+            for mask, connected, complement_connected in zip(
+                masks[r0 : r0 + rows].tolist(), *(f.tolist() for f in flags)
+            ):
+                s = OrbitIndexSet.from_bitmask(n, mask)
+                assert connected == is_connected(s), s.format()
+                assert complement_connected == is_connected(s.complement()), s.format()
 
 
 def test_common_neighbor_float32_bound_is_checked_before_any_work():
@@ -525,7 +534,7 @@ def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
     # one of vertex 0's counts, at a neighbour of 0 (lambda) or at a non-neighbour (mu)
     s = OrbitIndexSet.of(4, {1, 4})
     row0 = _row0(s)
-    assert srg_check_explicit(s).status is VerdictStatus.NONTRIVIAL_SRG
+    assert _explicit_verdict(s).status is VerdictStatus.NONTRIVIAL_SRG
     y = next(y for y in range(1, 16) if row0[y] == adjacent)
     honest = srg_module.walsh_counts
 
@@ -535,17 +544,17 @@ def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
         return connected, complement_connected, counts
 
     monkeypatch.setattr(srg_module, "walsh_counts", perturbed)
-    assert srg_check_explicit(s).status is VerdictStatus.NOT_SRG, y
+    assert _explicit_verdict(s).status is VerdictStatus.NOT_SRG, y
     with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
         certify(s, EXPLICIT_MAX_N)
 
 
 def test_dense_check_peak_allocation_at_n12():
     s = OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12})
-    srg_check_explicit(OrbitIndexSet.of(4, {1, 4}))  # warm caches outside the trace
+    _explicit_verdict(OrbitIndexSet.of(4, {1, 4}))  # warm caches outside the trace
     tracemalloc.start()
     try:
-        verdict = srg_check_explicit(s)
+        verdict = _explicit_verdict(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -556,10 +565,10 @@ def test_dense_check_peak_allocation_at_n12():
 
 
 def _traced_explicit_check(s):
-    # the verdict of srg_check_explicit(s) and the traced peak of that one call
+    # the dense verdict of s and the traced peak of that one call
     tracemalloc.start()
     try:
-        verdict = srg_check_explicit(s)
+        verdict = _explicit_verdict(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -635,7 +644,7 @@ def test_every_route_certifies_the_families_at_n16_to_n20(key, m):
 )
 def test_dense_route_reads_non_srg_verdicts_at_n20(indices, status):
     s = OrbitIndexSet.of(EXPLICIT_MAX_N, indices)
-    assert srg_check_explicit(s).status is status
+    assert _explicit_verdict(s).status is status
     assert certify(s, s.n)[0].status is status
 
 
@@ -649,7 +658,7 @@ def test_four_m_plus_two_members_pass_all_three_routes_at_m3():
         verdict, _ = certify(s, EXPLICIT_MAX_N)  # raises unless all three routes agree
         assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, key
         assert verdict.params == predicted, key
-        assert srg_check_explicit(s) == verdict, key
+        assert _tagged(s, _explicit_verdict(s)) == verdict, key
 
 
 def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
@@ -681,11 +690,6 @@ def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
     assert f"verification failure: {message}" in capsys.readouterr().err
 
 
-def test_three_checkers_agree(small_sweep):
-    for (n, mask), (s, by_pairs, by_spectrum, by_brute) in small_sweep.items():
-        assert by_pairs == by_spectrum == by_brute, s.format()
-
-
 def test_feasibility_of_every_found_parameter_set(small_sweep):
     for s, verdict, _, _ in small_sweep.values():
         if verdict.params is not None:
@@ -713,7 +717,7 @@ def test_equitable_partition_examples():
 def test_equitable_partition_none_for_diameter_two_non_srg():
     # connected, diameter 2, but mu is not constant
     graph = ExplicitGraph.build(OrbitIndexSet.of(5, {1, 4}))
-    assert srg_check_explicit(OrbitIndexSet.of(5, {1, 4})).status is VerdictStatus.NOT_SRG
+    assert _explicit_verdict(OrbitIndexSet.of(5, {1, 4})).status is VerdictStatus.NOT_SRG
     assert verify_equitable_partition(graph, 0) is None
 
 
@@ -766,7 +770,7 @@ def test_family_parameters_verified_up_to_n14():
         m = 1
         while spec.dimension(m) <= 14:
             s, predicted = family_construct(key, m)
-            verdict = srg_check_paircount(s)
+            verdict, _ = certify(s, explicit_cap=0)
             assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, (key, m)
             assert verdict.params == predicted, (key, m)
             v, r, lam, mu = predicted.as_tuple()
@@ -775,7 +779,7 @@ def test_family_parameters_verified_up_to_n14():
     for n in range(2, 15):
         for key in ("s_minus", "s_odd"):
             s, predicted = family_construct(key, n)
-            verdict = srg_check_paircount(s)
+            verdict, _ = certify(s, explicit_cap=0)
             assert verdict.status is VerdictStatus.TRIVIAL_SRG, (key, n)
             assert verdict.params == predicted, (key, n)
 
@@ -785,7 +789,7 @@ def test_family_parameters_verified_at_larger_m():
     for key, m in (("s2s3@4m", 5), ("s0s1@4m", 4), ("s1s2@4m+2", 4), ("s0s3@4m+2", 4)):
         s, predicted = family_construct(key, m)
         assert s.n in (16, 18, 20)
-        verdict = srg_check_paircount(s)
+        verdict, _ = certify(s, explicit_cap=0)
         assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
         assert verdict.params == predicted
 
@@ -843,15 +847,6 @@ def test_match_families():
     assert match_families(OrbitIndexSet.of(3, {1, 2, 3})) == ()
 
 
-def test_complement_parameter_law(small_sweep):
-    for s, verdict, _, _ in small_sweep.values():
-        if verdict.status is not VerdictStatus.NONTRIVIAL_SRG:
-            continue
-        partner = srg_check_paircount(s.complement())
-        assert partner.status is VerdictStatus.NONTRIVIAL_SRG
-        assert partner.params == verdict.params.complement()
-
-
 def test_odd_weight_set_complement_splits_into_two_cliques():
     # the complement of the odd-weight graph: two complete halves
     for n in range(2, 9):
@@ -867,7 +862,7 @@ def test_odd_weight_set_complement_splits_into_two_cliques():
 
 def test_closed_form_checkers_scale_beyond_machine_integers():
     s, predicted = family_construct("s_minus", 128)
-    verdict = srg_check_paircount(s)
+    verdict, _ = certify(s, explicit_cap=0)
     assert verdict.status is VerdictStatus.TRIVIAL_SRG
     assert verdict.params == predicted
     assert predicted.degree == (1 << 128) - 2
