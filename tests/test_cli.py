@@ -404,6 +404,9 @@ RECORDED_OUTPUT_SHA256 = {
         "4136242ecb9a8205da552c876ca3f702161e947e0d9a83367670d7e029d939d6",
     ("census", "--n", "1..8", "--format", "csv"):
         "2c0cc480a987f94d167f3c33f8a8d29e0e7d67ff00b7b525356892cebc7e200f",
+    # the I fields with the most commas, at n = 11 and 12
+    ("census", "--n", "1..12", "--format", "csv"):
+        "3078fdabf8bb9854fe255d8cb20f9c5e01c81ec23d7b586f77a6573d2b52590e",
     # the dense route on every set up to n = 10
     ("census", "--n", "1..10", "--explicit-cap", "10"):
         "2b50c86570123122de95335cbe6b2b7c1366334e092cb505ec07b281c5995b7e",
