@@ -8,10 +8,18 @@ and ``srg.verdict_columns``, the one rule set ``certify`` also runs,
 reads both closed-form verdicts of every row from them.  Within the
 dense cap, ``srg.dense_columns`` reads the dense verdict of every row
 from blocks of rows 0.
+
+``_dimension`` is the one core of a dimension: the verdict columns and
+the tagged verdicts of the few SRG and checked rows.  Two readers share
+it: ``census`` builds one ``CensusRecord`` per set for library users,
+and ``census_bytes``, the writer behind ``orbitcayley census``, formats
+the JSONL or CSV text of every set straight from the columns, with no
+object per set.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +28,16 @@ from . import srg
 from .core import ConsistencyError, OrbitIndexSet, pascal_row
 from .explicit import EXPLICIT_MAX_N, _row0_block
 from .spectrum import _first_invariant_failure, character_table
-from .srg import SrgVerdict, VerdictStatus, _certified, _column_verdict, _tagged, pair_count_table
+from .srg import (
+    _CODE,
+    _PARAMLESS,
+    SrgVerdict,
+    VerdictStatus,
+    _certified,
+    _column_verdict,
+    _tagged,
+    pair_count_table,
+)
 
 CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
 # The sweep runs in int64.  Table entries, eigenvalues and pair counts are at
@@ -32,16 +49,7 @@ CENSUS_DEFAULT_EXPLICIT_CAP = 8
 # whole rows and to at least one: 9 bytes each for the block and its int64
 # counts, 144 KiB per chunk
 _DENSE_CHUNK = 1 << 14
-
-
-def _indices(mask: int) -> list[int]:
-    """The orbit indices of a bitmask, ascending: i for every set bit i - 1."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out
+_SRG_CODES = [_CODE[status] for status in VerdictStatus if status.is_srg()]
 
 
 @dataclass(frozen=True)
@@ -59,36 +67,6 @@ class CensusRecord:
     @property
     def connected(self) -> bool:
         return self.verdict.status is not VerdictStatus.DISCONNECTED
-
-    @property
-    def complement_indices(self) -> tuple[int, ...]:
-        return tuple(_indices(self.mask ^ ((1 << self.n) - 1)))
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "I": _indices(self.mask),
-            "connected": self.connected,
-            "distinct": self.distinct_eigenvalues,
-            "complement_I": list(self.complement_indices),
-            "explicit_verified": self.explicit_verified,
-        }
-        out.update(self.verdict.to_json_dict())
-        return out
-
-    def to_csv_row(self) -> list[str]:
-        """Fixed column order n,I,connected,distinct,verdict,r,lambda,mu."""
-        params = self.verdict.params
-        return [
-            str(self.n),
-            ",".join(str(i) for i in _indices(self.mask)),
-            str(self.connected).lower(),
-            str(self.distinct_eigenvalues),
-            self.verdict.status.value,
-            str(params.degree) if params else "",
-            str(params.lam) if params else "",
-            str(params.mu) if params else "",
-        ]
 
 
 CENSUS_CSV_COLUMNS = ["n", "I", "connected", "distinct", "verdict", "r", "lambda", "mu"]
@@ -123,8 +101,10 @@ def sweep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return member, spectra, counts
 
 
-def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[CensusRecord]:
-    """One record per nonempty index set, ascending by bitmask.
+
+
+def _dimension(n: int, explicit_cap: int) -> tuple[srg.VerdictColumns, dict[int, SrgVerdict]]:
+    """The verdict columns of dimension n, and the tagged verdicts of its SRG and checked rows.
 
     All 2^n - 1 spectra and pair counts come from one ``sweep_tables``
     call, the spectrum invariants are checked on every row at once, and
@@ -132,12 +112,13 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
     ``srg.verdict_columns``, the rules ``certify`` applies to one row.
     When n is within ``explicit_cap``, the dense verdicts of every set come
     from ``srg.dense_columns`` on blocks of rows 0 holding at most
-    ``_DENSE_CHUNK`` entries.  Each record's verdict is read from its
-    pair-count column row.  Only rows whose columns disagree go to
+    ``_DENSE_CHUNK`` entries.  Only rows whose columns disagree go to
     ``srg._certified``, which runs every route on the set again and raises
-    the routes' ConsistencyError; other SRG rows get their family tags
-    from ``_tagged``.  Raises ValueError before any work when
-    ``check_census_request`` rejects the request.
+    the routes' ConsistencyError; the other SRG rows get their family tags
+    from ``_tagged``.  The map holds those verdicts by bitmask; every other
+    row's verdict is the parameter-less one of its pair-count status code.
+    Raises ValueError before any work when ``check_census_request``
+    rejects the request.
     """
     check_census_request(n, explicit_cap)
     member, spectra, counts = sweep_tables(n)
@@ -147,24 +128,97 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
         raise ConsistencyError(f"{what} on {OrbitIndexSet.from_bitmask(n, row + 1).format()}")
     spectra.sort(axis=1)
     columns = srg.verdict_columns(member, spectra, counts)
-    per_set = (columns.paircount != columns.spectral).any(axis=1)
+    checked = (columns.paircount != columns.spectral).any(axis=1)
     if n <= explicit_cap:
         step = max(1, _DENSE_CHUNK >> n)
         dense = np.concatenate([
             srg.dense_columns(_row0_block(member[r0 : r0 + step]))
             for r0 in range(0, len(member), step)
         ])
-        per_set |= (dense != columns.paircount).any(axis=1)
-    records = []
-    for mask, row, distinct, checked in zip(
-        range(1, 1 << n), columns.paircount.tolist(), columns.distinct.tolist(), per_set.tolist()
-    ):
-        verdict = _column_verdict(n, row)
-        if checked:
-            spectral = _column_verdict(n, columns.spectral[mask - 1].tolist())
-            verdicts = {"pair_count": verdict, "spectral": spectral}
-            verdict = _certified(OrbitIndexSet.from_bitmask(n, mask), verdicts, explicit_cap)
-        elif verdict.params is not None:
-            verdict = _tagged(OrbitIndexSet.from_bitmask(n, mask), verdict)
-        records.append(CensusRecord(n, mask, distinct, verdict, n <= explicit_cap))
-    return records
+        checked |= (dense != columns.paircount).any(axis=1)
+    verdicts = {}
+    for row in np.flatnonzero(checked | np.isin(columns.paircount[:, 0], _SRG_CODES)).tolist():
+        s = OrbitIndexSet.from_bitmask(n, row + 1)
+        verdict = _column_verdict(n, columns.paircount[row].tolist())
+        if checked[row]:
+            spectral = _column_verdict(n, columns.spectral[row].tolist())
+            verdicts[row + 1] = _certified(s, {"pair_count": verdict, "spectral": spectral},
+                                           explicit_cap)
+        else:
+            verdicts[row + 1] = _tagged(s, verdict)
+    return columns, verdicts
+
+
+def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[CensusRecord]:
+    """One record per nonempty index set, ascending by bitmask.
+
+    The records are read from the verdict columns and verdicts of
+    ``_dimension``, the core ``census_bytes`` also reads, so both pass the
+    same checks and raise the same errors.
+    """
+    columns, verdicts = _dimension(n, explicit_cap)
+    explicit = n <= explicit_cap
+    return [
+        CensusRecord(n, mask, distinct, verdicts.get(mask) or _PARAMLESS[code], explicit)
+        for mask, code, distinct in zip(
+            range(1, 1 << n), columns.paircount[:, 0].tolist(), columns.distinct.tolist()
+        )
+    ]
+
+
+def _index_texts(n: int, sep: str) -> list[str]:
+    """texts[mask] = the orbit indices of mask, ascending, joined by sep, for every mask < 2^n.
+
+    Built by doubling on the top bit: the masks with bit i - 1 set are
+    those below it with sep and i appended, or i alone.
+    """
+    texts = [""]
+    for i in range(1, n + 1):
+        texts += [str(i)] + [f"{t}{sep}{i}" for t in texts[1:]]
+    return texts
+
+
+def _verdict_fields(verdict: SrgVerdict, fmt: str) -> tuple[str, str]:
+    """A record's connected field and its closing fields, from the status on, in fmt."""
+    connected = verdict.status is not VerdictStatus.DISCONNECTED
+    if fmt == "jsonl":
+        # the verdict's keys close the record: its JSON object without the opening brace
+        return json.dumps(connected), json.dumps(verdict.to_json_dict())[1:] + "\n"
+    params = verdict.params
+    constants = (params.degree, params.lam, params.mu) if params else ("", "", "")
+    return str(connected).lower(), ",".join([verdict.status.value, *map(str, constants)]) + "\n"
+
+
+def census_bytes(n: int, fmt: str, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> bytes:
+    """What ``census`` writes for dimension n: one JSONL line or CSV row per set, ascending by bitmask.
+
+    Read from the same ``_dimension`` core as ``census``, with no record
+    object per set.  JSONL lines hold the keys n, I, connected, distinct,
+    complement_I, explicit_verified, status, params and families; CSV rows
+    the ``CENSUS_CSV_COLUMNS`` without the header, with I quoted when it
+    holds a comma.  Every row whose verdict has no parameters shares the
+    closing fields of its status; only the SRG and checked rows are
+    serialised one by one.
+    """
+    columns, verdicts = _dimension(n, explicit_cap)
+    shared = {code: _verdict_fields(verdict, fmt) for code, verdict in _PARAMLESS.items()}
+    fields = [shared.get(code) for code in columns.paircount[:, 0].tolist()]
+    for mask, verdict in verdicts.items():
+        fields[mask - 1] = _verdict_fields(verdict, fmt)
+    full = (1 << n) - 1
+    rows = zip(range(1, full + 1), columns.distinct.tolist(), fields)
+    if fmt == "jsonl":
+        texts = _index_texts(n, ", ")
+        verified = json.dumps(n <= explicit_cap)
+        lines = [
+            f'{{"n": {n}, "I": [{texts[mask]}], "connected": {connected}, "distinct": {distinct}, '
+            f'"complement_I": [{texts[full ^ mask]}], "explicit_verified": {verified}, {tail}'
+            for mask, distinct, (connected, tail) in rows
+        ]
+    else:
+        texts = [f'"{t}"' if "," in t else t for t in _index_texts(n, ",")]
+        lines = [
+            f"{n},{texts[mask]},{connected},{distinct},{tail}"
+            for mask, distinct, (connected, tail) in rows
+        ]
+    return "".join(lines).encode()

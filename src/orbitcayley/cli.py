@@ -8,8 +8,9 @@ which ``main`` writes.  stdout is all-or-nothing: nothing is written
 until every chunk is made.  --out (relative to ORBITCAYLEY_OUT_DIR when
 that is set) is written to a temporary file beside the target and
 renamed over it at the end.  census writes into that file one dimension
-at a time, so a killed process may leave a .NAME.<hex>.tmp file but
-never a partial NAME.
+at a time, each dimension's bytes made by ``census.census_bytes`` from
+the verdict columns, so a killed process may leave a .NAME.<hex>.tmp
+file but never a partial NAME.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable
 from .census import (
     CENSUS_CSV_COLUMNS,
     CENSUS_DEFAULT_EXPLICIT_CAP,
-    census,
+    census_bytes,
     check_census_request,
 )
 from .core import ConsistencyError, OrbitIndexSet
@@ -148,11 +149,7 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
         if args.format == "csv":
             yield _csv([CENSUS_CSV_COLUMNS])
         for n in range(n_start, n_end + 1):
-            records = census(n, explicit_cap=args.explicit_cap)
-            if args.format == "jsonl":
-                yield "".join(json.dumps(rec.to_json_dict()) + "\n" for rec in records).encode()
-            else:
-                yield _csv(rec.to_csv_row() for rec in records)
+            yield census_bytes(n, args.format, args.explicit_cap)
 
     return EXIT_OK, chunks()
 

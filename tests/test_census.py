@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import importlib
 import json
 from collections import Counter
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +22,11 @@ from orbitcayley.census import (
     CENSUS_DEFAULT_EXPLICIT_CAP,
     CENSUS_MAX_N,
     TABLE_INT64_MAX_N,
-    CensusRecord,
     census,
+    census_bytes,
     sweep_tables,
 )
-from orbitcayley.cli import main
+from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.explicit import EXPLICIT_MAX_N, _row0
 from orbitcayley.spectrum import _first_invariant_failure, character_table, distinct, full_spectrum
@@ -42,6 +45,7 @@ from oracles import census_oracle_bytes, find_srgs, is_connected
 
 # the package re-exports the function census, which shadows the module of that name
 census_module = importlib.import_module("orbitcayley.census")
+BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def _by_indices(records):
@@ -73,12 +77,10 @@ def test_census_record_invariants():
     for n in range(1, 7):
         for rec in census(n):
             assert rec.distinct_eigenvalues <= n + 1
-            complement = OrbitIndexSet.of(n, rec.complement_indices)
-            assert complement.complement() == rec.index_set
             expected_nontrivial = (
                 rec.connected
                 and rec.distinct_eigenvalues == 3
-                and is_connected(complement)
+                and is_connected(rec.index_set.complement())
                 and not rec.index_set.is_full()
             )
             assert (rec.verdict.status is VerdictStatus.NONTRIVIAL_SRG) == expected_nontrivial
@@ -169,19 +171,20 @@ def test_complement_closure_of_nontrivial_srgs():
 
 
 def test_census_serialization_shapes():
-    rec = _by_indices(census(4))[(1, 4)]
-    assert isinstance(rec, CensusRecord)
-    blob = rec.to_json_dict()
+    lines = census_bytes(4, "jsonl").decode().splitlines()
+    assert len(lines) == 15
+    blob = json.loads(lines[0b1001 - 1])
     assert blob["n"] == 4 and blob["I"] == [1, 4]
     assert blob["status"] == "nontrivial_srg"
     assert blob["params"] == {"vertices": 16, "degree": 5, "lambda": 0, "mu": 2}
     assert blob["complement_I"] == [2, 3]
     assert blob["families"] == ["s0s1@4m"]
-    assert rec.to_csv_row() == ["4", "1,4", "true", "3", "nontrivial_srg", "5", "0", "2"]
-    assert len(CENSUS_CSV_COLUMNS) == len(rec.to_csv_row())
 
-    empty_params = _by_indices(census(4))[(2,)]
-    assert empty_params.to_csv_row()[5:] == ["", "", ""]
+    rows = census_bytes(4, "csv").decode().splitlines()
+    assert rows[0b1001 - 1] == '4,"1,4",true,3,nontrivial_srg,5,0,2'
+    assert all(len(row) == len(CENSUS_CSV_COLUMNS) for row in csv.reader(rows))
+    assert rows[0b10 - 1].startswith("4,2,")
+    assert next(csv.reader([rows[0b10 - 1]]))[5:] == ["", "", ""]
 
 
 # -- the table sweep against its per-set oracles -------------------------------
@@ -338,12 +341,28 @@ def _not_srg(n, indices):
     return s
 
 
+def _census_failure(n, explicit_cap, tmp_path, capsys):
+    """The ConsistencyError text of the census of dimension n, from the library and the CLI.
+
+    The CLI must exit 1 with the same text on stderr and leave tmp_path
+    empty: no --out file and no temporary file beside it.
+    """
+    with pytest.raises(ConsistencyError) as exc:
+        census(n, explicit_cap=explicit_cap)
+    out = tmp_path / "census.jsonl"
+    argv = ["census", "--n", str(n), "--explicit-cap", str(explicit_cap), "--out", str(out)]
+    assert main(argv) == EXIT_VERIFICATION_FAILED
+    assert capsys.readouterr().err == f"verification failure: {exc.value}\n"
+    assert list(tmp_path.iterdir()) == []
+    return str(exc.value)
+
+
 def _routes_disagree(s, *verdicts):
     detail = "; ".join(f"{route}: {json.dumps(v.to_json_dict())}" for route, v in verdicts)
     return f"SRG routes disagree on {s.format()}: {detail}"
 
 
-def test_perturbed_count_entry_names_the_set(monkeypatch):
+def test_perturbed_count_entry_names_the_set(monkeypatch, tmp_path, capsys):
     # counts (10, 18, 10, 16, 10) on I={1,3,4,5}: the weight-4 entry set to 10
     # makes lambda and mu constant, so the pair counts read an SRG there
     s = _not_srg(5, {1, 3, 4, 5})
@@ -358,12 +377,10 @@ def test_perturbed_count_entry_names_the_set(monkeypatch):
     expected = _routes_disagree(
         s, ("pair_count", claimed), ("spectral", SrgVerdict(VerdictStatus.NOT_SRG))
     )
-    with pytest.raises(ConsistencyError) as exc:
-        census(5, explicit_cap=0)
-    assert str(exc.value) == expected
+    assert _census_failure(5, 0, tmp_path, capsys) == expected
 
 
-def test_perturbed_spectrum_entry_names_the_set(monkeypatch):
+def test_perturbed_spectrum_entry_names_the_set(monkeypatch, tmp_path, capsys):
     # the sorted spectrum (-5, -1, -1, -1, 3, 11) of I={1,4,5} with its 3
     # lowered to -1 keeps three distinct values, read past the invariant checks
     s = _not_srg(5, {1, 4, 5})
@@ -379,12 +396,10 @@ def test_perturbed_spectrum_entry_names_the_set(monkeypatch):
     expected = _routes_disagree(
         s, ("pair_count", SrgVerdict(VerdictStatus.NOT_SRG)), ("spectral", claimed)
     )
-    with pytest.raises(ConsistencyError) as exc:
-        census(5, explicit_cap=0)
-    assert str(exc.value) == expected
+    assert _census_failure(5, 0, tmp_path, capsys) == expected
 
 
-def test_perturbed_dense_constants_name_the_set(monkeypatch):
+def test_perturbed_dense_constants_name_the_set(monkeypatch, tmp_path, capsys):
     # only the dense route reads vertex 0's common-neighbour counts; counts
     # that claim constants for the non-SRG I={1,4,5} must stop the census
     s = _not_srg(5, {1, 4, 5})
@@ -404,9 +419,7 @@ def test_perturbed_dense_constants_name_the_set(monkeypatch):
     expected = _routes_disagree(
         s, ("pair_count", not_srg), ("spectral", not_srg), ("explicit", claimed)
     )
-    with pytest.raises(ConsistencyError) as exc:
-        census(5)
-    assert str(exc.value) == expected
+    assert _census_failure(5, CENSUS_DEFAULT_EXPLICIT_CAP, tmp_path, capsys) == expected
 
 
 @pytest.mark.parametrize(
@@ -419,7 +432,9 @@ def test_perturbed_dense_constants_name_the_set(monkeypatch):
     ],
     ids=["one-column", "both-columns"],
 )
-def test_columns_that_differ_from_agreeing_routes_name_the_set(monkeypatch, routes, explicit_cap):
+def test_columns_that_differ_from_agreeing_routes_name_the_set(
+    monkeypatch, tmp_path, capsys, routes, explicit_cap
+):
     # the column of each listed route claims an SRG on the non-SRG I={1,4,5};
     # the routes that read no perturbed column hold not_srg
     s = _not_srg(5, {1, 4, 5})
@@ -439,15 +454,14 @@ def test_columns_that_differ_from_agreeing_routes_name_the_set(monkeypatch, rout
     verdicts = [("pair_count", claimed), ("spectral", claimed if len(routes) == 2 else not_srg)]
     if explicit_cap >= s.n:
         verdicts.append(("explicit", not_srg))
-    with pytest.raises(ConsistencyError) as exc:
-        census(5, explicit_cap=explicit_cap)
-    assert str(exc.value) == _routes_disagree(s, *verdicts)
+    assert _census_failure(5, explicit_cap, tmp_path, capsys) == _routes_disagree(s, *verdicts)
 
 
-def test_census_derives_no_per_set_closed_form_verdict(monkeypatch):
+def test_census_derives_no_per_set_closed_form_verdict(monkeypatch, capsysbinary):
     # every record comes from the verdict columns and, within the dense cap,
     # the dense columns; while they agree no per-set route runs, the dense
-    # route's one-row case included
+    # route's one-row case included.  The CLI writes its bytes from the same
+    # columns without building a record.
     expected = {(n, CENSUS_DEFAULT_EXPLICIT_CAP): census(n) for n in range(1, CENSUS_MAX_N + 1)}
     expected[10, 10] = census(10, explicit_cap=10)
 
@@ -459,6 +473,14 @@ def test_census_derives_no_per_set_closed_form_verdict(monkeypatch):
     monkeypatch.setattr(spectrum_module, "full_spectrum", forbidden)
     for (n, cap), records in expected.items():
         assert census(n, explicit_cap=cap) == records, (n, cap)
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("the CLI built a CensusRecord")
+
+    monkeypatch.setattr(census_module, "CensusRecord", no_record)
+    assert main(["census", "--n", f"1..{CENSUS_MAX_N}"]) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == json.loads(BENCHMARK_EXPECTED.read_text())["census_sha256"]
 
 
 @pytest.mark.parametrize("n, explicit_cap", [(8, 8), (10, 10)])

@@ -301,16 +301,16 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, argv
 def test_failure_in_a_later_census_dimension_writes_nothing(tmp_path, monkeypatch, capsysbinary):
     out = tmp_path / "result"
     out.write_bytes(b"previous contents\n")
-    real_census = cli_module.census
+    real_census_bytes = cli_module.census_bytes
     seen_at_failure = []
 
-    def census_failing_at_4(n, **kwargs):
+    def census_bytes_failing_at_4(n, *args):
         if n == 4:
             seen_at_failure.append(sorted(p.name for p in tmp_path.iterdir()))
             raise ConsistencyError("injected at n=4")
-        return real_census(n, **kwargs)
+        return real_census_bytes(n, *args)
 
-    monkeypatch.setattr(cli_module, "census", census_failing_at_4)
+    monkeypatch.setattr(cli_module, "census_bytes", census_bytes_failing_at_4)
     assert main(["census", "--n", "3..4"]) == EXIT_VERIFICATION_FAILED
     captured = capsysbinary.readouterr()
     assert captured.out == b""
