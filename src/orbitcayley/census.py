@@ -29,7 +29,6 @@ from .core import ConsistencyError, OrbitIndexSet, pascal_row
 from .explicit import EXPLICIT_MAX_N, _row0_block
 from .spectrum import _first_invariant_failure, character_table
 from .srg import (
-    _CODE,
     _PARAMLESS,
     SrgVerdict,
     VerdictStatus,
@@ -49,7 +48,6 @@ CENSUS_DEFAULT_EXPLICIT_CAP = 8
 # whole rows and to at least one: 9 bytes each for the block and its int64
 # counts, 144 KiB per chunk
 _DENSE_CHUNK = 1 << 14
-_SRG_CODES = [_CODE[status] for status in VerdictStatus if status.is_srg()]
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,9 @@ def _dimension(n: int, explicit_cap: int) -> tuple[srg.VerdictColumns, dict[int,
         ])
         checked |= (dense != columns.paircount).any(axis=1)
     verdicts = {}
-    for row in np.flatnonzero(checked | np.isin(columns.paircount[:, 0], _SRG_CODES)).tolist():
+    # every row left out has the parameter-less verdict of its pair-count status code
+    has_params = ~np.isin(columns.paircount[:, 0], list(_PARAMLESS))
+    for row in np.flatnonzero(checked | has_params).tolist():
         s = OrbitIndexSet.from_bitmask(n, row + 1)
         verdict = _column_verdict(n, columns.paircount[row].tolist())
         if checked[row]:
@@ -190,7 +190,7 @@ def _verdict_fields(verdict: SrgVerdict, fmt: str) -> tuple[str, str]:
 
 
 def census_bytes(n: int, fmt: str, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> bytes:
-    """What ``census`` writes for dimension n: one JSONL line or CSV row per set, ascending by bitmask.
+    """The census output of dimension n: one JSONL line or CSV row per set, ascending by bitmask.
 
     Read from the same ``_dimension`` core as ``census``, with no record
     object per set.  JSONL lines hold the keys n, I, connected, distinct,
