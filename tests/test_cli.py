@@ -410,6 +410,9 @@ RECORDED_OUTPUT_SHA256 = {
     # the dense route on every set up to n = 10
     ("census", "--n", "1..10", "--explicit-cap", "10"):
         "2b50c86570123122de95335cbe6b2b7c1366334e092cb505ec07b281c5995b7e",
+    # the dense route in chunks of several rows 0 above n = 10
+    ("census", "--n", "11", "--explicit-cap", "11"):
+        "c9275ade09907b83aedf75a5cbb0e8cc72264cbd3d171e06d885130b9a83323f",
     ("families", "--m-max", "6"):
         "054f43ff6a141e570c28f60426bc8fa5a19977f30fbad203a744e923f65553bd",
     # recorded before pair counts and double sums moved to cached Pascal rows
