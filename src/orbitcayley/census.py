@@ -4,17 +4,17 @@ Records connectivity, distinct-eigenvalue counts, and SRG verdicts for
 every nonempty index set, in ascending bitmask order (bit i-1 set iff
 orbit index i is a member), so output is byte-identical across runs.
 The sweep builds every set's spectrum and pair counts as int64 tables,
-and ``srg.verdict_columns``, the one rule set ``certify`` also runs,
-reads both closed-form verdicts of every row from them.  Within the
-dense cap, ``srg.dense_columns`` reads the dense verdict of every row
-from blocks of rows 0.
+and ``srg.certified_rows``, the one certification pipeline ``certify``
+also runs, reads and compares every route's verdict of every row from
+them: both closed-form verdicts, and within the dense cap the dense
+verdict from blocks of rows 0.
 
 ``_dimension`` is the one core of a dimension: the verdict columns and
-the tagged verdicts of the few SRG and checked rows.  Two readers share
-it: ``census`` builds one ``CensusRecord`` per set for library users,
-and ``census_bytes``, the writer behind ``orbitcayley census``, formats
-the JSONL or CSV text of every set straight from the columns, with no
-object per set.
+the tagged verdicts of the few SRG rows.  Two readers share it:
+``census`` builds one ``CensusRecord`` per set for library users, and
+``census_bytes``, the writer behind ``orbitcayley census``, formats the
+JSONL or CSV text of every set straight from the columns, with no object
+per set.
 """
 
 from __future__ import annotations
@@ -26,17 +26,9 @@ import numpy as np
 
 from . import srg
 from .core import ConsistencyError, OrbitIndexSet, pascal_row
-from .explicit import EXPLICIT_MAX_N, _row0_block
+from .explicit import EXPLICIT_MAX_N
 from .spectrum import _first_invariant_failure, character_table
-from .srg import (
-    _PARAMLESS,
-    SrgVerdict,
-    VerdictStatus,
-    _certified,
-    _column_verdict,
-    _tagged,
-    pair_count_table,
-)
+from .srg import _PARAMLESS, SrgVerdict, VerdictStatus, pair_count_table
 
 CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
 # The sweep runs in int64.  Table entries, eigenvalues and pair counts are at
@@ -44,10 +36,6 @@ CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
 # 4^n * sum_k C(n, k) = 8^n, so int64 is exact for n <= 20.
 TABLE_INT64_MAX_N = 20
 CENSUS_DEFAULT_EXPLICIT_CAP = 8
-# entries of rows 0 that one srg.dense_columns call holds, rounded down to
-# whole rows and to at least one: 9 bytes each for the block and its int64
-# counts, 144 KiB per chunk
-_DENSE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -102,21 +90,15 @@ def sweep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _dimension(n: int, explicit_cap: int) -> tuple[srg.VerdictColumns, dict[int, SrgVerdict]]:
-    """The verdict columns of dimension n, and the tagged verdicts of its SRG and checked rows.
+    """The verdict columns of dimension n, and the tagged verdicts of its SRG rows by row.
 
-    All 2^n - 1 spectra and pair counts come from one ``sweep_tables``
-    call, the spectrum invariants are checked on every row at once, and
-    both closed-form verdicts of every set come from
-    ``srg.verdict_columns``, the rules ``certify`` applies to one row.
-    When n is within ``explicit_cap``, the dense verdicts of every set come
-    from ``srg.dense_columns`` on blocks of rows 0 holding at most
-    ``_DENSE_CHUNK`` entries.  Only rows whose columns disagree go to
-    ``srg._certified``, which runs every route on the set again and raises
-    the routes' ConsistencyError; the other SRG rows get their family tags
-    from ``_tagged``.  The map holds those verdicts by bitmask; every other
-    row's verdict is the parameter-less one of its pair-count status code.
-    Raises ValueError before any work when ``check_census_request``
-    rejects the request.
+    Row r is the set with bitmask r + 1.  All 2^n - 1 spectra and pair
+    counts come from one ``sweep_tables`` call, the spectrum invariants
+    are checked on every row at once, and ``srg.certified_rows``, the
+    check ``certify`` runs on one row, reads and compares every route's
+    verdict of every set, the dense route's when n is within
+    ``explicit_cap``.  Raises ValueError before any work when
+    ``check_census_request`` rejects the request.
     """
     check_census_request(n, explicit_cap)
     member, spectra, counts = sweep_tables(n)
@@ -125,28 +107,7 @@ def _dimension(n: int, explicit_cap: int) -> tuple[srg.VerdictColumns, dict[int,
         row, what = failure
         raise ConsistencyError(f"{what} on {OrbitIndexSet.from_bitmask(n, row + 1).format()}")
     spectra.sort(axis=1)
-    columns = srg.verdict_columns(member, spectra, counts)
-    checked = (columns.paircount != columns.spectral).any(axis=1)
-    if n <= explicit_cap:
-        step = max(1, _DENSE_CHUNK >> n)
-        dense = np.concatenate([
-            srg.dense_columns(_row0_block(member[r0 : r0 + step]))
-            for r0 in range(0, len(member), step)
-        ])
-        checked |= (dense != columns.paircount).any(axis=1)
-    verdicts = {}
-    # every row left out has the parameter-less verdict of its pair-count status code
-    has_params = ~np.isin(columns.paircount[:, 0], list(_PARAMLESS))
-    for row in np.flatnonzero(checked | has_params).tolist():
-        s = OrbitIndexSet.from_bitmask(n, row + 1)
-        verdict = _column_verdict(n, columns.paircount[row].tolist())
-        if checked[row]:
-            spectral = _column_verdict(n, columns.spectral[row].tolist())
-            verdicts[row + 1] = _certified(s, {"pair_count": verdict, "spectral": spectral},
-                                           explicit_cap)
-        else:
-            verdicts[row + 1] = _tagged(s, verdict)
-    return columns, verdicts
+    return srg.certified_rows(n, member, spectra, counts, explicit_cap)
 
 
 def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[CensusRecord]:
@@ -159,9 +120,9 @@ def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[Cens
     columns, verdicts = _dimension(n, explicit_cap)
     explicit = n <= explicit_cap
     return [
-        CensusRecord(n, mask, distinct, verdicts.get(mask) or _PARAMLESS[code], explicit)
-        for mask, code, distinct in zip(
-            range(1, 1 << n), columns.paircount[:, 0].tolist(), columns.distinct.tolist()
+        CensusRecord(n, row + 1, distinct, verdicts.get(row) or _PARAMLESS[code], explicit)
+        for row, (code, distinct) in enumerate(
+            zip(columns.paircount[:, 0].tolist(), columns.distinct.tolist())
         )
     ]
 
@@ -197,14 +158,14 @@ def census_bytes(n: int, fmt: str, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_C
     complement_I, explicit_verified, status, params and families; CSV rows
     the ``CENSUS_CSV_COLUMNS`` without the header, with I quoted when it
     holds a comma.  Every row whose verdict has no parameters shares the
-    closing fields of its status; only the SRG and checked rows are
-    serialised one by one.
+    closing fields of its status; only the SRG rows are serialised one
+    by one.
     """
     columns, verdicts = _dimension(n, explicit_cap)
     shared = {code: _verdict_fields(verdict, fmt) for code, verdict in _PARAMLESS.items()}
     fields = [shared.get(code) for code in columns.paircount[:, 0].tolist()]
-    for mask, verdict in verdicts.items():
-        fields[mask - 1] = _verdict_fields(verdict, fmt)
+    for row, verdict in verdicts.items():
+        fields[row] = _verdict_fields(verdict, fmt)
     full = (1 << n) - 1
     rows = zip(range(1, full + 1), columns.distinct.tolist(), fields)
     if fmt == "jsonl":

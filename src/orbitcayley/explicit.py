@@ -39,11 +39,11 @@ from .spectrum import _butterflies, _weight_rows
 # per row 0 the route holds the bool row and its int64 counts, 9 * 2^n
 # bytes, and one bool buffer: lambda and mu compare the counts with their
 # first value under a mask (the block, then the block inverted in place),
-# which gathers nothing.  The dense check of one set (the one-row block of
-# srg._explicit_verdict) at n = 20 takes 0.12-0.15 s (best of 5) and traces a peak of 10.0 * 2^n B
-# (10 MiB), for a small S as for an SRG; the census's blocks of 2^14
-# entries check the 502 sets with n <= 8 in 10-11 ms (2-vCPU host, numpy
-# 2.4.6).  The int64 passes are exact for n <= INT64_EXACT_MAX_N (see
+# which gathers nothing.  The dense check of one set (the one-row block
+# ``certify`` passes to srg.dense_columns) at n = 20 takes 0.12-0.15 s (best
+# of 5) and traces a peak of 10.0 * 2^n B (10 MiB), for a small S as for an
+# SRG; the census's blocks of 2^14 entries check the 502 sets with n <= 8 in
+# 10-11 ms (2-vCPU host, numpy 2.4.6).  The int64 passes are exact for n <= INT64_EXACT_MAX_N (see
 # walsh_counts), which this cap stays within.
 EXPLICIT_MAX_N = 20
 INT64_EXACT_MAX_N = 31

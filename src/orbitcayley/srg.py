@@ -9,11 +9,11 @@ because S is a union of weight classes.
 
 The two closed-form routes share one rule set, ``verdict_columns``, which
 turns a table of index sets (membership, sorted spectra, pair counts; one
-row per set) into both routes' verdicts: the census passes its int64
-sweep tables, ``certify`` a one-row table of Python ints
-(``_closed_form_verdicts``).  The dense route keeps its own rules,
-``dense_columns``, and is their oracle: the census passes it blocks of
-rows 0, ``certify`` a one-row block (``_explicit_verdict``).
+row per set) into both routes' verdicts.  The dense route keeps its own
+rules, ``dense_columns`` on blocks of rows 0, and is their oracle.
+``certified_rows`` is the one certification pipeline: it reads every
+route's verdict of every row and compares them.  The census passes it
+its int64 sweep tables, ``certify`` a one-row table of Python ints.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .core import (
     expand_family,
     pascal_row,
 )
-from .explicit import EXPLICIT_MAX_N, _row0, _row_constants, walsh_counts
+from .explicit import EXPLICIT_MAX_N, _row0_block, _row_constants, walsh_counts
 from .spectrum import Spectrum, full_spectrum
 
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
@@ -359,10 +359,14 @@ def _route_columns(
          _CODE[VerdictStatus.NOT_SRG], _CODE[VerdictStatus.TRIVIAL_SRG]],
         _CODE[VerdictStatus.NONTRIVIAL_SRG],
     )
-    srg = (status == _CODE[VerdictStatus.TRIVIAL_SRG]) | (
+    return np.column_stack([status, *(np.where(_is_srg(status), p, 0) for p in params)])
+
+
+def _is_srg(status: np.ndarray) -> np.ndarray:
+    """Whether each status code is that of an SRG, trivial or nontrivial."""
+    return (status == _CODE[VerdictStatus.TRIVIAL_SRG]) | (
         status == _CODE[VerdictStatus.NONTRIVIAL_SRG]
     )
-    return np.column_stack([status, *(np.where(srg, p, 0) for p in params)])
 
 
 def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray) -> VerdictColumns:
@@ -414,49 +418,19 @@ def _column_verdict(n: int, row: list[int]) -> SrgVerdict:
     return SrgVerdict(_STATUSES[code], SrgParams(1 << n, *params))
 
 
-# -- the routes of one set ---------------------------------------------------
+# -- the certification pipeline ---------------------------------------------
+
+# entries of rows 0 that one dense_columns call holds, rounded down to whole
+# rows and to at least one: 9 bytes each for the block and its int64 counts,
+# 144 KiB per chunk
+_DENSE_CHUNK = 1 << 14
+
 
 def _tagged(s: OrbitIndexSet, verdict: SrgVerdict) -> SrgVerdict:
     """The verdict with the family tags of s when it is an SRG verdict."""
     if verdict.params is None:
         return verdict
     return SrgVerdict(verdict.status, verdict.params, match_families(s))
-
-
-def _closed_form_verdicts(s: OrbitIndexSet, spectrum: Spectrum) -> dict[str, SrgVerdict]:
-    """The untagged pair-count and spectral verdicts of s, from its one-row verdict columns.
-
-    The row holds Python ints, so ``verdict_columns`` is exact at every n
-    up to CLOSED_FORM_MAX_N.
-    """
-    member = np.array([[i in s.indices for i in range(1, s.n + 1)]], dtype=np.int8)
-    spectra = np.array([sorted(spectrum.values)], dtype=object)
-    counts = np.array([[pair_count(s, w) for w in range(1, s.n + 1)]], dtype=object)
-    columns = verdict_columns(member, spectra, counts)
-    return {
-        "pair_count": _column_verdict(s.n, columns.paircount[0].tolist()),
-        "spectral": _column_verdict(s.n, columns.spectral[0].tolist()),
-    }
-
-
-def _check_dense_cap(n: int) -> None:
-    """Raise ValueError when the dense route cannot run at dimension n."""
-    if n > EXPLICIT_MAX_N:
-        raise ValueError(f"n={n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
-
-
-def _explicit_verdict(s: OrbitIndexSet) -> SrgVerdict:
-    """The untagged dense verdict of s: ``dense_columns`` on the one-row block of its row 0.
-
-    Two Walsh-Hadamard passes over row 0 (``explicit.walsh_counts``) give
-    the connectivity of the graph and of its complement (trivial vs
-    nontrivial), the degree, and the common-neighbour counts of vertex 0,
-    from which lambda and mu are read.  None of these uses the closed
-    forms.  Raises ValueError before any allocation when n exceeds
-    EXPLICIT_MAX_N.
-    """
-    _check_dense_cap(s.n)
-    return _column_verdict(s.n, dense_columns(_row0(s)[None])[0].tolist())
 
 
 def dense_columns(block: np.ndarray) -> np.ndarray:
@@ -491,38 +465,66 @@ def dense_columns(block: np.ndarray) -> np.ndarray:
     return np.column_stack([status, *(np.where(srg, p, 0) for p in (degree, lam, mu))])
 
 
+def certified_rows(
+    n: int, member: np.ndarray, spectra: np.ndarray, counts: np.ndarray, explicit_cap: int
+) -> tuple[VerdictColumns, dict[int, SrgVerdict]]:
+    """The verdict columns of table rows, checked by every route, and the tagged SRG verdicts.
+
+    The table is that of ``verdict_columns``: the census's int64 sweep
+    tables of dimension n, or ``certify``'s one row of Python ints.  When
+    n is within ``explicit_cap`` the dense route joins, read by
+    ``dense_columns`` from blocks of rows 0 of at most ``_DENSE_CHUNK``
+    entries.  Every route's (status code, degree, lambda, mu) row must
+    equal the pair-count row; at the first row where one differs, raises
+    ConsistencyError naming the set, read from member[row], and every
+    route's verdict, so the failure can be replayed with
+    ``srg-check --set``.  The map holds, by row, the pair-count verdict of
+    every SRG row with its family tags; every other row's verdict is the
+    parameter-less one of its status code.
+    """
+    columns = verdict_columns(member, spectra, counts)
+    routes = {"pair_count": columns.paircount, "spectral": columns.spectral}
+    differs = (columns.spectral != columns.paircount).any(axis=1)
+    if n <= explicit_cap:
+        step = max(1, _DENSE_CHUNK >> n)
+        routes["explicit"] = np.concatenate([
+            dense_columns(_row0_block(member[r0 : r0 + step]))
+            for r0 in range(0, len(member), step)
+        ])
+        differs |= (routes["explicit"] != columns.paircount).any(axis=1)
+
+    def index_set(row: int) -> OrbitIndexSet:
+        return OrbitIndexSet(n, (np.flatnonzero(member[row]) + 1).tolist())
+
+    if differs.any():
+        row = int(differs.argmax())
+        s = index_set(row)
+        detail = "; ".join(
+            f"{route}: "
+            + json.dumps(_tagged(s, _column_verdict(n, rows[row].tolist())).to_json_dict())
+            for route, rows in routes.items()
+        )
+        raise ConsistencyError(f"SRG routes disagree on {s.format()}: {detail}")
+    return columns, {
+        row: _tagged(index_set(row), _column_verdict(n, columns.paircount[row].tolist()))
+        for row in np.flatnonzero(_is_srg(columns.paircount[:, 0])).tolist()
+    }
+
+
 def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
     """The SRG verdict of s, certified by every route that applies, and its spectrum.
 
-    The pair-count and spectral routes always run, read from the one-row
-    verdict columns of s; the dense route also runs when s.n is within
-    ``explicit_cap``, and raises ValueError above EXPLICIT_MAX_N before any
-    route runs.  When any verdict differs, raises ConsistencyError naming
-    the set and every route's verdict, so the failure can be replayed with
-    ``srg-check --set``.
+    ``certified_rows`` checks the one-row table of s in Python ints, so
+    the closed forms are exact at every n up to CLOSED_FORM_MAX_N; the
+    dense route joins when s.n is within ``explicit_cap``, and raises
+    ValueError above EXPLICIT_MAX_N before any route runs.  When any
+    verdict differs, raises the ConsistencyError of ``certified_rows``.
     """
-    if s.n <= explicit_cap:
-        _check_dense_cap(s.n)
+    if EXPLICIT_MAX_N < s.n <= explicit_cap:
+        raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
     spectrum = full_spectrum(s)
-    return _certified(s, _closed_form_verdicts(s, spectrum), explicit_cap), spectrum
-
-
-def _certified(s: OrbitIndexSet, verdicts: dict[str, SrgVerdict], explicit_cap: int) -> SrgVerdict:
-    """The verdict every route agrees on, from the closed-form routes' untagged verdicts of s.
-
-    ``verdicts`` maps "pair_count" and "spectral" to their verdicts, read
-    from the verdict columns of a one-row table by ``certify`` and of the
-    sweep tables by the census;
-    the dense route joins when s.n <= explicit_cap.  Raises
-    ConsistencyError naming the set and every route's verdict when any two
-    differ.  The family tags are matched once, after the routes agree.
-    """
-    if s.n <= explicit_cap:
-        verdicts = {**verdicts, "explicit": _explicit_verdict(s)}
-    verdict = verdicts["pair_count"]
-    if any(other != verdict for other in verdicts.values()):
-        detail = "; ".join(
-            f"{route}: {json.dumps(_tagged(s, v).to_json_dict())}" for route, v in verdicts.items()
-        )
-        raise ConsistencyError(f"SRG routes disagree on {s.format()}: {detail}")
-    return _tagged(s, verdict)
+    member = np.array([[i in s.indices for i in range(1, s.n + 1)]], dtype=np.int8)
+    spectra = np.array([sorted(spectrum.values)], dtype=object)
+    counts = np.array([[pair_count(s, w) for w in range(1, s.n + 1)]], dtype=object)
+    columns, verdicts = certified_rows(s.n, member, spectra, counts, explicit_cap)
+    return verdicts.get(0) or _PARAMLESS[columns.paircount[0, 0]], spectrum

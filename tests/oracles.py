@@ -28,8 +28,8 @@ the independent check of one fast route.
 - ``matrix_srg_check``: the dense verdict from the built matrix, by BFS
   (``connected_component``), every vertex's degree, the premise pass
   ``common_neighbor_constants`` and BFS on the complement, the check of
-  the dense route ``srg._explicit_verdict``, which reads everything from
-  two Walsh-Hadamard passes over row 0.  ``common_neighbor_constants`` checks
+  the dense route ``srg.dense_columns``, which reads everything from two
+  Walsh-Hadamard passes over row 0.  ``common_neighbor_constants`` checks
   A[x, y] = A[0, x XOR y] on every entry, band by band against the same
   XOR index, and then counts vertex 0's common neighbours on the matrix
   literally, row by row; its ``_constant`` reads lambda and mu one mask
@@ -47,6 +47,12 @@ the independent check of one fast route.
   of the upper triangle after checking that A is symmetric, the check of
   ``common_neighbor_constants`` and of the counts of
   ``explicit.walsh_counts``.
+- ``route_verdict``: one route's untagged verdict of one set, read on its
+  own and compared with no other route: the pair-count or spectral column
+  of the set's one-row ``srg.verdict_columns`` table, or
+  ``srg.dense_columns`` on the one-row block of its row 0.  It is no
+  oracle, but the reader tests use to hold each route apart from the
+  agreement check of ``srg.certified_rows``.
 - ``find_srgs``: every strongly regular index set of a dimension, read
   off the census records.
 - ``census_oracle_bytes``: the census JSONL or CSV written set by set
@@ -82,8 +88,18 @@ from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.explicit import _row0
 from orbitcayley.graph6 import _encode_size
 from orbitcayley.identities import _sides, admissible_k
-from orbitcayley.spectrum import WHT_MAX_N, distinct
-from orbitcayley.srg import SrgParams, SrgVerdict, VerdictStatus, certify, match_families
+from orbitcayley.spectrum import WHT_MAX_N, distinct, full_spectrum
+from orbitcayley.srg import (
+    SrgParams,
+    SrgVerdict,
+    VerdictStatus,
+    _column_verdict,
+    certify,
+    dense_columns,
+    match_families,
+    pair_count,
+    verdict_columns,
+)
 
 PAIR_COUNT_ORACLE_MAX_N = 20
 # the bool matrix is 4^n bytes, 256 MB at n = 14; the dense route's own cap
@@ -513,6 +529,19 @@ def _pack_columns(row0: np.ndarray, out: np.ndarray) -> None:
         written += whole // 6
         bits[: fill - whole] = bits[whole:fill]
         fill -= whole
+
+
+def route_verdict(s: OrbitIndexSet, route: str) -> SrgVerdict:
+    """The untagged verdict of s by one route: "pair_count", "spectral" or "explicit"."""
+    if route == "explicit":
+        row = dense_columns(_row0(s)[None])[0]
+    else:
+        member = np.array([[i in s.indices for i in range(1, s.n + 1)]], dtype=np.int8)
+        spectra = np.array([sorted(full_spectrum(s).values)], dtype=object)
+        counts = np.array([[pair_count(s, w) for w in range(1, s.n + 1)]], dtype=object)
+        columns = verdict_columns(member, spectra, counts)
+        row = (columns.paircount if route == "pair_count" else columns.spectral)[0]
+    return _column_verdict(s.n, row.tolist())
 
 
 def find_srgs(

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitcayley.explicit as explicit_module
 import orbitcayley.spectrum as spectrum_module
 import orbitcayley.srg as srg_module
 from orbitcayley.census import (
@@ -34,14 +35,13 @@ from orbitcayley.srg import (
     SrgParams,
     SrgVerdict,
     VerdictStatus,
-    _explicit_verdict,
     certify,
     pair_count,
     pair_count_table,
     verdict_columns,
 )
 
-from oracles import census_oracle_bytes, find_srgs, is_connected
+from oracles import census_oracle_bytes, find_srgs, is_connected, route_verdict
 
 # the package re-exports the function census, which shadows the module of that name
 census_module = importlib.import_module("orbitcayley.census")
@@ -154,7 +154,7 @@ def test_find_srgs_n6_contains_families():
 def test_every_found_srg_survives_the_dense_checker_up_to_n12():
     for n in (9, 10, 11, 12):
         for s, params, trivial in find_srgs(n):
-            verdict = _explicit_verdict(s)
+            verdict = route_verdict(s, "explicit")
             assert verdict.params == params, s.format()
             assert (verdict.status is VerdictStatus.TRIVIAL_SRG) == trivial
 
@@ -290,7 +290,7 @@ def _assert_columns_match_certify(n, mask):
     # that the rules read the same verdict from either dtype.
     s = OrbitIndexSet.from_bitmask(n, mask)
     columns, row = _columns(n), mask - 1
-    dense = _explicit_verdict(s)
+    dense = route_verdict(s, "explicit")
     expected = (dense.status, dense.params)
     assert _route_verdict(n, columns.paircount[row].tolist()) == expected, s.format()
     assert _route_verdict(n, columns.spectral[row].tolist()) == expected, s.format()
@@ -341,17 +341,34 @@ def _not_srg(n, indices):
     return s
 
 
+def _forbid_per_set_routes(monkeypatch):
+    # the closed forms of one set and the dense row 0 of one set
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-set route ran in the census")
+
+    for module, name in (
+        (srg_module, "pair_count"),
+        (srg_module, "full_spectrum"),
+        (spectrum_module, "full_spectrum"),
+        (explicit_module, "_row0"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+
+
 def _census_failure(n, explicit_cap, tmp_path, capsys):
     """The ConsistencyError text of the census of dimension n, from the library and the CLI.
 
-    The CLI must exit 1 with the same text on stderr and leave tmp_path
-    empty: no --out file and no temporary file beside it.
+    No per-set route may run, so the text comes from the rows the census
+    already holds.  The CLI must exit 1 with the same text on stderr and
+    leave tmp_path empty: no --out file and no temporary file beside it.
     """
-    with pytest.raises(ConsistencyError) as exc:
-        census(n, explicit_cap=explicit_cap)
     out = tmp_path / "census.jsonl"
     argv = ["census", "--n", str(n), "--explicit-cap", str(explicit_cap), "--out", str(out)]
-    assert main(argv) == EXIT_VERIFICATION_FAILED
+    with pytest.MonkeyPatch.context() as mp:
+        _forbid_per_set_routes(mp)
+        with pytest.raises(ConsistencyError) as exc:
+            census(n, explicit_cap=explicit_cap)
+        assert main(argv) == EXIT_VERIFICATION_FAILED
     assert capsys.readouterr().err == f"verification failure: {exc.value}\n"
     assert list(tmp_path.iterdir()) == []
     return str(exc.value)
@@ -425,7 +442,7 @@ def test_perturbed_dense_constants_name_the_set(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize(
     "routes, explicit_cap",
     [
-        # the routes' columns disagree, so the row goes to srg._certified
+        # the routes' columns disagree
         (("paircount",), 0),
         # both columns claim the same verdict; the dense route joins within its cap
         (("paircount", "spectral"), 8),
@@ -459,18 +476,12 @@ def test_columns_that_differ_from_agreeing_routes_name_the_set(
 
 def test_census_derives_no_per_set_closed_form_verdict(monkeypatch, capsysbinary):
     # every record comes from the verdict columns and, within the dense cap,
-    # the dense columns; while they agree no per-set route runs, the dense
-    # route's one-row case included.  The CLI writes its bytes from the same
-    # columns without building a record.
+    # the dense columns; no per-set route runs, neither a closed form of one
+    # set nor the dense row 0 of one set.  The CLI writes its bytes from the
+    # same columns without building a record.
     expected = {(n, CENSUS_DEFAULT_EXPLICIT_CAP): census(n) for n in range(1, CENSUS_MAX_N + 1)}
     expected[10, 10] = census(10, explicit_cap=10)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a per-set route ran in the census")
-
-    for name in ("pair_count", "full_spectrum", "_explicit_verdict"):
-        monkeypatch.setattr(srg_module, name, forbidden)
-    monkeypatch.setattr(spectrum_module, "full_spectrum", forbidden)
+    _forbid_per_set_routes(monkeypatch)
     for (n, cap), records in expected.items():
         assert census(n, explicit_cap=cap) == records, (n, cap)
 
@@ -489,5 +500,5 @@ def test_dense_chunks_of_any_row_count_give_the_same_records(monkeypatch, n, exp
     # so two-row chunks end in a short one
     expected = census(n, explicit_cap=explicit_cap)
     for rows in (1, 2, 3):
-        monkeypatch.setattr(census_module, "_DENSE_CHUNK", rows << n)
+        monkeypatch.setattr(srg_module, "_DENSE_CHUNK", rows << n)
         assert census(n, explicit_cap=explicit_cap) == expected, rows

@@ -34,9 +34,7 @@ from orbitcayley.srg import (
     SrgParams,
     VerdictStatus,
     SrgVerdict,
-    _closed_form_verdicts,
     _column_verdict,
-    _explicit_verdict,
     _tagged,
     certify,
     dense_columns,
@@ -59,6 +57,7 @@ from oracles import (
     is_connected_adjacency,
     matrix_srg_check,
     pair_count_oracle,
+    route_verdict,
     verify_equitable_partition,
 )
 
@@ -151,17 +150,12 @@ def test_pair_count_handshake():
             assert total == s.size() ** 2
 
 
-def _closed_form_verdict(s, route):
-    # one closed-form route's untagged verdict, read from the one-row verdict columns
-    return _closed_form_verdicts(s, full_spectrum(s))[route]
-
-
 def test_paircount_checker_examples():
-    verdict = _closed_form_verdict(OrbitIndexSet.of(4, {1, 4}), "pair_count")
+    verdict = route_verdict(OrbitIndexSet.of(4, {1, 4}), "pair_count")
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
     assert verdict.params == SrgParams(16, 5, 0, 2)
 
-    verdict = _closed_form_verdict(OrbitIndexSet.of(6, {2, 3, 6}), "pair_count")
+    verdict = route_verdict(OrbitIndexSet.of(6, {2, 3, 6}), "pair_count")
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
     assert verdict.params == SrgParams(64, 36, 20, 20)
 
@@ -170,32 +164,33 @@ def test_paircount_checker_examples():
         ({2}, VerdictStatus.DISCONNECTED),
         (set(), VerdictStatus.DISCONNECTED),
     ):
-        verdict = _closed_form_verdict(OrbitIndexSet.of(4, indices), "pair_count")
+        verdict = route_verdict(OrbitIndexSet.of(4, indices), "pair_count")
         assert verdict.status is status, indices
 
 
 def test_spectral_checker_examples():
-    verdict = _closed_form_verdict(OrbitIndexSet.of(4, {1, 4}), "spectral")
+    verdict = route_verdict(OrbitIndexSet.of(4, {1, 4}), "spectral")
     assert verdict.params == SrgParams(16, 5, 0, 2)
 
-    verdict = _closed_form_verdict(OrbitIndexSet.of(3, {1, 2}), "spectral")
+    verdict = route_verdict(OrbitIndexSet.of(3, {1, 2}), "spectral")
     assert verdict.status is VerdictStatus.TRIVIAL_SRG
     assert verdict.params == SrgParams(8, 6, 4, 6)
 
-    verdict = _closed_form_verdict(OrbitIndexSet.of(2, {1, 2}), "spectral")
+    verdict = route_verdict(OrbitIndexSet.of(2, {1, 2}), "spectral")
     assert verdict.status is VerdictStatus.COMPLETE
 
 
 def test_explicit_checker_examples():
-    verdict = _explicit_verdict(OrbitIndexSet.of(4, {1, 4}))
+    verdict = route_verdict(OrbitIndexSet.of(4, {1, 4}), "explicit")
     assert verdict.params == SrgParams(16, 5, 0, 2)
 
-    verdict = _explicit_verdict(OrbitIndexSet.of(4, {1, 3}))
+    verdict = route_verdict(OrbitIndexSet.of(4, {1, 3}), "explicit")
     assert verdict.status is VerdictStatus.TRIVIAL_SRG
     assert verdict.params == SrgParams(16, 8, 0, 8)
 
+    s = OrbitIndexSet.of(EXPLICIT_MAX_N + 1, {1})
     with pytest.raises(ValueError, match="dense-graph cap"):
-        _explicit_verdict(OrbitIndexSet.of(EXPLICIT_MAX_N + 1, {1}))
+        certify(s, s.n)
 
 
 def _per_row_adjacency(s):
@@ -364,7 +359,7 @@ def test_row0_route_matches_the_matrix_oracle():
     by_n = {}
     for s in _ORACLE_SETS:
         verdict = matrix_srg_check(s)
-        assert _tagged(s, _explicit_verdict(s)) == verdict, s.format()
+        assert _tagged(s, route_verdict(s, "explicit")) == verdict, s.format()
         by_n.setdefault(s.n, []).append((s, verdict))
         statuses.add(verdict.status)
         if verdict.status is VerdictStatus.TRIVIAL_SRG:
@@ -534,7 +529,7 @@ def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
     # one of vertex 0's counts, at a neighbour of 0 (lambda) or at a non-neighbour (mu)
     s = OrbitIndexSet.of(4, {1, 4})
     row0 = _row0(s)
-    assert _explicit_verdict(s).status is VerdictStatus.NONTRIVIAL_SRG
+    assert route_verdict(s, "explicit").status is VerdictStatus.NONTRIVIAL_SRG
     y = next(y for y in range(1, 16) if row0[y] == adjacent)
     honest = srg_module.walsh_counts
 
@@ -544,17 +539,17 @@ def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
         return connected, complement_connected, counts
 
     monkeypatch.setattr(srg_module, "walsh_counts", perturbed)
-    assert _explicit_verdict(s).status is VerdictStatus.NOT_SRG, y
+    assert route_verdict(s, "explicit").status is VerdictStatus.NOT_SRG, y
     with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
         certify(s, EXPLICIT_MAX_N)
 
 
 def test_dense_check_peak_allocation_at_n12():
     s = OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12})
-    _explicit_verdict(OrbitIndexSet.of(4, {1, 4}))  # warm caches outside the trace
+    route_verdict(OrbitIndexSet.of(4, {1, 4}), "explicit")  # warm caches outside the trace
     tracemalloc.start()
     try:
-        verdict = _explicit_verdict(s)
+        verdict = route_verdict(s, "explicit")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -568,7 +563,7 @@ def _traced_explicit_check(s):
     # the dense verdict of s and the traced peak of that one call
     tracemalloc.start()
     try:
-        verdict = _explicit_verdict(s)
+        verdict = route_verdict(s, "explicit")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -644,7 +639,7 @@ def test_every_route_certifies_the_families_at_n16_to_n20(key, m):
 )
 def test_dense_route_reads_non_srg_verdicts_at_n20(indices, status):
     s = OrbitIndexSet.of(EXPLICIT_MAX_N, indices)
-    assert _explicit_verdict(s).status is status
+    assert route_verdict(s, "explicit").status is status
     assert certify(s, s.n)[0].status is status
 
 
@@ -658,36 +653,64 @@ def test_four_m_plus_two_members_pass_all_three_routes_at_m3():
         verdict, _ = certify(s, EXPLICIT_MAX_N)  # raises unless all three routes agree
         assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, key
         assert verdict.params == predicted, key
-        assert _tagged(s, _explicit_verdict(s)) == verdict, key
+        assert _tagged(s, route_verdict(s, "explicit")) == verdict, key
 
 
-def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys):
-    s = OrbitIndexSet.of(4, {1, 4})
-    honest = certify(s, 0)[0]
-    # the pair-count column of s claims not_srg; certify reads it from its
-    # one-row table and the census from its sweep table, so one patch
-    # reaches both and both reach the same agreement check
+def _claim_not_srg_in_column(monkeypatch, s, column):
+    # the column of s claims not_srg; certify reads it from its one-row
+    # table and the census from its sweep table
     real = srg_module.verdict_columns
     not_srg_code = list(VerdictStatus).index(VerdictStatus.NOT_SRG)
     row_of_s = [int(i in s.indices) for i in range(1, s.n + 1)]
 
     def claiming(member, spectra, counts):
         columns = real(member, spectra, counts)
-        columns.paircount[(member == row_of_s).all(axis=1)] = [not_srg_code, 0, 0, 0]
+        getattr(columns, column)[(member == row_of_s).all(axis=1)] = [not_srg_code, 0, 0, 0]
         return columns
 
     monkeypatch.setattr(srg_module, "verdict_columns", claiming)
+
+
+def _perturb_vertex0_counts(monkeypatch, s):
+    # one of vertex 0's common-neighbour counts of s, at a neighbour of 0,
+    # so lambda is no longer constant and the dense route reads not_srg
+    target = _row0(s)
+    y = int(np.flatnonzero(target)[0])
+    real = srg_module.walsh_counts
+
+    def perturbed(block):
+        connected, complement_connected, counts = real(block)
+        counts[(block == target).all(axis=1), y] += 1
+        return connected, complement_connected, counts
+
+    monkeypatch.setattr(srg_module, "walsh_counts", perturbed)
+
+
+@pytest.mark.parametrize("route", ["pair_count", "spectral", "explicit"])
+def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys, route):
+    # one route of I={1,4} reads not_srg; certify, the census and srg-check
+    # all reach the one agreement check and give the identical message
+    s = OrbitIndexSet.of(4, {1, 4})
+    explicit_cap = s.n if route == "explicit" else 0
+    honest = certify(s, explicit_cap)[0]
+    assert honest.status is VerdictStatus.NONTRIVIAL_SRG
+    routes = ["pair_count", "spectral"] + (["explicit"] if explicit_cap else [])
+    claimed = {r: SrgVerdict(VerdictStatus.NOT_SRG) if r == route else honest for r in routes}
+    detail = "; ".join(f"{r}: {json.dumps(v.to_json_dict())}" for r, v in claimed.items())
+    message = f"SRG routes disagree on n=4;I=1,4: {detail}"
+    if route == "explicit":
+        _perturb_vertex0_counts(monkeypatch, s)
+    else:
+        _claim_not_srg_in_column(monkeypatch, s, route.replace("_", ""))
     with pytest.raises(ConsistencyError) as exc:
-        certify(s, 0)
-    message = str(exc.value)
-    assert "n=4;I=1,4" in message
-    assert json.dumps(SrgVerdict(VerdictStatus.NOT_SRG).to_json_dict()) in message
-    assert json.dumps(honest.to_json_dict()) in message
-    with pytest.raises(ConsistencyError) as exc:
-        census(4, explicit_cap=0)
+        certify(s, explicit_cap)
     assert str(exc.value) == message
-    assert main(["srg-check", "--set", "n=4;I=1,4"]) == EXIT_VERIFICATION_FAILED
-    assert f"verification failure: {message}" in capsys.readouterr().err
+    with pytest.raises(ConsistencyError) as exc:
+        census(4, explicit_cap=explicit_cap)
+    assert str(exc.value) == message
+    argv = ["srg-check", "--set", "n=4;I=1,4"] + (["--explicit"] if explicit_cap else [])
+    assert main(argv) == EXIT_VERIFICATION_FAILED
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
 
 
 def test_feasibility_of_every_found_parameter_set(small_sweep):
@@ -717,7 +740,7 @@ def test_equitable_partition_examples():
 def test_equitable_partition_none_for_diameter_two_non_srg():
     # connected, diameter 2, but mu is not constant
     graph = ExplicitGraph.build(OrbitIndexSet.of(5, {1, 4}))
-    assert _explicit_verdict(OrbitIndexSet.of(5, {1, 4})).status is VerdictStatus.NOT_SRG
+    assert route_verdict(OrbitIndexSet.of(5, {1, 4}), "explicit").status is VerdictStatus.NOT_SRG
     assert verify_equitable_partition(graph, 0) is None
 
 
