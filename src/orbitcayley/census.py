@@ -78,7 +78,7 @@ def sweep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     spectra[r, k] = sum over i in I of K[i][k] (``character_table``) and
     counts[r, w - 1] = sum over i, j in I of P[w][i][j] for w = 1..n
     (``pair_count_table``); member is int8, spectra and counts int64.
-    ``full_spectrum`` and ``pair_count`` are the per-set oracles of these
+    ``full_spectrum`` and ``pair_counts`` are the per-set oracles of these
     rows.
     """
     member = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int8)

@@ -14,8 +14,8 @@ class ConsistencyError(RuntimeError):
 
 
 # the largest n of the closed forms, checked first in spectrum.full_spectrum
-# and srg.pair_count.  The pair counts of all n weights take time cubic in n:
-# srg-check at n = 1024 takes 4.4 s with 2 indices and 6.3 s with 512
+# and srg.pair_counts.  The pair counts of all n weights take time cubic in n:
+# srg-check at n = 1024 takes 1.1 s with 2 indices and 2.5 s with 512
 # (2-vCPU host, Python 3.11.7)
 CLOSED_FORM_MAX_N = 1024
 

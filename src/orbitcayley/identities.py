@@ -2,17 +2,21 @@
 
 Every identity is a row of integers: ``_RESIDUE_SUMS`` holds Lemmas 3.1-3.3
 and ``_DOUBLE_SUMS`` Theorems 3.4-3.5, and ``_sides`` evaluates both.  The left
-side is a literal sum in arbitrary-precision integers under the zero-outside-range
-binomial convention, its terms read from cached Pascal rows (``core.pascal_row``);
+side is a sum of exactly the binomial terms the zero-outside-range convention
+keeps, in arbitrary-precision integers, read from cached Pascal rows
+(``core.pascal_row``) and, for the double sums, their cached running sums;
 the right side is 2^(a*m + b) + sigma * (-1)^m * 2^(2m + c), stored as (a, b, sigma, c).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import mul
 from typing import NamedTuple
 
-from .core import ConsistencyError, pascal_row
+from .core import PASCAL_ROWS_CACHED, ConsistencyError, pascal_row
 
 
 def mod4_binomial_sum(n: int, r: int) -> int:
@@ -24,23 +28,50 @@ def mod4_binomial_sum(n: int, r: int) -> int:
     return sum(pascal_row(n)[r::4])
 
 
+@lru_cache(maxsize=PASCAL_ROWS_CACHED)
+def _residue_prefix_sums(b: int) -> tuple[tuple[int, ...], ...]:
+    """pre[r][i] = C(b, r) + C(b, r + 4) + ... (i terms) for r in 0..3: running sums of row b.
+
+    Row b's four stride-4 slices summed from the left, so any slice that
+    starts at its residue is one lookup.  A table holds b + 5 ints of at
+    most 2^b: 33 KB at b = 403, the largest row IDENTITIES_MAX_M reaches.
+    The cache keeps at most PASCAL_ROWS_CACHED tables, 4.9 MB for rows
+    148..403; every b of the double sums is odd, so verify_all(30) fills
+    62 (0.19 MB) and verify_all(100) 201 (2.7 MB).
+    """
+    row = pascal_row(b)
+    return tuple(tuple(accumulate(row[r::4], initial=0)) for r in range(4))
+
+
 def _double_sum(factor: int, a: int, p: int, b: int, q: int, jmax: int, m: int) -> int:
     """factor * sum over t <= m, j <= jmax of C(a, 2j + p) C(b, 4t - 2j + q).
 
     Grouped by j: C(a, 2j + p) is constant over the t-sum, whose bottoms
     4t - 2j + q step by 4 up to top = 4m + q - 2j: one stride-4 slice of
-    row b, from the first bottom >= 0 (q <= 3, so no t < 0 enters) to top
-    or b.  That keeps exactly the terms the zero-outside-range convention
-    keeps; j stops where 2j + p passes a, and a negative b keeps none.
+    row b, from its residue r = (q - 2j) mod 4, the first bottom >= 0
+    (q <= 3, so no t < 0 enters), to top or b.  That slice is one entry
+    of row b's running sums (``_residue_prefix_sums``): pre[r][c - u] for
+    j = 2u + e, with r and c fixed by the parity e, clamped to the whole
+    slice while top > b and 0 (the empty slice) once top < 0.  So the
+    entries of the j of one parity are a run of pre[r] read backwards,
+    and the j-sum is two dot products with the stride-4 slices of row a.
+    The sum keeps exactly the terms of the zero-outside-range convention,
+    only grouped differently; j stops where 2j + p passes a, and a
+    negative b keeps none.
     """
     if b < 0:
         return 0
-    row_a, row_b = pascal_row(a), pascal_row(b)
+    row_a, pre = pascal_row(a), _residue_prefix_sums(b)
+    last = 2 * min(jmax, (a - p) // 2) + p  # the largest bottom of C(a, 2j + p) summed
     total = 0
-    for j in range(min(jmax, (a - p) // 2) + 1):
-        top = 4 * m + q - 2 * j
-        if top >= 0:
-            total += row_a[2 * j + p] * sum(row_b[(q - 2 * j) % 4 : top + 1 : 4])
+    for e in (0, 1):
+        r = (q - 2 * e) % 4
+        sums = pre[r]
+        whole = len(sums) - 1
+        c = m + (q - 2 * e - r) // 4 + 1
+        if c > 0:
+            slices = chain(repeat(sums[whole], c - whole), reversed(sums[: min(c, whole) + 1]))
+            total += sum(map(mul, row_a[2 * e + p : last + 1 : 4], slices))
     return factor * total
 
 
@@ -111,8 +142,8 @@ _DOUBLE_SUMS: dict[str, _DoubleSum] = {
 
 IDENTITY_IDS: tuple[str, ...] = (*_RESIDUE_SUMS, *_DOUBLE_SUMS)
 
-# the largest m of verify_all and admissible_k: verify_all(60) takes 1.4 s and
-# verify_all(100) 8.7 s (2-vCPU host, Python 3.11.7), about m^3.5
+# the largest m of verify_all and admissible_k: verify_all(60) takes 0.3 s and
+# verify_all(100) 1.3 s (2-vCPU host, Python 3.11.7), about m^2.5
 IDENTITIES_MAX_M = 100
 
 

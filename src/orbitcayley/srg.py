@@ -42,8 +42,8 @@ from .spectrum import Spectrum, full_spectrum
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
 
 
-def pair_count(s: OrbitIndexSet, w: int) -> int:
-    """|C(v,S)| for any v of weight w, in closed form.
+def pair_counts(s: OrbitIndexSet) -> tuple[int, ...]:
+    """|C(v,S)| for |v| = 0..n in one pass, in closed form.
 
     Each x in S with x XOR v in S is counted by its a ones inside the
     support of v and its b ones outside it: |x| = a + b and
@@ -51,30 +51,47 @@ def pair_count(s: OrbitIndexSet, w: int) -> int:
     |C(v,S)| = sum_a C(w, a) sum_b C(n - w, b) [a + b in I] [w - a + b in I],
     the Hamming-scheme numbers p_ij^w summed over I x I without building
     them.  Swapping a and w - a swaps the two conditions, so only a <= w/2
-    is summed, and every a < w/2 twice; the b-sum runs over the 0/1 bytes
-    of I and a cached Pascal row.  Raises ValueError when n exceeds
+    is summed, and every a < w/2 twice.  The two conditions are one byte
+    of a lag mask, [k in I][k + d in I] at k = a + b and d = w - 2a; the
+    n + 1 masks ((n + 1)(n + 2)/2 bytes, 0.5 MB at n = 1024) are built
+    once per set, and each b-sum adds the entries of a cached Pascal row
+    that its mask keeps.  Raises ValueError when n exceeds
     CLOSED_FORM_MAX_N.
     """
     n = s.n
     if n > CLOSED_FORM_MAX_N:
         raise ValueError(f"n={n} exceeds the closed-form cap {CLOSED_FORM_MAX_N}")
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} out of range 0..{n}")
     member = bytes(i in s.indices for i in range(n + 1))
-    outside = pascal_row(n - w)
-    inside = pascal_row(w)
-    total = 0
-    for a in range(w // 2 + 1):
-        both = sum(compress(outside, map(and_, member[a:], member[w - a :])))
-        total += inside[a] * both if 2 * a == w else 2 * inside[a] * both
-    return total
+    lags = [bytes(map(and_, member, member[d:])) for d in range(n + 1)]
+    counts = []
+    for w in range(n + 1):
+        outside = pascal_row(n - w)
+        inside = pascal_row(w)
+        total = 0
+        for a in range(w // 2 + 1):
+            both = sum(compress(outside, lags[w - 2 * a][a:]))
+            total += inside[a] * both if 2 * a == w else 2 * inside[a] * both
+        counts.append(total)
+    return tuple(counts)
+
+
+def pair_count(s: OrbitIndexSet, w: int) -> int:
+    """|C(v,S)| for any v of weight w: entry w of ``pair_counts``, which computes all n + 1.
+
+    Raises ValueError when n exceeds CLOSED_FORM_MAX_N, else when w is
+    outside 0..n.  A caller that needs several weights of one set calls
+    ``pair_counts`` once.
+    """
+    if s.n <= CLOSED_FORM_MAX_N and not 0 <= w <= s.n:
+        raise ValueError(f"weight {w} out of range 0..{s.n}")
+    return pair_counts(s)[w]
 
 
 def pair_count_table(n: int) -> np.ndarray:
     """P[w][i][j] = p_ij^w for w, i, j in 0..n, as int64: the Hamming-scheme intersection numbers.
 
     For any v of weight w, P[w][i][j] counts the x of weight i with x XOR v
-    of weight j.  The same split as ``pair_count``: x with a ones inside
+    of weight j.  The same split as ``pair_counts``: x with a ones inside
     supp v and b outside has weights i = a + b and j = w - a + b, and
     C(w, a) C(n - w, b) vectors share (a, b), which (i, j) determines.  So
     pair_count(s, w) is the sum of P[w] over I x I.
@@ -525,6 +542,6 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
     spectrum = full_spectrum(s)
     member = np.array([[i in s.indices for i in range(1, s.n + 1)]], dtype=np.int8)
     spectra = np.array([sorted(spectrum.values)], dtype=object)
-    counts = np.array([[pair_count(s, w) for w in range(1, s.n + 1)]], dtype=object)
+    counts = np.array([pair_counts(s)[1:]], dtype=object)
     columns, verdicts = certified_rows(s.n, member, spectra, counts, explicit_cap)
     return verdicts.get(0) or _PARAMLESS[columns.paircount[0, 0]], spectrum

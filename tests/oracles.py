@@ -4,7 +4,7 @@ None of these is called by the CLI or the certification pipeline; each is
 the independent check of one fast route.
 
 - ``pair_count_oracle``: |C(v,S)| by enumerating S, the check of the
-  closed form ``srg.pair_count`` and of the census table
+  closed form ``srg.pair_counts`` and of the census table
   ``srg.pair_count_table``.
 - ``orbit_character_sum`` and ``eigenvalue``: the normative
   double-binomial sum of each eigenvalue (with ``binom``, the
@@ -17,6 +17,10 @@ the independent check of one fast route.
 - ``identity_sides``: both sides of one identity instance, rejecting an
   inadmissible (k, m), the per-instance reading of the rows that
   ``identities.verify_all`` evaluates.
+- ``double_sum_oracle``: one double sum grouped by j, each t-sum added
+  term by term as one stride-4 slice of Pascal row b, the check of
+  ``identities._double_sum``, which reads every t-sum from the running
+  sums of row b.
 - ``wht_naive``: the Walsh-Hadamard transform by direct O(4^n) summation,
   and ``butterfly_fwht``: the same transform by one numpy butterfly stage
   per bit over the whole indicator; both check ``spectrum._wht`` behind
@@ -53,6 +57,10 @@ the independent check of one fast route.
   ``srg.dense_columns`` on the one-row block of its row 0.  It is no
   oracle, but the reader tests use to hold each route apart from the
   agreement check of ``srg.certified_rows``.
+- ``forbid_everywhere``: no oracle either, but the guard of the tests
+  that a failure or a rejection runs no closed form: it patches each
+  given function on every ``orbitcayley`` module that binds it, so a name
+  imported by name cannot escape the patch.
 - ``find_srgs``: every strongly regular index set of a dimension, read
   off the census records.
 - ``census_oracle_bytes``: the census JSONL or CSV written set by set
@@ -77,6 +85,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -84,7 +93,7 @@ from math import comb
 import numpy as np
 
 from orbitcayley.census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census
-from orbitcayley.core import ConsistencyError, OrbitIndexSet
+from orbitcayley.core import ConsistencyError, OrbitIndexSet, pascal_row
 from orbitcayley.explicit import _row0
 from orbitcayley.graph6 import _encode_size
 from orbitcayley.identities import _sides, admissible_k
@@ -97,7 +106,7 @@ from orbitcayley.srg import (
     certify,
     dense_columns,
     match_families,
-    pair_count,
+    pair_counts,
     verdict_columns,
 )
 
@@ -176,6 +185,25 @@ def identity_sides(identity_id: str, k: int, m: int) -> tuple[int, int]:
     if k not in admissible_k(identity_id, m):
         raise ValueError(f"k={k} inadmissible for {identity_id} at m={m}")
     return _sides(identity_id, k, m)
+
+
+def double_sum_oracle(factor: int, a: int, p: int, b: int, q: int, jmax: int, m: int) -> int:
+    """factor * sum over t <= m, j <= jmax of C(a, 2j + p) C(b, 4t - 2j + q), slice by slice.
+
+    Grouped by j: the t-sum of C(b, 4t - 2j + q) is the stride-4 slice of
+    row b from (q - 2j) mod 4 to top = 4m + q - 2j, added term by term
+    (for q <= 3 no t < 0 enters); j stops where 2j + p passes a, a top
+    below 0 keeps no term and a negative b none at all.
+    """
+    if b < 0:
+        return 0
+    row_a, row_b = pascal_row(a), pascal_row(b)
+    total = 0
+    for j in range(min(jmax, (a - p) // 2) + 1):
+        top = 4 * m + q - 2 * j
+        if top >= 0:
+            total += row_a[2 * j + p] * sum(row_b[(q - 2 * j) % 4 : top + 1 : 4])
+    return factor * total
 
 
 def wht_naive(f: np.ndarray, n: int) -> np.ndarray:
@@ -538,10 +566,25 @@ def route_verdict(s: OrbitIndexSet, route: str) -> SrgVerdict:
     else:
         member = np.array([[i in s.indices for i in range(1, s.n + 1)]], dtype=np.int8)
         spectra = np.array([sorted(full_spectrum(s).values)], dtype=object)
-        counts = np.array([[pair_count(s, w) for w in range(1, s.n + 1)]], dtype=object)
+        counts = np.array([pair_counts(s)[1:]], dtype=object)
         columns = verdict_columns(member, spectra, counts)
         row = (columns.paircount if route == "pair_count" else columns.spectral)[0]
     return _column_verdict(s.n, row.tolist())
+
+
+def forbid_everywhere(monkeypatch, functions, replacement) -> None:
+    """Bind replacement in place of each function on every loaded ``orbitcayley`` module.
+
+    A module that imported a function by name holds a binding of its own,
+    which patching the defining module's attribute would miss; this
+    patches every attribute that is the function, aliases included.
+    """
+    for name, module in list(sys.modules.items()):
+        if name != "orbitcayley" and not name.startswith("orbitcayley."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in functions):
+                monkeypatch.setattr(module, attr, replacement)
 
 
 def find_srgs(

@@ -36,12 +36,18 @@ from orbitcayley.srg import (
     SrgVerdict,
     VerdictStatus,
     certify,
-    pair_count,
     pair_count_table,
+    pair_counts,
     verdict_columns,
 )
 
-from oracles import census_oracle_bytes, find_srgs, is_connected, route_verdict
+from oracles import (
+    census_oracle_bytes,
+    find_srgs,
+    forbid_everywhere,
+    is_connected,
+    route_verdict,
+)
 
 # the package re-exports the function census, which shadows the module of that name
 census_module = importlib.import_module("orbitcayley.census")
@@ -197,7 +203,7 @@ def _assert_rows_match_the_oracles(n, mask):
     member, spectra, counts = _sweep(n)
     assert member[mask - 1].tolist() == [int(i in s.indices) for i in range(1, n + 1)]
     assert tuple(spectra[mask - 1].tolist()) == full_spectrum(s).values, s.format()
-    assert counts[mask - 1].tolist() == [pair_count(s, w) for w in range(1, n + 1)], s.format()
+    assert tuple(counts[mask - 1].tolist()) == pair_counts(s)[1:], s.format()
 
 
 def test_sweep_tables_match_the_per_set_oracles_exhaustively():
@@ -226,7 +232,7 @@ def test_table_route_is_exact_at_the_int64_bound():
     assert _first_invariant_failure(spectra, sizes) is None
     for s, row, count_row in zip(sets, spectra.tolist(), counts.tolist()):
         assert tuple(row) == full_spectrum(s).values
-        assert count_row == [pair_count(s, w) for w in range(1, n + 1)]
+        assert tuple(count_row) == pair_counts(s)[1:]
 
 
 def test_int64_bound_is_checked_before_any_work(monkeypatch):
@@ -342,17 +348,16 @@ def _not_srg(n, indices):
 
 
 def _forbid_per_set_routes(monkeypatch):
-    # the closed forms of one set and the dense row 0 of one set
+    # the closed forms of one set and the dense row 0 of one set, wherever bound
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-set route ran in the census")
 
-    for module, name in (
-        (srg_module, "pair_count"),
-        (srg_module, "full_spectrum"),
-        (spectrum_module, "full_spectrum"),
-        (explicit_module, "_row0"),
-    ):
-        monkeypatch.setattr(module, name, forbidden)
+    forbid_everywhere(
+        monkeypatch,
+        (srg_module.pair_counts, srg_module.pair_count, spectrum_module.full_spectrum,
+         explicit_module._row0),
+        forbidden,
+    )
 
 
 def _census_failure(n, explicit_cap, tmp_path, capsys):

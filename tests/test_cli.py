@@ -27,6 +27,8 @@ from orbitcayley.identities import IDENTITIES_MAX_M
 from orbitcayley.spectrum import WHT_MAX_N, Spectrum
 from orbitcayley.srg import emit_table1, family_construct
 
+from oracles import forbid_everywhere
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -172,9 +174,11 @@ def test_over_cap_requests_fail_before_any_closed_form(monkeypatch, capsys):
     def no_work(*args):
         pytest.fail("a closed form ran before the request was rejected")
 
-    monkeypatch.setattr(srg_module, "full_spectrum", no_work)
-    monkeypatch.setattr(srg_module, "pair_count", no_work)
-    monkeypatch.setattr(cli_module, "full_spectrum", no_work)
+    forbid_everywhere(
+        monkeypatch,
+        (srg_module.full_spectrum, srg_module.pair_count, srg_module.pair_counts),
+        no_work,
+    )
     odd = f"n={CLOSED_FORM_MAX_N};I=" + ",".join(map(str, range(1, CLOSED_FORM_MAX_N, 2)))
     for argv, cap in (
         (["srg-check", "--set", f"n={EXPLICIT_MAX_N + 1};I=1", "--explicit"], "dense-graph cap"),

@@ -18,7 +18,7 @@ from orbitcayley.identities import (
     verify_all,
 )
 
-from oracles import binom, identity_sides
+from oracles import binom, double_sum_oracle, identity_sides
 
 
 def test_mod4_binomial_sum_examples():
@@ -94,6 +94,40 @@ def test_double_sum_rows_match_the_triple_loop():
     assert _double_sum(2, 4, 1, -1, 0, 3, 1) == 0
 
 
+def test_double_sum_matches_the_slice_oracle_on_every_admissible_instance():
+    for row_id, row in _DOUBLE_SUMS.items():
+        for m in range(1, 31):
+            for k in admissible_k(row_id, m):
+                a, b = 4 * k + row.a_offset, 4 * m - 4 * k + row.b_offset
+                args = (row.factor, a, row.p, b, row.q, 2 * k + row.j_offset, m)
+                assert _double_sum(*args) == double_sum_oracle(*args), (row_id, k, m)
+
+
+def test_double_sum_matches_the_slice_oracle_on_edge_rows():
+    # a sweep of small shapes: b < 0, slices whose end (min(top, b)) is below
+    # their residue r, a top below 0, and j running past a
+    seen = set()
+    for a in range(8):
+        for p in (0, 1):
+            for b in range(-3, 8):
+                for q in range(-3, 4):
+                    for jmax in range(7):
+                        for m in range(3):
+                            args = (1, a, p, b, q, jmax, m)
+                            assert _double_sum(*args) == double_sum_oracle(*args), args
+                            if b < 0:
+                                seen.add("b < 0")
+                            if 2 * jmax + p > a:
+                                seen.add("j past a")
+                            for j in range(min(jmax, (a - p) // 2) + 1):
+                                top = 4 * m + q - 2 * j
+                                if top < 0:
+                                    seen.add("top < 0")
+                                elif b >= 0 and min(top, b) < (q - 2 * j) % 4:
+                                    seen.add("end < r")
+    assert seen == {"b < 0", "j past a", "top < 0", "end < r"}
+
+
 def test_every_identity_is_a_row_of_integers():
     rows = {**_RESIDUE_SUMS, **_DOUBLE_SUMS}
     assert tuple(rows) == IDENTITY_IDS
@@ -101,9 +135,10 @@ def test_every_identity_is_a_row_of_integers():
         flat = [x for field in row for x in (field if isinstance(field, tuple) else (field,))]
         assert all(type(x) is int for x in flat), identity_id
         assert len(row.rhs) == 4, identity_id
-    # _double_sum's j starts at 0 and its row-b slice at the first bottom >= 0
+    # _double_sum's j starts at 0 and its row-b slice at the first bottom >= 0,
+    # and its row-a slices end at a bottom of at least -1 (jmax >= 0)
     for identity_id, row in _DOUBLE_SUMS.items():
-        assert row.p in (0, 1) and row.q <= 3, identity_id
+        assert row.p in (0, 1) and row.q <= 3 and row.j_offset >= 0, identity_id
     # worked rows: L33-d is C(6,1) + C(6,5) = 2^4 - 2^2 at m = 1, and
     # T35-v at (k, m) = (1, 2) is 2 * sum C(5, 2j) C(5, 4t - 2j) = 2^8 + 2^4
     assert _RESIDUE_SUMS["L33-d"] == (4, 4, 2, (1,), (4, 0, 1, 0))

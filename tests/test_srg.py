@@ -43,6 +43,7 @@ from orbitcayley.srg import (
     match_families,
     pair_count,
     pair_count_table,
+    pair_counts,
 )
 
 import oracles
@@ -66,12 +67,14 @@ def test_pair_count_examples():
     s = OrbitIndexSet.of(4, {1, 4})
     assert pair_count(s, 1) == 0
     assert pair_count(s, 2) == 2
+    assert pair_counts(s) == (5, 0, 2, 2, 0)  # SRG(16, 5, 0, 2): lambda at w in I, mu off it
     for n in (3, 5, 8):
         for mask in (1, 3, (1 << n) - 1):
             t = OrbitIndexSet.from_bitmask(n, mask)
-            assert pair_count(t, 0) == t.size()
-    with pytest.raises(ValueError):
-        pair_count(s, 5)
+            assert pair_count(t, 0) == pair_counts(t)[0] == t.size()
+    for w in (-1, 5):
+        with pytest.raises(ValueError, match=f"weight {w} out of range 0..4"):
+            pair_count(s, w)
 
 
 def test_pair_count_oracle_examples():
@@ -84,12 +87,14 @@ def test_pair_count_oracle_examples():
 
 
 def test_pair_count_matches_oracle_exhaustively():
-    for n in range(1, 7):
-        for mask in range(1, 1 << n):
+    # every set with n <= 8, the empty set included, at one vector per weight
+    for n in range(1, 9):
+        for mask in range(1 << n):
             s = OrbitIndexSet.from_bitmask(n, mask)
-            for w in range(n + 1):
-                v = (1 << w) - 1
-                assert pair_count(s, w) == pair_count_oracle(s, v), (s.format(), w)
+            counts = pair_counts(s)
+            assert len(counts) == n + 1
+            for w, count in enumerate(counts):
+                assert count == pair_count_oracle(s, (1 << w) - 1), (s.format(), w)
 
 
 @settings(max_examples=60)
@@ -123,8 +128,20 @@ def _index_sets(draw):
 @example(OrbitIndexSet(200, frozenset(range(1, 201, 7))))
 @example(OrbitIndexSet(2, frozenset({1, 2})))
 def test_pair_count_matches_the_index_pair_sum(s):
-    for w in range(s.n + 1):
-        assert pair_count(s, w) == _pair_count_by_index_pairs(s, w), (s.format(), w)
+    for w, count in enumerate(pair_counts(s)):
+        assert count == _pair_count_by_index_pairs(s, w), (s.format(), w)
+
+
+@pytest.mark.parametrize("n", [66, 96, 200])
+def test_pair_counts_match_the_index_pair_sum_on_seeded_sets(n):
+    # 12 drawn indices, and at n = 66 the family s0s1@4m+2 (33 indices)
+    rng = random.Random(n)
+    sets = [OrbitIndexSet(n, frozenset(rng.sample(range(1, n + 1), 12))) for _ in range(2)]
+    if n == 66:
+        sets.append(family_construct("s0s1@4m+2", 16)[0])
+    for s in sets:
+        for w, count in enumerate(pair_counts(s)):
+            assert count == _pair_count_by_index_pairs(s, w), (s.format(), w)
 
 
 def test_pair_count_table_matches_literal_enumeration():
@@ -146,7 +163,7 @@ def test_pair_count_handshake():
     for n in range(1, 9):
         for mask in (1, 5 % (1 << n), (1 << n) - 1):
             s = OrbitIndexSet.from_bitmask(n, mask)
-            total = sum(comb(n, w) * pair_count(s, w) for w in range(n + 1))
+            total = sum(comb(n, w) * count for w, count in enumerate(pair_counts(s)))
             assert total == s.size() ** 2
 
 
