@@ -432,6 +432,14 @@ RECORDED_OUTPUT_SHA256 = {
         "86e909fd6c58a8dfc9deaefe6073a6a570c0e1b00df234a8a13180bcba408557",
     ("srg-check", "--set", "n=128;I=1,2"):
         "601c836ff473ae655a1ddedd9dc932d5d8dac99954e3f4a0131ccabcf3682f24",
+    # graph6 bodies of 8.4, 33.6 and 134 Mbit, recorded before the export
+    # packed 48-row groups
+    ("export", "--set", "n=12;I=1,4,5,8,9,12"):
+        "7cb498512621b4747ec8a365eb0d57d2e74be1658e06d27efc6be60b7ff69b0b",
+    ("export", "--set", "n=13;I=1,3,5,7,9,11,13"):
+        "b65e4cf339399894c32e628b6d36378ff656f9c780faef3807c135b447d4ebfe",
+    ("export", "--set", "n=14;I=1,4,5,8,9,12,13"):
+        "1d1a6811391ac9acd2e1e5d32a30789d458e6e47191973f839f964751a0eb4c1",
 }
 
 
