@@ -70,7 +70,8 @@ the independent check of one fast route.
   upper triangle gathered bit by bit from vertex 0's row through an int64
   XOR index, packed 6 bits at a time with shifts and ORs, the check of
   ``graph6.export_graph6``, which copies row prefixes from chunk-permuted
-  translate blocks and packs whole 24-bit groups with ``np.packbits``.
+  translate blocks and packs each group of 48 rows, which starts on a
+  24-bit boundary, with one ``np.packbits`` call.
 - ``decode_graph6``: the adjacency matrix of a graph6 string, which
   rejects a malformed header, body or padding, so an export can be read
   back and compared with the built matrix.

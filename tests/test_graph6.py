@@ -104,9 +104,9 @@ def test_decode_rejects_malformed_input():
 
 
 def test_streamed_packing_matches_reference_encoder():
-    # n=11 and n=12 bodies hold 2,096,128 and 8,386,560 bits, packed in 2 and 8
-    # blocks of about 2^20 bits; two n=12 block ends fall off a multiple of 6
-    # and carry 1 and 3 bits into the next block
+    # n=11 and n=12 bodies hold 2,096,128 and 8,386,560 bits, packed in 43 and
+    # 86 groups of 48 rows; the last n=11 group ends 16 bits into a 24-bit
+    # group and is zero-padded, the last n=12 group ends on a 24-bit boundary
     rng = random.Random(5)
     for n in (11, 12):
         for _ in range(2):
@@ -116,8 +116,8 @@ def test_streamed_packing_matches_reference_encoder():
 
 def test_packing_matches_the_column_gather_oracle():
     # every set up to n = 7; at odd n, N is no square, so a block never has
-    # as many column chunks as rows; n = 13 and 14 bodies span 32 and 128
-    # bit-buffer blocks
+    # as many column chunks as rows; n = 13 and 14 bodies span 171 and 342
+    # groups of 48 rows
     sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 8) for mask in range(1 << n)]
     rng = random.Random(17)
     for n, count in ((9, 3), (11, 3), (13, 3), (14, 1)):
@@ -126,38 +126,49 @@ def test_packing_matches_the_column_gather_oracle():
         assert export_graph6(s) == column_gather_graph6(s), s.format()
 
 
-@pytest.mark.parametrize("block_bits", [1, 5, 7, 64, 1000])
-def test_streamed_packing_with_small_blocks(monkeypatch, block_bits):
-    # blocks far smaller than a column, and boundaries off every multiple of 6
-    monkeypatch.setattr(graph6_module, "_BLOCK_BITS", block_bits)
-    for n in range(1, 7):
-        for mask in range(1 << n):
-            s = OrbitIndexSet.from_bitmask(n, mask)
-            assert export_graph6(s) == _reference_graph6(s), s.format()
-    s = OrbitIndexSet.of(9, {1, 4, 7})
-    assert export_graph6(s) == _reference_graph6(s)
+def test_every_group_of_rows_starts_a_24_bit_group(monkeypatch):
+    # row j starts at bit j(j-1)/2, so a group boundary at every multiple of
+    # _GROUP_ROWS starts a new 3-byte, 4-character group
+    group_rows = graph6_module._GROUP_ROWS
+    for j in range(group_rows, 1 << EXPORT_MAX_N, group_rows):
+        assert j * (j - 1) // 2 % 24 == 0, j
+    # any multiple of the group size packs the same bytes; up to n = 5 the
+    # body is one partial group, at n = 6 (N = 64) one whole group and one
+    # partial group at 48 rows, one partial group at 96 and 144 rows
+    sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 8) for mask in range(1 << n)]
+    rng = random.Random(23)
+    for n in (9, 11):
+        sets += [OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n)) for _ in range(2)]
+    expected = [export_graph6(s) for s in sets]
+    for multiple in (2, 3):
+        monkeypatch.setattr(graph6_module, "_GROUP_ROWS", multiple * group_rows)
+        for s, blob in zip(sets, expected):
+            assert export_graph6(s) == blob, (s.format(), multiple)
 
 
 def test_export_peak_allocation_stays_within_budget():
-    s = OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12})
-    size = 1 << s.n
-    out_bytes = 4 + (size * (size - 1) // 2 + 5) // 6  # medium header + body: 1,397,764 B
-    export_graph6(s)  # warm the weight-table cache outside the trace
-    tracemalloc.start()
-    try:
-        blob = export_graph6(s)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(blob) == out_bytes
-    # Live at once, at most:
-    #   the packed output buffer, returned without a copy          out_bytes
-    #   the bit buffer: one block and one row, within              _BLOCK_BITS + size + 12
-    #   the first block of 8 rows and one translate block          16 * size
-    # The margin covers the int32 indicator and bool row of vertex 0 (5 * size),
-    # the packbits temporaries of one 2^17-bit sub-chunk (about 2^14 B each)
-    # and interpreter bookkeeping.  An encoder that builds the whole triangle
-    # holds N(N-1)/2 = 8.4 MB of bits in several copies, far over this budget.
-    block = graph6_module._BLOCK_BITS + size + 12 + 16 * size
-    margin = 5 * size + 64 * 1024
-    assert peak <= out_bytes + block + margin, peak
+    for s in (OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12}), OrbitIndexSet.of(14, {1, 4, 5, 8, 9, 12, 13})):
+        size = 1 << s.n
+        # medium header + body: 1,397,764 B at n = 12, 22,368,260 B at n = 14
+        out_bytes = 4 + (size * (size - 1) // 2 + 5) // 6
+        export_graph6(s)  # warm the weight-table cache outside the trace
+        tracemalloc.start()
+        try:
+            blob = export_graph6(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(blob) == out_bytes
+        # Live at once, at most:
+        #   the packed output buffer, returned without a copy          out_bytes
+        #   the bit buffer: one group of rows and the last padding     _GROUP_ROWS * size + 24
+        #   the int64 XOR index of the first block of 8 rows           64 * size
+        #   the first block of 8 rows and one translate block          16 * size
+        # The margin covers the int32 indicator and bool row of vertex 0 (5 * size),
+        # the packed bytes, characters and shift temporaries of one group
+        # (20 * size) and interpreter bookkeeping.  An encoder that builds the
+        # whole triangle holds N(N-1)/2 bits (8.4 MB at n = 12, 134 MB at
+        # n = 14) in several copies, far over this budget.
+        buffers = graph6_module._GROUP_ROWS * size + 24 + 64 * size + 16 * size
+        margin = 25 * size + 64 * 1024
+        assert peak <= out_bytes + buffers + margin, (s.n, peak)
