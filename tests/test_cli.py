@@ -496,7 +496,7 @@ def test_benchmark_traced_names_resolve_in_the_package():
     tree = ast.parse(BENCHMARK_TRACER.read_text())
     traced = next(
         node.value for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
     )
     absent = set()
     for module_name, attr in ast.literal_eval(traced):
