@@ -146,6 +146,20 @@ def test_every_group_of_rows_starts_a_24_bit_group(monkeypatch):
             assert export_graph6(s) == blob, (s.format(), multiple)
 
 
+@pytest.mark.parametrize("group_multiple", [1, 5, 7, 64, 1000])
+def test_streamed_packing_with_small_blocks(monkeypatch, group_multiple):
+    # groups of 48, 240, 336, 3072 and 48,000 rows against the reference
+    # encoder: at n = 9 (512 rows) that is 11, 3, 2, 1 and 1 groups, so group
+    # ends fall mid-block, mid-chunk and past the last row
+    monkeypatch.setattr(graph6_module, "_GROUP_ROWS", group_multiple * graph6_module._GROUP_ROWS)
+    for n in range(1, 7):
+        for mask in range(1 << n):
+            s = OrbitIndexSet.from_bitmask(n, mask)
+            assert export_graph6(s) == _reference_graph6(s), s.format()
+    s = OrbitIndexSet.of(9, {1, 4, 7})
+    assert export_graph6(s) == _reference_graph6(s)
+
+
 def test_export_peak_allocation_stays_within_budget():
     for s in (OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12}), OrbitIndexSet.of(14, {1, 4, 5, 8, 9, 12, 13})):
         size = 1 << s.n
