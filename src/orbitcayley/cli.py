@@ -9,8 +9,8 @@ until every chunk is made.  --out (relative to ORBITCAYLEY_OUT_DIR when
 that is set) is written to a temporary file beside the target and
 renamed over it at the end.  census writes into that file one dimension
 at a time, each dimension's bytes made by ``census.census_bytes`` from
-the verdict columns, so a killed process may leave a .NAME.<hex>.tmp
-file but never a partial NAME.
+the verdict columns, and export one group of graph6 rows at a time, so a
+killed process may leave a .NAME.<hex>.tmp file but never a partial NAME.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import io
 import json
 import os
 import sys
+from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -172,9 +174,9 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[int, list[bytes]]:
     return code, [_csv([IDENTITY_CSV_COLUMNS, *rows])]
 
 
-def _cmd_export(args: argparse.Namespace) -> tuple[int, list[bytes]]:
+def _cmd_export(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     s = OrbitIndexSet.parse(args.set)
-    return EXIT_OK, [export_graph6(s), b"\n"]
+    return EXIT_OK, chain(export_graph6(s), [b"\n"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,9 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, chunks = args.func(args)
         _write(_resolve_out(args.out), chunks)

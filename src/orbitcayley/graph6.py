@@ -10,27 +10,31 @@ aligned blocks of 8, each the first block with its column chunks permuted,
 and copies each row's prefix into a bit buffer, 48 rows at a time.  Row j
 starts at bit j(j-1)/2, a multiple of 24 whenever 48 divides j, so each
 group of 48 rows starts on a character boundary and is packed on its own
-into one preallocated output by ``np.packbits`` in whole 24-bit groups, 3
-bytes splitting into 4 characters; only the last group is zero-padded.
-Neither the matrix nor its N(N-1)/2-bit upper triangle is ever built; the
-indices are the XOR index of the first block, 8N entries, and the chunk
-order of one block, N/8 entries.  One export takes about 8-9 ms at n = 12
-and 73-83 ms at n = 14 (median of 7, 2-vCPU host, numpy 2.4.6).  The test
-oracle ``column_gather_graph6`` gathers each column bit by bit through an
-int64 XOR index instead, and ``decode_graph6``, also in
+by ``np.packbits`` in whole 24-bit groups, 3 bytes splitting into 4
+characters; only the last group is zero-padded.  ``export_graph6``
+returns the header and then one chunk of characters per group, each
+packed as it is taken, so a writer that writes each chunk as it comes
+never holds the whole string.  Neither the matrix nor its N(N-1)/2-bit
+upper triangle is ever built; the indices are the XOR index of the first
+block, 8N entries, and the chunk order of one block, N/8 entries.  The
+test oracle ``column_gather_graph6`` gathers each column bit by bit
+through an int64 XOR index instead, and ``decode_graph6``, also in
 ``tests/oracles.py``, reads a string back into its adjacency matrix.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
 from .core import OrbitIndexSet
 from .explicit import _row0
 
-# the encoder holds the output string, about 4^n / 12 bytes (1.4 MB at
-# n = 12, 22 MB at n = 14), a bit buffer of 48 * 2^n + 24 bytes and the
-# first block of 8 rows and one translate block, 16 * 2^n bytes
+# bounds time (about 0.1 s at n = 14) and the output, about 4^n / 12 bytes
+# (1.4 MB at n = 12, 22 MB at n = 14); the encoder holds a bit buffer of
+# 48 * 2^n + 24 bytes, the first block of 8 rows and one translate block
+# (16 * 2^n bytes) and one group's characters, never the whole string
 EXPORT_MAX_N = 14
 
 _SIZE_SMALL_MAX = 62
@@ -51,8 +55,8 @@ def _encode_size(vertices: int) -> bytes:
     raise ValueError(f"{vertices} vertices exceeds the supported graph6 size")
 
 
-def _pack_upper_triangle(row0: np.ndarray, out: np.ndarray) -> None:
-    """Write the graph6 body of the graph x ~ y <=> row0[x ^ y] into ``out``.
+def _pack_upper_triangle(row0: np.ndarray) -> Iterator[bytes]:
+    """Yield the graph6 body of the graph x ~ y <=> row0[x ^ y], one group of rows at a time.
 
     The column-major upper triangle is the row-major lower triangle: column
     j holds A[i, j] = A[j, i] for i < j, the first j entries of row j.
@@ -63,9 +67,10 @@ def _pack_upper_triangle(row0: np.ndarray, out: np.ndarray) -> None:
     The prefixes are copied into a bit buffer one group of
     ``_GROUP_ROWS`` = 48 rows at a time.  Row j starts at bit j(j-1)/2,
     which is a multiple of 24 whenever 48 divides j, so the group from row
-    j0 starts a 24-bit group, at character j0(j0-1)/12, and is packed by
-    one ``_pack_groups`` call.  Every group but the last also ends on a
-    24-bit boundary; the last is zero-padded to one.
+    j0 starts a 24-bit group, at character j0(j0-1)/12, and its characters
+    are one ``_pack_groups`` call.  Every group but the last also ends on a
+    24-bit boundary; the last is zero-padded to one, and its padding
+    characters past the body are dropped.
     """
     size = row0.size
     rows = min(_PACK_ROWS, size)
@@ -87,15 +92,14 @@ def _pack_upper_triangle(row0: np.ndarray, out: np.ndarray) -> None:
             fill += j
         whole = fill + (-fill) % _GROUP_BITS
         bits[fill:whole] = 0
-        start = j0 * (j0 - 1) // 12
-        _pack_groups(bits[:whole], out[start : start + whole // 6])
+        yield _pack_groups(bits[:whole], (fill + 5) // 6)
 
 
-def _pack_groups(bits: np.ndarray, chars: np.ndarray) -> None:
-    """Write the graph6 characters of ``bits`` (0/1 bytes, whole 24-bit groups) into ``chars``.
+def _pack_groups(bits: np.ndarray, count: int) -> bytes:
+    """The first ``count`` graph6 characters of ``bits`` (0/1 bytes, whole 24-bit groups).
 
     Each group packs to 3 bytes, split into 4 six-bit characters offset by
-    63; characters past the end of ``chars``, all padding, are dropped.
+    63; the characters past ``count`` are all padding.
     """
     packed = np.packbits(bits).reshape(-1, 3)
     first, second, third = packed[:, 0], packed[:, 1], packed[:, 2]
@@ -105,22 +109,38 @@ def _pack_groups(bits: np.ndarray, chars: np.ndarray) -> None:
     quad[:, 2] = (second & 15) << 2 | third >> 6
     np.bitwise_and(third, 63, out=quad[:, 3])
     quad += 63
-    chars[:] = quad.reshape(-1)[: chars.size]
+    return quad.reshape(-1)[:count].tobytes()
 
 
-def export_graph6(s: OrbitIndexSet) -> bytearray:
-    """graph6 encoding with vertices 0..2^n-1 ordered by integer value.
+class Graph6Chunks:
+    """The graph6 encoding of one set: its size header, then one chunk per group of rows.
 
-    The encoding is packed straight into the returned bytearray, so the
-    string is never copied.  Raises ValueError before any allocation when n
-    exceeds EXPORT_MAX_N.
+    Each iteration packs the groups afresh, one at a time, as they are
+    taken.  ``len()`` is the byte count of the whole encoding, known
+    without packing; since ``list()`` and ``bytes.join`` size themselves
+    by it, join ``iter(chunks)`` instead.
+    """
+
+    def __init__(self, s: OrbitIndexSet) -> None:
+        self._s = s
+        size = 1 << s.n
+        self._header = _encode_size(size)
+        self._length = len(self._header) + (size * (size - 1) // 2 + 5) // 6
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[bytes]:
+        yield self._header
+        yield from _pack_upper_triangle(_row0(self._s))
+
+
+def export_graph6(s: OrbitIndexSet) -> Graph6Chunks:
+    """graph6 encoding with vertices 0..2^n-1 ordered by integer value, as chunks of bytes.
+
+    Raises ValueError at the call, before any packing, when n exceeds
+    EXPORT_MAX_N.
     """
     if s.n > EXPORT_MAX_N:
         raise ValueError(f"n={s.n} exceeds the graph6 export cap {EXPORT_MAX_N}")
-    size = 1 << s.n
-    header = _encode_size(size)
-    body = (size * (size - 1) // 2 + 5) // 6
-    out = bytearray(len(header) + body)
-    out[: len(header)] = header
-    _pack_upper_triangle(_row0(s), np.frombuffer(out, dtype=np.uint8)[len(header) :])
-    return out
+    return Graph6Chunks(s)

@@ -189,8 +189,8 @@ def _indicator_rows(s: OrbitIndexSet, dtype: type) -> tuple[np.ndarray, np.ndarr
     return _weight_rows(lut, s.n)
 
 
-# entries of the transform compared at once with their weight class's value,
-# rounded down to whole rows and to at least one
+# entries of one column slab of the transform: _COMPARE_CHUNK // rows
+# columns of every row, and at least one
 _COMPARE_CHUNK = 1 << 18
 
 
@@ -214,58 +214,65 @@ def _butterflies(v: np.ndarray, h: int, stop: int) -> None:
         h *= 2
 
 
-def _wht(s: OrbitIndexSet) -> np.ndarray:
-    """Walsh-Hadamard transform of the indicator of S, as int32 over all 2^n points.
+def _high_stages(table: np.ndarray, row_map: np.ndarray, columns) -> np.ndarray:
+    """Gather ``columns`` of the rows ``table[row_map]`` and run the high-bit stages on them.
 
-    The stages on the low bits c act on each row of the (rows, cols) view
-    alone, so they run on the distinct rows of ``_weight_rows``, which are
-    then gathered into the vector; the stages on the high bits r pair runs
-    of at least cols entries.  Every partial sum, 2 hi included, has
-    |v| <= 2^n, so int32 is exact for n <= WHT_MAX_N = 24.  Beside the
-    int32 vector the transform holds only the n/2 + 1 distinct rows.
+    With x = r * cols + c, the stages on the high bits r act on each
+    column c alone: on the C-contiguous (rows, width) gather they are the
+    half-widths width, 2 width, ... below its size.  ``columns`` is a
+    slice or an index array of columns.
     """
-    table, high = _indicator_rows(s, np.int32)
-    cols = table.shape[1]
-    _butterflies(table, 1, cols)
-    fhat = table[high].reshape(-1)
-    _butterflies(fhat, cols, fhat.size)
-    return fhat
+    block = np.take(table[:, columns], row_map, axis=0)
+    _butterflies(block, block.shape[1], block.size)
+    return block
 
 
 def wht_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Oracle spectrum: transform the 0/1 indicator of S over all 2^n points.
 
-    Insists that the transform is constant on each weight class before
-    returning: each row of its (rows, cols) view is compared with the row
-    of ``_weight_rows`` built from the entries at 2^k - 1 (the lowest index
-    of weight k), in chunks of whole rows holding about ``_COMPARE_CHUNK``
-    entries.  A failure names the lowest weight k that fails and the first
-    index x of that weight where it does.  The peak is the int32 vector,
-    4 * 2^n bytes, plus one chunk.
+    The transform fhat is read as the (rows, cols) matrix x = r * cols + c
+    with cols = 2^floor(n/2).  The stages on the low bits c act on each row
+    alone, so they run on the distinct rows of ``_indicator_rows``; the
+    stages on the high bits r then run on column slabs of the gathered
+    rows (``_high_stages``).  First the head columns 2^k - 1, k <= n/2,
+    give the n + 1 head values lambda_k = fhat[2^k - 1] (the lowest index
+    of weight k).  Then every slab of about ``_COMPARE_CHUNK`` entries is
+    compared with the same slab of the ``_weight_rows`` table of the head
+    values and dropped, so every entry is checked against its weight
+    class.  A failure names the lowest weight k that fails and the
+    smallest index x of that weight where it does.  Every partial sum, 2 hi
+    included, has |v| <= 2^n, so int32 is exact for n <= WHT_MAX_N = 24.
+    The peak is the distinct-row tables plus one slab and its comparison.
     """
     if s.n > WHT_MAX_N:
         raise ValueError(f"n={s.n} exceeds the transform cap {WHT_MAX_N}")
-    fhat = _wht(s)
+    table, row_map = _indicator_rows(s, np.int32)
+    cols = table.shape[1]
+    low = cols.bit_length() - 1
+    _butterflies(table, 1, cols)
     heads = (1 << np.arange(s.n + 1, dtype=np.int64)) - 1
-    values = fhat[heads]
+    # fhat[2^k - 1] sits in row 2^(k - low) - 1 of head column min(k, low)
+    head_block = _high_stages(table, row_map, heads[: low + 1])
+    values = head_block[heads >> low, np.minimum(np.arange(s.n + 1), low)]
     expected, high = _weight_rows(values, s.n)
-    cols = expected.shape[1]
-    by_row = fhat.reshape(-1, cols)
-    step = max(1, _COMPARE_CHUNK // cols)
-    failure = None  # (k, x) of the lowest failing weight and its first index
-    for r0 in range(0, by_row.shape[0], step):
-        rows = high[r0 : r0 + step]
-        mismatch = by_row[r0 : r0 + step] != expected[rows]
+    width = max(1, _COMPARE_CHUNK // high.size)
+    failure = None  # (k, x, fhat[x]) of the lowest failing weight and its smallest index
+    for c0 in range(0, cols, width):
+        slab_cols = slice(c0, min(c0 + width, cols))
+        slab = _high_stages(table, row_map, slab_cols)
+        mismatch = slab != np.take(expected[:, slab_cols], high, axis=0)
         if mismatch.any():
-            weights = rows[:, None] + _HALF_WEIGHTS[:cols]
+            weights = high[:, None] + _HALF_WEIGHTS[slab_cols]
             k = int(weights[mismatch].min())
-            if failure is None or k < failure[0]:
-                failure = k, r0 * cols + int(np.flatnonzero(mismatch & (weights == k))[0])
+            r, c = divmod(int(np.flatnonzero(mismatch & (weights == k))[0]), slab.shape[1])
+            found = k, r * cols + c0 + c, slab[r, c]
+            if failure is None or found[:2] < failure[:2]:
+                failure = found
     if failure is not None:
-        k, x = failure
+        k, x, value = failure
         raise ConsistencyError(
             f"transform not constant on weight class k={k} of {s.format()}: "
-            f"fhat[{heads[k]}]={values[k]} but fhat[{x}]={fhat[x]}"
+            f"fhat[{heads[k]}]={values[k]} but fhat[{x}]={value}"
         )
     spec = Spectrum(s.n, tuple(int(v) for v in values))
     _check_invariants(spec, s.size())

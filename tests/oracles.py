@@ -23,9 +23,11 @@ the independent check of one fast route.
   sums of row b.
 - ``wht_naive``: the Walsh-Hadamard transform by direct O(4^n) summation,
   and ``butterfly_fwht``: the same transform by one numpy butterfly stage
-  per bit over the whole indicator; both check ``spectrum._wht`` behind
+  per bit over the whole indicator; both check the transform of
   ``wht_spectrum``, which runs the low-bit stages on the indicator's
-  distinct rows before gathering them.
+  distinct rows and the high-bit stages on column slabs of the gathered
+  rows.  ``assembled_wht`` lays those slabs side by side into the whole
+  vector, which the library never holds.
 - ``ExplicitGraph``: the 2^n x 2^n bool adjacency, built in row bands by
   a direct XOR index, row x = row0[x ^ arange(N)] (``_xor_band``), up to
   its own cap ``MATRIX_MAX_N``.
@@ -71,7 +73,9 @@ the independent check of one fast route.
   XOR index, packed 6 bits at a time with shifts and ORs, the check of
   ``graph6.export_graph6``, which copies row prefixes from chunk-permuted
   translate blocks and packs each group of 48 rows, which starts on a
-  24-bit boundary, with one ``np.packbits`` call.
+  24-bit boundary, with one ``np.packbits`` call.  ``graph6_bytes`` joins
+  the chunks that ``export_graph6`` yields into the one string the tests
+  compare.
 - ``decode_graph6``: the adjacency matrix of a graph6 string, which
   rejects a malformed header, body or padding, so an export can be read
   back and compared with the built matrix.
@@ -96,9 +100,17 @@ import numpy as np
 from orbitcayley.census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census
 from orbitcayley.core import ConsistencyError, OrbitIndexSet, pascal_row
 from orbitcayley.explicit import _row0
-from orbitcayley.graph6 import _encode_size
+from orbitcayley.graph6 import _encode_size, export_graph6
 from orbitcayley.identities import _sides, admissible_k
-from orbitcayley.spectrum import WHT_MAX_N, distinct, full_spectrum
+from orbitcayley.spectrum import (
+    _COMPARE_CHUNK,
+    WHT_MAX_N,
+    _butterflies,
+    _high_stages,
+    _indicator_rows,
+    distinct,
+    full_spectrum,
+)
 from orbitcayley.srg import (
     SrgParams,
     SrgVerdict,
@@ -219,6 +231,23 @@ def wht_naive(f: np.ndarray, n: int) -> np.ndarray:
                 acc += -1 if (x & y).bit_count() & 1 else 1
         out[y] = acc
     return out
+
+
+def assembled_wht(s: OrbitIndexSet, width: int | None = None) -> np.ndarray:
+    """The whole int32 transform of S from ``wht_spectrum``'s stages, slab by slab.
+
+    The low-bit stages run on the indicator's distinct rows, and each slab
+    of ``width`` columns (by default ``wht_spectrum``'s width) is gathered
+    and run through the high-bit stages by ``spectrum._high_stages``; the
+    slabs are then laid side by side as the (rows, cols) matrix of the
+    vector.
+    """
+    table, row_map = _indicator_rows(s, np.int32)
+    cols = table.shape[1]
+    _butterflies(table, 1, cols)
+    width = width or max(1, _COMPARE_CHUNK // row_map.size)
+    slabs = [_high_stages(table, row_map, slice(c0, c0 + width)) for c0 in range(0, cols, width)]
+    return np.concatenate(slabs, axis=1).reshape(-1)
 
 
 def butterfly_fwht(a: np.ndarray) -> np.ndarray:
@@ -509,6 +538,15 @@ def _widen(extremes: tuple[float, float], values: np.ndarray) -> tuple[float, fl
     if not values.size:
         return extremes
     return min(extremes[0], values.min()), max(extremes[1], values.max())
+
+
+def graph6_bytes(s: OrbitIndexSet) -> bytes:
+    """The chunks of ``export_graph6(s)`` joined into one string.
+
+    ``iter`` hides the chunks' ``len()``, the byte count, by which
+    ``bytes.join`` would otherwise reserve one list slot per byte.
+    """
+    return b"".join(iter(export_graph6(s)))
 
 
 def column_gather_graph6(s: OrbitIndexSet) -> bytes:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import orbitcayley.cli as cli_module
+import orbitcayley.graph6 as graph6_module
 import orbitcayley.srg as srg_module
 from orbitcayley.census import CENSUS_MAX_N
 from orbitcayley.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, build_parser, main
@@ -257,9 +258,10 @@ def test_export_holds_one_copy_of_the_graph6_string(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 1,397,765 B with the newline; the encoder's bit buffer (about 1.05 MB)
-    # fits beside one copy, a second copy of the string does not
-    assert peak < 2 * out.stat().st_size, peak
+    # 1,397,765 B with the newline; each 48-row group is written as it is
+    # packed, so the encoder's buffers (about 0.4 MB) fit, one copy of the
+    # string does not
+    assert peak < out.stat().st_size // 2, peak
 
 
 class _FailingWriter:
@@ -329,6 +331,43 @@ def test_failure_in_a_later_census_dimension_writes_nothing(tmp_path, monkeypatc
     assert re.fullmatch(r"\.result\.[0-9a-f]{8}\.tmp", tmp_name) and target == "result"
     assert out.read_bytes() == b"previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["result"]
+
+
+def test_failure_in_a_later_graph6_group_writes_nothing(tmp_path, monkeypatch, capsysbinary):
+    # n = 7: 128 rows, packed in 3 groups of 48 rows; each export fails in its second group
+    out = tmp_path / "result"
+    out.write_bytes(b"previous contents\n")
+    real_pack_groups = graph6_module._pack_groups
+    calls = []
+
+    def pack_groups_failing_second(*args):
+        calls.append(sorted(p.name for p in tmp_path.iterdir()))
+        if len(calls) % 2 == 0:
+            raise ConsistencyError("injected in group 2")
+        return real_pack_groups(*args)
+
+    monkeypatch.setattr(graph6_module, "_pack_groups", pack_groups_failing_second)
+    argv = ["export", "--set", "n=7;I=1,4,5"]
+    assert main(argv) == EXIT_VERIFICATION_FAILED
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert b"injected in group 2" in captured.err
+
+    assert main(argv + ["--out", str(out)]) == EXIT_VERIFICATION_FAILED
+    assert capsysbinary.readouterr().out == b""
+    # the header and group 1 went to the temporary file before group 2 was packed
+    tmp_name, target = calls[3]
+    assert re.fullmatch(r"\.result\.[0-9a-f]{8}\.tmp", tmp_name) and target == "result"
+    assert out.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["result"]
+
+
+def test_export_over_the_cap_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "over.g6"
+    argv = ["export", "--set", f"n={EXPORT_MAX_N + 1};I=1", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "export cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # one argv per subcommand and output format

@@ -206,16 +206,11 @@ def test_public_surface_is_pinned():
         assert hasattr(orbitcayley, name), name
 
 
-# constructors whose repr the README quotes as if it were a literal
-_LITERAL_CALLS = {"bytearray": bytearray}
-
-
 def _leading_literal(comment):
     """(True, value) when the comment text starts with a Python literal, else (False, None).
 
     The shortest prefix that parses as an expression, ending at a word
-    boundary, decides: a literal (or a ``_LITERAL_CALLS`` call of one)
-    counts, prose does not.
+    boundary, decides: a literal counts, prose does not.
     """
     text = comment.lstrip("#").strip()
     for end in range(1, len(text) + 1):
@@ -225,11 +220,6 @@ def _leading_literal(comment):
             node = ast.parse(text[:end], mode="eval").body
         except SyntaxError:
             continue
-        if isinstance(node, ast.Name) and node.id in _LITERAL_CALLS:
-            continue  # the call's arguments follow
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _LITERAL_CALLS:
-            if len(node.args) == 1 and not node.keywords:
-                return True, _LITERAL_CALLS[node.func.id](ast.literal_eval(node.args[0]))
         try:
             return True, ast.literal_eval(node)
         except ValueError:

@@ -12,7 +12,7 @@ import pytest
 import orbitcayley.graph6 as graph6_module
 from orbitcayley.core import OrbitIndexSet
 from orbitcayley.graph6 import EXPORT_MAX_N, _encode_size, export_graph6
-from oracles import ExplicitGraph, column_gather_graph6, decode_graph6
+from oracles import ExplicitGraph, column_gather_graph6, decode_graph6, graph6_bytes
 
 
 def _reference_graph6(s):
@@ -27,13 +27,13 @@ def _reference_graph6(s):
 
 
 def test_canonical_small_encodings():
-    assert export_graph6(OrbitIndexSet.of(2, {1, 2})) == b"C~"
-    assert export_graph6(OrbitIndexSet.of(1, {1})) == b"A_"
-    assert export_graph6(OrbitIndexSet.of(2, set())) == b"C?"
+    assert graph6_bytes(OrbitIndexSet.of(2, {1, 2})) == b"C~"
+    assert graph6_bytes(OrbitIndexSet.of(1, {1})) == b"A_"
+    assert graph6_bytes(OrbitIndexSet.of(2, set())) == b"C?"
 
 
 def test_medium_size_header():
-    blob = export_graph6(OrbitIndexSet.of(6, {1}))
+    blob = graph6_bytes(OrbitIndexSet.of(6, {1}))
     assert blob.startswith(b"~?@?")  # 64 vertices in the 3-byte header form
     assert decode_graph6(blob).shape == (64, 64)
 
@@ -43,7 +43,7 @@ def test_round_trip_matches_explicit_adjacency():
         for mask in range(1 << n):
             s = OrbitIndexSet.from_bitmask(n, mask)
             graph = ExplicitGraph.build(s)
-            decoded = decode_graph6(export_graph6(s))
+            decoded = decode_graph6(graph6_bytes(s))
             assert np.array_equal(decoded, graph.adjacency), s.format()
 
 
@@ -53,7 +53,7 @@ def test_round_trip_samples_larger():
         for _ in range(6):
             s = OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n))
             graph = ExplicitGraph.build(s)
-            assert np.array_equal(decode_graph6(export_graph6(s)), graph.adjacency)
+            assert np.array_equal(decode_graph6(graph6_bytes(s)), graph.adjacency)
 
 
 def test_matches_networkx_encoder():
@@ -62,23 +62,40 @@ def test_matches_networkx_encoder():
         graph = ExplicitGraph.build(s)
         nx_graph = nx.from_numpy_array(graph.adjacency)
         expected = nx.to_graph6_bytes(nx_graph, header=False).strip()
-        assert export_graph6(s) == expected
+        assert graph6_bytes(s) == expected
 
 
 def test_decode_tolerates_trailing_newline():
     s = OrbitIndexSet.of(4, {1, 4})
-    blob = export_graph6(s)
+    blob = graph6_bytes(s)
     assert np.array_equal(decode_graph6(blob + b"\n"), decode_graph6(blob))
 
 
-def test_export_cap():
+def test_export_cap(monkeypatch):
+    def no_packing(*args):
+        pytest.fail("packing ran before the cap was checked")
+
+    monkeypatch.setattr(graph6_module, "_pack_upper_triangle", no_packing)
     with pytest.raises(ValueError, match="export cap"):
         export_graph6(OrbitIndexSet.of(EXPORT_MAX_N + 1, {1}))
 
 
+def test_length_is_the_byte_count_without_packing(monkeypatch):
+    # header and body bytes; the chunks are the header and one per 48-row group
+    sets = [OrbitIndexSet.of(1, {1}), OrbitIndexSet.of(6, {1}), OrbitIndexSet.of(7, {1, 4, 5})]
+    sets += [OrbitIndexSet.of(n, {1, n}) for n in (9, 12)]
+    for s in sets:
+        chunks = list(iter(export_graph6(s)))
+        assert len(chunks) == 1 + -(-(1 << s.n) // graph6_module._GROUP_ROWS), s.format()
+        assert len(export_graph6(s)) == len(b"".join(chunks)) == len(graph6_bytes(s)), s.format()
+    monkeypatch.setattr(graph6_module, "_pack_upper_triangle", lambda row0: pytest.fail("packed"))
+    # 4 header bytes and the body of N(N - 1)/2 bits at N = 2^14, 6 to a byte
+    assert len(export_graph6(OrbitIndexSet.of(EXPORT_MAX_N, {1}))) == 22_368_260
+
+
 def test_clebsch_export_decodes_to_srg():
     # the decoded graph must certify as (16, 5, 0, 2) from its raw adjacency
-    adjacency = decode_graph6(export_graph6(OrbitIndexSet.of(4, {1, 4})))
+    adjacency = decode_graph6(graph6_bytes(OrbitIndexSet.of(4, {1, 4})))
     size = adjacency.shape[0]
     degrees = adjacency.sum(axis=1)
     assert size == 16 and degrees.min() == degrees.max() == 5
@@ -111,7 +128,7 @@ def test_streamed_packing_matches_reference_encoder():
     for n in (11, 12):
         for _ in range(2):
             s = OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n))
-            assert export_graph6(s) == _reference_graph6(s), s.format()
+            assert graph6_bytes(s) == _reference_graph6(s), s.format()
 
 
 def test_packing_matches_the_column_gather_oracle():
@@ -123,7 +140,7 @@ def test_packing_matches_the_column_gather_oracle():
     for n, count in ((9, 3), (11, 3), (13, 3), (14, 1)):
         sets += [OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n)) for _ in range(count)]
     for s in sets:
-        assert export_graph6(s) == column_gather_graph6(s), s.format()
+        assert graph6_bytes(s) == column_gather_graph6(s), s.format()
 
 
 def test_every_group_of_rows_starts_a_24_bit_group(monkeypatch):
@@ -139,11 +156,11 @@ def test_every_group_of_rows_starts_a_24_bit_group(monkeypatch):
     rng = random.Random(23)
     for n in (9, 11):
         sets += [OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n)) for _ in range(2)]
-    expected = [export_graph6(s) for s in sets]
+    expected = [graph6_bytes(s) for s in sets]
     for multiple in (2, 3):
         monkeypatch.setattr(graph6_module, "_GROUP_ROWS", multiple * group_rows)
         for s, blob in zip(sets, expected):
-            assert export_graph6(s) == blob, (s.format(), multiple)
+            assert graph6_bytes(s) == blob, (s.format(), multiple)
 
 
 @pytest.mark.parametrize("group_multiple", [1, 5, 7, 64, 1000])
@@ -155,34 +172,34 @@ def test_streamed_packing_with_small_blocks(monkeypatch, group_multiple):
     for n in range(1, 7):
         for mask in range(1 << n):
             s = OrbitIndexSet.from_bitmask(n, mask)
-            assert export_graph6(s) == _reference_graph6(s), s.format()
+            assert graph6_bytes(s) == _reference_graph6(s), s.format()
     s = OrbitIndexSet.of(9, {1, 4, 7})
-    assert export_graph6(s) == _reference_graph6(s)
+    assert graph6_bytes(s) == _reference_graph6(s)
 
 
 def test_export_peak_allocation_stays_within_budget():
     for s in (OrbitIndexSet.of(12, {1, 4, 5, 8, 9, 12}), OrbitIndexSet.of(14, {1, 4, 5, 8, 9, 12, 13})):
         size = 1 << s.n
-        # medium header + body: 1,397,764 B at n = 12, 22,368,260 B at n = 14
-        out_bytes = 4 + (size * (size - 1) // 2 + 5) // 6
-        export_graph6(s)  # warm the weight-table cache outside the trace
+        graph6_bytes(s)  # warm the weight-table cache outside the trace
         tracemalloc.start()
         try:
-            blob = export_graph6(s)
+            # each chunk is dropped once counted, as a file writer drops it
+            written = sum(len(chunk) for chunk in export_graph6(s))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(blob) == out_bytes
+        # medium header + body: 1,397,764 B at n = 12, 22,368,260 B at n = 14
+        assert written == 4 + (size * (size - 1) // 2 + 5) // 6
         # Live at once, at most:
-        #   the packed output buffer, returned without a copy          out_bytes
         #   the bit buffer: one group of rows and the last padding     _GROUP_ROWS * size + 24
         #   the int64 XOR index of the first block of 8 rows           64 * size
         #   the first block of 8 rows and one translate block          16 * size
         # The margin covers the int32 indicator and bool row of vertex 0 (5 * size),
         # the packed bytes, characters and shift temporaries of one group
-        # (20 * size) and interpreter bookkeeping.  An encoder that builds the
-        # whole triangle holds N(N-1)/2 bits (8.4 MB at n = 12, 134 MB at
-        # n = 14) in several copies, far over this budget.
+        # (20 * size) and interpreter bookkeeping.  About 96 * size was
+        # measured (0.39 MB at n = 12, 1.57 MB at n = 14).  An encoder that
+        # holds the whole string, 4^n / 12 bytes, or builds the whole
+        # triangle, N(N-1)/2 bits in several copies, is far over this budget.
         buffers = graph6_module._GROUP_ROWS * size + 24 + 64 * size + 16 * size
         margin = 25 * size + 64 * 1024
-        assert peak <= out_bytes + buffers + margin, (s.n, peak)
+        assert peak <= buffers + margin, (s.n, peak)

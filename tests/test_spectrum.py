@@ -21,7 +21,6 @@ from orbitcayley.spectrum import (
     _check_invariants,
     _first_invariant_failure,
     _weight_rows,
-    _wht,
     character_sum_row,
     character_table,
     distinct,
@@ -29,7 +28,7 @@ from orbitcayley.spectrum import (
     wht_spectrum,
 )
 
-from oracles import butterfly_fwht, eigenvalue, orbit_character_sum, wht_naive
+from oracles import assembled_wht, butterfly_fwht, eigenvalue, orbit_character_sum, wht_naive
 
 
 def test_orbit_character_sum_examples():
@@ -135,10 +134,11 @@ def test_wht_examples():
 
 def _naive_matches_butterfly(s):
     # the direct O(4^n) sum of the indicator, against the butterfly oracle
-    # and the transform itself
+    # and the transform itself, its slabs assembled
     f = _row0(s).astype(np.int32)
     naive = wht_naive(f, s.n)
-    return np.array_equal(naive, butterfly_fwht(f.copy())) and np.array_equal(naive, _wht(s))
+    fhat = assembled_wht(s)
+    return np.array_equal(naive, butterfly_fwht(f.copy())) and np.array_equal(naive, fhat)
 
 
 def test_naive_wht_matches_butterfly():
@@ -153,8 +153,9 @@ def test_naive_wht_matches_butterfly():
 def test_transform_matches_the_butterfly_and_naive_oracles():
     # every index set up to n = 8, against the one-stage-per-bit butterfly
     # and the naive sum (a sum of the single-orbit naive transforms, by
-    # linearity); drawn sets at n = 9..16, and one set each at n = 20 and
-    # at n = 21, whose rows outnumber its columns
+    # linearity), the slabs 1, 3 and all columns wide; drawn sets at
+    # n = 9..16, and one set each at n = 20 and at n = 21, whose rows
+    # outnumber its columns, in 4 and 8 slabs of the default width
     for n in range(1, 9):
         weights = np.array([x.bit_count() for x in range(1 << n)])
         naive = [wht_naive((weights == i).astype(np.int32), n) for i in range(n + 1)]
@@ -162,22 +163,25 @@ def test_transform_matches_the_butterfly_and_naive_oracles():
             s = OrbitIndexSet.from_bitmask(n, mask)
             f = _row0(s).astype(np.int32)
             assert np.array_equal(f, np.isin(weights, list(s.indices))), s.format()
-            fhat = _wht(s)
+            fhat = assembled_wht(s)
             assert fhat.dtype == np.int32
             assert np.array_equal(fhat, butterfly_fwht(f)), s.format()
             naive_sum = sum((naive[i] for i in s.indices), np.zeros_like(fhat))
             assert np.array_equal(fhat, naive_sum), s.format()
+            for width in (1, 3):
+                assert np.array_equal(assembled_wht(s, width), fhat), (s.format(), width)
     rng = random.Random(11)
     drawn = [OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n)) for n in range(9, 17)]
     drawn += [OrbitIndexSet.of(20, {1, 2, 7, 13, 20}), OrbitIndexSet.of(21, {3, 10, 11, 21})]
     for s in drawn:
-        assert np.array_equal(_wht(s), butterfly_fwht(_row0(s).astype(np.int32))), s.format()
+        f = _row0(s).astype(np.int32)
+        assert np.array_equal(assembled_wht(s), butterfly_fwht(f)), s.format()
 
 
 def test_wht_peak_allocation_at_n22():
-    # the int32 transform (4 * 2^n B) and one comparison chunk, 4.4 * 2^n B
-    # measured; the tiled transform's int16 transpose (2 * 2^n B) and its
-    # cached uint8 weight table (2^n B) took it to 7 * 2^n B
+    # one column slab of 2^18 int32 entries (2^20 B), its expected rows and
+    # mismatch mask and the distinct-row tables, 0.7 * 2^n B measured; the
+    # whole int32 transform and one comparison chunk took 4.4 * 2^n B
     s = OrbitIndexSet.of(22, set(range(1, 23, 2)) | {4, 8})
     tracemalloc.start()
     try:
@@ -186,7 +190,7 @@ def test_wht_peak_allocation_at_n22():
     finally:
         tracemalloc.stop()
     assert spec == full_spectrum(s)
-    assert peak <= 5 * 2**s.n, peak / 2**s.n
+    assert peak <= 1 * 2**s.n, peak / 2**s.n
 
 
 def test_wht_caps_and_methods():
@@ -196,14 +200,19 @@ def test_wht_caps_and_methods():
         wht_naive(np.zeros(1 << 9, dtype=np.int64), 9)
 
 
+def _transform_any_vector(monkeypatch, f):
+    """Make wht_spectrum transform f itself: each row of its (rows, cols) view is a table row."""
+    cols = 1 << (f.size.bit_length() - 1) // 2
+    rows = np.arange(f.size // cols)
+    table = f.astype(np.int32).reshape(-1, cols)
+    monkeypatch.setattr(spectrum_module, "_indicator_rows", lambda s, dtype: (table.copy(), rows))
+
+
 def test_wht_rejects_weight_inhomogeneous_indicator(monkeypatch):
     # a transform of anything that is not weight-class invariant must be caught
-    def doctored(s):
-        f = np.zeros(1 << s.n, dtype=np.int64)
-        f[1] = 1  # one single weight-1 vector, not the whole class
-        return f
-
-    monkeypatch.setattr(spectrum_module, "_wht", lambda s: butterfly_fwht(doctored(s)))
+    f = np.zeros(16, dtype=np.int32)
+    f[1] = 1  # one single weight-1 vector, not the whole class
+    _transform_any_vector(monkeypatch, f)
     with pytest.raises(ConsistencyError) as exc:
         wht_spectrum(OrbitIndexSet.of(4, {1}))
     # fhat[y] = 1 - 2*y_0: the weight-1 class holds -1 at y=1 and 1 at y=2
@@ -225,8 +234,9 @@ def _first_class_failure(fhat, w):
 
 @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 18])
 def test_weight_class_failure_is_the_same_in_every_chunking(monkeypatch, chunk):
-    # random 0/1 vectors that are no union of weight classes; in some, a
-    # higher class fails at a lower index than the lowest failing class
+    # random 0/1 vectors that are no union of weight classes, in slabs of
+    # 1, 1, 1-2 and all columns; in some, a higher class fails at a lower
+    # index than the lowest failing class
     monkeypatch.setattr(spectrum_module, "_COMPARE_CHUNK", chunk)
     rng = np.random.default_rng(13)
     later = 0
@@ -240,7 +250,7 @@ def test_weight_class_failure_is_the_same_in_every_chunking(monkeypatch, chunk):
                 continue
             k, x = failure
             later += bool((fhat[:x] != fhat[(1 << w[:x]) - 1]).any())
-            monkeypatch.setattr(spectrum_module, "_wht", lambda s, fhat=fhat: fhat.copy())
+            _transform_any_vector(monkeypatch, f)
             with pytest.raises(ConsistencyError) as exc:
                 wht_spectrum(OrbitIndexSet.of(n, {1}))
             assert str(exc.value) == (
@@ -248,6 +258,26 @@ def test_weight_class_failure_is_the_same_in_every_chunking(monkeypatch, chunk):
                 f"fhat[{(1 << k) - 1}]={fhat[(1 << k) - 1]} but fhat[{x}]={fhat[x]}"
             )
     assert later
+
+
+@pytest.mark.parametrize("perturbed", [[5, 2], [8, 5, 2]])
+def test_lowest_weight_failure_wins_over_an_earlier_slab(monkeypatch, perturbed):
+    # n = 4 in slabs of one column c, x = 4r + c.  x = 5 (weight 2) fails in
+    # slab 1, before the weight-1 failure at x = 2 in slab 2: the lowest
+    # weight wins over the earlier slab.  With x = 8 (weight 1) also failing
+    # in slab 0, the smallest index of weight 1, x = 2, wins over the
+    # earlier slab too.
+    monkeypatch.setattr(spectrum_module, "_COMPARE_CHUNK", 4)
+    w = np.array([y.bit_count() for y in range(16)])
+    target = (10 * w).astype(np.int32)
+    target[perturbed] += 1
+    # the transform of butterfly_fwht(target) is 16 * target, failing where target does
+    _transform_any_vector(monkeypatch, butterfly_fwht(target.copy()))
+    with pytest.raises(ConsistencyError) as exc:
+        wht_spectrum(OrbitIndexSet.of(4, {1}))
+    assert str(exc.value) == (
+        "transform not constant on weight class k=1 of n=4;I=1: fhat[1]=160 but fhat[2]=176"
+    )
 
 
 def test_fixed_width_bounds_are_checked_before_any_work(monkeypatch):
@@ -275,14 +305,14 @@ def test_fixed_width_bounds_are_checked_before_any_work(monkeypatch):
     def no_transform(s):
         pytest.fail("the transform ran before the cap was checked")
 
-    monkeypatch.setattr(spectrum_module, "_wht", no_transform)
+    monkeypatch.setattr(spectrum_module, "_indicator_rows", no_transform)
     with pytest.raises(ValueError, match="transform cap 24"):
         wht_spectrum(OrbitIndexSet.of(25, {1}))
 
 
 def test_transform_is_exact_at_the_int32_scale():
     # |fhat(0)| = |S| reaches 2^n - 1 for the full set; int32 holds it exactly
-    fhat = _wht(OrbitIndexSet.of(20, set(range(1, 21))))
+    fhat = assembled_wht(OrbitIndexSet.of(20, set(range(1, 21))))
     assert fhat.dtype == np.int32
     assert fhat[0] == (1 << 20) - 1 and fhat[1] == -1
 

@@ -26,7 +26,6 @@ from orbitcayley.explicit import (
     _row_constants,
     walsh_counts,
 )
-from orbitcayley.graph6 import export_graph6
 from orbitcayley.spectrum import full_spectrum
 from orbitcayley.srg import (
     FAMILIES,
@@ -54,6 +53,7 @@ from oracles import (
     common_neighbor_constants,
     complement_adjacency,
     connected_components,
+    graph6_bytes,
     is_connected,
     is_connected_adjacency,
     matrix_srg_check,
@@ -342,10 +342,10 @@ def test_every_translate_block_shape_gives_the_same_results(monkeypatch):
     sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 7) for mask in range(1 << n)]
     sets.append(OrbitIndexSet.of(9, {1, 4, 6, 9}))
     for s in sets:
-        blob = export_graph6(s)
+        blob = graph6_bytes(s)
         for k in range(s.n + 1):
             monkeypatch.setattr(graph6_module, "_PACK_ROWS", 1 << k)
-            assert export_graph6(s) == blob, (s.format(), k)
+            assert graph6_bytes(s) == blob, (s.format(), k)
         monkeypatch.undo()
 
 
