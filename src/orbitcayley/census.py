@@ -4,7 +4,8 @@ Records connectivity, distinct-eigenvalue counts, and SRG verdicts for
 every nonempty index set, in ascending bitmask order (bit i-1 set iff
 orbit index i is a member), so output is byte-identical across runs.
 The sweep builds every set's spectrum and pair counts as int64 tables,
-and ``srg.certified_rows``, the one certification pipeline ``certify``
+each row summed from the tables of its mask's two halves, and
+``srg.certified_rows``, the one certification pipeline ``certify``
 also runs, reads and compares every route's verdict of every row from
 them: both closed-form verdicts, and within the dense cap the dense
 verdict from blocks of rows 0.
@@ -30,7 +31,10 @@ from .explicit import EXPLICIT_MAX_N
 from .spectrum import _first_invariant_failure, character_table
 from .srg import _PARAMLESS, SrgVerdict, VerdictStatus, pair_count_table
 
-CENSUS_MAX_N = 12  # 2^n - 1 index sets per dimension: 4,095 at n = 12
+CENSUS_MAX_N = 16  # 65,535 sets at n = 16: 0.2-0.3 s, 95 MB peak, 13.5 MB of JSONL
+# The dense route costs about n * 4^n per dimension: census --n 12
+# --explicit-cap 12 takes 2.0-2.8 s, so n = 16 would take over 10 minutes.
+CENSUS_DENSE_MAX_N = 12
 # The sweep runs in int64.  Table entries, eigenvalues and pair counts are at
 # most 2^n in absolute value, and the second-moment partial sums at most
 # 4^n * sum_k C(n, k) = 8^n, so int64 is exact for n <= 20.
@@ -61,7 +65,10 @@ CENSUS_CSV_COLUMNS = ["n", "I", "connected", "distinct", "verdict", "r", "lambda
 def check_census_request(n: int, explicit_cap: int) -> None:
     """Raise ValueError when n is outside 1..CENSUS_MAX_N or explicit_cap exceeds EXPLICIT_MAX_N.
 
-    Also raises when n exceeds TABLE_INT64_MAX_N, the bound of the int64 sweep.
+    Also raises when n exceeds TABLE_INT64_MAX_N, the bound of the int64
+    sweep, and when min(n, explicit_cap) exceeds CENSUS_DENSE_MAX_N, the
+    largest dimension the census runs the dense route on.  That bound rises
+    with n, so checking both ends of a range checks every n in it.
     """
     if not 1 <= n <= CENSUS_MAX_N:
         raise ValueError(f"n={n} outside the census range 1..{CENSUS_MAX_N}")
@@ -69,6 +76,55 @@ def check_census_request(n: int, explicit_cap: int) -> None:
         raise ValueError(f"n={n} exceeds the int64-exact table bound {TABLE_INT64_MAX_N}")
     if explicit_cap > EXPLICIT_MAX_N:
         raise ValueError(f"explicit cap {explicit_cap} exceeds the dense cap {EXPLICIT_MAX_N}")
+    if min(n, explicit_cap) > CENSUS_DENSE_MAX_N:
+        raise ValueError(
+            f"explicit cap {explicit_cap} at n={n} exceeds the census dense cap "
+            f"{CENSUS_DENSE_MAX_N}"
+        )
+
+
+def _bits(m: int) -> np.ndarray:
+    """bits[x, i] = bit i of x for every x < 2^m, as int8."""
+    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int8)
+
+
+def _half_tables(n: int) -> tuple[np.ndarray, ...]:
+    """The tables of the two halves of each mask hi * 2^k + lo, with k = n // 2.
+
+    lo holds orbit indices 1..k and hi indices k + 1..n.  Returns member_lo
+    (int8, 2^k x k) and, in int64, each half's spectra and pair counts
+    (spectra_lo, spectra_hi, counts_lo, counts_hi: K of ``character_table``
+    and P of ``pair_count_table`` summed over that half's indices) and
+    cross (2^(n - k) x k x n): cross[hi][i - 1] sums P[w][i][j] + P[w][j][i]
+    over the j in hi, the pairs between the halves both ways round, so the
+    rows stay exact for any table P.
+    """
+    k = n // 2
+    chars = character_table(n)[1:]
+    pairs = pair_count_table(n)[1:, 1:, 1:]
+    lo, hi = _bits(k), _bits(n - k)
+    between = pairs[:, :k, k:] + pairs[:, k:, :k].transpose(0, 2, 1)
+    return (
+        lo,
+        lo @ chars[:k],
+        hi @ chars[k:],
+        np.einsum("mi,wij,mj->mw", lo, pairs[:, :k, :k], lo),
+        np.einsum("mi,wij,mj->mw", hi, pairs[:, k:, k:], hi),
+        np.einsum("wij,hj->hiw", between, hi),
+    )
+
+
+def _half_rows(halves: tuple[np.ndarray, ...], his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra and pair counts of the masks hi * 2^k + lo, for each hi in his and each lo, in order.
+
+    spectra = spectra_lo[lo] + spectra_hi[hi] and counts = counts_lo[lo] +
+    counts_hi[hi] + member_lo[lo] @ cross[hi], the cross terms of all his
+    in one batched product; both int64, with len(his) * 2^k rows.
+    """
+    member_lo, spectra_lo, spectra_hi, counts_lo, counts_hi, cross = halves
+    spectra = spectra_hi[his, None] + spectra_lo
+    counts = counts_hi[his, None] + counts_lo + member_lo @ cross[his]
+    return spectra.reshape(-1, spectra.shape[-1]), counts.reshape(-1, counts.shape[-1])
 
 
 def sweep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -78,15 +134,13 @@ def sweep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     spectra[r, k] = sum over i in I of K[i][k] (``character_table``) and
     counts[r, w - 1] = sum over i, j in I of P[w][i][j] for w = 1..n
     (``pair_count_table``); member is int8, spectra and counts int64.
-    ``full_spectrum`` and ``pair_counts`` are the per-set oracles of these
-    rows.
+    The rows are sums of the ``_half_tables`` rows of the mask's two halves,
+    all made by one ``_half_rows`` call, so no product runs over the whole
+    table.  ``full_spectrum`` and ``pair_counts`` are the per-set oracles
+    of these rows.
     """
-    member = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
-    spectra = member @ character_table(n)[1:]
-    counts = np.einsum("mi,wij,mj->mw", member, pair_count_table(n)[1:, 1:, 1:], member)
-    return member, spectra, counts
-
-
+    spectra, counts = _half_rows(_half_tables(n), np.arange(1 << (n - n // 2)))
+    return _bits(n)[1:], spectra[1:], counts[1:]
 
 
 def _dimension(n: int, explicit_cap: int) -> tuple[srg.VerdictColumns, dict[int, SrgVerdict]]:

@@ -6,6 +6,10 @@ the independent check of one fast route.
 - ``pair_count_oracle``: |C(v,S)| by enumerating S, the check of the
   closed form ``srg.pair_counts`` and of the census table
   ``srg.pair_count_table``.
+- ``einsum_sweep_tables``: the census tables of every nonempty set by
+  one product over the whole membership table, spectra = member @ K and
+  counts by an einsum of member against P on both sides, the check of
+  ``census.sweep_tables``, which sums the rows of each mask's two halves.
 - ``orbit_character_sum`` and ``eigenvalue``: the normative
   double-binomial sum of each eigenvalue (with ``binom``, the
   zero-outside-range binomial), the check of the recurrence rows of
@@ -108,6 +112,7 @@ from orbitcayley.spectrum import (
     _butterflies,
     _high_stages,
     _indicator_rows,
+    character_table,
     distinct,
     full_spectrum,
 )
@@ -119,6 +124,7 @@ from orbitcayley.srg import (
     certify,
     dense_columns,
     match_families,
+    pair_count_table,
     pair_counts,
     verdict_columns,
 )
@@ -146,6 +152,19 @@ def pair_count_oracle(s: OrbitIndexSet, v: int) -> int:
             x = sum(1 << p for p in ones)
             count += (x ^ v).bit_count() in s.indices
     return count
+
+
+def einsum_sweep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """member (int8), spectra and counts (int64) of every nonempty set, row r for bitmask r + 1.
+
+    Every row from the whole 2^n - 1 row membership table at once, with no
+    split of the masks: spectra = member @ K[1:] and counts[r, w - 1] =
+    sum over i, j of member[r, i] P[w][i][j] member[r, j].
+    """
+    member = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
+    spectra = member @ character_table(n)[1:]
+    counts = np.einsum("mi,wij,mj->mw", member, pair_count_table(n)[1:, 1:, 1:], member)
+    return member, spectra, counts
 
 
 def binom(s: int, t: int) -> int:

@@ -21,14 +21,16 @@ import orbitcayley.srg as srg_module
 from orbitcayley.census import (
     CENSUS_CSV_COLUMNS,
     CENSUS_DEFAULT_EXPLICIT_CAP,
+    CENSUS_DENSE_MAX_N,
     CENSUS_MAX_N,
     TABLE_INT64_MAX_N,
     census,
     census_bytes,
+    check_census_request,
     sweep_tables,
 )
-from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
-from orbitcayley.core import ConsistencyError, OrbitIndexSet
+from orbitcayley.cli import EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
+from orbitcayley.core import ConsistencyError, OrbitIndexSet, pascal_row
 from orbitcayley.explicit import EXPLICIT_MAX_N, _row0
 from orbitcayley.spectrum import _first_invariant_failure, character_table, distinct, full_spectrum
 from orbitcayley.srg import (
@@ -41,8 +43,10 @@ from orbitcayley.srg import (
     verdict_columns,
 )
 
+import oracles
 from oracles import (
     census_oracle_bytes,
+    einsum_sweep_tables,
     find_srgs,
     forbid_everywhere,
     is_connected,
@@ -220,19 +224,53 @@ def test_sweep_tables_match_the_per_set_oracles_at_n11_and_n12(n, data):
     _assert_rows_match_the_oracles(n, data.draw(st.integers(1, (1 << n) - 1)))
 
 
+def test_sweep_tables_equal_the_einsum_oracle_up_to_n14():
+    for n in range(1, 15):
+        for table, expected in zip(sweep_tables(n), einsum_sweep_tables(n)):
+            assert table.dtype == expected.dtype, n
+            assert np.array_equal(table, expected), n
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sweep_tables_equal_the_einsum_oracle_on_any_pair_table(monkeypatch, n):
+    # a table with p_ij^w != p_ji^w: the halves add each pair between them
+    # both ways round, as the einsum does, rather than doubling one way
+    noise = np.random.default_rng(n).integers(-3, 4, (n + 1,) * 3)
+
+    def skewed(n):
+        return pair_count_table(n) + noise
+
+    monkeypatch.setattr(census_module, "pair_count_table", skewed)
+    monkeypatch.setattr(oracles, "pair_count_table", skewed)
+    assert not np.array_equal(skewed(n), skewed(n).transpose(0, 2, 1))
+    assert np.array_equal(sweep_tables(n)[2], einsum_sweep_tables(n)[2])
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_sweep_tables_match_the_per_set_oracles_at_n15_and_n16(n):
+    # the set {1}, the whole low half, the first orbit of the high half
+    # alone, every orbit, every other orbit, and 20 drawn sets
+    k = n // 2
+    edges = [1, (1 << k) - 1, 1 << k, (1 << n) - 1, sum(1 << i for i in range(0, n, 2))]
+    for mask in edges + np.random.default_rng(n).integers(1, 1 << n, 20).tolist():
+        _assert_rows_match_the_oracles(n, mask)
+
+
 def test_table_route_is_exact_at_the_int64_bound():
-    # the same products as sweep_tables on a few rows at n = TABLE_INT64_MAX_N
+    # the rows sweep_tables would sum at n = TABLE_INT64_MAX_N, made by the
+    # same half tables and the same _half_rows for a few values of hi
+    # (2^10 rows each) rather than the whole 330 MB table
     n = TABLE_INT64_MAX_N
-    sets = [OrbitIndexSet.of(n, range(1, n + 1)), OrbitIndexSet.of(n, range(1, n, 2)),
-            OrbitIndexSet.of(n, {1, 2, 7, 8, 13, 19, 20})]
-    member = np.array([[int(i in s.indices) for i in range(1, n + 1)] for s in sets])
-    spectra = member @ character_table(n)[1:]
-    counts = np.einsum("mi,wij,mj->mw", member, pair_count_table(n)[1:, 1:, 1:], member)
-    sizes = np.array([s.size() for s in sets])
-    assert _first_invariant_failure(spectra, sizes) is None
-    for s, row, count_row in zip(sets, spectra.tolist(), counts.tolist()):
-        assert tuple(row) == full_spectrum(s).values
-        assert tuple(count_row) == pair_counts(s)[1:]
+    k = n // 2
+    his = np.array([1, 0b1010101010, (1 << (n - k)) - 1])
+    spectra, counts = census_module._half_rows(census_module._half_tables(n), his)
+    masks = (his[:, None] << k | np.arange(1 << k)).ravel()
+    member = (masks[:, None] >> np.arange(n)) & 1
+    assert _first_invariant_failure(spectra, member @ np.array(pascal_row(n)[1:])) is None
+    for row in [0, 1, (1 << k) - 1, *range(1 << k, len(masks), 337), len(masks) - 1]:
+        s = OrbitIndexSet.from_bitmask(n, int(masks[row]))
+        assert tuple(spectra[row].tolist()) == full_spectrum(s).values, s.format()
+        assert tuple(counts[row].tolist()) == pair_counts(s)[1:], s.format()
 
 
 def test_int64_bound_is_checked_before_any_work(monkeypatch):
@@ -245,6 +283,29 @@ def test_int64_bound_is_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(census_module, "sweep_tables", no_work)
     with pytest.raises(ValueError, match="int64-exact table bound 20"):
         census(TABLE_INT64_MAX_N + 1, explicit_cap=0)
+
+
+def test_dense_cap_is_checked_before_any_work(monkeypatch, capsys):
+    # min(n, explicit_cap) over the cap is refused, whichever of the two is
+    # larger; every request whose dense route stays within it is accepted
+    assert CENSUS_DENSE_MAX_N < CENSUS_MAX_N
+
+    def no_work(n):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(census_module, "sweep_tables", no_work)
+    monkeypatch.setattr(census_module, "_half_tables", no_work)
+    over = CENSUS_DENSE_MAX_N + 1
+    for argv in (
+        ["census", "--n", str(CENSUS_MAX_N), "--explicit-cap", str(CENSUS_MAX_N)],
+        ["census", "--n", str(over), "--explicit-cap", str(EXPLICIT_MAX_N)],
+        ["census", "--n", str(CENSUS_MAX_N), "--explicit-cap", str(over)],
+        ["census", "--n", f"1..{CENSUS_MAX_N}", "--explicit-cap", str(over)],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert f"census dense cap {CENSUS_DENSE_MAX_N}" in capsys.readouterr().err, argv
+    for n, cap in ((CENSUS_MAX_N, CENSUS_DENSE_MAX_N), (CENSUS_DENSE_MAX_N, EXPLICIT_MAX_N)):
+        check_census_request(n, cap)
 
 
 def _perturbed(table_builder, index):
@@ -483,8 +544,11 @@ def test_census_derives_no_per_set_closed_form_verdict(monkeypatch, capsysbinary
     # every record comes from the verdict columns and, within the dense cap,
     # the dense columns; no per-set route runs, neither a closed form of one
     # set nor the dense row 0 of one set.  The CLI writes its bytes from the
-    # same columns without building a record.
-    expected = {(n, CENSUS_DEFAULT_EXPLICIT_CAP): census(n) for n in range(1, CENSUS_MAX_N + 1)}
+    # same columns without building a record, over the benchmark's range,
+    # whose hash the benchmark records.
+    benchmark = json.loads(BENCHMARK_EXPECTED.read_text())
+    assert benchmark["census_command"].startswith("orbitcayley census --n 1..12 ")
+    expected = {(n, CENSUS_DEFAULT_EXPLICIT_CAP): census(n) for n in range(1, 13)}
     expected[10, 10] = census(10, explicit_cap=10)
     _forbid_per_set_routes(monkeypatch)
     for (n, cap), records in expected.items():
@@ -494,9 +558,9 @@ def test_census_derives_no_per_set_closed_form_verdict(monkeypatch, capsysbinary
         raise AssertionError("the CLI built a CensusRecord")
 
     monkeypatch.setattr(census_module, "CensusRecord", no_record)
-    assert main(["census", "--n", f"1..{CENSUS_MAX_N}"]) == 0
+    assert main(["census", "--n", "1..12"]) == 0
     digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
-    assert digest == json.loads(BENCHMARK_EXPECTED.read_text())["census_sha256"]
+    assert digest == benchmark["census_sha256"]
 
 
 @pytest.mark.parametrize("n, explicit_cap", [(8, 8), (10, 10)])

@@ -20,7 +20,7 @@ import pytest
 import orbitcayley.cli as cli_module
 import orbitcayley.graph6 as graph6_module
 import orbitcayley.srg as srg_module
-from orbitcayley.census import CENSUS_MAX_N
+from orbitcayley.census import CENSUS_DENSE_MAX_N, CENSUS_MAX_N
 from orbitcayley.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, build_parser, main
 from orbitcayley.core import CLOSED_FORM_MAX_N, ConsistencyError
 from orbitcayley.explicit import EXPLICIT_MAX_N
@@ -136,14 +136,15 @@ def test_census_determinism(tmp_path):
 
 def test_census_bad_range_is_usage_error(capsys):
     assert main(["census", "--n", "0"]) == EXIT_USAGE
-    assert main(["census", "--n", "13"]) == EXIT_USAGE
+    assert main(["census", "--n", str(CENSUS_MAX_N + 1)]) == EXIT_USAGE
     assert main(["census", "--n", "5..4"]) == EXIT_USAGE
 
 
 # the first size above each limit, and each flag that used to move a limit
 BEYOND_A_LIMIT = [
     ["census", "--n", str(CENSUS_MAX_N + 1)],
-    ["census", "--n", f"1..{CENSUS_MAX_N + 1}"],  # rejected before n = 1..12 is swept
+    ["census", "--n", f"1..{CENSUS_MAX_N + 1}"],  # rejected before n = 1..16 is swept
+    ["census", "--n", str(CENSUS_DENSE_MAX_N + 1), "--explicit-cap", str(CENSUS_DENSE_MAX_N + 1)],
     ["census", "--n", "4", "--explicit-cap", str(EXPLICIT_MAX_N + 1)],
     ["srg-check", "--set", f"n={EXPLICIT_MAX_N + 1};I=1", "--explicit"],
     ["export", "--set", f"n={EXPORT_MAX_N + 1};I=1"],
@@ -458,6 +459,12 @@ RECORDED_OUTPUT_SHA256 = {
     # the dense route in chunks of several rows 0 above n = 10
     ("census", "--n", "11", "--explicit-cap", "11"):
         "c9275ade09907b83aedf75a5cbb0e8cc72264cbd3d171e06d885130b9a83323f",
+    # past the old cap of 12, recorded with the census tables made by the
+    # whole-table einsum (tests/oracles.py), not by the mask halves
+    ("census", "--n", "13..14"):
+        "6313e753ddf141ee6ac871735b63f5c52ffca4479626e8b26f9050f30ffcda62",
+    ("census", "--n", "13", "--format", "csv"):
+        "b1a8f3dea793cb2d0bfe17cc865c44263a46a49c33b99bfd888774696476f904",
     ("families", "--m-max", "6"):
         "054f43ff6a141e570c28f60426bc8fa5a19977f30fbad203a744e923f65553bd",
     # recorded before pair counts and double sums moved to cached Pascal rows
