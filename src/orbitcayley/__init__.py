@@ -1,6 +1,5 @@
 """Orbit Cayley graphs over Z2^n: exact spectra, strong-regularity certification, census."""
 
-from .census import CensusRecord, census
 from .core import ConsistencyError, OrbitIndexSet, ResidueFamily, expand_family
 from .graph6 import export_graph6
 from .identities import IDENTITY_IDS, IdentityCheck, mod4_binomial_sum, verify_all
@@ -19,13 +18,10 @@ from .srg import (
     VerdictStatus,
     certify,
     emit_table1,
-    family_construct,
     match_families,
-    pair_count,
 )
 
 __all__ = [
-    "CensusRecord",
     "ConsistencyError",
     "DistinctSpectrum",
     "FAMILIES",
@@ -37,18 +33,15 @@ __all__ = [
     "SrgParams",
     "SrgVerdict",
     "VerdictStatus",
-    "census",
     "certify",
     "character_sum_row",
     "distinct",
     "emit_table1",
     "expand_family",
     "export_graph6",
-    "family_construct",
     "full_spectrum",
     "match_families",
     "mod4_binomial_sum",
-    "pair_count",
     "verify_all",
     "wht_spectrum",
 ]

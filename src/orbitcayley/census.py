@@ -11,17 +11,15 @@ them: both closed-form verdicts, and within the dense cap the dense
 verdict from blocks of rows 0.
 
 ``_dimension`` is the one core of a dimension: the verdict columns and
-the tagged verdicts of the few SRG rows.  Two readers share it:
-``census`` builds one ``CensusRecord`` per set for library users, and
-``census_bytes``, the writer behind ``orbitcayley census``, formats the
-JSONL or CSV text of every set straight from the columns, with no object
-per set.
+the tagged verdicts of the few SRG rows.  Its one reader is
+``census_bytes``, the writer behind ``orbitcayley census``, which formats
+the JSONL or CSV text of every set straight from the columns, with no
+object per set.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,25 +37,7 @@ CENSUS_DENSE_MAX_N = 12
 # most 2^n in absolute value, and the second-moment partial sums at most
 # 4^n * sum_k C(n, k) = 8^n, so int64 is exact for n <= 20.
 TABLE_INT64_MAX_N = 20
-CENSUS_DEFAULT_EXPLICIT_CAP = 8
-
-
-@dataclass(frozen=True)
-class CensusRecord:
-    n: int
-    mask: int  # bit i-1 set iff orbit index i is a member
-    distinct_eigenvalues: int
-    verdict: SrgVerdict
-    explicit_verified: bool
-
-    @property
-    def index_set(self) -> OrbitIndexSet:
-        return OrbitIndexSet.from_bitmask(self.n, self.mask)
-
-    @property
-    def connected(self) -> bool:
-        return self.verdict.status is not VerdictStatus.DISCONNECTED
-
+CENSUS_DEFAULT_EXPLICIT_CAP = 8  # the census command's --explicit-cap default
 
 CENSUS_CSV_COLUMNS = ["n", "I", "connected", "distinct", "verdict", "r", "lambda", "mu"]
 
@@ -151,8 +131,9 @@ def _dimension(n: int, explicit_cap: int) -> tuple[srg.VerdictColumns, dict[int,
     are checked on every row at once, and ``srg.certified_rows``, the
     check ``certify`` runs on one row, reads and compares every route's
     verdict of every set, the dense route's when n is within
-    ``explicit_cap``.  Raises ValueError before any work when
-    ``check_census_request`` rejects the request.
+    ``explicit_cap``.  Its one reader is the writer ``census_bytes``; every
+    error is raised here, before any text is formatted.  Raises ValueError
+    before any work when ``check_census_request`` rejects the request.
     """
     check_census_request(n, explicit_cap)
     member, spectra, counts = sweep_tables(n)
@@ -162,23 +143,6 @@ def _dimension(n: int, explicit_cap: int) -> tuple[srg.VerdictColumns, dict[int,
         raise ConsistencyError(f"{what} on {OrbitIndexSet.from_bitmask(n, row + 1).format()}")
     spectra.sort(axis=1)
     return srg.certified_rows(n, member, spectra, counts, explicit_cap)
-
-
-def census(n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> list[CensusRecord]:
-    """One record per nonempty index set, ascending by bitmask.
-
-    The records are read from the verdict columns and verdicts of
-    ``_dimension``, the core ``census_bytes`` also reads, so both pass the
-    same checks and raise the same errors.
-    """
-    columns, verdicts = _dimension(n, explicit_cap)
-    explicit = n <= explicit_cap
-    return [
-        CensusRecord(n, row + 1, distinct, verdicts.get(row) or _PARAMLESS[code], explicit)
-        for row, (code, distinct) in enumerate(
-            zip(columns.paircount[:, 0].tolist(), columns.distinct.tolist())
-        )
-    ]
 
 
 def _index_texts(n: int, sep: str) -> list[str]:
@@ -204,11 +168,11 @@ def _verdict_fields(verdict: SrgVerdict, fmt: str) -> tuple[str, str]:
     return str(connected).lower(), ",".join([verdict.status.value, *map(str, constants)]) + "\n"
 
 
-def census_bytes(n: int, fmt: str, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP) -> bytes:
+def census_bytes(n: int, fmt: str, explicit_cap: int) -> bytes:
     """The census output of dimension n: one JSONL line or CSV row per set, ascending by bitmask.
 
-    Read from the same ``_dimension`` core as ``census``, with no record
-    object per set.  JSONL lines hold the keys n, I, connected, distinct,
+    Formatted from the verdict columns of ``_dimension``, with no object
+    per set.  JSONL lines hold the keys n, I, connected, distinct,
     complement_I, explicit_verified, status, params and families; CSV rows
     the ``CENSUS_CSV_COLUMNS`` without the header, with I quoted when it
     holds a comma.  Every row whose verdict has no parameters shares the

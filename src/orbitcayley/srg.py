@@ -75,18 +75,6 @@ def pair_counts(s: OrbitIndexSet) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def pair_count(s: OrbitIndexSet, w: int) -> int:
-    """|C(v,S)| for any v of weight w: entry w of ``pair_counts``, which computes all n + 1.
-
-    Raises ValueError when n exceeds CLOSED_FORM_MAX_N, else when w is
-    outside 0..n.  A caller that needs several weights of one set calls
-    ``pair_counts`` once.
-    """
-    if s.n <= CLOSED_FORM_MAX_N and not 0 <= w <= s.n:
-        raise ValueError(f"weight {w} out of range 0..{s.n}")
-    return pair_counts(s)[w]
-
-
 def pair_count_table(n: int) -> np.ndarray:
     """P[w][i][j] = p_ij^w for w, i, j in 0..n, as int64: the Hamming-scheme intersection numbers.
 
@@ -94,7 +82,7 @@ def pair_count_table(n: int) -> np.ndarray:
     of weight j.  The same split as ``pair_counts``: x with a ones inside
     supp v and b outside has weights i = a + b and j = w - a + b, and
     C(w, a) C(n - w, b) vectors share (a, b), which (i, j) determines.  So
-    pair_count(s, w) is the sum of P[w] over I x I.
+    pair_counts(s)[w] is the sum of P[w] over I x I.
     """
     table = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
     for w in range(n + 1):
@@ -236,23 +224,6 @@ FAMILIES: dict[str, FamilySpec] = {
 }
 
 NONTRIVIAL_FAMILY_KEYS: tuple[str, ...] = tuple(k for k, f in FAMILIES.items() if not f.trivial)
-
-
-def family_construct(family: str, m: int) -> tuple[OrbitIndexSet, SrgParams]:
-    """The index set of one named family member and its predicted parameters.
-
-    For the two trivial families the parameter is the dimension n itself
-    (n >= 2); for the others it is the family index m >= 1.
-    """
-    spec = FAMILIES.get(family)
-    if spec is None:
-        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    if spec.trivial:
-        if m < 2:
-            raise ValueError(f"family {family} needs dimension >= 2, got {m}")
-    elif m < 1:
-        raise ValueError(f"family {family} needs m >= 1, got {m}")
-    return spec.index_set(m), spec.predicted(m)
 
 
 def match_families(s: OrbitIndexSet) -> tuple[str, ...]:

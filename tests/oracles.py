@@ -67,11 +67,14 @@ the independent check of one fast route.
   that a failure or a rejection runs no closed form: it patches each
   given function on every ``orbitcayley`` module that binds it, so a name
   imported by name cannot escape the patch.
+- ``census_records``: no oracle, but the tests' reader of the census:
+  the JSONL records ``census.census_bytes`` writes for a dimension,
+  parsed by ``json.loads``.
 - ``find_srgs``: every strongly regular index set of a dimension, read
-  off the census records.
+  off those records.
 - ``census_oracle_bytes``: the census JSONL or CSV written set by set
-  from ``certify``, the check of the verdict columns and of the records
-  ``census`` emits from them.
+  from ``certify``, the check of the verdict columns and of the text
+  ``census.census_bytes`` writes from them.
 - ``column_gather_graph6``: the graph6 string with each column of the
   upper triangle gathered bit by bit from vertex 0's row through an int64
   XOR index, packed 6 bits at a time with shifts and ORs, the check of
@@ -101,7 +104,7 @@ from math import comb
 
 import numpy as np
 
-from orbitcayley.census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census
+from orbitcayley.census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census_bytes
 from orbitcayley.core import ConsistencyError, OrbitIndexSet, pascal_row
 from orbitcayley.explicit import _row0
 from orbitcayley.graph6 import _encode_size, export_graph6
@@ -645,14 +648,20 @@ def forbid_everywhere(monkeypatch, functions, replacement) -> None:
                 monkeypatch.setattr(module, attr, replacement)
 
 
+def census_records(n: int, explicit_cap: int) -> list[dict]:
+    """The census records of dimension n, one dict per JSONL line of ``census_bytes``."""
+    return [json.loads(line) for line in census_bytes(n, "jsonl", explicit_cap).splitlines()]
+
+
 def find_srgs(
     n: int, explicit_cap: int = CENSUS_DEFAULT_EXPLICIT_CAP
 ) -> list[tuple[OrbitIndexSet, SrgParams, bool]]:
     """All strongly regular index sets with parameters and a trivial flag, by degree."""
     hits = [
-        (rec.index_set, rec.verdict.params, rec.verdict.status is VerdictStatus.TRIVIAL_SRG)
-        for rec in census(n, explicit_cap=explicit_cap)
-        if rec.verdict.status.is_srg()
+        (OrbitIndexSet.of(n, rec["I"]), SrgParams(*rec["params"].values()),
+         rec["status"] == VerdictStatus.TRIVIAL_SRG.value)
+        for rec in census_records(n, explicit_cap)
+        if rec["params"] is not None
     ]
     return sorted(hits, key=lambda h: (h[1].degree, h[0].bitmask))
 

@@ -14,13 +14,7 @@ import numpy as np
 from orbitcayley.core import OrbitIndexSet
 from orbitcayley.identities import verify_all
 from orbitcayley.spectrum import distinct, full_spectrum, wht_spectrum
-from orbitcayley.srg import (
-    NONTRIVIAL_FAMILY_KEYS,
-    VerdictStatus,
-    certify,
-    family_construct,
-    pair_counts,
-)
+from orbitcayley.srg import FAMILIES, NONTRIVIAL_FAMILY_KEYS, VerdictStatus, certify, pair_counts
 
 from oracles import ExplicitGraph, decode_graph6, graph6_bytes, pair_count_oracle
 
@@ -44,7 +38,7 @@ def test_criterion_01_table2_reproduction():
     start = time.monotonic()
     assert set(TABLE2) == {(key, m) for key in NONTRIVIAL_FAMILY_KEYS for m in (1, 2)}
     for (key, m), printed in TABLE2.items():
-        index_set, predicted = family_construct(key, m)
+        index_set, predicted = FAMILIES[key].index_set(m), FAMILIES[key].predicted(m)
         assert predicted.as_tuple() == printed, (key, m)
         verdict, _ = certify(index_set, explicit_cap=0)
         assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, (key, m)
@@ -60,7 +54,7 @@ def test_criterion_02_trivial_families():
             ("s_minus", (1 << n, (1 << n) - 2, (1 << n) - 4, (1 << n) - 2)),
             ("s_odd", (1 << n, 1 << (n - 1), 0, 1 << (n - 1))),
         ):
-            index_set, predicted = family_construct(key, n)
+            index_set, predicted = FAMILIES[key].index_set(n), FAMILIES[key].predicted(n)
             assert predicted.as_tuple() == expected
             verdict, _ = certify(index_set, explicit_cap=0)
             assert verdict.status is VerdictStatus.TRIVIAL_SRG, (key, n)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import importlib
 import json
 from collections import Counter
 from functools import cache
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitcayley.census as census_module
 import orbitcayley.explicit as explicit_module
 import orbitcayley.spectrum as spectrum_module
 import orbitcayley.srg as srg_module
@@ -24,7 +24,6 @@ from orbitcayley.census import (
     CENSUS_DENSE_MAX_N,
     CENSUS_MAX_N,
     TABLE_INT64_MAX_N,
-    census,
     census_bytes,
     check_census_request,
     sweep_tables,
@@ -46,6 +45,7 @@ from orbitcayley.srg import (
 import oracles
 from oracles import (
     census_oracle_bytes,
+    census_records,
     einsum_sweep_tables,
     find_srgs,
     forbid_everywhere,
@@ -53,72 +53,71 @@ from oracles import (
     route_verdict,
 )
 
-# the package re-exports the function census, which shadows the module of that name
-census_module = importlib.import_module("orbitcayley.census")
 BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def _by_indices(records):
-    return {rec.index_set.sorted_indices: rec for rec in records}
+    return {tuple(rec["I"]): rec for rec in records}
+
+
+def _params(*values):
+    return dict(zip(("vertices", "degree", "lambda", "mu"), values))
 
 
 def test_census_n4_known_rows():
-    records = census(4)
+    records = census_records(4, CENSUS_DEFAULT_EXPLICIT_CAP)
     assert len(records) == 15
     rows = _by_indices(records)
-    assert rows[(1, 4)].verdict.params == SrgParams(16, 5, 0, 2)
-    assert rows[(1, 4)].verdict.status is VerdictStatus.NONTRIVIAL_SRG
-    assert rows[(2, 3)].verdict.params == SrgParams(16, 10, 6, 6)
-    assert rows[(2, 3)].verdict.status is VerdictStatus.NONTRIVIAL_SRG
-    assert sum(1 for rec in records if rec.connected) == 12
-    assert all(rec.explicit_verified for rec in records)
+    assert rows[(1, 4)]["params"] == _params(16, 5, 0, 2)
+    assert rows[(1, 4)]["status"] == VerdictStatus.NONTRIVIAL_SRG.value
+    assert rows[(2, 3)]["params"] == _params(16, 10, 6, 6)
+    assert rows[(2, 3)]["status"] == VerdictStatus.NONTRIVIAL_SRG.value
+    assert sum(1 for rec in records if rec["connected"]) == 12
+    assert all(rec["explicit_verified"] for rec in records)
 
 
 def test_census_n3_trivial_row():
-    rows = _by_indices(census(3))
-    rec = rows[(1, 3)]
-    assert rec.verdict.status is VerdictStatus.TRIVIAL_SRG
-    assert rec.verdict.params == SrgParams(8, 4, 0, 4)
+    rec = _by_indices(census_records(3, CENSUS_DEFAULT_EXPLICIT_CAP))[(1, 3)]
+    assert rec["status"] == VerdictStatus.TRIVIAL_SRG.value
+    assert rec["params"] == _params(8, 4, 0, 4)
 
 
 def test_census_record_invariants():
     # nontrivial <=> connected, three distinct eigenvalues, connected
     # complement, and not complete
     for n in range(1, 7):
-        for rec in census(n):
-            assert rec.distinct_eigenvalues <= n + 1
+        for rec in census_records(n, CENSUS_DEFAULT_EXPLICIT_CAP):
+            s = OrbitIndexSet.of(n, rec["I"])
+            assert rec["distinct"] <= n + 1
             expected_nontrivial = (
-                rec.connected
-                and rec.distinct_eigenvalues == 3
-                and is_connected(rec.index_set.complement())
-                and not rec.index_set.is_full()
+                rec["connected"]
+                and rec["distinct"] == 3
+                and is_connected(s.complement())
+                and not s.is_full()
             )
-            assert (rec.verdict.status is VerdictStatus.NONTRIVIAL_SRG) == expected_nontrivial
+            assert (rec["status"] == VerdictStatus.NONTRIVIAL_SRG.value) == expected_nontrivial
 
 
 def test_census_is_deterministic_and_bitmask_ordered():
-    first = census(5)
-    second = census(5)
-    assert first == second
-    masks = [rec.index_set.bitmask for rec in first]
+    first = census_bytes(5, "jsonl", CENSUS_DEFAULT_EXPLICIT_CAP)
+    assert census_bytes(5, "jsonl", CENSUS_DEFAULT_EXPLICIT_CAP) == first
+    masks = [OrbitIndexSet.of(5, rec["I"]).bitmask for rec in census_records(5, CENSUS_DEFAULT_EXPLICIT_CAP)]
     assert masks == sorted(masks) == list(range(1, 32))
 
 
 def test_census_range_validation():
     with pytest.raises(ValueError):
-        census(0)
+        census_bytes(0, "jsonl", CENSUS_DEFAULT_EXPLICIT_CAP)
     with pytest.raises(ValueError):
-        census(CENSUS_MAX_N + 1)
-    assert len(census(2, explicit_cap=0)) == 3  # closed-form only
-    assert len(census(4, explicit_cap=EXPLICIT_MAX_N)) == 15
+        census_bytes(CENSUS_MAX_N + 1, "jsonl", CENSUS_DEFAULT_EXPLICIT_CAP)
+    assert len(census_records(2, 0)) == 3  # closed-form only
+    assert len(census_records(4, EXPLICIT_MAX_N)) == 15
     with pytest.raises(ValueError):
-        census(4, explicit_cap=EXPLICIT_MAX_N + 1)
+        census_bytes(4, "jsonl", EXPLICIT_MAX_N + 1)
 
 
 def test_distinct_count_histogram_examples():
-    hists = {
-        n: Counter(r.distinct_eigenvalues for r in census(n, explicit_cap=0)) for n in range(1, 8)
-    }
+    hists = {n: Counter(rec["distinct"] for rec in census_records(n, 0)) for n in range(1, 8)}
     assert hists[4][2] >= 1
     assert hists[5][6] >= 2
     assert hists[6][5] >= 1
@@ -181,7 +180,7 @@ def test_complement_closure_of_nontrivial_srgs():
 
 
 def test_census_serialization_shapes():
-    lines = census_bytes(4, "jsonl").decode().splitlines()
+    lines = census_bytes(4, "jsonl", CENSUS_DEFAULT_EXPLICIT_CAP).decode().splitlines()
     assert len(lines) == 15
     blob = json.loads(lines[0b1001 - 1])
     assert blob["n"] == 4 and blob["I"] == [1, 4]
@@ -190,7 +189,7 @@ def test_census_serialization_shapes():
     assert blob["complement_I"] == [2, 3]
     assert blob["families"] == ["s0s1@4m"]
 
-    rows = census_bytes(4, "csv").decode().splitlines()
+    rows = census_bytes(4, "csv", CENSUS_DEFAULT_EXPLICIT_CAP).decode().splitlines()
     assert rows[0b1001 - 1] == '4,"1,4",true,3,nontrivial_srg,5,0,2'
     assert all(len(row) == len(CENSUS_CSV_COLUMNS) for row in csv.reader(rows))
     assert rows[0b10 - 1].startswith("4,2,")
@@ -214,8 +213,8 @@ def test_sweep_tables_match_the_per_set_oracles_exhaustively():
     for n in range(1, 11):
         for mask in range(1, 1 << n):
             _assert_rows_match_the_oracles(n, mask)
-        for rec in census(n, explicit_cap=0):
-            assert rec.distinct_eigenvalues == len(distinct(full_spectrum(rec.index_set)))
+        for rec in census_records(n, 0):
+            assert rec["distinct"] == len(distinct(full_spectrum(OrbitIndexSet.of(n, rec["I"]))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,7 +281,7 @@ def test_int64_bound_is_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(census_module, "CENSUS_MAX_N", TABLE_INT64_MAX_N + 4)
     monkeypatch.setattr(census_module, "sweep_tables", no_work)
     with pytest.raises(ValueError, match="int64-exact table bound 20"):
-        census(TABLE_INT64_MAX_N + 1, explicit_cap=0)
+        census_bytes(TABLE_INT64_MAX_N + 1, "jsonl", 0)
 
 
 def test_dense_cap_is_checked_before_any_work(monkeypatch, capsys):
@@ -322,7 +321,7 @@ def test_perturbed_pair_count_table_names_the_set(monkeypatch):
     # Clebsch graph, whose pair count at weight 2 becomes 3 instead of mu = 2
     monkeypatch.setattr(census_module, "pair_count_table", _perturbed(pair_count_table, (2, 1, 4)))
     with pytest.raises(ConsistencyError, match=r"^SRG routes disagree on n=4;I=1,4: pair_count"):
-        census(4, explicit_cap=0)
+        census_bytes(4, "jsonl", 0)
 
 
 def test_perturbed_character_table_names_the_set(monkeypatch):
@@ -330,7 +329,7 @@ def test_perturbed_character_table_names_the_set(monkeypatch):
     # moves by C(4, 2)
     monkeypatch.setattr(census_module, "character_table", _perturbed(character_table, (1, 2)))
     with pytest.raises(ConsistencyError, match=r"^spectrum trace is nonzero on n=4;I=1$"):
-        census(4, explicit_cap=0)
+        census_bytes(4, "jsonl", 0)
 
 
 # -- the verdict columns against the dense route and certify ---------------------
@@ -415,8 +414,7 @@ def _forbid_per_set_routes(monkeypatch):
 
     forbid_everywhere(
         monkeypatch,
-        (srg_module.pair_counts, srg_module.pair_count, spectrum_module.full_spectrum,
-         explicit_module._row0),
+        (srg_module.pair_counts, spectrum_module.full_spectrum, explicit_module._row0),
         forbidden,
     )
 
@@ -433,7 +431,7 @@ def _census_failure(n, explicit_cap, tmp_path, capsys):
     with pytest.MonkeyPatch.context() as mp:
         _forbid_per_set_routes(mp)
         with pytest.raises(ConsistencyError) as exc:
-            census(n, explicit_cap=explicit_cap)
+            census_bytes(n, "jsonl", explicit_cap)
         assert main(argv) == EXIT_VERIFICATION_FAILED
     assert capsys.readouterr().err == f"verification failure: {exc.value}\n"
     assert list(tmp_path.iterdir()) == []
@@ -543,21 +541,14 @@ def test_columns_that_differ_from_agreeing_routes_name_the_set(
 def test_census_derives_no_per_set_closed_form_verdict(monkeypatch, capsysbinary):
     # every record comes from the verdict columns and, within the dense cap,
     # the dense columns; no per-set route runs, neither a closed form of one
-    # set nor the dense row 0 of one set.  The CLI writes its bytes from the
-    # same columns without building a record, over the benchmark's range,
-    # whose hash the benchmark records.
+    # set nor the dense row 0 of one set.  The dense route covers n = 10 with
+    # the bytes unchanged, and the CLI writes the benchmark's range, whose
+    # hash the benchmark records.
     benchmark = json.loads(BENCHMARK_EXPECTED.read_text())
     assert benchmark["census_command"].startswith("orbitcayley census --n 1..12 ")
-    expected = {(n, CENSUS_DEFAULT_EXPLICIT_CAP): census(n) for n in range(1, 13)}
-    expected[10, 10] = census(10, explicit_cap=10)
+    expected = census_bytes(10, "jsonl", 10)
     _forbid_per_set_routes(monkeypatch)
-    for (n, cap), records in expected.items():
-        assert census(n, explicit_cap=cap) == records, (n, cap)
-
-    def no_record(*args, **kwargs):
-        raise AssertionError("the CLI built a CensusRecord")
-
-    monkeypatch.setattr(census_module, "CensusRecord", no_record)
+    assert census_bytes(10, "jsonl", 10) == expected
     assert main(["census", "--n", "1..12"]) == 0
     digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     assert digest == benchmark["census_sha256"]
@@ -565,9 +556,10 @@ def test_census_derives_no_per_set_closed_form_verdict(monkeypatch, capsysbinary
 
 @pytest.mark.parametrize("n, explicit_cap", [(8, 8), (10, 10)])
 def test_dense_chunks_of_any_row_count_give_the_same_records(monkeypatch, n, explicit_cap):
-    # chunks of one, two and three rows against the default; 2^n - 1 is odd,
-    # so two-row chunks end in a short one
-    expected = census(n, explicit_cap=explicit_cap)
+    # chunks of one, two and three rows against the default, in both formats;
+    # 2^n - 1 is odd, so two-row chunks end in a short one
+    expected = {fmt: census_bytes(n, fmt, explicit_cap) for fmt in ("jsonl", "csv")}
     for rows in (1, 2, 3):
         monkeypatch.setattr(srg_module, "_DENSE_CHUNK", rows << n)
-        assert census(n, explicit_cap=explicit_cap) == expected, rows
+        for fmt, blob in expected.items():
+            assert census_bytes(n, fmt, explicit_cap) == blob, (rows, fmt)

@@ -27,7 +27,7 @@ from orbitcayley.explicit import EXPLICIT_MAX_N
 from orbitcayley.graph6 import EXPORT_MAX_N
 from orbitcayley.identities import IDENTITIES_MAX_M
 from orbitcayley.spectrum import WHT_MAX_N, Spectrum
-from orbitcayley.srg import emit_table1, family_construct
+from orbitcayley.srg import FAMILIES, emit_table1
 
 from oracles import forbid_everywhere
 
@@ -82,7 +82,7 @@ def test_srg_check_json(capsys):
 
 
 def test_srg_check_explicit_runs_at_the_dense_cap(capsys):
-    s = family_construct("s0s1@4m", 5)[0]
+    s = FAMILIES["s0s1@4m"].index_set(5)
     assert s.n == EXPLICIT_MAX_N
     assert main(["srg-check", "--set", s.format(), "--explicit"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -180,7 +180,7 @@ def test_over_cap_requests_fail_before_any_closed_form(monkeypatch, capsys):
 
     forbid_everywhere(
         monkeypatch,
-        (srg_module.full_spectrum, srg_module.pair_count, srg_module.pair_counts),
+        (srg_module.full_spectrum, srg_module.pair_counts),
         no_work,
     )
     odd = f"n={CLOSED_FORM_MAX_N};I=" + ",".join(map(str, range(1, CLOSED_FORM_MAX_N, 2)))
@@ -527,6 +527,8 @@ def test_readme_caps_table_matches_the_constants():
 # traced names whose functions have left the package; the benchmark reports
 # them as absent spans until its traced list is corrected
 KNOWN_ABSENT_TRACED = {
+    "census.census",
+    "srg.pair_count",
     "srg.srg_check_paircount",
     "srg.srg_check_spectral",
     "srg.srg_check_explicit",

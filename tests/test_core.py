@@ -28,7 +28,6 @@ from oracles import (
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = (
-    "CensusRecord",
     "ConsistencyError",
     "DistinctSpectrum",
     "FAMILIES",
@@ -40,18 +39,15 @@ PUBLIC_NAMES = (
     "SrgParams",
     "SrgVerdict",
     "VerdictStatus",
-    "census",
     "certify",
     "character_sum_row",
     "distinct",
     "emit_table1",
     "expand_family",
     "export_graph6",
-    "family_construct",
     "full_spectrum",
     "match_families",
     "mod4_binomial_sum",
-    "pair_count",
     "verify_all",
     "wht_spectrum",
 )

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import orbitcayley.graph6 as graph6_module
 import orbitcayley.spectrum as spectrum_module
 import orbitcayley.srg as srg_module
-from orbitcayley.census import census
+from orbitcayley.census import census_bytes
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import CLOSED_FORM_MAX_N, ConsistencyError, OrbitIndexSet
 from orbitcayley.explicit import (
@@ -38,9 +38,7 @@ from orbitcayley.srg import (
     certify,
     dense_columns,
     emit_table1,
-    family_construct,
     match_families,
-    pair_count,
     pair_count_table,
     pair_counts,
 )
@@ -65,16 +63,11 @@ from oracles import (
 
 def test_pair_count_examples():
     s = OrbitIndexSet.of(4, {1, 4})
-    assert pair_count(s, 1) == 0
-    assert pair_count(s, 2) == 2
     assert pair_counts(s) == (5, 0, 2, 2, 0)  # SRG(16, 5, 0, 2): lambda at w in I, mu off it
     for n in (3, 5, 8):
         for mask in (1, 3, (1 << n) - 1):
             t = OrbitIndexSet.from_bitmask(n, mask)
-            assert pair_count(t, 0) == pair_counts(t)[0] == t.size()
-    for w in (-1, 5):
-        with pytest.raises(ValueError, match=f"weight {w} out of range 0..4"):
-            pair_count(s, w)
+            assert pair_counts(t)[0] == t.size()
 
 
 def test_pair_count_oracle_examples():
@@ -103,7 +96,7 @@ def test_pair_count_matches_oracle_for_arbitrary_vectors(n, data):
     mask = data.draw(st.integers(1, (1 << n) - 1))
     bits = data.draw(st.integers(0, (1 << n) - 1))
     s = OrbitIndexSet.from_bitmask(n, mask)
-    assert pair_count(s, bits.bit_count()) == pair_count_oracle(s, bits)
+    assert pair_counts(s)[bits.bit_count()] == pair_count_oracle(s, bits)
 
 
 def _pair_count_by_index_pairs(s, w):
@@ -138,7 +131,7 @@ def test_pair_counts_match_the_index_pair_sum_on_seeded_sets(n):
     rng = random.Random(n)
     sets = [OrbitIndexSet(n, frozenset(rng.sample(range(1, n + 1), 12))) for _ in range(2)]
     if n == 66:
-        sets.append(family_construct("s0s1@4m+2", 16)[0])
+        sets.append(FAMILIES["s0s1@4m+2"].index_set(16))
     for s in sets:
         for w, count in enumerate(pair_counts(s)):
             assert count == _pair_count_by_index_pairs(s, w), (s.format(), w)
@@ -351,7 +344,7 @@ def test_every_translate_block_shape_gives_the_same_results(monkeypatch):
 
 # every set up to n = 8, and at n = 12 one SRG and one connected set that is not
 _ORACLE_SETS = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 9) for mask in range(1 << n)]
-_ORACLE_SETS += [family_construct("s0s1@4m", 3)[0], OrbitIndexSet.of(12, {1, 2, 5})]
+_ORACLE_SETS += [FAMILIES["s0s1@4m"].index_set(3), OrbitIndexSet.of(12, {1, 2, 5})]
 
 
 def test_common_neighbor_constants_match_the_all_pairs_oracle():
@@ -591,7 +584,7 @@ def test_dense_check_peak_allocation_at_n14():
     # row 0 and the int64 Walsh vector hold 9 * 2^n B, about 0.35 MB
     # measured, under a bound of 0.5 MB + 12 * 2^n B; the bool adjacency
     # alone is 4^n B = 256 MB
-    s = family_construct("s0s1@4m+2", 3)[0]  # an SRG, so every step runs
+    s = FAMILIES["s0s1@4m+2"].index_set(3)  # an SRG, so every step runs
     assert s.n == 14
     verdict, peak = _traced_explicit_check(s)
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
@@ -604,7 +597,7 @@ def test_dense_check_peak_allocation_at_n20():
     # almost every count, costs no more than an SRG: 10.0 * 2^n B measured
     # for both
     for s, status in (
-        (family_construct("s0s1@4m", 5)[0], VerdictStatus.NONTRIVIAL_SRG),
+        (FAMILIES["s0s1@4m"].index_set(5), VerdictStatus.NONTRIVIAL_SRG),
         (OrbitIndexSet.of(20, {1, 2}), VerdictStatus.NOT_SRG),
     ):
         assert s.n == EXPLICIT_MAX_N == 20
@@ -616,7 +609,7 @@ def test_dense_check_peak_allocation_at_n20():
 def test_row0_peak_allocation_at_n14():
     # the bool row (2^n B) and the small distinct-row table; gathering the
     # int32 indicator and casting it to bool held 5 * 2^n B
-    s = family_construct("s0s1@4m+2", 3)[0]
+    s = FAMILIES["s0s1@4m+2"].index_set(3)
     assert s.n == 14
     _row0(s)  # warm caches outside the trace
     tracemalloc.start()
@@ -644,7 +637,7 @@ def test_int64_bound_covers_the_dense_cap():
     "key, m", [("s0s1@4m", 4), ("s2s3@4m", 4), ("s0s1@4m", 5), ("s2s3@4m", 5), ("s0s1@4m+2", 4)]
 )
 def test_every_route_certifies_the_families_at_n16_to_n20(key, m):
-    s, predicted = family_construct(key, m)
+    s, predicted = FAMILIES[key].index_set(m), FAMILIES[key].predicted(m)
     assert 16 <= s.n <= EXPLICIT_MAX_N
     verdict, _ = certify(s, s.n)  # raises unless all three routes agree
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
@@ -665,7 +658,7 @@ def test_four_m_plus_two_members_pass_all_three_routes_at_m3():
         spec = FAMILIES[key]
         if spec.offset != 2:
             continue
-        s, predicted = family_construct(key, 3)
+        s, predicted = spec.index_set(3), spec.predicted(3)
         assert s.n == 14 <= EXPLICIT_MAX_N
         verdict, _ = certify(s, EXPLICIT_MAX_N)  # raises unless all three routes agree
         assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, key
@@ -723,7 +716,7 @@ def test_certify_disagreement_names_the_set_and_verdicts(monkeypatch, capsys, ro
         certify(s, explicit_cap)
     assert str(exc.value) == message
     with pytest.raises(ConsistencyError) as exc:
-        census(4, explicit_cap=explicit_cap)
+        census_bytes(4, "jsonl", explicit_cap)
     assert str(exc.value) == message
     argv = ["srg-check", "--set", "n=4;I=1,4"] + (["--explicit"] if explicit_cap else [])
     assert main(argv) == EXIT_VERIFICATION_FAILED
@@ -781,27 +774,14 @@ def test_equitable_partition_agrees_with_verdicts(small_sweep):
 
 
 def test_family_construct_examples():
-    s, predicted = family_construct("s0s1@4m", 2)
-    assert s == OrbitIndexSet.of(8, {1, 4, 5, 8})
-    assert predicted == SrgParams(256, 135, 70, 72)
-
-    s, predicted = family_construct("s1s2@4m+2", 1)
-    assert s == OrbitIndexSet.of(6, {1, 2, 5, 6})
-    assert predicted == SrgParams(64, 28, 12, 12)
-
-    s, predicted = family_construct("s0s3@4m+2", 2)
-    assert s == OrbitIndexSet.of(10, {3, 4, 7, 8})
-    assert predicted == SrgParams(1024, 495, 238, 240)
-
-    s, predicted = family_construct("s_minus", 3)
-    assert s.indices == {1, 2} and predicted == SrgParams(8, 6, 4, 6)
-
-    with pytest.raises(ValueError):
-        family_construct("s0s1@4m", 0)
-    with pytest.raises(ValueError):
-        family_construct("s_odd", 1)
-    with pytest.raises(ValueError):
-        family_construct("clique", 1)
+    for key, m, s, predicted in (
+        ("s0s1@4m", 2, OrbitIndexSet.of(8, {1, 4, 5, 8}), SrgParams(256, 135, 70, 72)),
+        ("s1s2@4m+2", 1, OrbitIndexSet.of(6, {1, 2, 5, 6}), SrgParams(64, 28, 12, 12)),
+        ("s0s3@4m+2", 2, OrbitIndexSet.of(10, {3, 4, 7, 8}), SrgParams(1024, 495, 238, 240)),
+        ("s_minus", 3, OrbitIndexSet.of(3, {1, 2}), SrgParams(8, 6, 4, 6)),
+    ):
+        assert FAMILIES[key].index_set(m) == s, key
+        assert FAMILIES[key].predicted(m) == predicted, key
 
 
 def test_family_parameters_verified_up_to_n14():
@@ -809,7 +789,7 @@ def test_family_parameters_verified_up_to_n14():
         spec = FAMILIES[key]
         m = 1
         while spec.dimension(m) <= 14:
-            s, predicted = family_construct(key, m)
+            s, predicted = spec.index_set(m), spec.predicted(m)
             verdict, _ = certify(s, explicit_cap=0)
             assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, (key, m)
             assert verdict.params == predicted, (key, m)
@@ -818,7 +798,7 @@ def test_family_parameters_verified_up_to_n14():
             m += 1
     for n in range(2, 15):
         for key in ("s_minus", "s_odd"):
-            s, predicted = family_construct(key, n)
+            s, predicted = FAMILIES[key].index_set(n), FAMILIES[key].predicted(n)
             verdict, _ = certify(s, explicit_cap=0)
             assert verdict.status is VerdictStatus.TRIVIAL_SRG, (key, n)
             assert verdict.params == predicted, (key, n)
@@ -827,7 +807,7 @@ def test_family_parameters_verified_up_to_n14():
 def test_family_parameters_verified_at_larger_m():
     # pair counting is closed-form, so spot-verify well past the dense caps
     for key, m in (("s2s3@4m", 5), ("s0s1@4m", 4), ("s1s2@4m+2", 4), ("s0s3@4m+2", 4)):
-        s, predicted = family_construct(key, m)
+        s, predicted = FAMILIES[key].index_set(m), FAMILIES[key].predicted(m)
         assert s.n in (16, 18, 20)
         verdict, _ = certify(s, explicit_cap=0)
         assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
@@ -866,7 +846,7 @@ def test_closed_form_cap_is_checked_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="closed-form cap"):
         full_spectrum(s)
     with pytest.raises(ValueError, match="closed-form cap"):
-        pair_count(s, 1)
+        pair_counts(s)
     # families: check_cap and 4 m_max + 2 both above the cap, and no row is built
     monkeypatch.setattr(srg_module.FamilySpec, "predicted", no_work)
     with pytest.raises(ValueError, match=f"n={CLOSED_FORM_MAX_N + 1} would be certified"):
@@ -901,7 +881,7 @@ def test_odd_weight_set_complement_splits_into_two_cliques():
 
 
 def test_closed_form_checkers_scale_beyond_machine_integers():
-    s, predicted = family_construct("s_minus", 128)
+    s, predicted = FAMILIES["s_minus"].index_set(128), FAMILIES["s_minus"].predicted(128)
     verdict, _ = certify(s, explicit_cap=0)
     assert verdict.status is VerdictStatus.TRIVIAL_SRG
     assert verdict.params == predicted
