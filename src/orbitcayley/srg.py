@@ -10,7 +10,10 @@ because S is a union of weight classes.
 The two closed-form routes share one rule set, ``verdict_columns``, which
 turns a table of index sets (membership, sorted spectra, pair counts; one
 row per set) into both routes' verdicts.  The dense route keeps its own
-rules, ``dense_columns`` on blocks of rows 0, and is their oracle.
+rules, ``dense_columns`` on blocks of rows 0, and is their oracle.  Every
+route computes its own gates; what all three share is only their
+encoding, ``_route_columns``: a status code is the position of the first
+gate that holds, in the order of ``VerdictStatus``.
 ``certified_rows`` is the one certification pipeline: it reads every
 route's verdict of every row and compares them.  The census passes it
 its int64 sweep tables, ``certify`` a one-row table of Python ints.
@@ -93,11 +96,13 @@ def pair_count_table(n: int) -> np.ndarray:
 
 
 class VerdictStatus(str, Enum):
+    # in gate order: a graph's status is the first of these whose gate holds,
+    # and NONTRIVIAL_SRG when none of the others does (``_route_columns``)
     DISCONNECTED = "disconnected"
     COMPLETE = "complete"
+    NOT_SRG = "not_srg"
     TRIVIAL_SRG = "trivial_srg"
     NONTRIVIAL_SRG = "nontrivial_srg"
-    NOT_SRG = "not_srg"
 
     def is_srg(self) -> bool:
         return self in (VerdictStatus.TRIVIAL_SRG, VerdictStatus.NONTRIVIAL_SRG)
@@ -133,12 +138,6 @@ class SrgVerdict:
             out["params"] = None
         out["families"] = list(self.family_tags)
         return out
-
-
-# the verdicts that carry no parameters, shared by every route and the census
-DISCONNECTED = SrgVerdict(VerdictStatus.DISCONNECTED)
-COMPLETE = SrgVerdict(VerdictStatus.COMPLETE)
-NOT_SRG = SrgVerdict(VerdictStatus.NOT_SRG)
 
 
 # -- named families ----------------------------------------------------------
@@ -293,22 +292,18 @@ def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
 
 # -- the verdict rules -------------------------------------------------------
 
-# a route's column code of a verdict status is its position here
+# a route's column code of a verdict status is its position here; the codes
+# from _SRG_CODE on carry parameters, and the verdicts below it are shared
 _STATUSES = tuple(VerdictStatus)
-_CODE = {status: code for code, status in enumerate(_STATUSES)}
-_PARAMLESS = {
-    _CODE[VerdictStatus.DISCONNECTED]: DISCONNECTED,
-    _CODE[VerdictStatus.COMPLETE]: COMPLETE,
-    _CODE[VerdictStatus.NOT_SRG]: NOT_SRG,
-}
+_SRG_CODE = _STATUSES.index(VerdictStatus.TRIVIAL_SRG)
+_PARAMLESS = {code: SrgVerdict(s) for code, s in enumerate(_STATUSES[:_SRG_CODE])}
 
 
 class VerdictColumns(NamedTuple):
     """Both closed-form verdicts of every table row, one column entry per row.
 
     ``paircount`` and ``spectral`` hold one row (status code, degree,
-    lambda, mu) per set, the code being the status's position in
-    ``VerdictStatus`` and the parameters 0 unless the status is an SRG.
+    lambda, mu) per set, as ``_route_columns`` encodes them.
     """
 
     connected: np.ndarray  # bool: the connectivity rule on I
@@ -334,27 +329,20 @@ def _connected_column(member: np.ndarray) -> np.ndarray:
     return connected
 
 
-def _route_columns(
-    gates: tuple[np.ndarray, np.ndarray, np.ndarray],
-    regular: np.ndarray,
-    params: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """One route's (status code, degree, lambda, mu) rows: the gates, then its SRG criterion."""
-    connected, complete, trivial = gates
-    status = np.select(
-        [~connected, complete, ~regular, trivial],
-        [_CODE[VerdictStatus.DISCONNECTED], _CODE[VerdictStatus.COMPLETE],
-         _CODE[VerdictStatus.NOT_SRG], _CODE[VerdictStatus.TRIVIAL_SRG]],
-        _CODE[VerdictStatus.NONTRIVIAL_SRG],
-    )
-    return np.column_stack([status, *(np.where(_is_srg(status), p, 0) for p in params)])
+def _route_columns(gates: list[np.ndarray], params: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One route's (status code, degree, lambda, mu) rows, from its gates and parameters.
 
-
-def _is_srg(status: np.ndarray) -> np.ndarray:
-    """Whether each status code is that of an SRG, trivial or nontrivial."""
-    return (status == _CODE[VerdictStatus.TRIVIAL_SRG]) | (
-        status == _CODE[VerdictStatus.NONTRIVIAL_SRG]
-    )
+    gates[c] is the bool column of status code c: disconnected, complete,
+    not an SRG, trivial.  A row's code is that of the first gate that
+    holds, or NONTRIVIAL_SRG when none does; its parameters are kept from
+    ``params`` when the code is an SRG's and are 0 otherwise.  This holds
+    the encoding only: every route computes its own gates.
+    """
+    status = np.full(len(gates[0]), len(gates))
+    for code in reversed(range(len(gates))):
+        status[gates[code]] = code
+    srg = status >= _SRG_CODE
+    return np.column_stack([status, *(np.where(srg, p, 0) for p in params)])
 
 
 def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray) -> VerdictColumns:
@@ -377,8 +365,8 @@ def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray)
     """
     n = member.shape[1]
     inside = member.astype(bool)
-    gates = (_connected_column(inside), inside.all(axis=1), ~_connected_column(~inside))
-    connected, complete, trivial = gates
+    connected, complete = _connected_column(inside), inside.all(axis=1)
+    disconnected, trivial = ~connected, ~_connected_column(~inside)
     distinct = 1 + np.count_nonzero(np.diff(spectra, axis=1), axis=1)
 
     top, bottom = counts.max(axis=1, keepdims=True), counts.min(axis=1, keepdims=True)
@@ -388,13 +376,15 @@ def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray)
         mu == np.where(inside, bottom, counts).max(axis=1)
     )
     degree = member @ np.array(pascal_row(n)[1:], dtype=counts.dtype)
-    paircount = _route_columns(gates, regular, (degree, lam, mu))
+    paircount = _route_columns([disconnected, complete, ~regular, trivial], (degree, lam, mu))
 
     tau, r = spectra[:, 0], spectra[:, -1]
     after_tau = np.minimum(np.count_nonzero(spectra == tau[:, None], axis=1), n)
     theta = spectra[np.arange(len(spectra)), after_tau]
     mu = r + theta * tau
-    spectral = _route_columns(gates, distinct == 3, (r, mu + theta + tau, mu))
+    spectral = _route_columns(
+        [disconnected, complete, distinct != 3, trivial], (r, mu + theta + tau, mu)
+    )
     return VerdictColumns(connected, trivial, complete, distinct, paircount, spectral)
 
 
@@ -430,10 +420,11 @@ def dense_columns(block: np.ndarray) -> np.ndarray:
     common neighbours of (x, y) are those of (0, x XOR y), and (x, y) is
     adjacent iff (0, x XOR y) is: lambda is read from vertex 0's counts
     over the y adjacent to 0, and mu over the other y != 0, which together
-    cover every pair of distinct vertices.  The codes and the zero
-    parameters of non-SRG rows are those of ``verdict_columns``, but the
-    gates are the route's own, in its own order: disconnected, complete,
-    not an SRG, trivial (the complement is disconnected), nontrivial.
+    cover every pair of distinct vertices.  The gates are the route's
+    own, from the transform of the block alone: disconnected, complete
+    (degree 2^n - 1), not an SRG (lambda or mu not constant) and trivial
+    (the complement is disconnected).  Only their encoding as codes,
+    ``_route_columns``, is shared with ``verdict_columns``.
     """
     connected, complement_connected, counts = walsh_counts(block)
     degree = counts[:, 0]
@@ -441,16 +432,10 @@ def dense_columns(block: np.ndarray) -> np.ndarray:
     other = np.logical_not(block, out=block)
     other[:, 0] = False
     mu, mu_found = _row_constants(counts, other)
-    status = np.select(
-        [~connected, degree == block.shape[1] - 1, ~(lam_found & mu_found), ~complement_connected],
-        [_CODE[VerdictStatus.DISCONNECTED], _CODE[VerdictStatus.COMPLETE],
-         _CODE[VerdictStatus.NOT_SRG], _CODE[VerdictStatus.TRIVIAL_SRG]],
-        _CODE[VerdictStatus.NONTRIVIAL_SRG],
-    )
-    srg = (status == _CODE[VerdictStatus.TRIVIAL_SRG]) | (
-        status == _CODE[VerdictStatus.NONTRIVIAL_SRG]
-    )
-    return np.column_stack([status, *(np.where(srg, p, 0) for p in (degree, lam, mu))])
+    gates = [
+        ~connected, degree == block.shape[1] - 1, ~(lam_found & mu_found), ~complement_connected
+    ]
+    return _route_columns(gates, (degree, lam, mu))
 
 
 def certified_rows(
@@ -495,7 +480,7 @@ def certified_rows(
         raise ConsistencyError(f"SRG routes disagree on {s.format()}: {detail}")
     return columns, {
         row: _tagged(index_set(row), _column_verdict(n, columns.paircount[row].tolist()))
-        for row in np.flatnonzero(_is_srg(columns.paircount[:, 0])).tolist()
+        for row in np.flatnonzero(columns.paircount[:, 0] >= _SRG_CODE).tolist()
     }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -33,7 +34,9 @@ from orbitcayley.srg import (
     SrgParams,
     VerdictStatus,
     SrgVerdict,
+    _SRG_CODE,
     _column_verdict,
+    _route_columns,
     _tagged,
     certify,
     dense_columns,
@@ -41,6 +44,7 @@ from orbitcayley.srg import (
     match_families,
     pair_count_table,
     pair_counts,
+    verdict_columns,
 )
 
 import oracles
@@ -51,6 +55,7 @@ from oracles import (
     common_neighbor_constants,
     complement_adjacency,
     connected_components,
+    forbid_everywhere,
     graph6_bytes,
     is_connected,
     is_connected_adjacency,
@@ -380,6 +385,62 @@ def test_row0_route_matches_the_matrix_oracle():
         member = np.array([[i in s.indices for i in range(1, n + 1)] for s, _ in rows])
         for (s, verdict), row in zip(rows, dense_columns(_row0_block(member)).tolist()):
             assert _tagged(s, _column_verdict(n, row)) == verdict, s.format()
+
+
+def test_route_columns_code_is_the_first_gate_that_holds():
+    # the statuses in gate order, then one row per combination of the four
+    # gates: its code is the position of the first gate that holds, or
+    # NONTRIVIAL_SRG when none does, and its parameters are 0 below _SRG_CODE
+    assert list(VerdictStatus) == [
+        VerdictStatus.DISCONNECTED,
+        VerdictStatus.COMPLETE,
+        VerdictStatus.NOT_SRG,
+        VerdictStatus.TRIVIAL_SRG,
+        VerdictStatus.NONTRIVIAL_SRG,
+    ]
+    assert _SRG_CODE == 3
+    combinations = list(product([False, True], repeat=4))
+    gates = [np.array(gate) for gate in zip(*combinations)]
+    params = tuple(np.arange(16) + base for base in (100, 200, 300))
+    rows = _route_columns(gates, params).tolist()
+    assert len(rows) == 16
+    for row, holds in enumerate(combinations):
+        code = holds.index(True) if any(holds) else 4
+        kept = [p[row] for p in params] if code >= _SRG_CODE else [0, 0, 0]
+        assert rows[row] == [code, *kept], holds
+    # an object table keeps Python ints, exact above 2^63
+    big = tuple(np.array([(1 << 64) + k], dtype=object) for k in range(3))
+    for code in range(5):
+        gates = [np.array([c == code]) for c in range(4)]
+        row = _route_columns(gates, big).tolist()[0]
+        kept = [(1 << 64) + k for k in range(3)] if code >= _SRG_CODE else [0, 0, 0]
+        assert row == [code, *kept]
+
+
+def test_dense_columns_read_no_closed_form(monkeypatch):
+    # the dense route shares only the encoding with the closed forms: with
+    # every closed-form rule and kernel banned, each row of every set with
+    # n <= 8 is unchanged
+    members = [(np.arange(1 << n)[:, None] >> np.arange(n)) & 1 for n in range(1, 9)]
+    expected = [dense_columns(_row0_block(member)) for member in members]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense route ran a closed-form rule")
+
+    forbid_everywhere(
+        monkeypatch,
+        (
+            srg_module._connected_column,
+            verdict_columns,
+            pair_counts,
+            pair_count_table,
+            spectrum_module.full_spectrum,
+            spectrum_module.character_sum_row,
+        ),
+        forbidden,
+    )
+    for member, rows in zip(members, expected):
+        assert np.array_equal(dense_columns(_row0_block(member)), rows)
 
 
 def test_butterflies_reject_a_block_that_is_not_c_contiguous():
