@@ -1,6 +1,6 @@
 """Orbit Cayley graphs over Z2^n: exact spectra, strong-regularity certification, census."""
 
-from .core import ConsistencyError, OrbitIndexSet, ResidueFamily, expand_family
+from .core import ConsistencyError, OrbitIndexSet
 from .graph6 import export_graph6
 from .identities import IDENTITY_IDS, IdentityCheck, mod4_binomial_sum, verify_all
 from .spectrum import (
@@ -28,7 +28,6 @@ __all__ = [
     "IDENTITY_IDS",
     "IdentityCheck",
     "OrbitIndexSet",
-    "ResidueFamily",
     "Spectrum",
     "SrgParams",
     "SrgVerdict",
@@ -37,7 +36,6 @@ __all__ = [
     "character_sum_row",
     "distinct",
     "emit_table1",
-    "expand_family",
     "export_graph6",
     "full_spectrum",
     "match_families",

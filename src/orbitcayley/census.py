@@ -29,7 +29,7 @@ from .explicit import EXPLICIT_MAX_N
 from .spectrum import _first_invariant_failure, character_table
 from .srg import _PARAMLESS, SrgVerdict, VerdictStatus, pair_count_table
 
-CENSUS_MAX_N = 16  # 65,535 sets at n = 16: 0.2-0.3 s, 95 MB peak, 13.5 MB of JSONL
+CENSUS_MAX_N = 16  # 65,535 sets at n = 16: 0.2-0.3 s, 82 MB peak, 13.5 MB of JSONL
 # The dense route costs about n * 4^n per dimension: census --n 12
 # --explicit-cap 12 takes 2.0-2.8 s, so n = 16 would take over 10 minutes.
 CENSUS_DENSE_MAX_N = 12
@@ -39,6 +39,7 @@ CENSUS_DENSE_MAX_N = 12
 TABLE_INT64_MAX_N = 20
 CENSUS_DEFAULT_EXPLICIT_CAP = 8  # the census command's --explicit-cap default
 
+CENSUS_FORMATS = ("jsonl", "csv")
 CENSUS_CSV_COLUMNS = ["n", "I", "connected", "distinct", "verdict", "r", "lambda", "mu"]
 
 
@@ -177,8 +178,11 @@ def census_bytes(n: int, fmt: str, explicit_cap: int) -> bytes:
     the ``CENSUS_CSV_COLUMNS`` without the header, with I quoted when it
     holds a comma.  Every row whose verdict has no parameters shares the
     closing fields of its status; only the SRG rows are serialised one
-    by one.
+    by one.  Raises ValueError before any work when fmt is neither
+    "jsonl" nor "csv".
     """
+    if fmt not in CENSUS_FORMATS:
+        raise ValueError(f"unknown census format {fmt!r}; expected one of {CENSUS_FORMATS}")
     columns, verdicts = _dimension(n, explicit_cap)
     shared = {code: _verdict_fields(verdict, fmt) for code, verdict in _PARAMLESS.items()}
     fields = [shared.get(code) for code in columns.paircount[:, 0].tolist()]
@@ -189,15 +193,15 @@ def census_bytes(n: int, fmt: str, explicit_cap: int) -> bytes:
     if fmt == "jsonl":
         texts = _index_texts(n, ", ")
         verified = json.dumps(n <= explicit_cap)
-        lines = [
+        lines = (
             f'{{"n": {n}, "I": [{texts[mask]}], "connected": {connected}, "distinct": {distinct}, '
             f'"complement_I": [{texts[full ^ mask]}], "explicit_verified": {verified}, {tail}'
             for mask, distinct, (connected, tail) in rows
-        ]
+        )
     else:
         texts = [f'"{t}"' if "," in t else t for t in _index_texts(n, ",")]
-        lines = [
+        lines = (
             f"{n},{texts[mask]},{connected},{distinct},{tail}"
             for mask, distinct, (connected, tail) in rows
-        ]
+        )
     return "".join(lines).encode()

@@ -29,6 +29,7 @@ from typing import Iterable
 from .census import (
     CENSUS_CSV_COLUMNS,
     CENSUS_DEFAULT_EXPLICIT_CAP,
+    CENSUS_FORMATS,
     census_bytes,
     check_census_request,
 )
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="sweep all index sets for a range of dimensions")
     p.add_argument("--n", required=True, help="dimension or range, e.g. 6 or 4..10")
     p.add_argument("--explicit-cap", type=_decimal, default=CENSUS_DEFAULT_EXPLICIT_CAP)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.add_argument("--format", choices=CENSUS_FORMATS, default="jsonl")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("families", help="predicted family parameters with verification")

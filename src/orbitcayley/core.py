@@ -1,9 +1,8 @@
-"""Orbit-indexed connection sets in GF(2)^n (int bitsets), named shapes, and Pascal rows."""
+"""Orbit-indexed connection sets in GF(2)^n (int bitsets) and Pascal rows."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from math import comb
 from typing import Iterable
@@ -111,28 +110,3 @@ class OrbitIndexSet:
     def is_full(self) -> bool:
         return len(self.indices) == self.n
 
-
-class ResidueFamily(str, Enum):
-    """Named index-set shapes: weight residues mod 4, all-but-top, and odd weights."""
-
-    S0 = "s0"
-    S1 = "s1"
-    S2 = "s2"
-    S3 = "s3"
-    S_MINUS = "s_minus"
-    S_ODD = "s_odd"
-
-
-def expand_family(tag: ResidueFamily | str, n: int) -> OrbitIndexSet:
-    """The exact index set a named shape denotes at dimension n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    tag = ResidueFamily(tag)
-    if tag in (ResidueFamily.S0, ResidueFamily.S1, ResidueFamily.S2, ResidueFamily.S3):
-        r = int(tag.value[1])
-        indices = frozenset(i for i in range(1, n + 1) if i % 4 == r)
-    elif tag is ResidueFamily.S_MINUS:
-        indices = frozenset(range(1, n))
-    else:
-        indices = frozenset(range(1, n + 1, 2))
-    return OrbitIndexSet(n, indices)

@@ -35,8 +35,6 @@ from .core import (
     CLOSED_FORM_MAX_N,
     ConsistencyError,
     OrbitIndexSet,
-    ResidueFamily,
-    expand_family,
     pascal_row,
 )
 from .explicit import EXPLICIT_MAX_N, _row0_block, _row_constants, walsh_counts
@@ -142,27 +140,19 @@ class SrgVerdict:
 
 # -- named families ----------------------------------------------------------
 
-_PRETTY = {
-    ResidueFamily.S0: "S0",
-    ResidueFamily.S1: "S1",
-    ResidueFamily.S2: "S2",
-    ResidueFamily.S3: "S3",
-    ResidueFamily.S_MINUS: "S-",
-    ResidueFamily.S_ODD: "So",
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
-    """One named family: the union of ``residues`` at each dimension it lives in.
+    """One named family: the union of the weight classes S_r at each dimension it lives in.
 
-    A nontrivial row lives at n = 4m + ``offset`` and its parameters follow
-    one formula with ``sign`` = +1 or -1.  A trivial row (offset None) is
-    parameterized by n itself.
+    S_r holds the weights i in 1..n with i = r mod 4, for each residue r
+    in ``residues``; residues None is S-, the weights 1..n-1.  A nontrivial
+    row lives at n = 4m + ``offset`` and its parameters follow one formula
+    with ``sign`` = +1 or -1.  A trivial row (offset None) is parameterized
+    by n itself.
     """
 
     key: str
-    residues: tuple[ResidueFamily, ...]
+    residues: tuple[int, ...] | None
     offset: int | None = None
     sign: int = 0
 
@@ -182,8 +172,9 @@ class FamilySpec:
 
     def index_set(self, m: int) -> OrbitIndexSet:
         n = self.dimension(m)
-        indices = frozenset().union(*(expand_family(t, n).indices for t in self.residues))
-        return OrbitIndexSet(n, indices)
+        if self.residues is None:
+            return OrbitIndexSet.of(n, range(1, n))
+        return OrbitIndexSet.of(n, (i for i in range(1, n + 1) if i % 4 in self.residues))
 
     def predicted(self, m: int) -> SrgParams:
         """Closed-form (v, r, lambda, mu) of the member with parameter m.
@@ -197,28 +188,28 @@ class FamilySpec:
         if self.trivial:
             # complete multipartite: s_minus pairs each vector with its
             # antipode, s_odd splits the vectors by parity
-            part = 2 if self.residues == (ResidueFamily.S_MINUS,) else v // 2
+            part = 2 if self.residues is None else v // 2
             return SrgParams(v, v - part, v - 2 * part, v - part)
         g = self.sign * (-1) ** m * (1 << (n // 2 - 1))
-        e = int(ResidueFamily.S0 in self.residues)
+        e = int(0 in self.residues)
         return SrgParams(v, v // 2 + g - e, v // 4 + g - 2 * e, v // 4 + g)
 
     def label(self, m: int) -> str:
-        parts = "+".join(_PRETTY[t] for t in self.residues)
+        parts = "S-" if self.residues is None else "+".join(f"S{r}" for r in self.residues)
         return f"Cay(Z2^{self.dimension(m)},{parts})"
 
 
 FAMILIES: dict[str, FamilySpec] = {
     spec.key: spec
     for spec in (
-        FamilySpec("s0s1@4m", (ResidueFamily.S0, ResidueFamily.S1), offset=0, sign=1),
-        FamilySpec("s2s3@4m", (ResidueFamily.S2, ResidueFamily.S3), offset=0, sign=-1),
-        FamilySpec("s0s1@4m+2", (ResidueFamily.S0, ResidueFamily.S1), offset=2, sign=1),
-        FamilySpec("s2s3@4m+2", (ResidueFamily.S2, ResidueFamily.S3), offset=2, sign=-1),
-        FamilySpec("s1s2@4m+2", (ResidueFamily.S1, ResidueFamily.S2), offset=2, sign=1),
-        FamilySpec("s0s3@4m+2", (ResidueFamily.S0, ResidueFamily.S3), offset=2, sign=-1),
-        FamilySpec("s_minus", (ResidueFamily.S_MINUS,)),
-        FamilySpec("s_odd", (ResidueFamily.S_ODD,)),
+        FamilySpec("s0s1@4m", (0, 1), offset=0, sign=1),
+        FamilySpec("s2s3@4m", (2, 3), offset=0, sign=-1),
+        FamilySpec("s0s1@4m+2", (0, 1), offset=2, sign=1),
+        FamilySpec("s2s3@4m+2", (2, 3), offset=2, sign=-1),
+        FamilySpec("s1s2@4m+2", (1, 2), offset=2, sign=1),
+        FamilySpec("s0s3@4m+2", (0, 3), offset=2, sign=-1),
+        FamilySpec("s_minus", None),
+        FamilySpec("s_odd", (1, 3)),
     )
 }
 

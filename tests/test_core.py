@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitcayley.core import OrbitIndexSet, ResidueFamily, expand_family, pascal_row
+from orbitcayley.core import OrbitIndexSet, pascal_row
 from orbitcayley.explicit import _row0
 from orbitcayley.spectrum import _HALF_WEIGHTS
+from orbitcayley.srg import FAMILIES
 import orbitcayley
 
 from oracles import (
@@ -34,7 +35,6 @@ PUBLIC_NAMES = (
     "IDENTITY_IDS",
     "IdentityCheck",
     "OrbitIndexSet",
-    "ResidueFamily",
     "Spectrum",
     "SrgParams",
     "SrgVerdict",
@@ -43,7 +43,6 @@ PUBLIC_NAMES = (
     "character_sum_row",
     "distinct",
     "emit_table1",
-    "expand_family",
     "export_graph6",
     "full_spectrum",
     "match_families",
@@ -100,15 +99,29 @@ def test_index_set_validation():
         OrbitIndexSet.of(0, set())
 
 
-def test_expand_family_examples():
-    s01 = expand_family(ResidueFamily.S0, 4).indices | expand_family(ResidueFamily.S1, 4).indices
-    assert s01 == {1, 4}
-    assert expand_family(ResidueFamily.S_ODD, 5).indices == {1, 3, 5}
-    assert expand_family(ResidueFamily.S_MINUS, 3).indices == {1, 2}
-    assert expand_family(ResidueFamily.S0, 10).indices == {4, 8}
-    assert expand_family(ResidueFamily.S2, 6).indices == {2, 6}
-    assert expand_family(ResidueFamily.S3, 6).indices == {3}
-    assert expand_family(ResidueFamily.S_MINUS, 1).indices == set()
+def test_family_table_states_the_residues():
+    # residue r is S_r, the weights = r mod 4; None is S-, every weight but n
+    for key, spec in FAMILIES.items():
+        if key == "s_minus":
+            assert spec.residues is None
+        else:
+            assert spec.residues == tuple(sorted(spec.residues)), key
+            assert set(spec.residues) <= {0, 1, 2, 3}, key
+    assert FAMILIES["s0s1@4m"].index_set(1).indices == {1, 4}
+    assert FAMILIES["s0s1@4m+2"].index_set(2).indices == {1, 4, 5, 8, 9}
+    assert FAMILIES["s2s3@4m+2"].index_set(1).indices == {2, 3, 6}
+    assert FAMILIES["s_odd"].index_set(5).indices == {1, 3, 5}
+    assert FAMILIES["s_minus"].index_set(3).indices == {1, 2}
+    assert FAMILIES["s_minus"].index_set(1).indices == set()
+    labels = {key: spec.label(1) for key, spec in FAMILIES.items() if not spec.trivial}
+    assert labels == {
+        "s0s1@4m": "Cay(Z2^4,S0+S1)",
+        "s2s3@4m": "Cay(Z2^4,S2+S3)",
+        "s0s1@4m+2": "Cay(Z2^6,S0+S1)",
+        "s2s3@4m+2": "Cay(Z2^6,S2+S3)",
+        "s1s2@4m+2": "Cay(Z2^6,S1+S2)",
+        "s0s3@4m+2": "Cay(Z2^6,S0+S3)",
+    }
 
 
 def test_complement_examples():
