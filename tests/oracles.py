@@ -78,9 +78,9 @@ the independent check of one fast route.
 - ``column_gather_graph6``: the graph6 string with each column of the
   upper triangle gathered bit by bit from vertex 0's row through an int64
   XOR index, packed 6 bits at a time with shifts and ORs, the check of
-  ``graph6.export_graph6``, which copies row prefixes from chunk-permuted
-  translate blocks and packs each group of 48 rows, which starts on a
-  24-bit boundary, with one ``np.packbits`` call.  ``graph6_bytes`` joins
+  ``graph6.export_graph6``, which shifts 64-bit words of the first 64 rows
+  into place, a block of 64 rows at a time, and turns whole 3-word runs
+  into characters by shift-and-mask steps.  ``graph6_bytes`` joins
   the chunks that ``export_graph6`` yields into the one string the tests
   compare.
 - ``decode_graph6``: the adjacency matrix of a graph6 string, which

@@ -259,8 +259,8 @@ def test_export_holds_one_copy_of_the_graph6_string(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 1,397,765 B with the newline; each 48-row group is written as it is
-    # packed, so the encoder's buffers (about 0.4 MB) fit, one copy of the
+    # 1,397,765 B with the newline; each 64-row block is written as it is
+    # encoded, so the encoder's buffers (about 0.3 MB) fit, one copy of the
     # string does not
     assert peak < out.stat().st_size // 2, peak
 
@@ -335,28 +335,28 @@ def test_failure_in_a_later_census_dimension_writes_nothing(tmp_path, monkeypatc
 
 
 def test_failure_in_a_later_graph6_group_writes_nothing(tmp_path, monkeypatch, capsysbinary):
-    # n = 7: 128 rows, packed in 3 groups of 48 rows; each export fails in its second group
+    # n = 7: 128 rows, encoded in 2 blocks of 64 rows; each export fails in its second block
     out = tmp_path / "result"
     out.write_bytes(b"previous contents\n")
-    real_pack_groups = graph6_module._pack_groups
+    real_characters = graph6_module._characters
     calls = []
 
-    def pack_groups_failing_second(*args):
+    def characters_failing_second(*args):
         calls.append(sorted(p.name for p in tmp_path.iterdir()))
         if len(calls) % 2 == 0:
-            raise ConsistencyError("injected in group 2")
-        return real_pack_groups(*args)
+            raise ConsistencyError("injected in block 2")
+        return real_characters(*args)
 
-    monkeypatch.setattr(graph6_module, "_pack_groups", pack_groups_failing_second)
+    monkeypatch.setattr(graph6_module, "_characters", characters_failing_second)
     argv = ["export", "--set", "n=7;I=1,4,5"]
     assert main(argv) == EXIT_VERIFICATION_FAILED
     captured = capsysbinary.readouterr()
     assert captured.out == b""
-    assert b"injected in group 2" in captured.err
+    assert b"injected in block 2" in captured.err
 
     assert main(argv + ["--out", str(out)]) == EXIT_VERIFICATION_FAILED
     assert capsysbinary.readouterr().out == b""
-    # the header and group 1 went to the temporary file before group 2 was packed
+    # the header and block 1 went to the temporary file before block 2 was encoded
     tmp_name, target = calls[3]
     assert re.fullmatch(r"\.result\.[0-9a-f]{8}\.tmp", tmp_name) and target == "result"
     assert out.read_bytes() == b"previous contents\n"

@@ -81,12 +81,13 @@ def test_export_cap(monkeypatch):
 
 
 def test_length_is_the_byte_count_without_packing(monkeypatch):
-    # header and body bytes; the chunks are the header and one per 48-row group
+    # header and body bytes; the chunks are the header and one per block of
+    # 64 rows, a single block below N = 64
     sets = [OrbitIndexSet.of(1, {1}), OrbitIndexSet.of(6, {1}), OrbitIndexSet.of(7, {1, 4, 5})]
     sets += [OrbitIndexSet.of(n, {1, n}) for n in (9, 12)]
     for s in sets:
         chunks = list(iter(export_graph6(s)))
-        assert len(chunks) == 1 + -(-(1 << s.n) // graph6_module._GROUP_ROWS), s.format()
+        assert len(chunks) == 1 + -(-(1 << s.n) // graph6_module._BLOCK_ROWS), s.format()
         assert len(export_graph6(s)) == len(b"".join(chunks)) == len(graph6_bytes(s)), s.format()
     monkeypatch.setattr(graph6_module, "_pack_upper_triangle", lambda row0: pytest.fail("packed"))
     # 4 header bytes and the body of N(N - 1)/2 bits at N = 2^14, 6 to a byte
@@ -121,9 +122,9 @@ def test_decode_rejects_malformed_input():
 
 
 def test_streamed_packing_matches_reference_encoder():
-    # n=11 and n=12 bodies hold 2,096,128 and 8,386,560 bits, packed in 43 and
-    # 86 groups of 48 rows; the last n=11 group ends 16 bits into a 24-bit
-    # group and is zero-padded, the last n=12 group ends on a 24-bit boundary
+    # n=11 and n=12 bodies hold 2,096,128 and 8,386,560 bits, packed in 32 and
+    # 64 blocks of 64 rows; the last n=11 block ends 16 bits into a 24-bit
+    # group and is zero-padded, the last n=12 block ends on a 24-bit boundary
     rng = random.Random(5)
     for n in (11, 12):
         for _ in range(2):
@@ -132,9 +133,8 @@ def test_streamed_packing_matches_reference_encoder():
 
 
 def test_packing_matches_the_column_gather_oracle():
-    # every set up to n = 7; at odd n, N is no square, so a block never has
-    # as many column chunks as rows; n = 13 and 14 bodies span 171 and 342
-    # groups of 48 rows
+    # every set up to n = 7; n = 13 and 14 bodies span 128 and 256 blocks of
+    # 64 rows, whose rows are up to 128 and 256 words long
     sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 8) for mask in range(1 << n)]
     rng = random.Random(17)
     for n, count in ((9, 3), (11, 3), (13, 3), (14, 1)):
@@ -144,37 +144,65 @@ def test_packing_matches_the_column_gather_oracle():
 
 
 def test_every_group_of_rows_starts_a_24_bit_group(monkeypatch):
-    # row j starts at bit j(j-1)/2, so a group boundary at every multiple of
-    # _GROUP_ROWS starts a new 3-byte, 4-character group
-    group_rows = graph6_module._GROUP_ROWS
-    for j in range(group_rows, 1 << EXPORT_MAX_N, group_rows):
-        assert j * (j - 1) // 2 % 24 == 0, j
-    # any multiple of the group size packs the same bytes; up to n = 5 the
-    # body is one partial group, at n = 6 (N = 64) one whole group and one
-    # partial group at 48 rows, one partial group at 96 and 144 rows
+    # each block's chunk is whole 3-word runs, 192 bits or 32 characters, so
+    # every chunk starts on a whole character, a whole 64-bit word and a
+    # whole 24-bit group, whatever the rows per block; a block stops at every
+    # multiple of 64 rows, so blocks of 5 rows leave one of 4 before each
     sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 8) for mask in range(1 << n)]
     rng = random.Random(23)
     for n in (9, 11):
         sets += [OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n)) for _ in range(2)]
     expected = [graph6_bytes(s) for s in sets]
-    for multiple in (2, 3):
-        monkeypatch.setattr(graph6_module, "_GROUP_ROWS", multiple * group_rows)
+    for rows in (64, 16, 5):
+        monkeypatch.setattr(graph6_module, "_BLOCK_ROWS", rows)
         for s, blob in zip(sets, expected):
-            assert graph6_bytes(s) == blob, (s.format(), multiple)
+            size = 1 << s.n
+            header, *body = iter(export_graph6(s))
+            assert len(body) == -(-size // 64) * -(-min(size, 64) // rows), (s.format(), rows)
+            assert all(len(chunk) % 32 == 0 for chunk in body[:-1]), (s.format(), rows)
+            assert header + b"".join(body) == blob, (s.format(), rows)
 
 
-@pytest.mark.parametrize("group_multiple", [1, 5, 7, 64, 1000])
-def test_streamed_packing_with_small_blocks(monkeypatch, group_multiple):
-    # groups of 48, 240, 336, 3072 and 48,000 rows against the reference
-    # encoder: at n = 9 (512 rows) that is 11, 3, 2, 1 and 1 groups, so group
-    # ends fall mid-block, mid-chunk and past the last row
-    monkeypatch.setattr(graph6_module, "_GROUP_ROWS", group_multiple * graph6_module._GROUP_ROWS)
+@pytest.mark.parametrize("block_rows", [1, 5, 7, 64, 1000])
+def test_streamed_packing_with_small_blocks(monkeypatch, block_rows):
+    # blocks of 1, 5, 7, 64 and 1000 rows against the reference encoder; a
+    # block stops at every multiple of 64 rows, so 1000 rows act as 64, and
+    # at n = 9 (512 rows) blocks end mid-word, mid-run and past the last row
+    monkeypatch.setattr(graph6_module, "_BLOCK_ROWS", block_rows)
     for n in range(1, 7):
         for mask in range(1 << n):
             s = OrbitIndexSet.from_bitmask(n, mask)
             assert graph6_bytes(s) == _reference_graph6(s), s.format()
     s = OrbitIndexSet.of(9, {1, 4, 7})
     assert graph6_bytes(s) == _reference_graph6(s)
+
+
+@pytest.mark.parametrize("block_rows", [64, 3])
+def test_word_seams_match_the_column_gather_oracle(monkeypatch, block_rows):
+    # Up to n = 6 every row is shorter than a word and several rows share
+    # one; at n = 7 row 64 starts the second block, the first whose rows span
+    # two words or more; at n = 9, 11 and 13 blocks end mid-word and 3-word
+    # runs end mid-row.  Blocks of 3 rows also end inside a block of 64.
+    monkeypatch.setattr(graph6_module, "_BLOCK_ROWS", block_rows)
+    sets = [OrbitIndexSet.from_bitmask(n, mask) for n in range(1, 8) for mask in range(1 << n)]
+    rng = random.Random(29)
+    for n in (9, 11, 13):
+        sets += [OrbitIndexSet.from_bitmask(n, rng.randrange(1, 1 << n)) for _ in range(2)]
+    for s in sets:
+        blob = graph6_bytes(s)
+        assert blob == column_gather_graph6(s), s.format()
+        # the last character's bits past the N(N-1)/2 of the body are zero
+        size = 1 << s.n
+        padding = -(size * (size - 1) // 2) % 6
+        assert (blob[-1] - 63) & ((1 << padding) - 1) == 0, s.format()
+    # complete graphs: every body bit is 1, so the body is all "~" but the
+    # last character, whose 1, 4 or 6 body bits lead its zero padding
+    for n in range(1, 12):
+        size = 1 << n
+        blob = graph6_bytes(OrbitIndexSet.of(n, set(range(1, n + 1))))
+        body = blob[len(_encode_size(size)) :]
+        padding = -(size * (size - 1) // 2) % 6
+        assert body == b"~" * (len(body) - 1) + bytes([63 + (63 >> padding << padding)]), n
 
 
 def test_export_peak_allocation_stays_within_budget():
@@ -190,16 +218,18 @@ def test_export_peak_allocation_stays_within_budget():
             tracemalloc.stop()
         # medium header + body: 1,397,764 B at n = 12, 22,368,260 B at n = 14
         assert written == 4 + (size * (size - 1) // 2 + 5) // 6
-        # Live at once, at most:
-        #   the bit buffer: one group of rows and the last padding     _GROUP_ROWS * size + 24
-        #   the int64 XOR index of the first block of 8 rows           64 * size
-        #   the first block of 8 rows and one translate block          16 * size
-        # The margin covers the int32 indicator and bool row of vertex 0 (5 * size),
-        # the packed bytes, characters and shift temporaries of one group
-        # (20 * size) and interpreter bookkeeping.  About 96 * size was
-        # measured (0.39 MB at n = 12, 1.57 MB at n = 14).  An encoder that
-        # holds the whole string, 4^n / 12 bytes, or builds the whole
-        # triangle, N(N-1)/2 bits in several copies, is far over this budget.
-        buffers = graph6_module._GROUP_ROWS * size + 24 + 64 * size + 16 * size
-        margin = 25 * size + 64 * 1024
+        # Live at once, at most, at the last block of 64 rows:
+        #   the first 64 rows as words                                  8 * size
+        #   the block buffers: words, shifted heads and the stream     24 * size
+        #   the characters of a block: 48-bit pieces, their shifted
+        #   copies and the bytes, 32 of each for 24 stream bytes       32 * size
+        # The margin covers the bool row of vertex 0 and the keep mask
+        # (2 * size), the chunk the consumer still holds while the next is
+        # made (11 * size), the shift temporaries of the pieces (6 * size)
+        # and interpreter bookkeeping.  About 77 * size was measured
+        # (0.31 MiB at n = 12, 1.20 MiB at n = 14).  An encoder that holds
+        # the whole string, 4^n / 12 bytes, or one byte per bit of a block,
+        # 32 * 2^n bytes at the last, is far over this budget.
+        buffers = 8 * size + 24 * size + 32 * size
+        margin = 34 * size + 64 * 1024
         assert peak <= buffers + margin, (s.n, peak)
