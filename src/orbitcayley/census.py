@@ -24,19 +24,10 @@ import json
 import numpy as np
 
 from . import srg
-from .core import ConsistencyError, OrbitIndexSet, pascal_row
-from .explicit import EXPLICIT_MAX_N
+from .core import ConsistencyError, OrbitIndexSet, enforce_cap, pascal_row
 from .spectrum import _first_invariant_failure, character_table
 from .srg import _PARAMLESS, SrgVerdict, VerdictStatus, pair_count_table
 
-CENSUS_MAX_N = 16  # 65,535 sets at n = 16: 0.2-0.3 s, 82 MB peak, 13.5 MB of JSONL
-# The dense route costs about n * 4^n per dimension: census --n 12
-# --explicit-cap 12 takes 2.0-2.8 s, so n = 16 would take over 10 minutes.
-CENSUS_DENSE_MAX_N = 12
-# The sweep runs in int64.  Table entries, eigenvalues and pair counts are at
-# most 2^n in absolute value, and the second-moment partial sums at most
-# 4^n * sum_k C(n, k) = 8^n, so int64 is exact for n <= 20.
-TABLE_INT64_MAX_N = 20
 CENSUS_DEFAULT_EXPLICIT_CAP = 8  # the census command's --explicit-cap default
 
 CENSUS_FORMATS = ("jsonl", "csv")
@@ -44,24 +35,17 @@ CENSUS_CSV_COLUMNS = ["n", "I", "connected", "distinct", "verdict", "r", "lambda
 
 
 def check_census_request(n: int, explicit_cap: int) -> None:
-    """Raise ValueError when n is outside 1..CENSUS_MAX_N or explicit_cap exceeds EXPLICIT_MAX_N.
+    """Raise ValueError when n < 1, n exceeds the census cap or explicit_cap the dense cap.
 
-    Also raises when n exceeds TABLE_INT64_MAX_N, the bound of the int64
-    sweep, and when min(n, explicit_cap) exceeds CENSUS_DENSE_MAX_N, the
-    largest dimension the census runs the dense route on.  That bound rises
+    Also raises when min(n, explicit_cap), the largest dimension the census
+    runs the dense route on, exceeds the census dense cap.  That bound rises
     with n, so checking both ends of a range checks every n in it.
     """
-    if not 1 <= n <= CENSUS_MAX_N:
-        raise ValueError(f"n={n} outside the census range 1..{CENSUS_MAX_N}")
-    if n > TABLE_INT64_MAX_N:
-        raise ValueError(f"n={n} exceeds the int64-exact table bound {TABLE_INT64_MAX_N}")
-    if explicit_cap > EXPLICIT_MAX_N:
-        raise ValueError(f"explicit cap {explicit_cap} exceeds the dense cap {EXPLICIT_MAX_N}")
-    if min(n, explicit_cap) > CENSUS_DENSE_MAX_N:
-        raise ValueError(
-            f"explicit cap {explicit_cap} at n={n} exceeds the census dense cap "
-            f"{CENSUS_DENSE_MAX_N}"
-        )
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    enforce_cap("census", n)
+    enforce_cap("dense", explicit_cap, "explicit cap")
+    enforce_cap("census dense", min(n, explicit_cap))
 
 
 def _bits(m: int) -> np.ndarray:
@@ -114,7 +98,8 @@ def sweep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Row r is the set with bitmask r + 1: member[r, i - 1] = [i in I],
     spectra[r, k] = sum over i in I of K[i][k] (``character_table``) and
     counts[r, w - 1] = sum over i, j in I of P[w][i][j] for w = 1..n
-    (``pair_count_table``); member is int8, spectra and counts int64.
+    (``pair_count_table``); member is int8, spectra and counts int64, exact
+    while the second moment's 8^n < 2^63, so for n <= 20, past the census cap.
     The rows are sums of the ``_half_tables`` rows of the mask's two halves,
     all made by one ``_half_rows`` call, so no product runs over the whole
     table.  ``full_spectrum`` and ``pair_counts`` are the per-set oracles

@@ -5,23 +5,54 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed (two routes to the same value disagreed)."""
 
 
-# the largest n of the closed forms, checked first in spectrum.full_spectrum
-# and srg.pair_counts.  The pair counts of all n weights take time cubic in n:
-# srg-check at n = 1024 takes 1.1 s with 2 indices and 2.5 s with 512
-# (2-vCPU host, Python 3.11.7)
-CLOSED_FORM_MAX_N = 1024
+class Cap(NamedTuple):
+    limit: int
+    quantity: str
+
+
+# Every request limit, by name: the largest value of the quantity it bounds.
+# The families are infinite, so each cap is policy, checked before any work
+# by ``enforce_cap``.  Times are on a 2-vCPU host, Python 3.11.7, numpy 2.4.6.
+CAPS: dict[str, Cap] = {
+    # the pair counts take time cubic in n: srg-check at n = 1024 takes 1.1 s
+    # with 2 indices and 2.5 s with 512
+    "closed-form": Cap(1024, "n"),
+    # 65,535 sets at n = 16: 0.2-0.3 s, 82 MB peak, 13.5 MB of JSONL
+    "census": Cap(16, "n"),
+    # the census's dense route costs about n * 4^n: census --n 12
+    # --explicit-cap 12 takes 2.0-2.8 s, so n = 16 would take over 10 minutes
+    "census dense": Cap(12, "min(n, explicit cap)"),
+    # row 0, its int64 counts and one bool buffer: one set at n = 20 takes
+    # 0.12-0.15 s and traces 10.0 * 2^n B (10 MiB)
+    "dense": Cap(20, "n"),
+    # about 50 ms and 4^n / 12 bytes of output (22 MB) at n = 14, holding
+    # about 77 * 2^n bytes, never the whole string
+    "export": Cap(14, "n"),
+    # the transform oracle: O(n * 2^n) time and O(2^n) memory
+    "transform": Cap(24, "n"),
+    # verify_all(60) takes 0.3 s and verify_all(100) 1.3 s, about m^2.5
+    "identities": Cap(100, "m"),
+}
+
+
+def enforce_cap(name: str, value: int, quantity: str | None = None) -> None:
+    """Raise ValueError when value exceeds the cap ``name``, naming it by quantity if given."""
+    limit, own = CAPS[name]
+    if value > limit:
+        raise ValueError(f"{quantity or own}={value} exceeds the {name} cap {limit}")
+
 
 # Row n holds n + 1 ints of at most n bits: 10.6 KB at n = 200 and 135 KB at
 # n = 1024.  Requests up to n = 200 touch rows 0..200 only, 0.95 MB in all; a
-# full cache of rows 0..255 holds 1.65 MB, and at CLOSED_FORM_MAX_N the cache
-# holds at most the rows 769..1024, 27.6 MB
+# full cache of rows 0..255 holds 1.65 MB, and at the closed-form cap the
+# cache holds at most the rows 769..1024, 27.6 MB
 PASCAL_ROWS_CACHED = 256
 
 
@@ -106,7 +137,3 @@ class OrbitIndexSet:
     def complement(self) -> OrbitIndexSet:
         """The index set of the complement graph's connection set: {1..n} minus indices."""
         return OrbitIndexSet(self.n, frozenset(range(1, self.n + 1)) - self.indices)
-
-    def is_full(self) -> bool:
-        return len(self.indices) == self.n
-

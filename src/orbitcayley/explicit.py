@@ -36,18 +36,6 @@ import numpy as np
 from .core import OrbitIndexSet
 from .spectrum import _butterflies, _weight_rows
 
-# per row 0 the route holds the bool row and its int64 counts, 9 * 2^n
-# bytes, and one bool buffer: lambda and mu compare the counts with their
-# first value under a mask (the block, then the block inverted in place),
-# which gathers nothing.  The dense check of one set (the one-row block
-# ``certify`` passes to srg.dense_columns) at n = 20 takes 0.12-0.15 s (best
-# of 5) and traces a peak of 10.0 * 2^n B (10 MiB), for a small S as for an
-# SRG; the census's blocks of 2^14 entries check the 502 sets with n <= 8 in
-# 10-11 ms (2-vCPU host, numpy 2.4.6).  The int64 passes are exact for n <= INT64_EXACT_MAX_N (see
-# walsh_counts), which this cap stays within.
-EXPLICIT_MAX_N = 20
-INT64_EXACT_MAX_N = 31
-
 
 def _row0_block(member: np.ndarray) -> np.ndarray:
     """Adjacency rows of vertex 0 of a table of index sets: block[r, y] <=> weight(y) in I_r.
@@ -80,7 +68,7 @@ def walsh_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     a second pass over F^2 in the same array, shifted right by n.  Bounds:
     |F| <= |S| < 2^n, and every partial sum of the second pass is at most
     sum_k F[k]^2 = 2^n |S| < 4^n (Parseval), so the in-place
-    2 * hi < 2^(2n+1) fits int64 for n <= INT64_EXACT_MAX_N = 31.
+    2 * hi < 2^(2n+1) fits int64 while 2^(2n+1) <= 2^63, so for n <= 31.
     """
     size = block.shape[-1]
     fhat = block.astype(np.int64)

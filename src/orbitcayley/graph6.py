@@ -23,14 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import OrbitIndexSet
+from .core import OrbitIndexSet, enforce_cap
 from .explicit import _row0
-
-# bounds time (about 50 ms at n = 14) and the output, about 4^n / 12 bytes
-# (1.4 MB at n = 12, 22 MB at n = 14); the encoder holds the first 64 rows
-# as words (8 * 2^n bytes) and one block's words and characters, never the
-# whole string, a traced peak of about 77 * 2^n bytes
-EXPORT_MAX_N = 14
 
 _SIZE_SMALL_MAX = 62
 _SIZE_MEDIUM_MAX = 258047
@@ -201,9 +195,8 @@ class Graph6Chunks:
 def export_graph6(s: OrbitIndexSet) -> Graph6Chunks:
     """graph6 encoding with vertices 0..2^n-1 ordered by integer value, as chunks of bytes.
 
-    Raises ValueError at the call, before any packing, when n exceeds
-    EXPORT_MAX_N.
+    Raises ValueError at the call, before any packing, when n exceeds the
+    export cap.
     """
-    if s.n > EXPORT_MAX_N:
-        raise ValueError(f"n={s.n} exceeds the graph6 export cap {EXPORT_MAX_N}")
+    enforce_cap("export", s.n)
     return Graph6Chunks(s)

@@ -16,7 +16,7 @@ from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .core import PASCAL_ROWS_CACHED, ConsistencyError, pascal_row
+from .core import PASCAL_ROWS_CACHED, ConsistencyError, enforce_cap, pascal_row
 
 
 def mod4_binomial_sum(n: int, r: int) -> int:
@@ -34,7 +34,7 @@ def _residue_prefix_sums(b: int) -> tuple[tuple[int, ...], ...]:
 
     Row b's four stride-4 slices summed from the left, so any slice that
     starts at its residue is one lookup.  A table holds b + 5 ints of at
-    most 2^b: 33 KB at b = 403, the largest row IDENTITIES_MAX_M reaches.
+    most 2^b: 33 KB at b = 403, the largest row the identities cap reaches.
     The cache keeps at most PASCAL_ROWS_CACHED tables, 4.9 MB for rows
     148..403; every b of the double sums is odd, so verify_all(30) fills
     62 (0.19 MB) and verify_all(100) 201 (2.7 MB).
@@ -142,14 +142,11 @@ _DOUBLE_SUMS: dict[str, _DoubleSum] = {
 
 IDENTITY_IDS: tuple[str, ...] = (*_RESIDUE_SUMS, *_DOUBLE_SUMS)
 
-# the largest m of verify_all and admissible_k: verify_all(60) takes 0.3 s and
-# verify_all(100) 1.3 s (2-vCPU host, Python 3.11.7), about m^2.5
-IDENTITIES_MAX_M = 100
-
 
 def _check_m(m: int) -> None:
-    if not 1 <= m <= IDENTITIES_MAX_M:
-        raise ValueError(f"m={m} is outside 1..{IDENTITIES_MAX_M} (the identities cap)")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    enforce_cap("identities", m)
 
 
 def _sides(identity_id: str, k: int, m: int) -> tuple[int, int]:

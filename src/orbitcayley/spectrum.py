@@ -14,9 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .core import CLOSED_FORM_MAX_N, ConsistencyError, OrbitIndexSet, pascal_row
-
-WHT_MAX_N = 24  # transform is O(n * 2^n) time and O(2^n) memory
+from .core import CAPS, ConsistencyError, OrbitIndexSet, enforce_cap, pascal_row
 
 
 def character_sum_row(n: int, i: int) -> tuple[int, ...]:
@@ -149,10 +147,9 @@ def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Closed-form spectrum of the orbit Cayley graph on 2^n vertices.
 
     Sums the recurrence rows of the member orbits.  Raises ValueError when n
-    exceeds CLOSED_FORM_MAX_N.
+    exceeds the closed-form cap.
     """
-    if s.n > CLOSED_FORM_MAX_N:
-        raise ValueError(f"n={s.n} exceeds the closed-form cap {CLOSED_FORM_MAX_N}")
+    enforce_cap("closed-form", s.n)
     rows = [character_sum_row(s.n, i) for i in s.sorted_indices]
     values = tuple(sum(row[k] for row in rows) for k in range(s.n + 1))
     spec = Spectrum(s.n, values)
@@ -160,8 +157,10 @@ def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     return spec
 
 
-# popcount of every x < 2^12: either half of an index x < 2^WHT_MAX_N
-_HALF_WEIGHTS = np.array([x.bit_count() for x in range(1 << WHT_MAX_N // 2)], dtype=np.intp)
+# popcount of every x < 2^12: either half of an index x < 2^n within the transform cap
+_HALF_WEIGHTS = np.array(
+    [x.bit_count() for x in range(1 << CAPS["transform"].limit // 2)], dtype=np.intp
+)
 
 
 def _weight_rows(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +171,10 @@ def _weight_rows(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     table[j, c] = values[j + weight(c)], so v is table[high] with
     high[r] = weight(r).  Leading axes of ``values`` carry over to the
     table: values[..., w] gives table[..., j, c].  Both halves index
-    ``_HALF_WEIGHTS``, so n <= 24; a larger n raises ValueError before
-    anything is allocated.
+    ``_HALF_WEIGHTS``, so n <= 24, the transform cap; a larger n raises
+    ValueError before anything is allocated.
     """
-    if n > WHT_MAX_N:
-        raise ValueError(f"n={n} exceeds the half-popcount bound {WHT_MAX_N}")
+    enforce_cap("transform", n)
     low = n // 2
     table = np.take(values, np.arange(n - low + 1)[:, None] + _HALF_WEIGHTS[: 1 << low], axis=-1)
     return table, _HALF_WEIGHTS[: 1 << (n - low)]
@@ -241,11 +239,10 @@ def wht_spectrum(s: OrbitIndexSet) -> Spectrum:
     values and dropped, so every entry is checked against its weight
     class.  A failure names the lowest weight k that fails and the
     smallest index x of that weight where it does.  Every partial sum, 2 hi
-    included, has |v| <= 2^n, so int32 is exact for n <= WHT_MAX_N = 24.
+    included, has |v| <= 2^n, so int32 is exact while 2^n < 2^31; n is
+    checked against the transform cap by ``_weight_rows``, before any work.
     The peak is the distinct-row tables plus one slab and its comparison.
     """
-    if s.n > WHT_MAX_N:
-        raise ValueError(f"n={s.n} exceeds the transform cap {WHT_MAX_N}")
     table, row_map = _indicator_rows(s, np.int32)
     cols = table.shape[1]
     low = cols.bit_length() - 1

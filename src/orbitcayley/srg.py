@@ -31,13 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    CLOSED_FORM_MAX_N,
-    ConsistencyError,
-    OrbitIndexSet,
-    pascal_row,
-)
-from .explicit import EXPLICIT_MAX_N, _row0_block, _row_constants, walsh_counts
+from .core import ConsistencyError, OrbitIndexSet, enforce_cap, pascal_row
+from .explicit import _row0_block, _row_constants, walsh_counts
 from .spectrum import Spectrum, full_spectrum
 
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
@@ -56,12 +51,11 @@ def pair_counts(s: OrbitIndexSet) -> tuple[int, ...]:
     of a lag mask, [k in I][k + d in I] at k = a + b and d = w - 2a; the
     n + 1 masks ((n + 1)(n + 2)/2 bytes, 0.5 MB at n = 1024) are built
     once per set, and each b-sum adds the entries of a cached Pascal row
-    that its mask keeps.  Raises ValueError when n exceeds
-    CLOSED_FORM_MAX_N.
+    that its mask keeps.  Raises ValueError when n exceeds the closed-form
+    cap.
     """
     n = s.n
-    if n > CLOSED_FORM_MAX_N:
-        raise ValueError(f"n={n} exceeds the closed-form cap {CLOSED_FORM_MAX_N}")
+    enforce_cap("closed-form", n)
     member = bytes(i in s.indices for i in range(n + 1))
     lags = [bytes(map(and_, member, member[d:])) for d in range(n + 1)]
     counts = []
@@ -101,9 +95,6 @@ class VerdictStatus(str, Enum):
     NOT_SRG = "not_srg"
     TRIVIAL_SRG = "trivial_srg"
     NONTRIVIAL_SRG = "nontrivial_srg"
-
-    def is_srg(self) -> bool:
-        return self in (VerdictStatus.TRIVIAL_SRG, VerdictStatus.NONTRIVIAL_SRG)
 
 
 @dataclass(frozen=True)
@@ -232,7 +223,7 @@ def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
     ``verified`` is "yes"/"no" from ``certify`` (both closed-form routes) when
     the dimension is within ``check_cap``, else "skipped"; only certified rows
     build their index set.  Raises ValueError before any row when a certified
-    dimension would exceed CLOSED_FORM_MAX_N.
+    dimension would exceed the closed-form cap.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -249,12 +240,7 @@ def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
                 f"{limit} digits (sys.get_int_max_str_digits())"
             )
     # rows of dimension up to check_cap are certified, and the largest row has 4 m_max + 2
-    checked = min(check_cap, 4 * m_max + 2)
-    if checked > CLOSED_FORM_MAX_N:
-        raise ValueError(
-            f"rows up to n={checked} would be certified, over the closed-form cap "
-            f"{CLOSED_FORM_MAX_N}"
-        )
+    enforce_cap("closed-form", min(check_cap, 4 * m_max + 2), "min(check cap, 4 m_max + 2)")
     rows = []
     for m in range(1, m_max + 1):
         for key in NONTRIVIAL_FAMILY_KEYS:
@@ -479,13 +465,13 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
     """The SRG verdict of s, certified by every route that applies, and its spectrum.
 
     ``certified_rows`` checks the one-row table of s in Python ints, so
-    the closed forms are exact at every n up to CLOSED_FORM_MAX_N; the
+    the closed forms are exact at every n up to the closed-form cap; the
     dense route joins when s.n is within ``explicit_cap``, and raises
-    ValueError above EXPLICIT_MAX_N before any route runs.  When any
+    ValueError above the dense cap before any route runs.  When any
     verdict differs, raises the ConsistencyError of ``certified_rows``.
     """
-    if EXPLICIT_MAX_N < s.n <= explicit_cap:
-        raise ValueError(f"n={s.n} exceeds the dense-graph cap {EXPLICIT_MAX_N}")
+    if s.n <= explicit_cap:
+        enforce_cap("dense", s.n)
     spectrum = full_spectrum(s)
     member = np.array([[i in s.indices for i in range(1, s.n + 1)]], dtype=np.int8)
     spectra = np.array([sorted(spectrum.values)], dtype=object)

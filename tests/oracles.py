@@ -86,6 +86,10 @@ the independent check of one fast route.
 - ``decode_graph6``: the adjacency matrix of a graph6 string, which
   rejects a malformed header, body or padding, so an export can be read
   back and compared with the built matrix.
+- ``INT64_TABLE_BOUND`` and the other ``*_BOUND`` constants: no oracle,
+  but the largest n that each fixed-width number's stated formula admits,
+  computed from the formula, which the test of the cap orderings
+  (``tests/test_core.py``) holds the caps within.
 
 The tests directory has no ``__init__.py``, so pytest's default
 ``prepend`` import mode puts it on ``sys.path`` and ``from oracles import``
@@ -105,13 +109,13 @@ from math import comb
 import numpy as np
 
 from orbitcayley.census import CENSUS_CSV_COLUMNS, CENSUS_DEFAULT_EXPLICIT_CAP, census_bytes
-from orbitcayley.core import ConsistencyError, OrbitIndexSet, pascal_row
+from orbitcayley.core import CAPS, ConsistencyError, OrbitIndexSet, pascal_row
 from orbitcayley.explicit import _row0
-from orbitcayley.graph6 import _encode_size, export_graph6
+from orbitcayley.graph6 import _SIZE_MEDIUM_MAX, _encode_size, export_graph6
 from orbitcayley.identities import _sides, admissible_k
 from orbitcayley.spectrum import (
     _COMPARE_CHUNK,
-    WHT_MAX_N,
+    _HALF_WEIGHTS,
     _butterflies,
     _high_stages,
     _indicator_rows,
@@ -133,14 +137,32 @@ from orbitcayley.srg import (
 )
 
 PAIR_COUNT_ORACLE_MAX_N = 20
-# the bool matrix is 4^n bytes, 256 MB at n = 14; the dense route's own cap
-# explicit.EXPLICIT_MAX_N = 20 would allow a 1 TB matrix
+# the bool matrix is 4^n bytes, 256 MB at n = 14; the dense cap of 20 would
+# allow a 1 TB matrix
 MATRIX_MAX_N = 14
 NAIVE_WHT_MAX_N = 8
 FLOAT32_EXACT_MAX = 1 << 24  # float32 holds every integer up to 2^24 exactly
 _BAND_BYTES = 1 << 23  # bound on one float32 band of the common-neighbour product
 _COLUMN_BLOCK_BITS = 1 << 20  # upper-triangle bits gathered before each pack
 _XOR_BAND_BYTES = 1 << 22  # bound on the int64 XOR index of one row band
+
+
+def _largest_n(fits) -> int:
+    return max(n for n in range(1, 64) if fits(n))
+
+
+# the census's int64 tables: second-moment partial sums up to 8^n
+# (spectrum._first_invariant_failure)
+INT64_TABLE_BOUND = _largest_n(lambda n: 8**n < 2**63)
+# the dense route's int64 Walsh passes: the in-place 2 * hi < 2^(2n+1)
+# (explicit.walsh_counts)
+INT64_WALSH_BOUND = _largest_n(lambda n: 2 ** (2 * n + 1) <= 2**63)
+# the transform's int32 stages: partial sums up to 2^n (spectrum.wht_spectrum)
+INT32_TRANSFORM_BOUND = _largest_n(lambda n: 2**n < 2**31)
+# either half of an index x < 2^n indexes the half-popcount table
+HALF_POPCOUNT_BOUND = 2 * (_HALF_WEIGHTS.size.bit_length() - 1)
+# the graph6 size header holds at most _SIZE_MEDIUM_MAX vertices
+GRAPH6_HEADER_BOUND = _largest_n(lambda n: 2**n <= _SIZE_MEDIUM_MAX)
 
 
 def pair_count_oracle(s: OrbitIndexSet, v: int) -> int:
@@ -277,13 +299,14 @@ def butterfly_fwht(a: np.ndarray) -> np.ndarray:
 
     Stage h pairs runs of h entries, so the stages with small h run numpy
     loops of 1 to h elements.  Every partial sum is bounded by
-    |f-hat| <= 2^n, so int32 is exact for n <= WHT_MAX_N; a longer vector
-    raises ValueError before any work.  Each stage saves the low halves in
-    one half-length scratch buffer, allocated once.
+    |f-hat| <= 2^n, so int32 is exact for n <= INT32_TRANSFORM_BOUND; a
+    vector longer than 2^24, the transform cap, raises ValueError before
+    any work.  Each stage saves the low halves in one half-length scratch
+    buffer, allocated once.
     """
     size = a.size
-    if size > 1 << WHT_MAX_N:
-        raise ValueError(f"transform length {size} exceeds the int32 bound 2^{WHT_MAX_N}")
+    if size > 1 << CAPS["transform"].limit:
+        raise ValueError(f"transform length {size} exceeds 2^{CAPS['transform'].limit}")
     scratch = np.empty(size // 2, dtype=a.dtype)
     h = 1
     while h < size:

@@ -22,16 +22,13 @@ import orbitcayley.srg as srg_module
 from orbitcayley.census import (
     CENSUS_CSV_COLUMNS,
     CENSUS_DEFAULT_EXPLICIT_CAP,
-    CENSUS_DENSE_MAX_N,
-    CENSUS_MAX_N,
-    TABLE_INT64_MAX_N,
     census_bytes,
     check_census_request,
     sweep_tables,
 )
 from orbitcayley.cli import EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
-from orbitcayley.core import ConsistencyError, OrbitIndexSet, pascal_row
-from orbitcayley.explicit import EXPLICIT_MAX_N, _row0
+from orbitcayley.core import CAPS, ConsistencyError, OrbitIndexSet, pascal_row
+from orbitcayley.explicit import _row0
 from orbitcayley.spectrum import _first_invariant_failure, character_table, distinct, full_spectrum
 from orbitcayley.srg import (
     SrgParams,
@@ -45,6 +42,7 @@ from orbitcayley.srg import (
 
 import oracles
 from oracles import (
+    INT64_TABLE_BOUND,
     census_oracle_bytes,
     census_records,
     einsum_sweep_tables,
@@ -94,7 +92,7 @@ def test_census_record_invariants():
                 rec["connected"]
                 and rec["distinct"] == 3
                 and is_connected(s.complement())
-                and not s.is_full()
+                and len(s.indices) != n
             )
             assert (rec["status"] == VerdictStatus.NONTRIVIAL_SRG.value) == expected_nontrivial
 
@@ -110,11 +108,11 @@ def test_census_range_validation():
     with pytest.raises(ValueError):
         census_bytes(0, "jsonl", CENSUS_DEFAULT_EXPLICIT_CAP)
     with pytest.raises(ValueError):
-        census_bytes(CENSUS_MAX_N + 1, "jsonl", CENSUS_DEFAULT_EXPLICIT_CAP)
+        census_bytes(CAPS["census"].limit + 1, "jsonl", CENSUS_DEFAULT_EXPLICIT_CAP)
     assert len(census_records(2, 0)) == 3  # closed-form only
-    assert len(census_records(4, EXPLICIT_MAX_N)) == 15
+    assert len(census_records(4, CAPS["dense"].limit)) == 15
     with pytest.raises(ValueError):
-        census_bytes(4, "jsonl", EXPLICIT_MAX_N + 1)
+        census_bytes(4, "jsonl", CAPS["dense"].limit + 1)
 
 
 def test_unknown_format_is_rejected_before_any_work(monkeypatch):
@@ -284,10 +282,10 @@ def test_sweep_tables_match_the_per_set_oracles_at_n15_and_n16(n):
 
 
 def test_table_route_is_exact_at_the_int64_bound():
-    # the rows sweep_tables would sum at n = TABLE_INT64_MAX_N, made by the
-    # same half tables and the same _half_rows for a few values of hi
+    # the rows sweep_tables would sum at n = INT64_TABLE_BOUND = 20, made by
+    # the same half tables and the same _half_rows for a few values of hi
     # (2^10 rows each) rather than the whole 330 MB table
-    n = TABLE_INT64_MAX_N
+    n = INT64_TABLE_BOUND
     k = n // 2
     his = np.array([1, 0b1010101010, (1 << (n - k)) - 1])
     spectra, counts = census_module._half_rows(census_module._half_tables(n), his)
@@ -300,39 +298,28 @@ def test_table_route_is_exact_at_the_int64_bound():
         assert tuple(counts[row].tolist()) == pair_counts(s)[1:], s.format()
 
 
-def test_int64_bound_is_checked_before_any_work(monkeypatch):
-    assert CENSUS_MAX_N <= TABLE_INT64_MAX_N
-
-    def no_work(n):
-        raise AssertionError("the sweep started")
-
-    monkeypatch.setattr(census_module, "CENSUS_MAX_N", TABLE_INT64_MAX_N + 4)
-    monkeypatch.setattr(census_module, "sweep_tables", no_work)
-    with pytest.raises(ValueError, match="int64-exact table bound 20"):
-        census_bytes(TABLE_INT64_MAX_N + 1, "jsonl", 0)
-
-
 def test_dense_cap_is_checked_before_any_work(monkeypatch, capsys):
     # min(n, explicit_cap) over the cap is refused, whichever of the two is
     # larger; every request whose dense route stays within it is accepted
-    assert CENSUS_DENSE_MAX_N < CENSUS_MAX_N
+    top, dense, cap = (CAPS[name].limit for name in ("census", "dense", "census dense"))
 
     def no_work(n):
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr(census_module, "sweep_tables", no_work)
     monkeypatch.setattr(census_module, "_half_tables", no_work)
-    over = CENSUS_DENSE_MAX_N + 1
     for argv in (
-        ["census", "--n", str(CENSUS_MAX_N), "--explicit-cap", str(CENSUS_MAX_N)],
-        ["census", "--n", str(over), "--explicit-cap", str(EXPLICIT_MAX_N)],
-        ["census", "--n", str(CENSUS_MAX_N), "--explicit-cap", str(over)],
-        ["census", "--n", f"1..{CENSUS_MAX_N}", "--explicit-cap", str(over)],
+        ["census", "--n", str(top), "--explicit-cap", str(top)],
+        ["census", "--n", str(cap + 1), "--explicit-cap", str(dense)],
+        ["census", "--n", str(top), "--explicit-cap", str(cap + 1)],
+        ["census", "--n", f"1..{top}", "--explicit-cap", str(cap + 1)],
     ):
         assert main(argv) == EXIT_USAGE, argv
-        assert f"census dense cap {CENSUS_DENSE_MAX_N}" in capsys.readouterr().err, argv
-    for n, cap in ((CENSUS_MAX_N, CENSUS_DENSE_MAX_N), (CENSUS_DENSE_MAX_N, EXPLICIT_MAX_N)):
-        check_census_request(n, cap)
+        err = capsys.readouterr().err
+        assert err.startswith("error: min(n, explicit cap)="), argv
+        assert err.endswith(f" exceeds the census dense cap {cap}\n"), argv
+    for n, explicit_cap in ((top, cap), (cap, dense)):
+        check_census_request(n, explicit_cap)
 
 
 def _perturbed(table_builder, index):
@@ -368,13 +355,14 @@ def _columns(n):
     return verdict_columns(member, np.sort(spectra, axis=1), counts)
 
 
-_SRG_CODES = [code for code, status in enumerate(VerdictStatus) if status.is_srg()]
+_SRG_STATUSES = (VerdictStatus.TRIVIAL_SRG, VerdictStatus.NONTRIVIAL_SRG)
+_SRG_CODES = [code for code, status in enumerate(VerdictStatus) if status in _SRG_STATUSES]
 
 
 def _route_verdict(n, row):
     code, degree, lam, mu = row
     status = list(VerdictStatus)[code]
-    return status, SrgParams(1 << n, degree, lam, mu) if status.is_srg() else None
+    return status, SrgParams(1 << n, degree, lam, mu) if status in _SRG_STATUSES else None
 
 
 def _assert_columns_match_certify(n, mask):
@@ -391,7 +379,7 @@ def _assert_columns_match_certify(n, mask):
     verdict, spectrum = certify(s, 0)
     assert (verdict.status, verdict.params) == expected, s.format()
     assert columns.distinct[row] == len(distinct(spectrum)), s.format()
-    assert columns.complete[row] == s.is_full(), s.format()
+    assert columns.complete[row] == (len(s.indices) == n), s.format()
     assert columns.connected[row] == is_connected(s), s.format()
     assert columns.trivial[row] == (not is_connected(s.complement())), s.format()
 

@@ -19,14 +19,9 @@ import pytest
 
 import orbitcayley.cli as cli_module
 import orbitcayley.graph6 as graph6_module
-import orbitcayley.srg as srg_module
-from orbitcayley.census import CENSUS_DENSE_MAX_N, CENSUS_MAX_N
 from orbitcayley.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, build_parser, main
-from orbitcayley.core import CLOSED_FORM_MAX_N, ConsistencyError
-from orbitcayley.explicit import EXPLICIT_MAX_N
-from orbitcayley.graph6 import EXPORT_MAX_N
-from orbitcayley.identities import IDENTITIES_MAX_M
-from orbitcayley.spectrum import WHT_MAX_N, Spectrum
+from orbitcayley.core import CAPS, ConsistencyError, pascal_row
+from orbitcayley.spectrum import Spectrum, character_sum_row
 from orbitcayley.srg import FAMILIES, emit_table1
 
 from oracles import forbid_everywhere
@@ -34,6 +29,7 @@ from oracles import forbid_everywhere
 README = Path(__file__).resolve().parents[1] / "README.md"
 BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 BENCHMARK_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+LIMIT = {name: cap.limit for name, cap in CAPS.items()}
 
 
 def _exit_code(argv):
@@ -57,9 +53,9 @@ def test_spectrum_distinct_csv_with_oracle(capsys):
 
 
 def test_spectrum_oracle_cap_is_usage_error(capsys):
-    code = main(["spectrum", "--set", f"n={WHT_MAX_N + 1};I=1", "--check-oracle"])
+    code = main(["spectrum", "--set", f"n={LIMIT['transform'] + 1};I=1", "--check-oracle"])
     assert code == EXIT_USAGE
-    assert "transform cap" in capsys.readouterr().err
+    assert "exceeds the transform cap" in capsys.readouterr().err
 
 
 def test_oracle_disagreement_names_the_set_and_both_spectra(monkeypatch, capsys):
@@ -83,7 +79,7 @@ def test_srg_check_json(capsys):
 
 def test_srg_check_explicit_runs_at_the_dense_cap(capsys):
     s = FAMILIES["s0s1@4m"].index_set(5)
-    assert s.n == EXPLICIT_MAX_N
+    assert s.n == LIMIT["dense"]
     assert main(["srg-check", "--set", s.format(), "--explicit"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "nontrivial_srg"
@@ -136,62 +132,81 @@ def test_census_determinism(tmp_path):
 
 def test_census_bad_range_is_usage_error(capsys):
     assert main(["census", "--n", "0"]) == EXIT_USAGE
-    assert main(["census", "--n", str(CENSUS_MAX_N + 1)]) == EXIT_USAGE
+    assert main(["census", "--n", str(LIMIT["census"] + 1)]) == EXIT_USAGE
     assert main(["census", "--n", "5..4"]) == EXIT_USAGE
 
 
-# the first size above each limit, and each flag that used to move a limit
-BEYOND_A_LIMIT = [
-    ["census", "--n", str(CENSUS_MAX_N + 1)],
-    ["census", "--n", f"1..{CENSUS_MAX_N + 1}"],  # rejected before n = 1..16 is swept
-    ["census", "--n", str(CENSUS_DENSE_MAX_N + 1), "--explicit-cap", str(CENSUS_DENSE_MAX_N + 1)],
-    ["census", "--n", "4", "--explicit-cap", str(EXPLICIT_MAX_N + 1)],
-    ["srg-check", "--set", f"n={EXPLICIT_MAX_N + 1};I=1", "--explicit"],
-    ["export", "--set", f"n={EXPORT_MAX_N + 1};I=1"],
-    ["spectrum", "--set", f"n={WHT_MAX_N + 1};I=1", "--check-oracle"],
+# the first size above each cap, by cap name
+BEYOND_A_LIMIT = {
+    "closed-form": [
+        ["srg-check", "--set", f"n={LIMIT['closed-form'] + 1};I=1"],
+        ["spectrum", "--set", f"n={LIMIT['closed-form'] + 1};I=1"],
+        ["families", "--m-max", "300", "--check-cap", str(LIMIT["closed-form"] + 1)],
+    ],
+    "census": [
+        ["census", "--n", str(LIMIT["census"] + 1)],
+        ["census", "--n", f"1..{LIMIT['census'] + 1}"],  # rejected before n = 1..16 is swept
+    ],
+    "census dense": [
+        ["census", "--n", str(LIMIT["census dense"] + 1),
+         "--explicit-cap", str(LIMIT["census dense"] + 1)],
+    ],
+    "dense": [
+        ["census", "--n", "4", "--explicit-cap", str(LIMIT["dense"] + 1)],
+        ["srg-check", "--set", f"n={LIMIT['dense'] + 1};I=1", "--explicit"],
+    ],
+    "export": [["export", "--set", f"n={LIMIT['export'] + 1};I=1"]],
+    "transform": [["spectrum", "--set", f"n={LIMIT['transform'] + 1};I=1", "--check-oracle"]],
+    "identities": [["identities", "--max-m", str(LIMIT["identities"] + 1)]],
+}
+# refused with no cap: each flag that used to move a limit, and Python's int-to-str digit limit
+REFUSED_WITHOUT_A_CAP = [
     ["spectrum", "--set", "n=4;I=1", "--wht-cap", "30"],
     ["srg-check", "--set", "n=4;I=1", "--explicit", "--explicit-cap", "15"],
     ["census", "--n", "4", "--max-n", "30"],
     ["export", "--set", "n=4;I=1", "--max-n", "20"],
-    ["families", "--m-max", "4000"],  # 2^16002 vertices: over Python's int-to-str digit limit
-    ["srg-check", "--set", f"n={CLOSED_FORM_MAX_N + 1};I=1"],
-    ["spectrum", "--set", f"n={CLOSED_FORM_MAX_N + 1};I=1"],
-    ["families", "--m-max", "300", "--check-cap", str(CLOSED_FORM_MAX_N + 1)],
-    ["identities", "--max-m", str(IDENTITIES_MAX_M + 1)],
+    ["families", "--m-max", "4000"],  # 2^16002 vertices
 ]
 
 
+def _names_its_cap(err, name):
+    """Whether stderr is the one refusal of cap ``name``: '<quantity>=<value> exceeds the ...'."""
+    pattern = rf"error: \S.*=\d+ exceeds the {re.escape(name)} cap {LIMIT[name]}\n"
+    return re.fullmatch(pattern, err) is not None
+
+
 def test_cap_invariants_are_usage_errors(tmp_path, capsys):
+    assert set(BEYOND_A_LIMIT) == set(CAPS)
     out = tmp_path / "out"
-    for argv in BEYOND_A_LIMIT:
+    cases = [(name, argv) for name, argvs in BEYOND_A_LIMIT.items() for argv in argvs]
+    for name, argv in cases + [(None, argv) for argv in REFUSED_WITHOUT_A_CAP]:
         start = time.perf_counter()
         assert _exit_code(argv + ["--out", str(out)]) == EXIT_USAGE, argv
         assert time.perf_counter() - start < 1.0, argv
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert not out.exists(), argv
+        assert name is None or _names_its_cap(captured.err, name), (argv, captured.err)
 
 
 def test_over_cap_requests_fail_before_any_closed_form(monkeypatch, capsys):
-    # srg-check --explicit over the dense cap and spectrum --check-oracle over
-    # the transform cap are rejected before a spectrum or pair count is made,
-    # up to the largest n the closed forms take
+    # every over-cap request is rejected before a character sum or a Pascal
+    # row is made; srg-check --explicit over the dense cap and spectrum
+    # --check-oracle over the transform cap also at the largest n the
+    # closed forms take
     def no_work(*args):
         pytest.fail("a closed form ran before the request was rejected")
 
-    forbid_everywhere(
-        monkeypatch,
-        (srg_module.full_spectrum, srg_module.pair_counts),
-        no_work,
-    )
-    odd = f"n={CLOSED_FORM_MAX_N};I=" + ",".join(map(str, range(1, CLOSED_FORM_MAX_N, 2)))
-    for argv, cap in (
-        (["srg-check", "--set", f"n={EXPLICIT_MAX_N + 1};I=1", "--explicit"], "dense-graph cap"),
-        (["srg-check", "--set", odd, "--explicit"], "dense-graph cap"),
-        (["spectrum", "--set", f"n={WHT_MAX_N + 1};I=1", "--check-oracle"], "transform cap"),
-        (["spectrum", "--set", odd, "--check-oracle"], "transform cap"),
-    ):
-        assert main(argv) == EXIT_USAGE, argv
-        assert cap in capsys.readouterr().err, argv
+    forbid_everywhere(monkeypatch, (character_sum_row, pascal_row), no_work)
+    top = LIMIT["closed-form"]
+    odd = f"n={top};I=" + ",".join(map(str, range(1, top, 2)))
+    cases = {name: list(argvs) for name, argvs in BEYOND_A_LIMIT.items()}
+    cases["dense"].append(["srg-check", "--set", odd, "--explicit"])
+    cases["transform"].append(["spectrum", "--set", odd, "--check-oracle"])
+    for name, argvs in cases.items():
+        for argv in argvs:
+            assert main(argv) == EXIT_USAGE, argv
+            assert _names_its_cap(capsys.readouterr().err, name), argv
 
 
 def test_integer_flags_take_ascii_digits_only(capsys):
@@ -365,9 +380,9 @@ def test_failure_in_a_later_graph6_group_writes_nothing(tmp_path, monkeypatch, c
 
 def test_export_over_the_cap_writes_nothing(tmp_path, capsys):
     out = tmp_path / "over.g6"
-    argv = ["export", "--set", f"n={EXPORT_MAX_N + 1};I=1", "--out", str(out)]
+    argv = ["export", "--set", f"n={LIMIT['export'] + 1};I=1", "--out", str(out)]
     assert main(argv) == EXIT_USAGE
-    assert "export cap" in capsys.readouterr().err
+    assert _names_its_cap(capsys.readouterr().err, "export")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -515,13 +530,14 @@ def test_readme_cli_synopsis_matches_the_parser():
 
 
 def test_readme_caps_table_matches_the_constants():
-    table = README.read_text().split("| limit | value | bounds | checked in |\n|---|---|---|---|\n")[1]
-    limits = set()
-    for row in table.split("\n\n", 1)[0].splitlines():
-        module, name, value = re.match(r"\| `(\w+)\.(\w+)` \| (\d+) \|", row).groups()
-        assert getattr(importlib.import_module(f"orbitcayley.{module}"), name) == int(value), row
-        limits.add(f"{module}.{name}")
-    assert {"core.CLOSED_FORM_MAX_N", "identities.IDENTITIES_MAX_M"} <= limits
+    header = "| cap | limit | quantity | bounds | checked in |\n|---|---|---|---|---|\n"
+    table = README.read_text().split(header)[1].split("\n\n", 1)[0]
+    rows = {}
+    for row in table.splitlines():
+        name, limit, quantity = re.match(r"\| `([^`]+)` \| (\d+) \| `([^`]+)` \|", row).groups()
+        rows[name] = (int(limit), quantity)
+    assert len(rows) == len(table.splitlines())
+    assert rows == {name: tuple(cap) for name, cap in CAPS.items()}
 
 
 # traced names whose functions have left the package; the benchmark reports

@@ -12,13 +12,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitcayley.core import OrbitIndexSet, pascal_row
+from orbitcayley.core import CAPS, OrbitIndexSet, enforce_cap, pascal_row
 from orbitcayley.explicit import _row0
 from orbitcayley.spectrum import _HALF_WEIGHTS
 from orbitcayley.srg import FAMILIES
 import orbitcayley
 
 from oracles import (
+    GRAPH6_HEADER_BOUND,
+    HALF_POPCOUNT_BOUND,
+    INT32_TRANSFORM_BOUND,
+    INT64_TABLE_BOUND,
+    INT64_WALSH_BOUND,
     ExplicitGraph,
     binom,
     is_connected,
@@ -50,6 +55,32 @@ PUBLIC_NAMES = (
     "verify_all",
     "wht_spectrum",
 )
+
+
+def test_caps_keep_their_orderings():
+    # each derived bound is computed in tests/oracles.py from the formula
+    # its docstring states
+    assert (INT64_TABLE_BOUND, INT64_WALSH_BOUND, INT32_TRANSFORM_BOUND) == (20, 31, 30)
+    assert (HALF_POPCOUNT_BOUND, GRAPH6_HEADER_BOUND) == (24, 17)
+    cap = {name: row.limit for name, row in CAPS.items()}
+    assert cap["census dense"] <= cap["census"] <= INT64_TABLE_BOUND
+    # _row0_block reads _weight_rows, so the dense route runs within the transform cap
+    assert cap["census dense"] <= cap["dense"] <= cap["transform"]
+    assert cap["export"] <= min(cap["transform"], GRAPH6_HEADER_BOUND)
+    assert cap["dense"] <= INT64_WALSH_BOUND
+    assert cap["transform"] <= min(INT32_TRANSFORM_BOUND, HALF_POPCOUNT_BOUND)
+    # cli._cmd_spectrum runs the transform oracle first, since its cap is the lower one
+    assert cap["transform"] <= cap["closed-form"]
+
+
+def test_enforce_cap_has_one_wording():
+    for name, (limit, quantity) in CAPS.items():
+        enforce_cap(name, limit)
+        with pytest.raises(ValueError) as exc:
+            enforce_cap(name, limit + 1)
+        assert str(exc.value) == f"{quantity}={limit + 1} exceeds the {name} cap {limit}"
+    with pytest.raises(ValueError, match=r"^explicit cap=21 exceeds the dense cap 20$"):
+        enforce_cap("dense", 21, "explicit cap")
 
 
 def test_weight_examples():

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import orbitcayley.graph6 as graph6_module
-from orbitcayley.core import OrbitIndexSet
-from orbitcayley.graph6 import EXPORT_MAX_N, _encode_size, export_graph6
+from orbitcayley.core import CAPS, OrbitIndexSet
+from orbitcayley.graph6 import _encode_size, export_graph6
 from oracles import ExplicitGraph, column_gather_graph6, decode_graph6, graph6_bytes
 
 
@@ -76,8 +76,8 @@ def test_export_cap(monkeypatch):
         pytest.fail("packing ran before the cap was checked")
 
     monkeypatch.setattr(graph6_module, "_pack_upper_triangle", no_packing)
-    with pytest.raises(ValueError, match="export cap"):
-        export_graph6(OrbitIndexSet.of(EXPORT_MAX_N + 1, {1}))
+    with pytest.raises(ValueError, match="^n=15 exceeds the export cap 14$"):
+        export_graph6(OrbitIndexSet.of(CAPS["export"].limit + 1, {1}))
 
 
 def test_length_is_the_byte_count_without_packing(monkeypatch):
@@ -91,7 +91,7 @@ def test_length_is_the_byte_count_without_packing(monkeypatch):
         assert len(export_graph6(s)) == len(b"".join(chunks)) == len(graph6_bytes(s)), s.format()
     monkeypatch.setattr(graph6_module, "_pack_upper_triangle", lambda row0: pytest.fail("packed"))
     # 4 header bytes and the body of N(N - 1)/2 bits at N = 2^14, 6 to a byte
-    assert len(export_graph6(OrbitIndexSet.of(EXPORT_MAX_N, {1}))) == 22_368_260
+    assert len(export_graph6(OrbitIndexSet.of(CAPS["export"].limit, {1}))) == 22_368_260
 
 
 def test_clebsch_export_decodes_to_srg():

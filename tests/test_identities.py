@@ -6,11 +6,10 @@ import pytest
 
 import orbitcayley.identities as identities_module
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
-from orbitcayley.core import ConsistencyError
+from orbitcayley.core import CAPS, ConsistencyError
 from orbitcayley.identities import (
     _DOUBLE_SUMS,
     _RESIDUE_SUMS,
-    IDENTITIES_MAX_M,
     IDENTITY_IDS,
     _double_sum,
     admissible_k,
@@ -172,14 +171,15 @@ def test_identities_cap_is_checked_before_any_sum(monkeypatch):
 
     monkeypatch.setattr(identities_module, "pascal_row", no_sum)
     monkeypatch.setattr(identities_module, "mod4_binomial_sum", no_sum)
+    top = CAPS["identities"].limit
     for call in (
-        lambda: verify_all(IDENTITIES_MAX_M + 1),
-        lambda: admissible_k("T34", IDENTITIES_MAX_M + 1),
-        lambda: identity_sides("L32-a", 0, IDENTITIES_MAX_M + 1),
+        lambda: verify_all(top + 1),
+        lambda: admissible_k("T34", top + 1),
+        lambda: identity_sides("L32-a", 0, top + 1),
     ):
-        with pytest.raises(ValueError, match="identities cap"):
+        with pytest.raises(ValueError, match="^m=101 exceeds the identities cap 100$"):
             call()
-    assert list(admissible_k("T35-v", IDENTITIES_MAX_M)) == list(range(IDENTITIES_MAX_M + 1))
+    assert list(admissible_k("T35-v", top)) == list(range(top + 1))
 
 
 def test_report_ordering():

@@ -282,9 +282,10 @@ def test_lowest_weight_failure_wins_over_an_earlier_slab(monkeypatch, perturbed)
 
 def test_fixed_width_bounds_are_checked_before_any_work(monkeypatch):
     assert _HALF_WEIGHTS.tolist() == [x.bit_count() for x in range(1 << 12)]
-    # n = 25 has a 13-bit half, past the popcount constant: rejected before
-    # the index table of 14 * 2^12 entries is formed.  Only the rejected call
-    # is traced, so the peak does not depend on what pytest.raises allocates.
+    # n = 25, over the transform cap, has a 13-bit half, past the popcount
+    # constant: rejected before the index table of 14 * 2^12 entries is
+    # formed.  Only the rejected call is traced, so the peak does not depend
+    # on what pytest.raises allocates.
     values = np.zeros(26, dtype=np.int32)
     error = None
     tracemalloc.start()
@@ -297,16 +298,17 @@ def test_fixed_width_bounds_are_checked_before_any_work(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert error is not None and "half-popcount bound 24" in str(error), error
+    assert str(error) == "n=25 exceeds the transform cap 24", error
     assert peak < 1 << 12, peak
     table, high = _weight_rows(np.arange(4), 3)
     assert table.tolist() == [[0, 1], [1, 2], [2, 3]] and high.tolist() == [0, 1, 1, 2]
 
-    def no_transform(s):
+    def no_transform(*args):
         pytest.fail("the transform ran before the cap was checked")
 
-    monkeypatch.setattr(spectrum_module, "_indicator_rows", no_transform)
-    with pytest.raises(ValueError, match="transform cap 24"):
+    # wht_spectrum reaches the check through _indicator_rows and _weight_rows
+    monkeypatch.setattr(spectrum_module, "_butterflies", no_transform)
+    with pytest.raises(ValueError, match="^n=25 exceeds the transform cap 24$"):
         wht_spectrum(OrbitIndexSet.of(25, {1}))
 
 

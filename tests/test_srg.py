@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tracemalloc
 from itertools import product
 from math import comb
@@ -18,15 +19,8 @@ import orbitcayley.spectrum as spectrum_module
 import orbitcayley.srg as srg_module
 from orbitcayley.census import census_bytes
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
-from orbitcayley.core import CLOSED_FORM_MAX_N, ConsistencyError, OrbitIndexSet
-from orbitcayley.explicit import (
-    EXPLICIT_MAX_N,
-    INT64_EXACT_MAX_N,
-    _row0,
-    _row0_block,
-    _row_constants,
-    walsh_counts,
-)
+from orbitcayley.core import CAPS, ConsistencyError, OrbitIndexSet
+from orbitcayley.explicit import _row0, _row0_block, _row_constants, walsh_counts
 from orbitcayley.spectrum import full_spectrum
 from orbitcayley.srg import (
     FAMILIES,
@@ -49,6 +43,7 @@ from orbitcayley.srg import (
 
 import oracles
 from oracles import (
+    INT64_WALSH_BOUND,
     ExplicitGraph,
     all_pairs_common_neighbor_constants,
     binom,
@@ -64,6 +59,9 @@ from oracles import (
     route_verdict,
     verify_equitable_partition,
 )
+
+CLOSED_FORM_CAP, DENSE_CAP = CAPS["closed-form"].limit, CAPS["dense"].limit
+_SRG_STATUSES = (VerdictStatus.TRIVIAL_SRG, VerdictStatus.NONTRIVIAL_SRG)
 
 
 def test_pair_count_examples():
@@ -203,8 +201,8 @@ def test_explicit_checker_examples():
     assert verdict.status is VerdictStatus.TRIVIAL_SRG
     assert verdict.params == SrgParams(16, 8, 0, 8)
 
-    s = OrbitIndexSet.of(EXPLICIT_MAX_N + 1, {1})
-    with pytest.raises(ValueError, match="dense-graph cap"):
+    s = OrbitIndexSet.of(DENSE_CAP + 1, {1})
+    with pytest.raises(ValueError, match="^n=21 exceeds the dense cap 20$"):
         certify(s, s.n)
 
 
@@ -226,7 +224,7 @@ def test_dense_build_matches_the_per_row_reference():
         assert adjacency.dtype == bool and not adjacency.flags.writeable
         assert np.array_equal(adjacency, _per_row_adjacency(s)), s.format()
     # the matrix oracle keeps its own cap, below the dense route's
-    assert oracles.MATRIX_MAX_N == 14 < EXPLICIT_MAX_N
+    assert oracles.MATRIX_MAX_N == 14 < DENSE_CAP
     with pytest.raises(ValueError, match="matrix oracle cap 14"):
         ExplicitGraph.build(OrbitIndexSet.of(oracles.MATRIX_MAX_N + 1, {1}))
 
@@ -612,7 +610,7 @@ def test_explicit_route_catches_one_perturbed_count(monkeypatch, adjacent):
     monkeypatch.setattr(srg_module, "walsh_counts", perturbed)
     assert route_verdict(s, "explicit").status is VerdictStatus.NOT_SRG, y
     with pytest.raises(ConsistencyError, match="n=4;I=1,4"):
-        certify(s, EXPLICIT_MAX_N)
+        certify(s, DENSE_CAP)
 
 
 def test_dense_check_peak_allocation_at_n12():
@@ -661,7 +659,7 @@ def test_dense_check_peak_allocation_at_n20():
         (FAMILIES["s0s1@4m"].index_set(5), VerdictStatus.NONTRIVIAL_SRG),
         (OrbitIndexSet.of(20, {1, 2}), VerdictStatus.NOT_SRG),
     ):
-        assert s.n == EXPLICIT_MAX_N == 20
+        assert s.n == DENSE_CAP == 20
         verdict, peak = _traced_explicit_check(s)
         assert verdict.status is status
         assert peak <= 11 * 2**s.n, (s.format(), peak / 2**s.n)
@@ -685,13 +683,12 @@ def test_row0_peak_allocation_at_n14():
 
 def test_int64_bound_covers_the_dense_cap():
     # the second Walsh pass holds 2 * hi with |hi| <= 2^n |S| <= N (N - 1);
-    # that fits int64 at n = INT64_EXACT_MAX_N = 31 and not at n = 32, and
-    # the dense cap stays within it
+    # that fits int64 at n = INT64_WALSH_BOUND = 31 and not at n = 32
+    # (test_caps_keep_their_orderings holds the dense cap within it)
     int64_max = int(np.iinfo(np.int64).max)
-    for n, fits in ((INT64_EXACT_MAX_N, True), (INT64_EXACT_MAX_N + 1, False)):
+    for n, fits in ((INT64_WALSH_BOUND, True), (INT64_WALSH_BOUND + 1, False)):
         size = 1 << n
         assert (2 * size * (size - 1) <= int64_max) == fits, n
-    assert EXPLICIT_MAX_N <= INT64_EXACT_MAX_N
 
 
 @pytest.mark.parametrize(
@@ -699,7 +696,7 @@ def test_int64_bound_covers_the_dense_cap():
 )
 def test_every_route_certifies_the_families_at_n16_to_n20(key, m):
     s, predicted = FAMILIES[key].index_set(m), FAMILIES[key].predicted(m)
-    assert 16 <= s.n <= EXPLICIT_MAX_N
+    assert 16 <= s.n <= DENSE_CAP
     verdict, _ = certify(s, s.n)  # raises unless all three routes agree
     assert verdict.status is VerdictStatus.NONTRIVIAL_SRG
     assert verdict.params == predicted
@@ -709,7 +706,7 @@ def test_every_route_certifies_the_families_at_n16_to_n20(key, m):
     "indices, status", [({2, 4}, VerdictStatus.DISCONNECTED), ({1, 2}, VerdictStatus.NOT_SRG)]
 )
 def test_dense_route_reads_non_srg_verdicts_at_n20(indices, status):
-    s = OrbitIndexSet.of(EXPLICIT_MAX_N, indices)
+    s = OrbitIndexSet.of(DENSE_CAP, indices)
     assert route_verdict(s, "explicit").status is status
     assert certify(s, s.n)[0].status is status
 
@@ -720,8 +717,8 @@ def test_four_m_plus_two_members_pass_all_three_routes_at_m3():
         if spec.offset != 2:
             continue
         s, predicted = spec.index_set(3), spec.predicted(3)
-        assert s.n == 14 <= EXPLICIT_MAX_N
-        verdict, _ = certify(s, EXPLICIT_MAX_N)  # raises unless all three routes agree
+        assert s.n == 14 <= DENSE_CAP
+        verdict, _ = certify(s, DENSE_CAP)  # raises unless all three routes agree
         assert verdict.status is VerdictStatus.NONTRIVIAL_SRG, key
         assert verdict.params == predicted, key
         assert _tagged(s, route_verdict(s, "explicit")) == verdict, key
@@ -824,9 +821,9 @@ def test_equitable_partition_agrees_with_verdicts(small_sweep):
         try:
             matrix = verify_equitable_partition(graph, 0)
         except ValueError:
-            assert not verdict.status.is_srg(), s.format()  # diameter > 2
+            assert verdict.status not in _SRG_STATUSES, s.format()  # diameter > 2
             continue
-        if verdict.status.is_srg():
+        if verdict.status in _SRG_STATUSES:
             assert matrix is not None
             assert matrix[1][1] == verdict.params.lam
             assert matrix[2][1] == verdict.params.mu
@@ -897,23 +894,24 @@ def test_emit_table1_builds_index_sets_only_for_certified_rows(monkeypatch):
 
 
 def test_closed_form_cap_is_checked_before_any_work(monkeypatch):
-    s = OrbitIndexSet.of(CLOSED_FORM_MAX_N + 1, {1})
+    s = OrbitIndexSet.of(CLOSED_FORM_CAP + 1, {1})
 
     def no_work(*args):
         pytest.fail("work began before the closed-form cap was checked")
 
     monkeypatch.setattr(srg_module, "pascal_row", no_work)
     monkeypatch.setattr(spectrum_module, "character_sum_row", no_work)
-    with pytest.raises(ValueError, match="closed-form cap"):
+    with pytest.raises(ValueError, match="^n=1025 exceeds the closed-form cap 1024$"):
         full_spectrum(s)
-    with pytest.raises(ValueError, match="closed-form cap"):
+    with pytest.raises(ValueError, match="^n=1025 exceeds the closed-form cap 1024$"):
         pair_counts(s)
     # families: check_cap and 4 m_max + 2 both above the cap, and no row is built
     monkeypatch.setattr(srg_module.FamilySpec, "predicted", no_work)
-    with pytest.raises(ValueError, match=f"n={CLOSED_FORM_MAX_N + 1} would be certified"):
-        emit_table1(300, check_cap=CLOSED_FORM_MAX_N + 1)
-    with pytest.raises(ValueError, match=f"n={CLOSED_FORM_MAX_N + 2} would be certified"):
-        emit_table1((CLOSED_FORM_MAX_N - 2) // 4 + 1, check_cap=CLOSED_FORM_MAX_N + 10)
+    certified = re.escape("min(check cap, 4 m_max + 2)")
+    with pytest.raises(ValueError, match=f"^{certified}=1025 exceeds the closed-form cap 1024$"):
+        emit_table1(300, check_cap=CLOSED_FORM_CAP + 1)
+    with pytest.raises(ValueError, match=f"^{certified}=1026 exceeds the closed-form cap 1024$"):
+        emit_table1((CLOSED_FORM_CAP - 2) // 4 + 1, check_cap=CLOSED_FORM_CAP + 10)
 
 
 def test_match_families():
@@ -954,5 +952,5 @@ def test_trivial_verdicts_match_shapes(small_sweep):
     for s, verdict, _, _ in small_sweep.values():
         shape = {"s_minus", "s_odd"} & set(match_families(s))
         assert (verdict.status is VerdictStatus.TRIVIAL_SRG) == (
-            bool(shape) and verdict.status.is_srg()
+            bool(shape) and verdict.status in _SRG_STATUSES
         ), s.format()
