@@ -39,6 +39,10 @@ CAPS: dict[str, Cap] = {
     "transform": Cap(24, "n"),
     # verify_all(60) takes 0.3 s and verify_all(100) 1.3 s, about m^2.5
     "identities": Cap(100, "m"),
+    # the last row, 2^(4 m_max + 2) vertices, prints within 640 digits, the
+    # smallest int-to-str limit Python allows: families --m-max 531 takes
+    # 0.35 s, peaks at 46 MB and writes 4.2 MB
+    "families": Cap(531, "m_max"),
 }
 
 

@@ -134,13 +134,12 @@ def _first_invariant_failure(spectra: np.ndarray, sizes: np.ndarray) -> tuple[in
     return row, (_TRACE, _SECOND_MOMENT, _DEGREE)[int(np.argmax(failed[:, row]))]
 
 
-def _check_invariants(spec: Spectrum, set_size: int) -> None:
-    """Raise ConsistencyError with the first of the three checks that ``spec`` fails, exactly."""
-    failure = _first_invariant_failure(
-        np.array([spec.values], dtype=object), np.array([set_size], dtype=object)
-    )
+def _check_invariants(spec: Spectrum, s: OrbitIndexSet) -> None:
+    """Raise ConsistencyError naming s and the first of the three checks that ``spec`` fails."""
+    sizes = np.array([s.size()], dtype=object)
+    failure = _first_invariant_failure(np.array([spec.values], dtype=object), sizes)
     if failure is not None:
-        raise ConsistencyError(failure[1])
+        raise ConsistencyError(f"{failure[1]} on {s.format()}")
 
 
 def full_spectrum(s: OrbitIndexSet) -> Spectrum:
@@ -153,7 +152,7 @@ def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     rows = [character_sum_row(s.n, i) for i in s.sorted_indices]
     values = tuple(sum(row[k] for row in rows) for k in range(s.n + 1))
     spec = Spectrum(s.n, values)
-    _check_invariants(spec, s.size())
+    _check_invariants(spec, s)
     return spec
 
 
@@ -272,5 +271,5 @@ def wht_spectrum(s: OrbitIndexSet) -> Spectrum:
             f"fhat[{heads[k]}]={values[k]} but fhat[{x}]={value}"
         )
     spec = Spectrum(s.n, tuple(int(v) for v in values))
-    _check_invariants(spec, s.size())
+    _check_invariants(spec, s)
     return spec

@@ -22,7 +22,6 @@ its int64 sweep tables, ``certify`` a one-row table of Python ints.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -222,23 +221,13 @@ def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
 
     ``verified`` is "yes"/"no" from ``certify`` (both closed-form routes) when
     the dimension is within ``check_cap``, else "skipped"; only certified rows
-    build their index set.  Raises ValueError before any row when a certified
-    dimension would exceed the closed-form cap.
+    build their index set.  Raises ValueError before any row when m_max
+    exceeds the families cap or a certified dimension would exceed the
+    closed-form cap.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    # the largest value, 2^(4 m_max + 2) vertices, must print within Python's
-    # int-to-str digit limit L (0 means none): it has at most L digits iff it
-    # is below 10^L, that is iff 4 m_max + 2 < (10^L).bit_length().  Pythons
-    # before 3.10.7 have no limit and no getter.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        largest = ((10**limit).bit_length() - 3) // 4
-        if m_max > largest:
-            raise ValueError(
-                f"m_max={m_max} exceeds {largest}: 2^(4*m_max+2) would have more than "
-                f"{limit} digits (sys.get_int_max_str_digits())"
-            )
+    enforce_cap("families", m_max)
     # rows of dimension up to check_cap are certified, and the largest row has 4 m_max + 2
     enforce_cap("closed-form", min(check_cap, 4 * m_max + 2), "min(check cap, 4 m_max + 2)")
     rows = []
@@ -283,9 +272,6 @@ class VerdictColumns(NamedTuple):
     lambda, mu) per set, as ``_route_columns`` encodes them.
     """
 
-    connected: np.ndarray  # bool: the connectivity rule on I
-    trivial: np.ndarray  # bool: the same rule fails on the complement of I
-    complete: np.ndarray  # bool: |I| = n
     distinct: np.ndarray  # int64: number of distinct eigenvalues
     paircount: np.ndarray  # (rows, 4), int64 or object like the counts
     spectral: np.ndarray  # (rows, 4), int64 or object like the spectra
@@ -342,8 +328,8 @@ def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray)
     """
     n = member.shape[1]
     inside = member.astype(bool)
-    connected, complete = _connected_column(inside), inside.all(axis=1)
-    disconnected, trivial = ~connected, ~_connected_column(~inside)
+    disconnected, complete = ~_connected_column(inside), inside.all(axis=1)
+    trivial = ~_connected_column(~inside)
     distinct = 1 + np.count_nonzero(np.diff(spectra, axis=1), axis=1)
 
     top, bottom = counts.max(axis=1, keepdims=True), counts.min(axis=1, keepdims=True)
@@ -362,7 +348,7 @@ def verdict_columns(member: np.ndarray, spectra: np.ndarray, counts: np.ndarray)
     spectral = _route_columns(
         [disconnected, complete, distinct != 3, trivial], (r, mu + theta + tau, mu)
     )
-    return VerdictColumns(connected, trivial, complete, distinct, paircount, spectral)
+    return VerdictColumns(distinct, paircount, spectral)
 
 
 def _column_verdict(n: int, row: list[int]) -> SrgVerdict:

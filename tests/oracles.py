@@ -87,9 +87,10 @@ the independent check of one fast route.
   rejects a malformed header, body or padding, so an export can be read
   back and compared with the built matrix.
 - ``INT64_TABLE_BOUND`` and the other ``*_BOUND`` constants: no oracle,
-  but the largest n that each fixed-width number's stated formula admits,
-  computed from the formula, which the test of the cap orderings
-  (``tests/test_core.py``) holds the caps within.
+  but the largest n (m for ``INT_STR_DIGITS_BOUND``) that each
+  fixed-width number's stated formula admits, computed from the formula,
+  which the test of the cap orderings (``tests/test_core.py``) holds the
+  caps within.
 
 The tests directory has no ``__init__.py``, so pytest's default
 ``prepend`` import mode puts it on ``sys.path`` and ``from oracles import``
@@ -163,6 +164,13 @@ INT32_TRANSFORM_BOUND = _largest_n(lambda n: 2**n < 2**31)
 HALF_POPCOUNT_BOUND = 2 * (_HALF_WEIGHTS.size.bit_length() - 1)
 # the graph6 size header holds at most _SIZE_MEDIUM_MAX vertices
 GRAPH6_HEADER_BOUND = _largest_n(lambda n: 2**n <= _SIZE_MEDIUM_MAX)
+# the families' last row, 2^(4 m_max + 2) vertices, prints within Python's
+# smallest int-to-str digit limit, 640 (Pythons before 3.10.7 have no limit);
+# 16^m > 10^m, so m stays below the limit
+_SMALLEST_DIGIT_LIMIT = getattr(sys.int_info, "str_digits_check_threshold", 640)
+INT_STR_DIGITS_BOUND = max(
+    m for m in range(1, _SMALLEST_DIGIT_LIMIT) if 2 ** (4 * m + 2) < 10**_SMALLEST_DIGIT_LIMIT
+)
 
 
 def pair_count_oracle(s: OrbitIndexSet, v: int) -> int:

@@ -379,9 +379,9 @@ def _assert_columns_match_certify(n, mask):
     verdict, spectrum = certify(s, 0)
     assert (verdict.status, verdict.params) == expected, s.format()
     assert columns.distinct[row] == len(distinct(spectrum)), s.format()
-    assert columns.complete[row] == (len(s.indices) == n), s.format()
-    assert columns.connected[row] == is_connected(s), s.format()
-    assert columns.trivial[row] == (not is_connected(s.complement())), s.format()
+    status = list(VerdictStatus)[columns.paircount[row, 0]]
+    assert (status is VerdictStatus.COMPLETE) == (len(s.indices) == n), s.format()
+    assert (status is not VerdictStatus.DISCONNECTED) == is_connected(s), s.format()
 
 
 def test_verdict_columns_match_certify_exhaustively():

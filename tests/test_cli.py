@@ -158,14 +158,14 @@ BEYOND_A_LIMIT = {
     "export": [["export", "--set", f"n={LIMIT['export'] + 1};I=1"]],
     "transform": [["spectrum", "--set", f"n={LIMIT['transform'] + 1};I=1", "--check-oracle"]],
     "identities": [["identities", "--max-m", str(LIMIT["identities"] + 1)]],
+    "families": [["families", "--m-max", str(LIMIT["families"] + 1)]],
 }
-# refused with no cap: each flag that used to move a limit, and Python's int-to-str digit limit
+# refused with no cap: each flag that used to move a limit
 REFUSED_WITHOUT_A_CAP = [
     ["spectrum", "--set", "n=4;I=1", "--wht-cap", "30"],
     ["srg-check", "--set", "n=4;I=1", "--explicit", "--explicit-cap", "15"],
     ["census", "--n", "4", "--max-n", "30"],
     ["export", "--set", "n=4;I=1", "--max-n", "20"],
-    ["families", "--m-max", "4000"],  # 2^16002 vertices
 ]
 
 
@@ -445,16 +445,33 @@ def test_emit_table1_shape():
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python < 3.10.7")
 def test_families_stop_at_the_int_to_str_digit_limit(capsys):
-    # at Python's smallest limit, 640 digits, the last row of m_max = 531 has
-    # 2^2126 vertices, exactly 640 digits; m_max = 532 is refused before any row
+    # at Python's smallest limit, 640 digits, the last row of the cap's
+    # m_max = 531 has 2^2126 vertices, exactly 640 digits; m_max = 532 is
+    # refused by the cap before any row
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        assert main(["families", "--m-max", "531", "--check-cap", "0"]) == EXIT_OK
+        assert main(["families", "--m-max", str(LIMIT["families"]), "--check-cap", "0"]) == EXIT_OK
         last = list(csv.reader(capsys.readouterr().out.splitlines()))[-1]
         assert last[0] == "Cay(Z2^2126,S0+S3)" and len(last[1]) == 640
-        with pytest.raises(ValueError, match=r"m_max=532 exceeds 531: .* more than 640 digits"):
+        with pytest.raises(ValueError, match=r"^m_max=532 exceeds the families cap 531$"):
             emit_table1(532, check_cap=0)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python < 3.10.7")
+def test_families_cap_holds_without_a_digit_limit(capsys):
+    # with no int-to-str limit the cap alone refuses m_max = 532, before any row
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        assert main(["families", "--m-max", "532", "--check-cap", "0"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: m_max=532 exceeds the families cap 531\n"
     finally:
         sys.set_int_max_str_digits(limit)
 

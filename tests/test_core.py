@@ -24,6 +24,7 @@ from oracles import (
     INT32_TRANSFORM_BOUND,
     INT64_TABLE_BOUND,
     INT64_WALSH_BOUND,
+    INT_STR_DIGITS_BOUND,
     ExplicitGraph,
     binom,
     is_connected,
@@ -63,6 +64,8 @@ def test_caps_keep_their_orderings():
     assert (INT64_TABLE_BOUND, INT64_WALSH_BOUND, INT32_TRANSFORM_BOUND) == (20, 31, 30)
     assert (HALF_POPCOUNT_BOUND, GRAPH6_HEADER_BOUND) == (24, 17)
     cap = {name: row.limit for name, row in CAPS.items()}
+    # every families row prints at every int-to-str digit limit Python allows
+    assert cap["families"] <= INT_STR_DIGITS_BOUND == 531
     assert cap["census dense"] <= cap["census"] <= INT64_TABLE_BOUND
     # _row0_block reads _weight_rows, so the dense route runs within the transform cap
     assert cap["census dense"] <= cap["dense"] <= cap["transform"]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitcayley.spectrum as spectrum_module
+from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.explicit import _row0
 from orbitcayley.spectrum import (
@@ -440,12 +441,38 @@ def test_row_wise_invariants_match_the_single_spectrum_check():
             table = spectra.copy()
             table[r] = broken
             table[r + 1 :] = broken  # later rows never hide the first one
+            s = OrbitIndexSet.from_bitmask(n, r + 1)
             with pytest.raises(ConsistencyError) as exc:
-                _check_invariants(Spectrum(n, tuple(broken)), int(sizes[r]))
-            assert _first_invariant_failure(table, sizes) == (r, str(exc.value))
+                _check_invariants(Spectrum(n, tuple(broken)), s)
+            row, what = _first_invariant_failure(table, sizes)
+            assert (row, f"{what} on {s.format()}") == (r, str(exc.value))
     # degree first, both moments right, yet another eigenvalue above it
     above = [1, -1, 0, 2]
-    with pytest.raises(ConsistencyError, match="degree eigenvalue is not the maximum"):
-        _check_invariants(Spectrum(3, tuple(above)), 1)
+    message = "^degree eigenvalue is not the maximum on n=3;I=3$"
+    with pytest.raises(ConsistencyError, match=message):
+        _check_invariants(Spectrum(3, tuple(above)), OrbitIndexSet.of(3, [3]))  # |S| = 1
     assert _first_invariant_failure(np.array([above]), np.array([1])) == (
         0, "degree eigenvalue is not the maximum")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["srg-check", "--set", "n=4;I=1"], "n=4;I=1"),
+        (["spectrum", "--set", "n=4;I=1"], "n=4;I=1"),
+        (["families", "--m-max", "1"], "n=4;I=1,4"),  # its first row is Cay(Z2^4,S0+S1)
+    ],
+    ids=["srg-check", "spectrum", "families"],
+)
+def test_invariant_failure_names_the_set(monkeypatch, capsys, argv, named):
+    # row (4, 1) enters every set holding 1 at n = 4; its entry k = 1 has
+    # multiplicity C(4, 1), so the trace moves by 4
+    def perturbed(n, i):
+        row = character_sum_row(n, i)
+        return row[:1] + (row[1] + 1,) + row[2:] if (n, i) == (4, 1) else row
+
+    monkeypatch.setattr(spectrum_module, "character_sum_row", perturbed)
+    assert main(argv) == EXIT_VERIFICATION_FAILED
+    assert capsys.readouterr().err == (
+        f"verification failure: spectrum trace is nonzero on {named}\n"
+    )
