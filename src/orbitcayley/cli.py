@@ -3,14 +3,23 @@
 Exit codes: 0 all requested verifications passed, 1 a mathematical
 verification failed, 2 usage or configuration error.
 
-Each command returns its exit code and its output as chunks of bytes,
-which ``main`` writes.  stdout is all-or-nothing: nothing is written
-until every chunk is made.  --out (relative to ORBITCAYLEY_OUT_DIR when
-that is set) is written to a temporary file beside the target and
-renamed over it at the end.  census writes into that file one dimension
-at a time, each dimension's bytes made by ``census.census_bytes`` from
-the verdict columns, and export one group of graph6 rows at a time, so a
-killed process may leave a .NAME.<hex>.tmp file but never a partial NAME.
+Each command checks its arguments and its caps, then returns a report: a
+generator that yields the output as chunks of bytes, made as they are
+taken, and returns the exit code, which ``main`` reads once ``_write``
+has taken the last chunk.  So a request over a cap exits 2 before any
+output is made or the output file is opened, and a failing row is still
+written, with exit code 1.
+stdout is all-or-nothing: nothing is written until every chunk is made.
+--out (relative to ORBITCAYLEY_OUT_DIR when that is set) is written to a
+temporary file beside the target and renamed over it at the end.  These
+commands write into that file one chunk at a time, so a killed process
+may leave a .NAME.<hex>.tmp file but never a partial NAME:
+
+- census: one dimension, made by ``census.census_bytes`` from the verdict
+  columns;
+- families: the rows of one m, certified as they are taken;
+- identities: the rows of one identity id, evaluated as they are taken;
+- export: the size header, then one block of 64 graph6 rows.
 """
 
 from __future__ import annotations
@@ -22,9 +31,10 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Generator, Iterable
 
 from .census import (
     CENSUS_CSV_COLUMNS,
@@ -37,7 +47,7 @@ from .core import ConsistencyError, OrbitIndexSet
 from .graph6 import export_graph6
 from .identities import verify_all
 from .spectrum import distinct, full_spectrum, wht_spectrum
-from .srg import FAMILIES_CHECK_CAP, certify, emit_table1
+from .srg import FAMILIES_CHECK_CAP, NONTRIVIAL_FAMILY_KEYS, certify, emit_table1
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -47,6 +57,10 @@ OUT_DIR_ENV = "ORBITCAYLEY_OUT_DIR"
 
 FAMILY_CSV_COLUMNS = ["graph", "n_vertices", "r", "lambda", "mu", "verified"]
 IDENTITY_CSV_COLUMNS = ["id", "k", "m", "lhs", "rhs", "pass"]
+
+# what a command returns: a generator of its output chunks, made as they
+# are taken, whose return value is the exit code
+Report = Generator[bytes, None, int]
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -59,39 +73,53 @@ def _resolve_out(path: str | None) -> Path | None:
     return p
 
 
-def _write_atomic(out: Path, chunks: Iterable[bytes]) -> None:
-    """Write the chunks to a temporary file beside out, then rename it over out.
+def _drain(report: Report, write: Callable[[bytes], object]) -> int:
+    """Pass every chunk of the report to write, in order, and return its exit code.
+
+    A chunk is dropped once it is written, before the next one is made.
+    """
+    while True:
+        try:
+            write(next(report))
+        except StopIteration as done:
+            return done.value
+
+
+def _write_atomic(out: Path, report: Report) -> int:
+    """Write the report to a temporary file beside out, then rename it over out.
 
     The chunks are made as they are taken.  A failure in making or in
     writing one removes the temporary file, so out is either left as it
-    was or holds all of the chunks, never a prefix.
+    was or holds all of the chunks, never a prefix.  Returns the report's
+    exit code.
     """
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            code = _drain(report, fh.write)
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return code
 
 
-def _write(out: Path | None, chunks: Iterable[bytes]) -> None:
-    """Write the chunks to out, or to stdout when out is None.
+def _write(out: Path | None, report: Report) -> int:
+    """Write the report to out, or to stdout when out is None; return its exit code.
 
     stdout gets nothing unless every chunk was made, and then the chunks
     one by one, never joined into a second copy.
     """
     if out is not None:
-        _write_atomic(out, chunks)
-        return
-    made = list(chunks)
+        return _write_atomic(out, report)
+    made: list[bytes] = []
+    code = _drain(report, made.append)
     for chunk in made:
         sys.stdout.buffer.write(chunk)
     sys.stdout.buffer.flush()
+    return code
 
 
 def _decimal(text: str) -> int:
@@ -115,12 +143,21 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 
 def _csv(rows: Iterable[list[str]]) -> bytes:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue().encode()
+    """The rows as CSV, encoded as each is written, so the text is held once, as bytes."""
+    buf = io.BytesIO()
+    text = io.TextIOWrapper(buf, encoding="utf-8", newline="")
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    text.flush()
+    return buf.getvalue()
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> tuple[int, list[bytes]]:
+def _exits_ok(chunks: Iterable[bytes]) -> Report:
+    """A report of the chunks, made as they are taken, that exits 0."""
+    yield from chunks
+    return EXIT_OK
+
+
+def _cmd_spectrum(args: argparse.Namespace) -> Report:
     s = OrbitIndexSet.parse(args.set)
     # the oracle first: its cap is the lower one, so a request over it does no other work
     oracle = wht_spectrum(s) if args.check_oracle else None
@@ -131,18 +168,18 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[int, list[bytes]]:
             f"closed form {spec.values}, transform {oracle.values}"
         )
     text = distinct(spec).to_csv() if args.distinct else json.dumps(spec.to_json_dict()) + "\n"
-    return EXIT_OK, [text.encode()]
+    return _exits_ok([text.encode()])
 
 
-def _cmd_srg_check(args: argparse.Namespace) -> tuple[int, list[bytes]]:
+def _cmd_srg_check(args: argparse.Namespace) -> Report:
     s = OrbitIndexSet.parse(args.set)
     verdict, _ = certify(s, s.n if args.explicit else 0)
     payload = {"set": s.format()}
     payload.update(verdict.to_json_dict())
-    return EXIT_OK, [(json.dumps(payload) + "\n").encode()]
+    return _exits_ok([(json.dumps(payload) + "\n").encode()])
 
 
-def _cmd_census(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
+def _cmd_census(args: argparse.Namespace) -> Report:
     n_start, n_end = _parse_n_range(args.n)
     # both ends, so a range running past the cap fails before the sweep starts
     check_census_request(n_start, args.explicit_cap)
@@ -154,30 +191,55 @@ def _cmd_census(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
         for n in range(n_start, n_end + 1):
             yield census_bytes(n, args.format, args.explicit_cap)
 
-    return EXIT_OK, chunks()
+    return _exits_ok(chunks())
 
 
-def _cmd_families(args: argparse.Namespace) -> tuple[int, list[bytes]]:
+def _table_report(columns: list[str], rows: Iterable[tuple[object, list[str], bool]]) -> Report:
+    """The CSV header, then the (chunk key, fields, passed) rows, one chunk per run of equal keys.
+
+    Each chunk is formatted as its rows are taken, so one chunk's bytes are
+    held at a time, not its rows.  Exits 1 when any row did not pass; such
+    a row is still written.
+    """
+    yield _csv([columns])
+    failed = False
+
+    def fields(run: Iterable[tuple[object, list[str], bool]]) -> Iterable[list[str]]:
+        nonlocal failed
+        for _, row, passed in run:
+            failed = failed or not passed
+            yield row
+
+    for _, run in groupby(rows, key=itemgetter(0)):
+        yield _csv(fields(run))
+    return EXIT_VERIFICATION_FAILED if failed else EXIT_OK
+
+
+def _cmd_families(args: argparse.Namespace) -> Report:
     rows = emit_table1(args.m_max, check_cap=args.check_cap)
-    table = [[str(row[col]) for col in FAMILY_CSV_COLUMNS] for row in rows]
-    code = EXIT_VERIFICATION_FAILED if any(row["verified"] == "no" for row in rows) else EXIT_OK
-    return code, [_csv([FAMILY_CSV_COLUMNS, *table])]
+    # one chunk per m: its row of each nontrivial family
+    per_m = len(NONTRIVIAL_FAMILY_KEYS)
+    return _table_report(FAMILY_CSV_COLUMNS, (
+        (i // per_m, [str(row[col]) for col in FAMILY_CSV_COLUMNS], row["verified"] != "no")
+        for i, row in enumerate(rows)
+    ))
 
 
-def _cmd_identities(args: argparse.Namespace) -> tuple[int, list[bytes]]:
-    report = verify_all(args.max_m)
-    rows = [
-        [check.identity_id, str(check.k), str(check.m), str(check.lhs), str(check.rhs),
-         str(check.passed).lower()]
-        for check in report
-    ]
-    code = EXIT_OK if all(check.passed for check in report) else EXIT_VERIFICATION_FAILED
-    return code, [_csv([IDENTITY_CSV_COLUMNS, *rows])]
+def _cmd_identities(args: argparse.Namespace) -> Report:
+    checks = verify_all(args.max_m)
+    # one chunk per identity id
+    return _table_report(IDENTITY_CSV_COLUMNS, (
+        (check.identity_id,
+         [check.identity_id, str(check.k), str(check.m), str(check.lhs), str(check.rhs),
+          str(check.passed).lower()],
+         check.passed)
+        for check in checks
+    ))
 
 
-def _cmd_export(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
+def _cmd_export(args: argparse.Namespace) -> Report:
     s = OrbitIndexSet.parse(args.set)
-    return EXIT_OK, chain(export_graph6(s), [b"\n"])
+    return _exits_ok(chain(export_graph6(s), [b"\n"]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,9 +295,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code, chunks = args.func(args)
-        _write(_resolve_out(args.out), chunks)
-        return code
+        report = args.func(args)
+        return _write(_resolve_out(args.out), report)
     except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED

@@ -37,11 +37,14 @@ CAPS: dict[str, Cap] = {
     "export": Cap(14, "n"),
     # the transform oracle: O(n * 2^n) time and O(2^n) memory
     "transform": Cap(24, "n"),
-    # verify_all(60) takes 0.3 s and verify_all(100) 1.3 s, about m^2.5
+    # verify_all(60) takes 0.3-0.4 s and verify_all(100) 1.3-1.7 s, about
+    # m^2.5; identities --max-m 100 writes 11.2 MB one identity id at a
+    # time and peaks at 37 MB (VmHWM), 8 MB over the import
     "identities": Cap(100, "m"),
     # the last row, 2^(4 m_max + 2) vertices, prints within 640 digits, the
     # smallest int-to-str limit Python allows: families --m-max 531 takes
-    # 0.35 s, peaks at 46 MB and writes 4.2 MB
+    # 0.16-0.2 s and writes 4.2 MB one m at a time, peaking at 30 MB
+    # (VmHWM), under 1 MB over the import
     "families": Cap(531, "m_max"),
 }
 

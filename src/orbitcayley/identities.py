@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import PASCAL_ROWS_CACHED, ConsistencyError, enforce_cap, pascal_row
 
@@ -37,7 +37,8 @@ def _residue_prefix_sums(b: int) -> tuple[tuple[int, ...], ...]:
     most 2^b: 33 KB at b = 403, the largest row the identities cap reaches.
     The cache keeps at most PASCAL_ROWS_CACHED tables, 4.9 MB for rows
     148..403; every b of the double sums is odd, so verify_all(30) fills
-    62 (0.19 MB) and verify_all(100) 201 (2.7 MB).
+    62 (0.19 MB), verify_all(60) 121 (0.83 MB) and verify_all(100) 201
+    (2.7 MB).
     """
     row = pascal_row(b)
     return tuple(tuple(accumulate(row[r::4], initial=0)) for r in range(4))
@@ -191,16 +192,19 @@ class IdentityCheck:
         return self.lhs == self.rhs
 
 
-def verify_all(max_m: int) -> list[IdentityCheck]:
-    """Evaluate every identity over all admissible (k, m) with m <= max_m.
+def verify_all(max_m: int) -> Iterator[IdentityCheck]:
+    """Every identity over all admissible (k, m) with m <= max_m, one row at a time.
 
-    The report is ordered by (id, m, k); failures would surface as rows with
-    ``passed`` False (none are expected).
+    max_m is checked against the identities cap at the call; each row is
+    then evaluated only when it is taken, so a caller that writes the rows
+    as they come holds one at a time (``list(verify_all(m))`` for all of
+    them).  The report is ordered by (id, m, k); failures would surface as
+    rows with ``passed`` False (none are expected).
     """
     _check_m(max_m)
-    return [
+    return (
         IdentityCheck(identity_id, k, m, *_sides(identity_id, k, m))
         for identity_id in IDENTITY_IDS
         for m in range(1, max_m + 1)
         for k in admissible_k(identity_id, m)
-    ]
+    )

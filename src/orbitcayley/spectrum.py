@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 import numpy as np
 
@@ -145,12 +146,14 @@ def _check_invariants(spec: Spectrum, s: OrbitIndexSet) -> None:
 def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     """Closed-form spectrum of the orbit Cayley graph on 2^n vertices.
 
-    Sums the recurrence rows of the member orbits.  Raises ValueError when n
-    exceeds the closed-form cap.
+    Sums the recurrence rows of the member orbits, each added into a
+    running total as it is made, so one row is held at a time, not |I|.
+    Raises ValueError when n exceeds the closed-form cap.
     """
     enforce_cap("closed-form", s.n)
-    rows = [character_sum_row(s.n, i) for i in s.sorted_indices]
-    values = tuple(sum(row[k] for row in rows) for k in range(s.n + 1))
+    values = (0,) * (s.n + 1)
+    for i in s.sorted_indices:
+        values = tuple(map(add, values, character_sum_row(s.n, i)))
     spec = Spectrum(s.n, values)
     _check_invariants(spec, s)
     return spec

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from operator import and_
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -216,44 +216,45 @@ def match_families(s: OrbitIndexSet) -> tuple[str, ...]:
     return tuple(tags)
 
 
-def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> list[dict]:
+def _table1_row(spec: FamilySpec, m: int, check_cap: int) -> dict:
+    """The ``emit_table1`` row of one family at m, certified when its dimension is within check_cap."""
+    predicted = spec.predicted(m)
+    verified = "skipped"
+    if spec.dimension(m) <= check_cap:
+        verdict, _ = certify(spec.index_set(m), explicit_cap=0)
+        ok = verdict.status is VerdictStatus.NONTRIVIAL_SRG and verdict.params == predicted
+        verified = "yes" if ok else "no"
+    return {
+        "graph": spec.label(m),
+        "n_vertices": predicted.vertices,
+        "r": predicted.degree,
+        "lambda": predicted.lam,
+        "mu": predicted.mu,
+        "verified": verified,
+    }
+
+
+def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> Iterator[dict]:
     """One row per (m, nontrivial family): closed-form parameters plus verification.
 
     ``verified`` is "yes"/"no" from ``certify`` (both closed-form routes) when
     the dimension is within ``check_cap``, else "skipped"; only certified rows
-    build their index set.  Raises ValueError before any row when m_max
-    exceeds the families cap or a certified dimension would exceed the
-    closed-form cap.
+    build their index set.  Raises ValueError at the call, before any row,
+    when m_max exceeds the families cap or a certified dimension would
+    exceed the closed-form cap.  The rows come in order of m, then of
+    ``NONTRIVIAL_FAMILY_KEYS``, each made and certified only when it is
+    taken (``list(emit_table1(...))`` for all of them).
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     enforce_cap("families", m_max)
     # rows of dimension up to check_cap are certified, and the largest row has 4 m_max + 2
     enforce_cap("closed-form", min(check_cap, 4 * m_max + 2), "min(check cap, 4 m_max + 2)")
-    rows = []
-    for m in range(1, m_max + 1):
-        for key in NONTRIVIAL_FAMILY_KEYS:
-            spec = FAMILIES[key]
-            predicted = spec.predicted(m)
-            verified = "skipped"
-            if spec.dimension(m) <= check_cap:
-                verdict, _ = certify(spec.index_set(m), explicit_cap=0)
-                ok = (
-                    verdict.status is VerdictStatus.NONTRIVIAL_SRG
-                    and verdict.params == predicted
-                )
-                verified = "yes" if ok else "no"
-            rows.append(
-                {
-                    "graph": spec.label(m),
-                    "n_vertices": predicted.vertices,
-                    "r": predicted.degree,
-                    "lambda": predicted.lam,
-                    "mu": predicted.mu,
-                    "verified": verified,
-                }
-            )
-    return rows
+    return (
+        _table1_row(FAMILIES[key], m, check_cap)
+        for m in range(1, m_max + 1)
+        for key in NONTRIVIAL_FAMILY_KEYS
+    )
 
 
 # -- the verdict rules -------------------------------------------------------

@@ -94,7 +94,7 @@ def test_criterion_04_pair_count_oracle_equivalence():
 
 def test_criterion_05_identity_sweep():
     start = time.monotonic()
-    report = verify_all(25)
+    report = list(verify_all(25))
     failures = [check for check in report if not check.passed]
     assert failures == []
     elapsed = time.monotonic() - start

@@ -13,16 +13,19 @@ import re
 import sys
 import time
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
 import orbitcayley.cli as cli_module
 import orbitcayley.graph6 as graph6_module
+import orbitcayley.identities as identities_module
+import orbitcayley.srg as srg_module
 from orbitcayley.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, build_parser, main
 from orbitcayley.core import CAPS, ConsistencyError, pascal_row
 from orbitcayley.spectrum import Spectrum, character_sum_row
-from orbitcayley.srg import FAMILIES, emit_table1
+from orbitcayley.srg import FAMILIES, NONTRIVIAL_FAMILY_KEYS, SrgVerdict, VerdictStatus, emit_table1
 
 from oracles import forbid_everywhere
 
@@ -280,6 +283,98 @@ def test_export_holds_one_copy_of_the_graph6_string(tmp_path):
     assert peak < out.stat().st_size // 2, peak
 
 
+def _traced_peak(argv):
+    """The traced peak of main(argv), from empty Pascal-row and running-sum caches."""
+    pascal_row.cache_clear()
+    identities_module._residue_prefix_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_identities_peak_allocation_is_one_chunk_plus_the_caches(tmp_path):
+    out = tmp_path / "identities.csv"
+    baseline = _traced_peak(["identities", "--max-m", "1", "--out", str(out)])
+    peak = _traced_peak(["identities", "--max-m", "60", "--out", str(out)])
+    rows = out.read_bytes().splitlines(keepends=True)[1:]
+    runs = groupby(rows, key=lambda row: row.split(b",", 1)[0])
+    chunk = max(sum(map(len, run)) for _, run in runs)  # 221 KB of 2.66 MB
+    # the caches' stated sizes: Pascal rows 0..243 within the 1.65 MB of a
+    # full cache of rows 0..255 (core), and the 121 running-sum tables of
+    # verify_all(60), 0.83 MB (identities); a chunk is encoded once into a
+    # growing buffer, about twice its size at the peak, so four chunks cover
+    # it with room to spare.  Measured: 2.6 MB over the baseline, 24.7 MB
+    # when the whole report was held before the first byte was written
+    caches = 1_650_000 + 830_000
+    assert peak - baseline < caches + 4 * chunk, (peak, baseline, chunk)
+
+
+def test_families_peak_allocation_is_one_chunk(tmp_path):
+    out = tmp_path / "families.csv"
+    baseline = _traced_peak(["families", "--m-max", "1", "--check-cap", "0", "--out", str(out)])
+    peak = _traced_peak(["families", "--m-max", "400", "--check-cap", "0", "--out", str(out)])
+    rows = out.read_bytes().splitlines(keepends=True)[1:]
+    per_m = len(NONTRIVIAL_FAMILY_KEYS)
+    chunk = max(sum(map(len, rows[i : i + per_m])) for i in range(0, len(rows), per_m))
+    # no row is certified, so no cache fills; the 12 KB rows of one m are
+    # encoded once into a growing buffer.  Measured: 22 KB over the
+    # baseline, 10 MB when the whole table was held
+    assert peak - baseline < 4 * chunk, (peak, baseline, chunk)
+
+
+def _with_failing_row(good, prefix, passed, failed):
+    """The good output with the one line that starts with prefix ending in failed, not passed."""
+    lines = good.splitlines(keepends=True)
+    (at,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    assert lines[at].endswith(passed)
+    lines[at] = lines[at][: -len(passed)] + failed
+    return b"".join(lines)
+
+
+def _assert_written_with_exit_one(tmp_path, capsysbinary, argv, expected):
+    out = tmp_path / "out"
+    out.write_bytes(b"previous contents\n")
+    assert main(argv) == EXIT_VERIFICATION_FAILED
+    assert capsysbinary.readouterr().out == expected
+    assert main(argv + ["--out", str(out)]) == EXIT_VERIFICATION_FAILED
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_a_failing_identity_row_is_written_and_exits_one(tmp_path, monkeypatch, capsysbinary):
+    argv = ["identities", "--max-m", "3"]
+    assert main(argv) == EXIT_OK
+    good = capsysbinary.readouterr().out
+    real = identities_module._sides
+
+    def off_by_one(identity_id, k, m):
+        lhs, rhs = real(identity_id, k, m)
+        return (lhs + 1 if (identity_id, k, m) == ("T35-v", 1, 2) else lhs), rhs
+
+    monkeypatch.setattr(identities_module, "_sides", off_by_one)
+    expected = _with_failing_row(good, b"T35-v,1,2,", b",272,272,true\n", b",273,272,false\n")
+    _assert_written_with_exit_one(tmp_path, capsysbinary, argv, expected)
+
+
+def test_a_failing_family_row_is_written_and_exits_one(tmp_path, monkeypatch, capsysbinary):
+    argv = ["families", "--m-max", "2"]
+    assert main(argv) == EXIT_OK
+    good = capsysbinary.readouterr().out
+    failing = FAMILIES["s1s2@4m+2"].index_set(1)
+    real = srg_module.certify
+
+    def not_an_srg_at_one_set(s, explicit_cap):
+        return (SrgVerdict(VerdictStatus.NOT_SRG), None) if s == failing else real(s, explicit_cap)
+
+    monkeypatch.setattr(srg_module, "certify", not_an_srg_at_one_set)
+    expected = _with_failing_row(good, b'"Cay(Z2^6,S1+S2)",', b",yes\n", b",no\n")
+    _assert_written_with_exit_one(tmp_path, capsysbinary, argv, expected)
+
+
 class _FailingWriter:
     """Stands in for the file object: writes half of what it is given, then fails."""
 
@@ -430,7 +525,7 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
 
 
 def test_emit_table1_shape():
-    rows = emit_table1(1)
+    rows = list(emit_table1(1))
     assert [row["graph"] for row in rows] == [
         "Cay(Z2^4,S0+S1)",
         "Cay(Z2^4,S2+S3)",

@@ -154,7 +154,7 @@ def test_admissible_ranges():
 
 
 def test_verify_all_small_sweep():
-    report = verify_all(6)
+    report = list(verify_all(6))
     assert all(check.passed for check in report)
     singles = 12 * 6
     positive = 3 * sum(range(1, 7))
@@ -163,6 +163,24 @@ def test_verify_all_small_sweep():
     assert len(report) == singles + positive + below + full
     with pytest.raises(ValueError):
         verify_all(0)
+
+
+def test_verify_all_evaluates_each_row_when_it_is_taken(monkeypatch):
+    taken = []
+    real = identities_module._sides
+
+    def counting(identity_id, k, m):
+        taken.append((identity_id, m, k))
+        return real(identity_id, k, m)
+
+    monkeypatch.setattr(identities_module, "_sides", counting)
+    report = verify_all(4)
+    assert taken == []
+    first = next(report)
+    assert taken == [(IDENTITY_IDS[0], 1, 0)] == [(first.identity_id, first.m, first.k)]
+    rest = list(report)
+    assert taken == [(c.identity_id, c.m, c.k) for c in [first, *rest]]
+    assert len(taken) == len(set(taken))
 
 
 def test_identities_cap_is_checked_before_any_sum(monkeypatch):

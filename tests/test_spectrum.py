@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from math import comb
 
@@ -453,6 +454,26 @@ def test_row_wise_invariants_match_the_single_spectrum_check():
         _check_invariants(Spectrum(3, tuple(above)), OrbitIndexSet.of(3, [3]))  # |S| = 1
     assert _first_invariant_failure(np.array([above]), np.array([1])) == (
         0, "degree eigenvalue is not the maximum")
+
+
+def test_full_spectrum_holds_one_row_at_a_time():
+    # 200 rows of 401 ints of up to 400 bits: each row is added into the
+    # running total as it is made, so the rows are never held together
+    s = OrbitIndexSet.of(400, range(1, 400, 2))
+    full_spectrum(s)  # warm lazy imports outside the trace
+    row = character_sum_row(400, 200)
+    row_bytes = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+    tracemalloc.start()
+    try:
+        spec = full_spectrum(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.values == tuple(map(sum, zip(*(character_sum_row(400, i) for i in range(1, 400, 2)))))
+    # the total, the row being made and the total being formed, plus the
+    # invariant checks' one-row tables: 4.1 rows measured, 232 when the
+    # rows were kept until the sum
+    assert peak < 8 * row_bytes, (peak, row_bytes)
 
 
 @pytest.mark.parametrize(

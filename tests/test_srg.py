@@ -886,11 +886,27 @@ def test_emit_table1_builds_index_sets_only_for_certified_rows(monkeypatch):
     monkeypatch.setattr(
         srg_module, "certify", lambda s, explicit_cap: (SrgVerdict(VerdictStatus.NOT_SRG), None)
     )
-    rows = emit_table1(50, check_cap=20)
+    rows = list(emit_table1(50, check_cap=20))
     certified = [row for row in rows if row["verified"] != "skipped"]
     assert len(rows) == 50 * 6
     assert len(built) == len(certified) == 2 * 5 + 4 * 4  # n = 4m <= 20 and n = 4m + 2 <= 20
     assert max(built) == 20
+
+
+def test_emit_table1_certifies_each_row_when_it_is_taken(monkeypatch):
+    certified = []
+    real = srg_module.certify
+
+    def counting(s, explicit_cap):
+        certified.append(s.n)
+        return real(s, explicit_cap)
+
+    monkeypatch.setattr(srg_module, "certify", counting)
+    rows = emit_table1(3)
+    assert certified == []
+    assert next(rows)["graph"] == "Cay(Z2^4,S0+S1)" and certified == [4]
+    assert [row["verified"] for row in rows] == ["yes"] * (3 * 6 - 1)
+    assert certified == [FAMILIES[key].dimension(m) for m in (1, 2, 3) for key in NONTRIVIAL_FAMILY_KEYS]
 
 
 def test_closed_form_cap_is_checked_before_any_work(monkeypatch):
