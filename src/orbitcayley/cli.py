@@ -3,22 +3,23 @@
 Exit codes: 0 all requested verifications passed, 1 a mathematical
 verification failed, 2 usage or configuration error.
 
-Each command checks its arguments and its caps, then returns a report: a
-generator that yields the output as chunks of bytes, made as they are
-taken, and returns the exit code, which ``main`` reads once ``_write``
-has taken the last chunk.  So a request over a cap exits 2 before any
-output is made or the output file is opened, and a failing row is still
-written, with exit code 1.
-stdout is all-or-nothing: nothing is written until every chunk is made.
---out (relative to ORBITCAYLEY_OUT_DIR when that is set) is written to a
-temporary file beside the target and renamed over it at the end.  These
-commands write into that file one chunk at a time, so a killed process
-may leave a .NAME.<hex>.tmp file but never a partial NAME:
+Each command checks its arguments and its caps first, then returns a
+function that writes its output to one binary file object and returns the
+exit code.  So a request over a cap exits 2 before any output is made or
+the output file is opened, and a failing row is still written, with exit
+code 1.
+
+stdout is all-or-nothing: the output is written into one buffer, copied
+to stdout once the whole of it is made.  --out (relative to
+ORBITCAYLEY_OUT_DIR when that is set) is written to a temporary file
+beside the target and renamed over it at the end, so a killed process may
+leave a .NAME.<hex>.tmp file but never a partial NAME.  Each piece is
+written as it is made and dropped before the next one is made:
 
 - census: one dimension, made by ``census.census_bytes`` from the verdict
   columns;
-- families: the rows of one m, certified as they are taken;
-- identities: the rows of one identity id, evaluated as they are taken;
+- families and identities: one CSV row, evaluated (and for families
+  certified) as it is taken, through the file's buffer;
 - export: the size header, then one block of 64 graph6 rows.
 """
 
@@ -31,10 +32,8 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain, groupby
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Generator, Iterable
+from typing import BinaryIO, Callable, Iterable
 
 from .census import (
     CENSUS_CSV_COLUMNS,
@@ -47,7 +46,7 @@ from .core import ConsistencyError, OrbitIndexSet
 from .graph6 import export_graph6
 from .identities import verify_all
 from .spectrum import distinct, full_spectrum, wht_spectrum
-from .srg import FAMILIES_CHECK_CAP, NONTRIVIAL_FAMILY_KEYS, certify, emit_table1
+from .srg import FAMILIES_CHECK_CAP, certify, emit_table1
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -58,9 +57,8 @@ OUT_DIR_ENV = "ORBITCAYLEY_OUT_DIR"
 FAMILY_CSV_COLUMNS = ["graph", "n_vertices", "r", "lambda", "mu", "verified"]
 IDENTITY_CSV_COLUMNS = ["id", "k", "m", "lhs", "rhs", "pass"]
 
-# what a command returns: a generator of its output chunks, made as they
-# are taken, whose return value is the exit code
-Report = Generator[bytes, None, int]
+# what a command returns: writes its output to the file and returns the exit code
+Writer = Callable[[BinaryIO], int]
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -73,32 +71,19 @@ def _resolve_out(path: str | None) -> Path | None:
     return p
 
 
-def _drain(report: Report, write: Callable[[bytes], object]) -> int:
-    """Pass every chunk of the report to write, in order, and return its exit code.
+def _write_atomic(out: Path, write: Writer) -> int:
+    """Write to a temporary file beside out, then rename it over out; return the exit code.
 
-    A chunk is dropped once it is written, before the next one is made.
-    """
-    while True:
-        try:
-            write(next(report))
-        except StopIteration as done:
-            return done.value
-
-
-def _write_atomic(out: Path, report: Report) -> int:
-    """Write the report to a temporary file beside out, then rename it over out.
-
-    The chunks are made as they are taken.  A failure in making or in
-    writing one removes the temporary file, so out is either left as it
-    was or holds all of the chunks, never a prefix.  Returns the report's
-    exit code.
+    A failure in making or in writing the output removes the temporary
+    file, so out is either left as it was or holds the whole output, never
+    a prefix.
     """
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            code = _drain(report, fh.write)
+            code = write(fh)
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -106,18 +91,17 @@ def _write_atomic(out: Path, report: Report) -> int:
     return code
 
 
-def _write(out: Path | None, report: Report) -> int:
-    """Write the report to out, or to stdout when out is None; return its exit code.
+def _write(out: Path | None, write: Writer) -> int:
+    """Write the output to out, or to stdout when out is None; return the exit code.
 
-    stdout gets nothing unless every chunk was made, and then the chunks
-    one by one, never joined into a second copy.
+    stdout gets nothing unless the whole output was made, and then the one
+    buffer it was written into.
     """
     if out is not None:
-        return _write_atomic(out, report)
-    made: list[bytes] = []
-    code = _drain(report, made.append)
-    for chunk in made:
-        sys.stdout.buffer.write(chunk)
+        return _write_atomic(out, write)
+    buf = io.BytesIO()
+    code = write(buf)
+    sys.stdout.buffer.write(buf.getbuffer())
     sys.stdout.buffer.flush()
     return code
 
@@ -142,22 +126,30 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def _csv(rows: Iterable[list[str]]) -> bytes:
-    """The rows as CSV, encoded as each is written, so the text is held once, as bytes."""
-    buf = io.BytesIO()
-    text = io.TextIOWrapper(buf, encoding="utf-8", newline="")
-    csv.writer(text, lineterminator="\n").writerows(rows)
-    text.flush()
-    return buf.getvalue()
+def _csv_report(columns: list[str], rows: Iterable[tuple[list[str], bool]]) -> Writer:
+    """The CSV header, then each (fields, passed) row, written as it is taken.
+
+    Exits 1 when any row did not pass; such a row is still written.
+    """
+
+    def write(fh: BinaryIO) -> int:
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        try:
+            writer = csv.writer(text, lineterminator="\n")
+            writer.writerow(columns)
+            failed = False
+            for fields, passed in rows:
+                writer.writerow(fields)
+                failed = failed or not passed
+        finally:
+            # flushes, and leaves fh open for the caller
+            text.detach()
+        return EXIT_VERIFICATION_FAILED if failed else EXIT_OK
+
+    return write
 
 
-def _exits_ok(chunks: Iterable[bytes]) -> Report:
-    """A report of the chunks, made as they are taken, that exits 0."""
-    yield from chunks
-    return EXIT_OK
-
-
-def _cmd_spectrum(args: argparse.Namespace) -> Report:
+def _cmd_spectrum(args: argparse.Namespace) -> Writer:
     s = OrbitIndexSet.parse(args.set)
     # the oracle first: its cap is the lower one, so a request over it does no other work
     oracle = wht_spectrum(s) if args.check_oracle else None
@@ -168,81 +160,75 @@ def _cmd_spectrum(args: argparse.Namespace) -> Report:
             f"closed form {spec.values}, transform {oracle.values}"
         )
     text = distinct(spec).to_csv() if args.distinct else json.dumps(spec.to_json_dict()) + "\n"
-    return _exits_ok([text.encode()])
+
+    def write(fh: BinaryIO) -> int:
+        fh.write(text.encode())
+        return EXIT_OK
+
+    return write
 
 
-def _cmd_srg_check(args: argparse.Namespace) -> Report:
+def _cmd_srg_check(args: argparse.Namespace) -> Writer:
     s = OrbitIndexSet.parse(args.set)
     verdict, _ = certify(s, s.n if args.explicit else 0)
     payload = {"set": s.format()}
     payload.update(verdict.to_json_dict())
-    return _exits_ok([(json.dumps(payload) + "\n").encode()])
+
+    def write(fh: BinaryIO) -> int:
+        fh.write((json.dumps(payload) + "\n").encode())
+        return EXIT_OK
+
+    return write
 
 
-def _cmd_census(args: argparse.Namespace) -> Report:
+def _cmd_census(args: argparse.Namespace) -> Writer:
     n_start, n_end = _parse_n_range(args.n)
     # both ends, so a range running past the cap fails before the sweep starts
     check_census_request(n_start, args.explicit_cap)
     check_census_request(n_end, args.explicit_cap)
 
-    def chunks() -> Iterable[bytes]:
+    def write(fh: BinaryIO) -> int:
         if args.format == "csv":
-            yield _csv([CENSUS_CSV_COLUMNS])
+            fh.write((",".join(CENSUS_CSV_COLUMNS) + "\n").encode())
         for n in range(n_start, n_end + 1):
-            yield census_bytes(n, args.format, args.explicit_cap)
+            # written as made, never bound to a name, so one dimension is held at a time
+            fh.write(census_bytes(n, args.format, args.explicit_cap))
+        return EXIT_OK
 
-    return _exits_ok(chunks())
-
-
-def _table_report(columns: list[str], rows: Iterable[tuple[object, list[str], bool]]) -> Report:
-    """The CSV header, then the (chunk key, fields, passed) rows, one chunk per run of equal keys.
-
-    Each chunk is formatted as its rows are taken, so one chunk's bytes are
-    held at a time, not its rows.  Exits 1 when any row did not pass; such
-    a row is still written.
-    """
-    yield _csv([columns])
-    failed = False
-
-    def fields(run: Iterable[tuple[object, list[str], bool]]) -> Iterable[list[str]]:
-        nonlocal failed
-        for _, row, passed in run:
-            failed = failed or not passed
-            yield row
-
-    for _, run in groupby(rows, key=itemgetter(0)):
-        yield _csv(fields(run))
-    return EXIT_VERIFICATION_FAILED if failed else EXIT_OK
+    return write
 
 
-def _cmd_families(args: argparse.Namespace) -> Report:
+def _cmd_families(args: argparse.Namespace) -> Writer:
     rows = emit_table1(args.m_max, check_cap=args.check_cap)
-    # one chunk per m: its row of each nontrivial family
-    per_m = len(NONTRIVIAL_FAMILY_KEYS)
-    return _table_report(FAMILY_CSV_COLUMNS, (
-        (i // per_m, [str(row[col]) for col in FAMILY_CSV_COLUMNS], row["verified"] != "no")
-        for i, row in enumerate(rows)
+    return _csv_report(FAMILY_CSV_COLUMNS, (
+        ([str(row[col]) for col in FAMILY_CSV_COLUMNS], row["verified"] != "no") for row in rows
     ))
 
 
-def _cmd_identities(args: argparse.Namespace) -> Report:
+def _cmd_identities(args: argparse.Namespace) -> Writer:
     checks = verify_all(args.max_m)
-    # one chunk per identity id
-    return _table_report(IDENTITY_CSV_COLUMNS, (
-        (check.identity_id,
-         [check.identity_id, str(check.k), str(check.m), str(check.lhs), str(check.rhs),
-          str(check.passed).lower()],
-         check.passed)
+    return _csv_report(IDENTITY_CSV_COLUMNS, (
+        ([check.identity_id, str(check.k), str(check.m), str(check.lhs), str(check.rhs),
+          str(check.passed).lower()], check.passed)
         for check in checks
     ))
 
 
-def _cmd_export(args: argparse.Namespace) -> Report:
-    s = OrbitIndexSet.parse(args.set)
-    return _exits_ok(chain(export_graph6(s), [b"\n"]))
+def _cmd_export(args: argparse.Namespace) -> Writer:
+    chunks = export_graph6(OrbitIndexSet.parse(args.set))
+
+    def write(fh: BinaryIO) -> int:
+        # writelines drops each chunk before it takes the next
+        fh.writelines(chunks)
+        fh.write(b"\n")
+        return EXIT_OK
+
+    return write
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built once; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="orbitcayley",
         description="Exact spectra and strong-regularity checks for orbit Cayley graphs over Z2^n.",
@@ -286,17 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process; ``parse_args`` leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
-        return _write(_resolve_out(args.out), report)
+        return _write(_resolve_out(args.out), args.func(args))
     except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
