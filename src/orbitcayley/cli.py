@@ -42,7 +42,7 @@ from .census import (
     census_bytes,
     check_census_request,
 )
-from .core import ConsistencyError, OrbitIndexSet
+from .core import CAPS, ConsistencyError, OrbitIndexSet
 from .graph6 import export_graph6
 from .identities import verify_all
 from .spectrum import distinct, full_spectrum, wht_spectrum
@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("families", help="predicted family parameters with verification")
     p.add_argument("--m-max", type=_decimal, required=True)
     p.add_argument("--check-cap", type=_decimal, default=FAMILIES_CHECK_CAP,
-                   help="verify rows whose dimension is at most this")
+                   help="verify rows whose dimension is at most this, up to the families "
+                        f"check cap {CAPS['families check'].limit}")
     p.set_defaults(func=_cmd_families)
 
     p = sub.add_parser("identities", help="verify every binomial identity up to a bound")

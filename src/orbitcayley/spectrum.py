@@ -159,6 +159,76 @@ def full_spectrum(s: OrbitIndexSet) -> Spectrum:
     return spec
 
 
+# i^0..i^3 as Gaussian ints (re, im)
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _gmul(*factors: tuple[int, int]) -> tuple[int, int]:
+    re, im = 1, 0
+    for a, b in factors:
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
+
+
+def _binomial_power(t: int, p: int) -> tuple[int, int]:
+    """(1 + i^t)^p; for odd t, (1 + i^t)^2 = 2 i^t, so it is a shift and a turn."""
+    re, im = _UNITS[t % 4]
+    if t % 2 == 0:
+        return (1 + re) ** p, 0
+    return _gmul(_UNITS[t * (p // 2) % 4], (1 << p // 2, 0), (1 + re, im) if p % 2 else (1, 0))
+
+
+def _residue_set(n: int, residues) -> OrbitIndexSet:
+    return OrbitIndexSet.of(n, (i for i in range(1, n + 1) if i % 4 in residues))
+
+
+def _residue_filter(n: int, residues, d: int, terms, start: int = 0) -> list[int]:
+    """sum(terms(g, t)) / d for t = start..n, where g_j = sum_(r in R) i^(-jr).
+
+    Only t = start, n and 1..4 are summed: between the ends the sums have
+    period 4.  A sum that is not a real multiple of d raises
+    ConsistencyError naming the set.
+    """
+    g = [tuple(map(sum, zip((0, 0), *(_UNITS[-j * r % 4] for r in residues)))) for j in range(4)]
+
+    def value(t: int) -> int:
+        re, im = map(sum, zip((0, 0), *terms(g, t)))
+        if im or re % d:
+            raise ConsistencyError(
+                f"root-of-unity sum at {t} is not a real multiple of {d} on {_residue_set(n, residues).format()}"
+            )
+        return re // d
+
+    inner = [value(t) for t in range(1, min(n, 5))]
+    return ([value(0)] if start == 0 else []) + (inner * (n // 4 + 1))[: n - 1] + [value(n)]
+
+
+def _residue_spectrum(n: int, residues) -> list[int]:
+    """lambda_0..lambda_n of the weights 1..n in ``residues`` mod 4, by the root-of-unity filter.
+
+    sum_i K_i(k) z^i = (1 - z)^k (1 + z)^(n-k) at z = i^j gives
+    lambda_k = 1/4 sum_j g_j (1 - i^j)^k (1 + i^j)^(n-k) - [0 in R].
+    """
+    def terms(g, k):
+        return (_gmul(g[j], _binomial_power(j + 2, k), _binomial_power(j, n - k)) for j in range(4))
+
+    return [v - (0 in residues) for v in _residue_filter(n, residues, 4, terms)]
+
+
+def _residue_spectra(n: int, residue_sets: list) -> tuple[np.ndarray, np.ndarray]:
+    """The int8 membership and sorted object spectrum tables of residue sets at n.
+
+    The spectra are checked as ``full_spectrum`` checks its own, by
+    ``_first_invariant_failure`` on the whole table.
+    """
+    member = np.array([[i % 4 in r for i in range(1, n + 1)] for r in residue_sets], np.int8)
+    spectra = np.array([_residue_spectrum(n, r) for r in residue_sets], dtype=object)
+    failure = _first_invariant_failure(spectra, member @ np.array(pascal_row(n)[1:], object))
+    if failure:
+        raise ConsistencyError(f"{failure[1]} on {_residue_set(n, residue_sets[failure[0]]).format()}")
+    return member, np.array([sorted(row) for row in spectra], dtype=object)
+
+
 # popcount of every x < 2^12: either half of an index x < 2^n within the transform cap
 _HALF_WEIGHTS = np.array(
     [x.bit_count() for x in range(1 << CAPS["transform"].limit // 2)], dtype=np.intp

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import compress, groupby
 from operator import and_
 from typing import Iterator, NamedTuple
 
@@ -32,7 +32,9 @@ import numpy as np
 
 from .core import ConsistencyError, OrbitIndexSet, enforce_cap, pascal_row
 from .explicit import _row0_block, _row_constants, walsh_counts
-from .spectrum import Spectrum, full_spectrum
+from .spectrum import (
+    _UNITS, Spectrum, _binomial_power, _gmul, _residue_filter, _residue_spectra, full_spectrum,
+)
 
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
 
@@ -67,6 +69,22 @@ def pair_counts(s: OrbitIndexSet) -> tuple[int, ...]:
             total += inside[a] * both if 2 * a == w else 2 * inside[a] * both
         counts.append(total)
     return tuple(counts)
+
+
+def _residue_pair_counts(n: int, residues) -> list[int]:
+    """pair_counts(s)[1:] of the weights 1..n in ``residues`` mod 4, by the root-of-unity filter.
+
+    Filtering both conditions of the (a, b) sum at once gives, for w >= 1,
+    16 |C(v,S)| = sum_(j,l) g_j g_l i^(lw) (1 + i^(j-l))^w (1 + i^(j+l))^(n-w)
+    less 32 [0 in R] [w mod 4 in R] for x = 0 and x = v.  No eigenvalue is used.
+    """
+    def terms(g, w):
+        return (_gmul(g[j], g[l], _UNITS[l * w % 4], _binomial_power(j - l, w),
+                      _binomial_power(j + l, n - w))
+                for j in range(4) for l in range(4) if g[j] != (0, 0) != g[l])
+
+    counts = _residue_filter(n, residues, 16, terms, 1)
+    return [c - 2 * (0 in residues and w % 4 in residues) for w, c in enumerate(counts, 1)]
 
 
 def pair_count_table(n: int) -> np.ndarray:
@@ -216,45 +234,46 @@ def match_families(s: OrbitIndexSet) -> tuple[str, ...]:
     return tuple(tags)
 
 
-def _table1_row(spec: FamilySpec, m: int, check_cap: int) -> dict:
-    """The ``emit_table1`` row of one family at m, certified when its dimension is within check_cap."""
-    predicted = spec.predicted(m)
-    verified = "skipped"
-    if spec.dimension(m) <= check_cap:
-        verdict, _ = certify(spec.index_set(m), explicit_cap=0)
-        ok = verdict.status is VerdictStatus.NONTRIVIAL_SRG and verdict.params == predicted
-        verified = "yes" if ok else "no"
-    return {
-        "graph": spec.label(m),
-        "n_vertices": predicted.vertices,
-        "r": predicted.degree,
-        "lambda": predicted.lam,
-        "mu": predicted.mu,
-        "verified": verified,
-    }
+def _table1_rows(m: int, check_cap: int) -> list[dict]:
+    """The ``emit_table1`` rows of m; each dimension within check_cap is certified as one table.
+
+    The 2 or 4 rows of a dimension get the residue forms, checked by the
+    spectrum invariants and by ``certified_rows``; a row reads "yes" only
+    for a nontrivial SRG verdict with the predicted parameters.
+    """
+    rows = []
+    for n, group in groupby(map(FAMILIES.get, NONTRIVIAL_FAMILY_KEYS), lambda f: f.dimension(m)):
+        specs = list(group)
+        verdicts = None
+        if n <= check_cap:
+            residue_sets = [f.residues for f in specs]
+            counts = np.array([_residue_pair_counts(n, r) for r in residue_sets], dtype=object)
+            verdicts = certified_rows(n, *_residue_spectra(n, residue_sets), counts, 0)[1]
+        for r, f in enumerate(specs):
+            p, v = f.predicted(m), (verdicts or {}).get(r)
+            verified = "skipped" if verdicts is None else "no"
+            if v and (v.status, v.params) == (VerdictStatus.NONTRIVIAL_SRG, p):
+                verified = "yes"
+            rows.append({"graph": f.label(m), "n_vertices": p.vertices, "r": p.degree, "lambda": p.lam,
+                         "mu": p.mu, "verified": verified})
+    return rows
 
 
 def emit_table1(m_max: int, check_cap: int = FAMILIES_CHECK_CAP) -> Iterator[dict]:
     """One row per (m, nontrivial family): closed-form parameters plus verification.
 
-    ``verified`` is "yes"/"no" from ``certify`` (both closed-form routes) when
-    the dimension is within ``check_cap``, else "skipped"; only certified rows
-    build their index set.  Raises ValueError at the call, before any row,
-    when m_max exceeds the families cap or a certified dimension would
-    exceed the closed-form cap.  The rows come in order of m, then of
-    ``NONTRIVIAL_FAMILY_KEYS``, each made and certified only when it is
-    taken (``list(emit_table1(...))`` for all of them).
+    ``verified`` is "yes"/"no" from ``_table1_rows`` when the dimension is
+    within ``check_cap``, else "skipped".  Raises ValueError at the call,
+    before any row, when m_max exceeds the families cap or check_cap the
+    families check cap.  The rows come in order of m, then of
+    ``NONTRIVIAL_FAMILY_KEYS``; the rows of one m are made and certified
+    when its first row is taken (``list(emit_table1(...))`` for all).
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     enforce_cap("families", m_max)
-    # rows of dimension up to check_cap are certified, and the largest row has 4 m_max + 2
-    enforce_cap("closed-form", min(check_cap, 4 * m_max + 2), "min(check cap, 4 m_max + 2)")
-    return (
-        _table1_row(FAMILIES[key], m, check_cap)
-        for m in range(1, m_max + 1)
-        for key in NONTRIVIAL_FAMILY_KEYS
-    )
+    enforce_cap("families check", check_cap)
+    return (row for m in range(1, m_max + 1) for row in _table1_rows(m, check_cap))
 
 
 # -- the verdict rules -------------------------------------------------------

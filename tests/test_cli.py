@@ -26,8 +26,8 @@ import orbitcayley.srg as srg_module
 from orbitcayley.census import CENSUS_DEFAULT_EXPLICIT_CAP, census_bytes
 from orbitcayley.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, build_parser, main
 from orbitcayley.core import CAPS, ConsistencyError, pascal_row
-from orbitcayley.spectrum import Spectrum, character_sum_row
-from orbitcayley.srg import FAMILIES, NONTRIVIAL_FAMILY_KEYS, SrgVerdict, VerdictStatus, emit_table1
+from orbitcayley.spectrum import Spectrum, _residue_spectrum, character_sum_row
+from orbitcayley.srg import FAMILIES, NONTRIVIAL_FAMILY_KEYS, _residue_pair_counts, emit_table1
 
 from oracles import forbid_everywhere
 
@@ -146,7 +146,6 @@ BEYOND_A_LIMIT = {
     "closed-form": [
         ["srg-check", "--set", f"n={LIMIT['closed-form'] + 1};I=1"],
         ["spectrum", "--set", f"n={LIMIT['closed-form'] + 1};I=1"],
-        ["families", "--m-max", "300", "--check-cap", str(LIMIT["closed-form"] + 1)],
     ],
     "census": [
         ["census", "--n", str(LIMIT["census"] + 1)],
@@ -164,6 +163,7 @@ BEYOND_A_LIMIT = {
     "transform": [["spectrum", "--set", f"n={LIMIT['transform'] + 1};I=1", "--check-oracle"]],
     "identities": [["identities", "--max-m", str(LIMIT["identities"] + 1)]],
     "families": [["families", "--m-max", str(LIMIT["families"] + 1)]],
+    "families check": [["families", "--m-max", "300", "--check-cap", str(LIMIT["families check"] + 1)]],
 }
 # refused with no cap: each flag that used to move a limit
 REFUSED_WITHOUT_A_CAP = [
@@ -195,14 +195,15 @@ def test_cap_invariants_are_usage_errors(tmp_path, capsys):
 
 
 def test_over_cap_requests_fail_before_any_closed_form(monkeypatch, capsys):
-    # every over-cap request is rejected before a character sum or a Pascal
-    # row is made; srg-check --explicit over the dense cap and spectrum
-    # --check-oracle over the transform cap also at the largest n the
-    # closed forms take
+    # every over-cap request is rejected before a character sum, a residue
+    # form or a Pascal row is made; srg-check --explicit over the dense cap
+    # and spectrum --check-oracle over the transform cap also at the largest
+    # n the closed forms take
     def no_work(*args):
         pytest.fail("a closed form ran before the request was rejected")
 
-    forbid_everywhere(monkeypatch, (character_sum_row, pascal_row), no_work)
+    forbidden = (character_sum_row, _residue_spectrum, _residue_pair_counts, pascal_row)
+    forbid_everywhere(monkeypatch, forbidden, no_work)
     top = LIMIT["closed-form"]
     odd = f"n={top};I=" + ",".join(map(str, range(1, top, 2)))
     cases = {name: list(argvs) for name, argvs in BEYOND_A_LIMIT.items()}
@@ -385,12 +386,15 @@ def test_a_failing_family_row_is_written_and_exits_one(tmp_path, monkeypatch, ca
     assert main(argv) == EXIT_OK
     good = capsysbinary.readouterr().out
     failing = FAMILIES["s1s2@4m+2"].index_set(1)
-    real = srg_module.certify
+    failing_row = [i in failing.indices for i in range(1, failing.n + 1)]
+    real = srg_module.certified_rows
 
-    def not_an_srg_at_one_set(s, explicit_cap):
-        return (SrgVerdict(VerdictStatus.NOT_SRG), None) if s == failing else real(s, explicit_cap)
+    def not_an_srg_at_one_set(n, member, spectra, counts, explicit_cap):
+        # the pipeline reads no SRG verdict for the failing row of its table
+        columns, verdicts = real(n, member, spectra, counts, explicit_cap)
+        return columns, {r: v for r, v in verdicts.items() if member[r].tolist() != failing_row}
 
-    monkeypatch.setattr(srg_module, "certify", not_an_srg_at_one_set)
+    monkeypatch.setattr(srg_module, "certified_rows", not_an_srg_at_one_set)
     expected = _with_failing_row(good, b'"Cay(Z2^6,S1+S2)",', b",yes\n", b",no\n")
     _assert_written_with_exit_one(tmp_path, capsysbinary, argv, expected)
 
@@ -596,6 +600,13 @@ def test_families_cap_holds_without_a_digit_limit(capsys):
         assert captured.err == "error: m_max=532 exceeds the families cap 531\n"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_families_certifies_every_row_to_m64(capsys):
+    # every row up to n = 258 is certified by the residue forms
+    assert main(["families", "--m-max", "64", "--check-cap", "258"]) == EXIT_OK
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert len(rows) == 64 * 6 and {row[-1] for row in rows} == {"yes"}
 
 
 # sha256 of each output, recorded before the certification routes were merged

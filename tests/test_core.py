@@ -66,6 +66,8 @@ def test_caps_keep_their_orderings():
     cap = {name: row.limit for name, row in CAPS.items()}
     # every families row prints at every int-to-str digit limit Python allows
     assert cap["families"] <= INT_STR_DIGITS_BOUND == 531
+    # the check cap reaches no further than the last families row, 4 m_max + 2
+    assert cap["families check"] <= 4 * cap["families"] + 2
     assert cap["census dense"] <= cap["census"] <= INT64_TABLE_BOUND
     # _row0_block reads _weight_rows, so the dense route runs within the transform cap
     assert cap["census dense"] <= cap["dense"] <= cap["transform"]

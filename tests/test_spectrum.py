@@ -22,6 +22,7 @@ from orbitcayley.spectrum import (
     _HALF_WEIGHTS,
     _check_invariants,
     _first_invariant_failure,
+    _residue_spectrum,
     _weight_rows,
     character_sum_row,
     character_table,
@@ -487,12 +488,19 @@ def test_full_spectrum_holds_one_row_at_a_time():
 )
 def test_invariant_failure_names_the_set(monkeypatch, capsys, argv, named):
     # row (4, 1) enters every set holding 1 at n = 4; its entry k = 1 has
-    # multiplicity C(4, 1), so the trace moves by 4
+    # multiplicity C(4, 1), so the trace moves by 4.  families takes its
+    # spectra from the residue form, perturbed the same way
     def perturbed(n, i):
         row = character_sum_row(n, i)
         return row[:1] + (row[1] + 1,) + row[2:] if (n, i) == (4, 1) else row
 
+    def perturbed_residues(n, residues):
+        values = _residue_spectrum(n, residues)
+        values[1] += n == 4 and 1 in residues
+        return values
+
     monkeypatch.setattr(spectrum_module, "character_sum_row", perturbed)
+    monkeypatch.setattr(spectrum_module, "_residue_spectrum", perturbed_residues)
     assert main(argv) == EXIT_VERIFICATION_FAILED
     assert capsys.readouterr().err == (
         f"verification failure: spectrum trace is nonzero on {named}\n"

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 import random
-import re
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -21,7 +20,7 @@ from orbitcayley.census import census_bytes
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import CAPS, ConsistencyError, OrbitIndexSet
 from orbitcayley.explicit import _row0, _row0_block, _row_constants, walsh_counts
-from orbitcayley.spectrum import full_spectrum
+from orbitcayley.spectrum import _residue_spectrum, full_spectrum
 from orbitcayley.srg import (
     FAMILIES,
     NONTRIVIAL_FAMILY_KEYS,
@@ -31,6 +30,7 @@ from orbitcayley.srg import (
     _SRG_CODE,
     _column_verdict,
     _route_columns,
+    _residue_pair_counts,
     _tagged,
     certify,
     dense_columns,
@@ -873,8 +873,8 @@ def test_family_parameters_verified_at_larger_m():
 
 
 def test_emit_table1_builds_index_sets_only_for_certified_rows(monkeypatch):
-    # certify is stubbed, so its family matching builds no index set and
-    # every counted call is one emit_table1 makes itself
+    # the residue forms build no index set, so every counted call is one the
+    # family tags of a certified row make
     built = []
     real = srg_module.FamilySpec.index_set
 
@@ -883,30 +883,95 @@ def test_emit_table1_builds_index_sets_only_for_certified_rows(monkeypatch):
         return real(spec, m)
 
     monkeypatch.setattr(srg_module.FamilySpec, "index_set", counting)
-    monkeypatch.setattr(
-        srg_module, "certify", lambda s, explicit_cap: (SrgVerdict(VerdictStatus.NOT_SRG), None)
-    )
     rows = list(emit_table1(50, check_cap=20))
     certified = [row for row in rows if row["verified"] != "skipped"]
     assert len(rows) == 50 * 6
-    assert len(built) == len(certified) == 2 * 5 + 4 * 4  # n = 4m <= 20 and n = 4m + 2 <= 20
-    assert max(built) == 20
+    assert len(certified) == 2 * 5 + 4 * 4  # n = 4m <= 20 and n = 4m + 2 <= 20
+    assert {row["verified"] for row in certified} == {"yes"}
+    assert set(built) == set(range(4, 21, 2))
 
 
 def test_emit_table1_certifies_each_row_when_it_is_taken(monkeypatch):
+    # the rows of one m are certified as one table per dimension when the
+    # first of them is taken, and nothing of the next m is
     certified = []
-    real = srg_module.certify
+    real = srg_module.certified_rows
 
-    def counting(s, explicit_cap):
-        certified.append(s.n)
-        return real(s, explicit_cap)
+    def counting(n, member, spectra, counts, explicit_cap):
+        certified.append((n, len(member)))
+        return real(n, member, spectra, counts, explicit_cap)
 
-    monkeypatch.setattr(srg_module, "certify", counting)
+    monkeypatch.setattr(srg_module, "certified_rows", counting)
     rows = emit_table1(3)
     assert certified == []
-    assert next(rows)["graph"] == "Cay(Z2^4,S0+S1)" and certified == [4]
+    assert next(rows)["graph"] == "Cay(Z2^4,S0+S1)" and certified == [(4, 2), (6, 4)]
     assert [row["verified"] for row in rows] == ["yes"] * (3 * 6 - 1)
-    assert certified == [FAMILIES[key].dimension(m) for m in (1, 2, 3) for key in NONTRIVIAL_FAMILY_KEYS]
+    assert certified == [(4 * m + offset, 2 + offset) for m in (1, 2, 3) for offset in (0, 2)]
+
+
+def test_residue_forms_equal_the_general_routes_at_every_family_row():
+    for m in range(1, 33):
+        for key in NONTRIVIAL_FAMILY_KEYS:
+            spec = FAMILIES[key]
+            n, s = spec.dimension(m), spec.index_set(m)
+            assert _residue_spectrum(n, spec.residues) == list(full_spectrum(s).values), (key, m)
+            assert _residue_pair_counts(n, spec.residues) == list(pair_counts(s)[1:]), (key, m)
+
+
+def test_residue_forms_equal_the_general_routes_on_every_residue_set():
+    residue_sets = [r for size in range(1, 5) for r in combinations(range(4), size)]
+    assert len(residue_sets) == 15
+    for residues in residue_sets:
+        for n in range(1, 41):
+            s = OrbitIndexSet.of(n, (i for i in range(1, n + 1) if i % 4 in residues))
+            assert _residue_spectrum(n, residues) == list(full_spectrum(s).values), (residues, n)
+            assert _residue_pair_counts(n, residues) == list(pair_counts(s)[1:]), (residues, n)
+
+
+def test_a_residue_form_corrupted_at_one_weight_names_the_set(monkeypatch):
+    # (1 + i^0)^p off by i at one power p: the filter sum is not real at the
+    # first weight whose terms take that power, an inner one and the last
+    real, corrupt = srg_module._binomial_power, {}
+
+    def off_by_i(t, p):
+        re, im = real(t, p)
+        return re, im + (t % 4 == 0 and p == corrupt["p"])
+
+    monkeypatch.setattr(srg_module, "_binomial_power", off_by_i)
+    for p in (3, 8):
+        corrupt["p"] = p
+        message = f"^root-of-unity sum at {p} is not a real multiple of 16 on n=8;I=1,4,5,8$"
+        with pytest.raises(ConsistencyError, match=message):
+            _residue_pair_counts(8, (0, 1))
+    # the power 8 is first taken at n = 8, by the first table of m = 2
+    with pytest.raises(ConsistencyError, match=message):
+        list(emit_table1(2))
+
+
+def test_a_corrupted_count_row_is_caught_by_the_pipeline(monkeypatch):
+    # a count off by one at one weight is still an integer, so the spectral
+    # route's disagreement is what names the set
+    real = srg_module._residue_pair_counts
+
+    def off_at_one_weight(n, residues):
+        counts = real(n, residues)
+        counts[2] += (n, residues) == (6, (1, 2))
+        return counts
+
+    monkeypatch.setattr(srg_module, "_residue_pair_counts", off_at_one_weight)
+    with pytest.raises(ConsistencyError, match=r"^SRG routes disagree on n=6;I=1,2,5,6: "):
+        list(emit_table1(1))
+
+
+def test_families_check_cap_is_checked_before_any_row(monkeypatch):
+    def no_work(*args):
+        pytest.fail("a row was made before the families check cap was checked")
+
+    monkeypatch.setattr(srg_module.FamilySpec, "predicted", no_work)
+    top = CAPS["families check"].limit
+    with pytest.raises(ValueError, match=f"^check cap={top + 1} exceeds the families check cap {top}$"):
+        emit_table1(1, check_cap=top + 1)
+    emit_table1(CAPS["families"].limit, check_cap=top)
 
 
 def test_closed_form_cap_is_checked_before_any_work(monkeypatch):
@@ -921,13 +986,6 @@ def test_closed_form_cap_is_checked_before_any_work(monkeypatch):
         full_spectrum(s)
     with pytest.raises(ValueError, match="^n=1025 exceeds the closed-form cap 1024$"):
         pair_counts(s)
-    # families: check_cap and 4 m_max + 2 both above the cap, and no row is built
-    monkeypatch.setattr(srg_module.FamilySpec, "predicted", no_work)
-    certified = re.escape("min(check cap, 4 m_max + 2)")
-    with pytest.raises(ValueError, match=f"^{certified}=1025 exceeds the closed-form cap 1024$"):
-        emit_table1(300, check_cap=CLOSED_FORM_CAP + 1)
-    with pytest.raises(ValueError, match=f"^{certified}=1026 exceeds the closed-form cap 1024$"):
-        emit_table1((CLOSED_FORM_CAP - 2) // 4 + 1, check_cap=CLOSED_FORM_CAP + 10)
 
 
 def test_match_families():
