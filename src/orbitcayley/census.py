@@ -6,9 +6,9 @@ orbit index i is a member), so output is byte-identical across runs.
 The sweep builds every set's spectrum and pair counts as int64 tables,
 each row summed from the tables of its mask's two halves, and
 ``srg.certified_rows``, the one certification pipeline ``certify``
-also runs, reads and compares every route's verdict of every row from
-them: both closed-form verdicts, and within the dense cap the dense
-verdict from blocks of rows 0.
+also runs, checks and sorts the spectra, then reads and compares every
+route's verdict of every row from them: both closed-form verdicts, and
+within the dense cap the dense verdict from blocks of rows 0.
 
 ``_dimension`` is the one core of a dimension: the verdict columns and
 the tagged verdicts of the few SRG rows.  Its one reader is
@@ -24,8 +24,8 @@ import json
 import numpy as np
 
 from . import srg
-from .core import ConsistencyError, OrbitIndexSet, enforce_cap, pascal_row
-from .spectrum import _first_invariant_failure, character_table
+from .core import enforce_cap
+from .spectrum import character_table
 from .srg import _PARAMLESS, SrgVerdict, VerdictStatus, pair_count_table
 
 CENSUS_DEFAULT_EXPLICIT_CAP = 8  # the census command's --explicit-cap default
@@ -113,22 +113,15 @@ def _dimension(n: int, explicit_cap: int) -> tuple[srg.VerdictColumns, dict[int,
     """The verdict columns of dimension n, and the tagged verdicts of its SRG rows by row.
 
     Row r is the set with bitmask r + 1.  All 2^n - 1 spectra and pair
-    counts come from one ``sweep_tables`` call, the spectrum invariants
-    are checked on every row at once, and ``srg.certified_rows``, the
-    check ``certify`` runs on one row, reads and compares every route's
-    verdict of every set, the dense route's when n is within
-    ``explicit_cap``.  Its one reader is the writer ``census_bytes``; every
-    error is raised here, before any text is formatted.  Raises ValueError
-    before any work when ``check_census_request`` rejects the request.
+    counts come from one ``sweep_tables`` call, and ``srg.certified_rows``,
+    the check ``certify`` runs on one row, certifies every set, the dense
+    route joining when n is within ``explicit_cap``.  Its one reader is
+    the writer ``census_bytes``; every error is raised here, before any
+    text is formatted.  Raises ValueError before any work when
+    ``check_census_request`` rejects the request.
     """
     check_census_request(n, explicit_cap)
-    member, spectra, counts = sweep_tables(n)
-    failure = _first_invariant_failure(spectra, member @ np.array(pascal_row(n)[1:]))
-    if failure is not None:
-        row, what = failure
-        raise ConsistencyError(f"{what} on {OrbitIndexSet.from_bitmask(n, row + 1).format()}")
-    spectra.sort(axis=1)
-    return srg.certified_rows(n, member, spectra, counts, explicit_cap)
+    return srg.certified_rows(n, *sweep_tables(n), explicit_cap)
 
 
 def _index_texts(n: int, sep: str) -> list[str]:

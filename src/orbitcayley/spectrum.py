@@ -215,20 +215,6 @@ def _residue_spectrum(n: int, residues) -> list[int]:
     return [v - (0 in residues) for v in _residue_filter(n, residues, 4, terms)]
 
 
-def _residue_spectra(n: int, residue_sets: list) -> tuple[np.ndarray, np.ndarray]:
-    """The int8 membership and sorted object spectrum tables of residue sets at n.
-
-    The spectra are checked as ``full_spectrum`` checks its own, by
-    ``_first_invariant_failure`` on the whole table.
-    """
-    member = np.array([[i % 4 in r for i in range(1, n + 1)] for r in residue_sets], np.int8)
-    spectra = np.array([_residue_spectrum(n, r) for r in residue_sets], dtype=object)
-    failure = _first_invariant_failure(spectra, member @ np.array(pascal_row(n)[1:], object))
-    if failure:
-        raise ConsistencyError(f"{failure[1]} on {_residue_set(n, residue_sets[failure[0]]).format()}")
-    return member, np.array([sorted(row) for row in spectra], dtype=object)
-
-
 # popcount of every x < 2^12: either half of an index x < 2^n within the transform cap
 _HALF_WEIGHTS = np.array(
     [x.bit_count() for x in range(1 << CAPS["transform"].limit // 2)], dtype=np.intp

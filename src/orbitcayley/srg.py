@@ -14,9 +14,11 @@ rules, ``dense_columns`` on blocks of rows 0, and is their oracle.  Every
 route computes its own gates; what all three share is only their
 encoding, ``_route_columns``: a status code is the position of the first
 gate that holds, in the order of ``VerdictStatus``.
-``certified_rows`` is the one certification pipeline: it reads every
+``certified_rows`` is the one certification pipeline: it checks the
+spectrum invariants of every row, sorts the spectra, then reads every
 route's verdict of every row and compares them.  The census passes it
-its int64 sweep tables, ``certify`` a one-row table of Python ints.
+its int64 sweep tables, ``families`` and ``certify`` tables of Python
+ints.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import numpy as np
 from .core import ConsistencyError, OrbitIndexSet, enforce_cap, pascal_row
 from .explicit import _row0_block, _row_constants, walsh_counts
 from .spectrum import (
-    _UNITS, Spectrum, _binomial_power, _gmul, _residue_filter, _residue_spectra, full_spectrum,
+    _UNITS, Spectrum, _binomial_power, _first_invariant_failure, _gmul, _residue_filter,
+    _residue_spectrum, full_spectrum,
 )
 
 FAMILIES_CHECK_CAP = 20  # default dimension up to which family rows are certified
@@ -237,9 +240,9 @@ def match_families(s: OrbitIndexSet) -> tuple[str, ...]:
 def _table1_rows(m: int, check_cap: int) -> list[dict]:
     """The ``emit_table1`` rows of m; each dimension within check_cap is certified as one table.
 
-    The 2 or 4 rows of a dimension get the residue forms, checked by the
-    spectrum invariants and by ``certified_rows``; a row reads "yes" only
-    for a nontrivial SRG verdict with the predicted parameters.
+    The 2 or 4 rows of a dimension get the residue forms, certified by
+    ``certified_rows``; a row reads "yes" only for a nontrivial SRG verdict
+    with the predicted parameters.
     """
     rows = []
     for n, group in groupby(map(FAMILIES.get, NONTRIVIAL_FAMILY_KEYS), lambda f: f.dimension(m)):
@@ -247,8 +250,10 @@ def _table1_rows(m: int, check_cap: int) -> list[dict]:
         verdicts = None
         if n <= check_cap:
             residue_sets = [f.residues for f in specs]
+            member = np.array([[i % 4 in r for i in range(1, n + 1)] for r in residue_sets], np.int8)
+            spectra = np.array([_residue_spectrum(n, r) for r in residue_sets], dtype=object)
             counts = np.array([_residue_pair_counts(n, r) for r in residue_sets], dtype=object)
-            verdicts = certified_rows(n, *_residue_spectra(n, residue_sets), counts, 0)[1]
+            verdicts = certified_rows(n, member, spectra, counts, 0)[1]
         for r, f in enumerate(specs):
             p, v = f.predicted(m), (verdicts or {}).get(r)
             verified = "skipped" if verdicts is None else "no"
@@ -426,18 +431,30 @@ def certified_rows(
 ) -> tuple[VerdictColumns, dict[int, SrgVerdict]]:
     """The verdict columns of table rows, checked by every route, and the tagged SRG verdicts.
 
-    The table is that of ``verdict_columns``: the census's int64 sweep
-    tables of dimension n, or ``certify``'s one row of Python ints.  When
-    n is within ``explicit_cap`` the dense route joins, read by
-    ``dense_columns`` from blocks of rows 0 of at most ``_DENSE_CHUNK``
-    entries.  Every route's (status code, degree, lambda, mu) row must
-    equal the pair-count row; at the first row where one differs, raises
-    ConsistencyError naming the set, read from member[row], and every
-    route's verdict, so the failure can be replayed with
-    ``srg-check --set``.  The map holds, by row, the pair-count verdict of
-    every SRG row with its family tags; every other row's verdict is the
-    parameter-less one of its status code.
+    The table is that of ``verdict_columns`` with the spectra in k order,
+    lambda_0..lambda_n: the census's int64 sweep tables of dimension n, or
+    object tables of Python ints.  Every row must pass the spectrum
+    invariants of ``_first_invariant_failure``; the spectra are then
+    sorted in place.  When n is within ``explicit_cap`` the dense route
+    joins, read by ``dense_columns`` from blocks of rows 0 of at most
+    ``_DENSE_CHUNK`` entries.  Every route's (status code, degree, lambda,
+    mu) row must equal the pair-count row.  At the first row that fails
+    either check, raises ConsistencyError naming the set, read from
+    member[row], and the failed invariant or every route's verdict, so
+    the failure can be replayed with ``srg-check --set``.  The map holds,
+    by row, the pair-count verdict of every SRG row with its family tags;
+    every other row's verdict is the parameter-less one of its status code.
     """
+
+    def index_set(row: int) -> OrbitIndexSet:
+        return OrbitIndexSet(n, (np.flatnonzero(member[row]) + 1).tolist())
+
+    sizes = member @ np.array(pascal_row(n)[1:], dtype=counts.dtype)
+    failure = _first_invariant_failure(spectra, sizes)
+    if failure is not None:
+        row, what = failure
+        raise ConsistencyError(f"{what} on {index_set(row).format()}")
+    spectra.sort(axis=1)
     columns = verdict_columns(member, spectra, counts)
     routes = {"pair_count": columns.paircount, "spectral": columns.spectral}
     differs = (columns.spectral != columns.paircount).any(axis=1)
@@ -448,10 +465,6 @@ def certified_rows(
             for r0 in range(0, len(member), step)
         ])
         differs |= (routes["explicit"] != columns.paircount).any(axis=1)
-
-    def index_set(row: int) -> OrbitIndexSet:
-        return OrbitIndexSet(n, (np.flatnonzero(member[row]) + 1).tolist())
-
     if differs.any():
         row = int(differs.argmax())
         s = index_set(row)
@@ -473,14 +486,15 @@ def certify(s: OrbitIndexSet, explicit_cap: int) -> tuple[SrgVerdict, Spectrum]:
     ``certified_rows`` checks the one-row table of s in Python ints, so
     the closed forms are exact at every n up to the closed-form cap; the
     dense route joins when s.n is within ``explicit_cap``, and raises
-    ValueError above the dense cap before any route runs.  When any
-    verdict differs, raises the ConsistencyError of ``certified_rows``.
+    ValueError above the dense cap before any route runs.  When an
+    invariant fails or any verdict differs, raises the ConsistencyError
+    of ``certified_rows``.
     """
     if s.n <= explicit_cap:
         enforce_cap("dense", s.n)
     spectrum = full_spectrum(s)
     member = np.array([[i in s.indices for i in range(1, s.n + 1)]], dtype=np.int8)
-    spectra = np.array([sorted(spectrum.values)], dtype=object)
+    spectra = np.array([spectrum.values], dtype=object)
     counts = np.array([pair_counts(s)[1:]], dtype=object)
     columns, verdicts = certified_rows(s.n, member, spectra, counts, explicit_cap)
     return verdicts.get(0) or _PARAMLESS[columns.paircount[0, 0]], spectrum

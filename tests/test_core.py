@@ -33,6 +33,7 @@ from oracles import (
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orbitcayley"
 
 PUBLIC_NAMES = (
     "ConsistencyError",
@@ -249,6 +250,36 @@ def test_public_surface_is_pinned():
     assert len(set(orbitcayley.__all__)) == len(orbitcayley.__all__)
     for name in PUBLIC_NAMES:
         assert hasattr(orbitcayley, name), name
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, skipping ``__future__`` imports."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
+def test_unused_import_check_finds_a_stale_name():
+    source = "from __future__ import annotations\nimport numpy as np\nfrom math import comb, gcd\n"
+    assert _unused_imports(source + "gcd(np.int8(4), 6)\n") == ["comb"]
+
+
+def test_package_modules_read_every_name_they_import():
+    # __init__.py imports to re-export, so it is not checked
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    assert modules, PACKAGE
+    unused = {p.name: _unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def _leading_literal(comment):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitcayley.spectrum as spectrum_module
+import orbitcayley.srg as srg_module
 from orbitcayley.cli import EXIT_VERIFICATION_FAILED, main
 from orbitcayley.core import ConsistencyError, OrbitIndexSet
 from orbitcayley.explicit import _row0
@@ -478,18 +479,22 @@ def test_full_spectrum_holds_one_row_at_a_time():
 
 
 @pytest.mark.parametrize(
-    "argv, named",
+    "argv, named, unchecked",
     [
-        (["srg-check", "--set", "n=4;I=1"], "n=4;I=1"),
-        (["spectrum", "--set", "n=4;I=1"], "n=4;I=1"),
-        (["families", "--m-max", "1"], "n=4;I=1,4"),  # its first row is Cay(Z2^4,S0+S1)
+        (["srg-check", "--set", "n=4;I=1"], "n=4;I=1", False),
+        (["srg-check", "--set", "n=4;I=1"], "n=4;I=1", True),
+        (["spectrum", "--set", "n=4;I=1"], "n=4;I=1", False),
+        (["families", "--m-max", "1"], "n=4;I=1,4", False),  # its first row is Cay(Z2^4,S0+S1)
+        (["census", "--n", "4"], "n=4;I=1", False),  # its first row, bitmask 1
     ],
-    ids=["srg-check", "spectrum", "families"],
+    ids=["srg-check", "srg-check-unchecked-spectrum", "spectrum", "families", "census"],
 )
-def test_invariant_failure_names_the_set(monkeypatch, capsys, argv, named):
+def test_invariant_failure_names_the_set(monkeypatch, capsys, argv, named, unchecked):
     # row (4, 1) enters every set holding 1 at n = 4; its entry k = 1 has
     # multiplicity C(4, 1), so the trace moves by 4.  families takes its
-    # spectra from the residue form, perturbed the same way
+    # spectra from the residue form, perturbed the same way.  With
+    # unchecked, srg-check's spectrum skips full_spectrum's own check, so
+    # the certification pipeline is what catches it
     def perturbed(n, i):
         row = character_sum_row(n, i)
         return row[:1] + (row[1] + 1,) + row[2:] if (n, i) == (4, 1) else row
@@ -499,8 +504,14 @@ def test_invariant_failure_names_the_set(monkeypatch, capsys, argv, named):
         values[1] += n == 4 and 1 in residues
         return values
 
+    def unchecked_spectrum(s):
+        rows = [perturbed(s.n, i) for i in s.sorted_indices]
+        return Spectrum(s.n, tuple(map(sum, zip(*rows))))
+
     monkeypatch.setattr(spectrum_module, "character_sum_row", perturbed)
-    monkeypatch.setattr(spectrum_module, "_residue_spectrum", perturbed_residues)
+    monkeypatch.setattr(srg_module, "_residue_spectrum", perturbed_residues)
+    if unchecked:
+        monkeypatch.setattr(srg_module, "full_spectrum", unchecked_spectrum)
     assert main(argv) == EXIT_VERIFICATION_FAILED
     assert capsys.readouterr().err == (
         f"verification failure: spectrum trace is nonzero on {named}\n"
